@@ -49,8 +49,9 @@ Unattended robustness (the overnight contract):
   point that exceeds its budget is abandoned *cooperatively* at the next
   chunk boundary — its partial result is emitted as a ``timed_out`` row
   (excluded from resume identities, so a rerun retries it) while every
-  other point keeps draining. One pathological grid point can no longer
-  stall a whole manifest.
+  other point keeps draining. The point's clock starts at its first
+  chunk result, at every worker count. One pathological grid point can
+  no longer stall a whole manifest.
 - **A global wall-clock deadline** (``max_wall_clock=`` /
   ``--max-wall-clock``): when it expires the campaign stops admitting
   work, drains in-flight chunks into ``timed_out`` rows, and raises
@@ -73,6 +74,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import (
     Any,
+    Callable,
     Collection,
     Dict,
     Iterator,
@@ -91,7 +93,6 @@ from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool
 from repro.experiments.runner import (
     ExperimentResult,
-    ExperimentRunner,
     _run_chunk_folded,
     chunk_payloads,
 )
@@ -655,6 +656,48 @@ def as_scheduler(schedule: ScheduleRef) -> PointScheduler:
 # ----------------------------------------------------------------------
 
 
+def check_seconds(name: str, value: Any) -> None:
+    """Reject a duration that is not a positive number of seconds."""
+    # `not >` (instead of `<=`) so NaN is rejected too: every comparison
+    # against a NaN deadline is False, which would silently disarm the
+    # guard the caller asked for.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ConfigurationError(
+            f"{name} must be a positive number of seconds, got {value!r}"
+        )
+
+
+def pending_points(
+    points: Sequence[CampaignPoint],
+    completed: Optional[Collection[str]],
+    schedule: ScheduleRef,
+) -> Tuple[Dict[str, ScenarioSpec], List[CampaignPoint]]:
+    """Resolve ``points`` eagerly, drop the ``completed`` resume keys,
+    and order the rest by ``schedule``; returns ``(specs, todo)``.
+
+    Eager resolution means a stale manifest or an unknown parameter
+    fails before work starts, hand-built points with partial params run
+    identically on every backend (workers and nodes get fully-resolved
+    params), and resume keys are computed on resolved params — the same
+    normalisation sweep rows get.
+    """
+    specs: Dict[str, ScenarioSpec] = {}
+    normalized: List[CampaignPoint] = []
+    for point in points:
+        spec = specs.get(point.scenario)
+        if spec is None:
+            spec = specs[point.scenario] = get_scenario(point.scenario)
+        resolved = spec.resolve_params(point.params)
+        if resolved != point.params:
+            point = replace(point, params=resolved)
+        normalized.append(point)
+    done = frozenset(completed) if completed else frozenset()
+    todo = as_scheduler(schedule).order(
+        [p for p in normalized if p.key() not in done]
+    )
+    return specs, todo
+
+
 class CampaignDeadline(Exception):
     """The campaign's global wall-clock budget (``max_wall_clock``) ran out.
 
@@ -711,13 +754,14 @@ def slice_ranges(
 class PointState:
     """Master-side fold state of one in-flight campaign point.
 
-    Shared between :func:`run_campaign`'s interleaved orchestrator and
-    the distributed coordinator: batching (``next_batch`` — where stop
-    decisions are allowed to happen), folding (commutative counters),
-    the stop rule (``converged``), and finalization into an
-    :class:`ExperimentResult` are one implementation, which is most of
-    why a distributed campaign's rows match a single-host run's
-    byte for byte.
+    The one implementation of a point's batch protocol: batching
+    (``next_batch`` — where stop decisions are allowed to happen),
+    folding (commutative counters), the stop rule (``converged``), and
+    finalization into an :class:`ExperimentResult`. :class:`PointDriver`
+    runs it for campaigns and the distributed coordinator, and
+    :meth:`~repro.experiments.runner.ExperimentRunner.run` runs its one
+    point through it — which is most of why rows match byte for byte
+    whatever executes the trials.
     """
 
     def __init__(
@@ -745,10 +789,11 @@ class PointState:
         #: budget has no stop rule — the split cannot change results.
         self.probe = probe
         self.started = time.perf_counter()
-        #: Monotonic instant the point's timeout expires; armed when its
-        #: first chunk *result arrives* (not at admission or submission —
-        #: a point must not burn budget on pool spawn, worker imports, or
-        #: sitting queued behind another point's chunks).
+        #: Monotonic instant the point's timeout expires; armed by
+        #: :class:`PointDriver` when its first chunk *result arrives*
+        #: (not at admission or submission — a point must not burn
+        #: budget on pool spawn, worker imports, or sitting queued
+        #: behind another point's chunks).
         self.deadline: Optional[float] = None
         #: A deadline abandoned this point: no further batches dispatch,
         #: and it finalizes into a ``timed_out`` row once its in-flight
@@ -820,6 +865,246 @@ class PointState:
         )
 
 
+class PointDriver:
+    """Admits points, cuts their batches, and applies stop rules and
+    deadlines — the one driver behind every campaign backend.
+
+    A plain object with no threads and no clock of its own: the caller
+    passes ``now`` (a ``time.monotonic()`` reading) into :meth:`arrive`.
+    ``cut(state, start, end)`` turns a batch into dispatch units, tuples
+    whose first element is the point id: ``(point_id, payload)`` worker
+    chunks for a campaign, ``(point_id, start, end)`` lease ranges for
+    the coordinator. A backend keeps only its dispatch step: take units
+    off :attr:`queue`, run them somewhere, and hand each unit's fold
+    back through :meth:`arrive`. :meth:`admit` and :meth:`arrive`
+    return the results of the points that finished.
+
+    Up to ``max_active`` points are in flight at once. Each is
+    dispatched batch by batch, and its next batch is cut only after
+    every unit of the current one has folded — the barrier that keeps
+    adaptive stop decisions independent of workers, chunking, and nodes.
+
+    Deadlines have one rule for every backend. A point's
+    ``point_timeout`` clock starts when its first result arrives (pool
+    spawn, worker imports, and queue wait are not its fault); at any
+    arrival past it the point is abandoned — its queued units are
+    dropped, its in-flight ones drain — and it finishes as a
+    ``timed_out`` row. Past ``wall_deadline`` every active point is
+    abandoned the same way and no further point is admitted. A point
+    whose every trial already arrived is complete and never abandoned.
+    """
+
+    def __init__(
+        self,
+        points: Sequence[CampaignPoint],
+        specs: Mapping[str, ScenarioSpec],
+        cut: Callable[[PointState, int, int], List[tuple]],
+        max_active: int,
+        chunker: Optional[AdaptiveChunker] = None,
+        point_timeout: Optional[float] = None,
+        wall_deadline: Optional[float] = None,
+    ):
+        self.waiting = deque(enumerate(points))
+        self.active: Dict[int, PointState] = {}
+        #: Units cut but not yet handed to the backend.
+        self.queue: deque = deque()
+        self.specs = specs
+        self.cut = cut
+        self.max_active = max_active
+        #: Sizes calibration probes for fixed-trial points of unseen
+        #: scenarios (``None``: no probes).
+        self.chunker = chunker
+        self.point_timeout = point_timeout
+        self.wall_deadline = wall_deadline
+        self.draining = False  # wall deadline passed: no admissions, no batches
+        self.never_started = 0  # drained points that ran zero trials
+        self.cut_short = False  # a drained point finished with a partial row
+
+    @property
+    def pending(self) -> int:
+        """Points that never started a trial."""
+        return len(self.waiting) + self.never_started
+
+    def deadline_hit(self) -> bool:
+        """Whether the wall deadline left work owed to a resume."""
+        return self.draining and (self.pending > 0 or self.cut_short)
+
+    def admit(self) -> List[ExperimentResult]:
+        """Admit waiting points until ``max_active`` are in flight;
+        points with no trials to run finish right here."""
+        finished = []
+        while (
+            self.waiting and len(self.active) < self.max_active and not self.draining
+        ):
+            point_id, point = self.waiting.popleft()
+            probe = 0
+            if self.chunker is not None and point.budget is None:
+                probe = self.chunker.calibration_trials(
+                    point.scenario, point.trials or 0
+                )
+            state = PointState(point_id, point, self.specs[point.scenario], probe)
+            if self._enqueue_batch(state):
+                self.active[point_id] = state
+            else:
+                finished.append(state.finalize())
+        return finished
+
+    def arrive(self, point_id: int, chunk_fold, now: float) -> List[ExperimentResult]:
+        """Fold one unit's result. Every arrival is a chunk boundary —
+        the one place stop decisions and deadlines may act."""
+        state = self.active[point_id]
+        state.fold(chunk_fold)
+        state.pending -= 1
+        boundary = [state]
+        if self.point_timeout is not None or self.wall_deadline is not None:
+            self._expire(state, now)
+            # Abandoning drops queued units, so any point may now have
+            # nothing left in flight.
+            boundary = list(self.active.values())
+        finished = []
+        for other in boundary:
+            if other.pending == 0:
+                result = self._settle(other)
+                if result is not None:
+                    finished.append(result)
+        finished.extend(self.admit())
+        return finished
+
+    def _expire(self, state: PointState, now: float) -> None:
+        """Arm ``state``'s clock on its first result, then abandon every
+        point past its deadline."""
+        if state.deadline is None and self.point_timeout is not None:
+            state.deadline = now + self.point_timeout
+        if self.wall_deadline is not None and now >= self.wall_deadline:
+            self.draining = True
+        for other in self.active.values():
+            if (
+                not other.timed_out
+                # A complete point has nothing left to save: abandoning
+                # it would discard a finished result and retry it forever.
+                and not other.exhausted()
+                and (
+                    self.draining
+                    or (other.deadline is not None and now >= other.deadline)
+                )
+            ):
+                other.timed_out = True
+                kept = [unit for unit in self.queue if unit[0] != other.point_id]
+                other.pending -= len(self.queue) - len(kept)
+                self.queue.clear()
+                self.queue.extend(kept)
+
+    def _settle(self, state: PointState) -> Optional[ExperimentResult]:
+        """A point with nothing in flight: cut its next batch (None), or
+        finish it (its result; None when it never ran a trial)."""
+        if state.timed_out:
+            # The abandoned point's in-flight units may have been all of
+            # it: then the result is complete and nothing was lost.
+            state.timed_out = not state.exhausted()
+        elif not state.converged() and self._enqueue_batch(state):
+            return None
+        del self.active[state.point_id]
+        if not state.timed_out:
+            return state.finalize()
+        if not state.ran:
+            # Abandoned while fully queued: no partial fold to record.
+            self.never_started += 1
+            return None
+        self.cut_short = self.cut_short or self.draining
+        return state.finalize()
+
+    def _enqueue_batch(self, state: PointState) -> bool:
+        """Cut the point's next batch onto the queue; False when no work
+        is left to send (zero-trial points, exhausted schedules)."""
+        batch = state.next_batch()
+        if batch is None:
+            return False
+        units = self.cut(state, *batch)
+        if not units:
+            return False
+        state.dispatches += len(units)
+        state.pending = len(units)
+        self.queue.extend(units)
+        return True
+
+
+def _chunk_cutter(
+    workers: int, chunk_size: Optional[int], chunker: Optional[AdaptiveChunker]
+) -> Callable[[PointState, int, int], List[tuple]]:
+    """Cut batches into point-tagged worker chunk payloads. The
+    calibration batch ships as one bounded chunk, so its measured fold
+    is a clean per-trial estimate."""
+
+    def cut(state: PointState, start: int, end: int) -> List[tuple]:
+        point = state.point
+        size = chunk_size
+        if size is None and state.probe and end <= state.probe:
+            size = state.probe
+        return [
+            (state.point_id, payload)
+            for payload in chunk_payloads(
+                state.spec,
+                point.params,
+                point.base_seed,
+                range(start, end),
+                False,
+                point.max_steps,
+                workers=workers,
+                chunk_size=size,
+                chunker=chunker,
+            )
+        ]
+
+    return cut
+
+
+def _dispatcher(
+    driver: PointDriver, pool: WorkerPool
+) -> Callable[[], Tuple[int, Any]]:
+    """The campaign backend's dispatch step: run queued chunks and
+    return the next ``(point_id, chunk fold)`` to arrive.
+
+    A serial pool runs the head of the queue inline, one chunk at a
+    time. A parallel pool trickles chunks into :meth:`WorkerPool.submit`
+    at most a window at a time and takes results off its callback
+    thread; the surplus stays in the driver's queue, where an abandoned
+    point's chunks can still be dropped.
+    """
+    if not pool.parallel:
+        return lambda: _campaign_chunk(driver.queue.popleft())
+    results: "queue.Queue" = queue.Queue()
+    # In-flight cap: the pool's oversubscription window when workers
+    # exceed cores; otherwise 2x the worker count, so every worker has a
+    # spare chunk queued and never waits a master round-trip.
+    window = pool.dispatch_window
+    if window >= pool.workers:
+        window = 2 * pool.workers
+    inflight = 0
+
+    def step() -> Tuple[int, Any]:
+        nonlocal inflight
+        while driver.queue and inflight < window:
+            unit = driver.queue.popleft()
+            pool.submit(
+                _campaign_chunk,
+                unit,
+                callback=results.put,
+                error_callback=lambda exc, pid=unit[0]: results.put((pid, exc)),
+            )
+            inflight += 1
+        point_id, outcome = results.get()
+        inflight -= 1
+        if isinstance(outcome, BaseException):
+            point = driver.active[point_id].point
+            raise ConfigurationError(
+                f"campaign point {point.scenario!r} {point.params} "
+                f"failed: {outcome}"
+            ) from outcome
+        return point_id, outcome
+
+    return step
+
+
 def run_campaign(
     points: Sequence[CampaignPoint],
     workers: WorkerCount = 1,
@@ -839,24 +1124,24 @@ def run_campaign(
     order). With a parallel pool, chunks from up to ``2 × workers``
     points are interleaved so shallow grids keep the workers saturated;
     results then arrive in *completion* order. Serial pools
-    (``workers == 1``) run points in admission order. The emitted row
-    *set* is identical whatever the schedule and worker count — only
-    ordering differs.
+    (``workers == 1``) run one point at a time, in admission order. The
+    emitted row *set* is identical whatever the schedule and worker
+    count — only ordering differs.
 
     ``point_timeout`` (seconds) bounds each point: an exceeded point is
     abandoned cooperatively at its next chunk boundary and yielded as a
     ``timed_out`` partial result (``result.timed_out``; excluded from
     resume identities so a rerun retries it) while the other points keep
-    draining. The clock starts at the point's first evidence of progress
-    (serial: when the point starts; interleaved: when its first chunk
-    result arrives, so pool spawn and queue wait are not charged).
-    ``max_wall_clock`` (seconds, measured from the first iteration)
-    bounds the whole campaign: on expiry no new work is admitted,
-    in-flight points drain into ``timed_out`` rows, and the iterator
-    raises :class:`CampaignDeadline` — everything yielded before the
-    raise is a complete checkpoint. Timed-out rows are exact partial
-    folds of the trials that ran; completed points' rows are untouched
-    by either guard.
+    draining. At every worker count the clock starts when the point's
+    first chunk result arrives, so pool spawn and queue wait are not
+    charged. ``max_wall_clock`` (seconds, measured from the first
+    iteration) bounds the whole campaign: on expiry no new work is
+    admitted, in-flight points drain into ``timed_out`` rows, and the
+    iterator raises :class:`CampaignDeadline` — everything yielded
+    before the raise is a complete checkpoint. Timed-out rows are exact
+    partial folds of the trials that ran; completed points' rows are
+    untouched by either guard. :class:`PointDriver` holds the one
+    definition of both rules.
 
     Chunk sizing is cost-adaptive by default: a shared
     :class:`~repro.experiments.chunking.AdaptiveChunker` (a fresh one
@@ -870,61 +1155,47 @@ def run_campaign(
     self-created pool, while an injected ``pool`` stays open for the
     caller's next campaign.
     """
-    for flag, value in (
-        ("point_timeout", point_timeout),
-        ("max_wall_clock", max_wall_clock),
-    ):
-        if value is not None and (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            # `not >` (instead of `<=`) so NaN is rejected too: every
-            # comparison against a NaN deadline is False, which would
-            # silently disarm the guard the caller asked for.
-            or not value > 0
-        ):
-            raise ConfigurationError(
-                f"{flag} must be a positive number of seconds, got {value!r}"
-            )
-    scheduler = as_scheduler(schedule)
+    if point_timeout is not None:
+        check_seconds("point_timeout", point_timeout)
+    if max_wall_clock is not None:
+        check_seconds("max_wall_clock", max_wall_clock)
     if chunker is None and chunk_size is None:
         chunker = AdaptiveChunker()
-    done = frozenset(completed) if completed else frozenset()
-    # Resolve scenarios and parameters eagerly: a stale manifest or an
-    # unknown parameter fails before work starts, hand-built points with
-    # partial params behave identically at every worker count (workers
-    # ship fully-resolved params), and resume keys are computed on
-    # resolved params — the same normalisation sweep rows get.
-    specs: Dict[str, ScenarioSpec] = {}
-    normalized: List[CampaignPoint] = []
-    for point in points:
-        spec = specs.get(point.scenario)
-        if spec is None:
-            spec = specs[point.scenario] = get_scenario(point.scenario)
-        resolved = spec.resolve_params(point.params)
-        if resolved != point.params:
-            point = replace(point, params=resolved)
-        normalized.append(point)
-    todo = scheduler.order([p for p in normalized if p.key() not in done])
+    specs, todo = pending_points(points, completed, schedule)
 
     def _run() -> Iterator[ExperimentResult]:
         own_pool = pool is None
         active_pool = pool if pool is not None else WorkerPool(workers)
-        wall_deadline = (
-            time.monotonic() + max_wall_clock
-            if max_wall_clock is not None
-            else None
+        driver = PointDriver(
+            todo,
+            specs,
+            _chunk_cutter(active_pool.workers, chunk_size, chunker),
+            # Enough active points that the payload queue never drains
+            # while points with tiny budgets finish; serial pools run
+            # one, so rows keep admission order.
+            max_active=max(2 * active_pool.workers, 4) if active_pool.parallel else 1,
+            chunker=chunker if chunk_size is None else None,
+            point_timeout=point_timeout,
+            wall_deadline=(
+                time.monotonic() + max_wall_clock
+                if max_wall_clock is not None
+                else None
+            ),
         )
+        dispatch = _dispatcher(driver, active_pool)
         try:
-            if not active_pool.parallel:
-                yield from _run_serial(
-                    todo, specs, active_pool, chunk_size,
-                    point_timeout, wall_deadline, chunker,
-                )
-            else:
-                yield from _run_interleaved(
-                    todo, specs, active_pool, chunk_size,
-                    point_timeout, wall_deadline, chunker,
-                )
+            yield from driver.admit()
+            while driver.active:
+                point_id, chunk_fold = dispatch()
+                if chunker is not None:
+                    chunker.observe(
+                        driver.active[point_id].point.scenario,
+                        chunk_fold[3],
+                        chunk_fold[4],
+                    )
+                yield from driver.arrive(point_id, chunk_fold, time.monotonic())
+            if driver.deadline_hit():
+                raise CampaignDeadline(pending=driver.pending)
         except BaseException:
             # Error path (including KeyboardInterrupt and an abandoned
             # iterator's GeneratorExit): a graceful close would block on
@@ -937,251 +1208,3 @@ def run_campaign(
             active_pool.close()
 
     return _run()
-
-
-def _run_serial(
-    todo: Sequence[CampaignPoint],
-    specs: Mapping[str, ScenarioSpec],
-    pool: WorkerPool,
-    chunk_size: Optional[int],
-    point_timeout: Optional[float],
-    wall_deadline: Optional[float],
-    chunker: Optional[AdaptiveChunker],
-) -> Iterator[ExperimentResult]:
-    last: Optional[ExperimentResult] = None
-    for position, point in enumerate(todo):
-        now = time.monotonic()
-        if wall_deadline is not None and now >= wall_deadline:
-            raise CampaignDeadline(pending=len(todo) - position)
-        deadline = None if point_timeout is None else now + point_timeout
-        if wall_deadline is not None:
-            deadline = (
-                wall_deadline if deadline is None else min(deadline, wall_deadline)
-            )
-        runner = ExperimentRunner(
-            pool=pool,
-            max_steps=point.max_steps,
-            chunk_size=chunk_size,
-            chunker=chunker,
-        )
-        last = runner.run(
-            specs[point.scenario],
-            point.trials,
-            base_seed=point.base_seed,
-            params=point.params,
-            keep_outcomes=False,
-            budget=point.budget,
-            deadline=deadline,
-        )
-        yield last
-    if (
-        wall_deadline is not None
-        and last is not None
-        and last.timed_out
-        and time.monotonic() >= wall_deadline
-    ):
-        # The global deadline cut the final point mid-run: its retry is
-        # still owed, so the campaign must not look complete.
-        raise CampaignDeadline(pending=0)
-
-
-def _run_interleaved(
-    todo: Sequence[CampaignPoint],
-    specs: Mapping[str, ScenarioSpec],
-    pool: WorkerPool,
-    chunk_size: Optional[int],
-    point_timeout: Optional[float],
-    wall_deadline: Optional[float],
-    chunker: Optional[AdaptiveChunker],
-) -> Iterator[ExperimentResult]:
-    """Grid-level parallelism: many points' chunks share the pool.
-
-    The master keeps up to ``2 × workers`` points *active* — enough that
-    the payload queue never drains while points with tiny budgets finish
-    — dispatching each point batch-by-batch (a barrier per batch is what
-    keeps adaptive stop decisions worker-invariant) and folding tagged
-    chunk results as the pool's callback thread hands them over. Chunks
-    are trickled into the pool at most
-    :attr:`~repro.experiments.pool.WorkerPool.dispatch_window` at a time
-    — the same no-oversubscription cap the runner's streaming path
-    enforces — with the surplus buffered master-side.
-
-    Deadlines are enforced at the same place stop decisions are: chunk
-    arrivals. A point past its timeout stops dispatching (its queued
-    chunks are dropped), waits out its in-flight chunks, and finalizes
-    into a ``timed_out`` row — other points keep the pool busy
-    throughout. When the campaign-wide deadline passes, every active
-    point is drained the same way, admissions stop, and the generator
-    raises :class:`CampaignDeadline` once the pool is quiet.
-    """
-    results: "queue.Queue" = queue.Queue()
-    waiting = deque(enumerate(todo))
-    active: Dict[int, PointState] = {}
-    payload_queue: deque = deque()  # (point_id, chunk payload)
-    max_active = max(2 * pool.workers, 4)
-    # In-flight cap: the pool's oversubscription window when workers
-    # exceed cores; otherwise 2x the worker count, so every worker has a
-    # spare chunk queued and never waits a master round-trip.
-    window = pool.dispatch_window
-    if window >= pool.workers:
-        window = 2 * pool.workers
-    inflight = 0
-    draining = False  # global deadline hit: no admissions, no batches
-    never_started = 0  # abandoned points that ran zero trials
-
-    def _pump() -> None:
-        """Top the pool up to the dispatch window from the payload queue."""
-        nonlocal inflight
-        while payload_queue and inflight < window:
-            point_id, payload = payload_queue.popleft()
-            pool.submit(
-                _campaign_chunk,
-                (point_id, payload),
-                callback=lambda result: results.put(("ok",) + result),
-                error_callback=lambda exc, pid=point_id: results.put(
-                    ("err", pid, exc)
-                ),
-            )
-            inflight += 1
-
-    def _abandon(state: PointState) -> None:
-        """Mark the point timed out and drop its not-yet-submitted
-        chunks; in-flight chunks drain normally (cooperative cutoff)."""
-        state.timed_out = True
-        kept = [(pid, pl) for pid, pl in payload_queue if pid != state.point_id]
-        state.pending -= len(payload_queue) - len(kept)
-        payload_queue.clear()
-        payload_queue.extend(kept)
-
-    def _enqueue_batch(state: PointState) -> bool:
-        """Queue the point's next batch; False when no work is left to
-        send (zero-trial points, exhausted schedules)."""
-        batch = state.next_batch()
-        if batch is None:
-            return False
-        start, end = batch
-        size = chunk_size
-        if size is None and state.probe and end <= state.probe:
-            # The calibration batch ships as one bounded chunk so its
-            # measured fold is a clean per-trial estimate.
-            size = state.probe
-        payloads = chunk_payloads(
-            state.spec,
-            state.point.params,
-            state.point.base_seed,
-            range(start, end),
-            False,
-            state.point.max_steps,
-            workers=pool.workers,
-            chunk_size=size,
-            chunker=chunker,
-        )
-        if not payloads:
-            return False
-        state.dispatches += len(payloads)
-        state.pending = len(payloads)
-        for payload in payloads:
-            payload_queue.append((state.point_id, payload))
-        return True
-
-    def _activate() -> Iterator[ExperimentResult]:
-        """Admit waiting points until the active window is full; points
-        with no trials to run complete synchronously right here."""
-        if draining:
-            return
-        while waiting and len(active) < max_active:
-            point_id, point = waiting.popleft()
-            probe = 0
-            if chunker is not None and chunk_size is None and point.budget is None:
-                probe = chunker.calibration_trials(
-                    point.scenario, point.trials or 0
-                )
-            state = PointState(point_id, point, specs[point.scenario], probe=probe)
-            if _enqueue_batch(state):
-                active[point_id] = state
-            else:
-                yield state.finalize()
-
-    yield from _activate()
-    _pump()
-    while active:
-        kind, point_id, payload = results.get()
-        inflight -= 1
-        if kind == "err":
-            raise ConfigurationError(
-                f"campaign point {active[point_id].point.scenario!r} "
-                f"{active[point_id].point.params} failed: {payload}"
-            ) from payload
-        state = active[point_id]
-        if chunker is not None and len(payload) > 4:
-            chunker.observe(state.point.scenario, payload[3], payload[4])
-        state.fold(payload)
-        state.pending -= 1
-        if point_timeout is None and wall_deadline is None:
-            # Unguarded campaigns keep PR 4's O(1) boundary check — the
-            # deadline sweeps below are pure overhead when nothing can
-            # ever expire.
-            if state.pending == 0:
-                # Batch boundary: the only place stop decisions happen.
-                if state.converged() or not _enqueue_batch(state):
-                    del active[point_id]
-                    yield state.finalize()
-                    yield from _activate()
-            _pump()
-            continue
-        # Deadline sweep — every chunk arrival is a chunk boundary, the
-        # one place cooperative cancellation may act.
-        now = time.monotonic()
-        if state.deadline is None and point_timeout is not None:
-            # First evidence of progress arms the point's clock: pool
-            # spawn, worker imports, and queue wait are not its fault.
-            state.deadline = now + point_timeout
-        if not draining and wall_deadline is not None and now >= wall_deadline:
-            draining = True
-        for other in list(active.values()):
-            if (
-                not other.timed_out
-                # A point whose every trial already arrived is complete:
-                # abandoning it would discard a finished result (and
-                # retry the point forever), so the deadline spares it.
-                and not other.exhausted()
-                and (
-                    draining
-                    or (other.deadline is not None and now >= other.deadline)
-                )
-            ):
-                _abandon(other)
-        # Finalize whatever reached a boundary: the arriving point at a
-        # normal batch boundary, plus any abandoned point whose
-        # in-flight chunks have drained.
-        for other in list(active.values()):
-            if other.pending > 0:
-                continue
-            if other.timed_out and other.exhausted():
-                # The abandoned point's in-flight chunks turned out to
-                # be all of it: every dispatched trial arrived and no
-                # batch remains, so the result is complete — nothing
-                # was actually lost to the deadline.
-                other.timed_out = False
-                del active[other.point_id]
-                yield other.finalize()
-                yield from _activate()
-            elif other.timed_out:
-                del active[other.point_id]
-                if other.ran:
-                    yield other.finalize()
-                else:
-                    # Abandoned before a single trial ran (global
-                    # deadline while fully queued): no partial fold to
-                    # record — count it as never started.
-                    never_started += 1
-                yield from _activate()
-            elif other is state:
-                # Batch boundary: the only place stop decisions happen.
-                if other.converged() or not _enqueue_batch(other):
-                    del active[other.point_id]
-                    yield other.finalize()
-                    yield from _activate()
-        _pump()
-    if draining:
-        raise CampaignDeadline(pending=len(waiting) + never_started)

@@ -8,9 +8,11 @@ commutative counters, a grid point shards into disjoint
 (``python -m repro node --join H:P``) register, lease ranges, run them
 on their local :class:`~repro.experiments.pool.WorkerPool`, and report
 the folded ``(outcome_counts, successes, steps_total, trials,
-elapsed)`` back. The coordinator folds reports into the same
-:class:`~repro.experiments.campaign.PointState` the single-host
-orchestrator uses and emits the same
+elapsed)`` back. The coordinator is the lease backend of the same
+:class:`~repro.experiments.campaign.PointDriver` the single-host
+campaign runs: the driver admits points, cuts batches, and folds
+reports, and the coordinator keeps only lease slicing, the exactly-once
+range table, lease expiry, and HTTP. It emits the same
 :class:`~repro.experiments.runner.ExperimentResult` stream into the one
 fsync'd results store — rows are byte-identical to a single-host run
 because sharding, like chunking, is pure scheduling metadata.
@@ -18,11 +20,13 @@ because sharding, like chunking, is pure scheduling metadata.
 The contracts that keep that true:
 
 - **Batch barriers.** Adaptive budgets decide stop/continue only at
-  batch boundaries (:meth:`PointState.next_batch`). A batch is sliced
-  into leases, and the point's next batch is scheduled only after
-  *every* slice of the current one has folded — the same barrier the
-  interleaved orchestrator enforces — so the trial count an adaptive
-  point converges at cannot depend on node count or lease timing.
+  batch boundaries (:meth:`PointState.next_batch`). The driver cuts a
+  batch into leases, and the point's next batch is scheduled only after
+  *every* slice of the current one has folded — the same barrier every
+  campaign backend runs under — so the trial count an adaptive point
+  converges at cannot depend on node count or lease timing.
+- **No deadlines.** The coordinator arms neither ``--point-timeout``
+  nor ``--max-wall-clock``: its only clock is the lease TTL below.
 - **Exactly-once folding.** Every range has one state
   (queued → leased → done); the first report for a range wins and
   duplicates are acknowledged but dropped. Trials are deterministic, so
@@ -52,20 +56,22 @@ import queue
 import sys
 import threading
 import time
-from collections import Counter, deque
+from collections import Counter
 from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 from urllib.parse import urlparse
 
 from repro.experiments.campaign import (
     CampaignPoint,
+    CostModel,
+    PointDriver,
     PointState,
     ScheduleRef,
-    as_scheduler,
+    check_seconds,
+    pending_points,
     slice_ranges,
 )
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.scenario import ScenarioSpec, get_scenario
 from repro.httpd import JsonRequestHandler, bind_handler
 from repro.metrics import MetricsRegistry, ThroughputMeter
 from repro.util.errors import ConfigurationError
@@ -96,10 +102,7 @@ def _checked_int(value: Any, name: str, minimum: int = 0) -> int:
 class _Node:
     """Coordinator-side bookkeeping for one registered runner node."""
 
-    __slots__ = (
-        "node_id", "name", "workers", "last_seen", "trials", "per_trial",
-        "saw_done",
-    )
+    __slots__ = ("node_id", "name", "workers", "last_seen", "trials", "saw_done")
 
     def __init__(self, node_id: str, name: str, workers: int, now: float):
         self.node_id = node_id
@@ -107,19 +110,7 @@ class _Node:
         self.workers = workers
         self.last_seen = now
         self.trials = 0
-        self.per_trial: Optional[float] = None
         self.saw_done = False
-
-    def observe(self, trials: int, elapsed: float, alpha: float = 0.5) -> None:
-        if trials <= 0 or not elapsed > 0:
-            return
-        per = elapsed / trials
-        self.trials += trials
-        self.per_trial = (
-            per
-            if self.per_trial is None
-            else alpha * per + (1.0 - alpha) * self.per_trial
-        )
 
 
 class CampaignCoordinator:
@@ -136,18 +127,16 @@ class CampaignCoordinator:
     """
 
     #: Lock discipline, checked by ``python -m repro lint`` (R201).
-    #: Not listed: ``_results`` (a thread-safe queue.Queue), ``_meter``
-    #: and the metric objects (internally locked), and ``_specs``
-    #: (immutable after __init__).
+    #: ``_driver`` is the whole admit/batch/fold state, so every driver
+    #: call happens under the lock. Not listed: ``_results`` (a
+    #: thread-safe queue.Queue), and ``_meter`` and the metric objects
+    #: (internally locked).
     _GUARDED_BY = {
-        "_waiting": "_lock",
-        "_active": "_lock",
-        "_leasable": "_lock",
+        "_driver": "_lock",
         "_ranges": "_lock",
         "_leases": "_lock",
         "_nodes": "_lock",
-        "_outstanding": "_lock",
-        "_finished": "_lock",
+        "_node_costs": "_lock",
         "_lease_ids": "_lock",
         "_node_ids": "_lock",
     }
@@ -163,60 +152,31 @@ class CampaignCoordinator:
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.lease_trials = _checked_int(lease_trials, "lease_trials", 1)
-        if (
-            isinstance(lease_ttl, bool)
-            or not isinstance(lease_ttl, (int, float))
-            or not lease_ttl > 0
-        ):
-            raise ConfigurationError(
-                f"lease_ttl must be a positive number of seconds, "
-                f"got {lease_ttl!r}"
-            )
+        check_seconds("lease_ttl", lease_ttl)
         self.lease_ttl = float(lease_ttl)
         self.max_active = _checked_int(max_active, "max_active", 1)
-        # Same eager resolution sweep as run_campaign: stale manifests
-        # fail before any node does work, and resume keys are computed
-        # on resolved params — the identical normalisation, which is a
-        # precondition of byte-identical rows.
-        self._specs: Dict[str, ScenarioSpec] = {}
-        normalized: List[CampaignPoint] = []
-        for point in points:
-            spec = self._specs.get(point.scenario)
-            if spec is None:
-                spec = self._specs[point.scenario] = get_scenario(point.scenario)
-            resolved = spec.resolve_params(point.params)
-            if resolved != point.params:
-                from dataclasses import replace
-
-                point = replace(point, params=resolved)
-            normalized.append(point)
-        done = frozenset(completed) if completed else frozenset()
-        todo = as_scheduler(schedule).order(
-            [p for p in normalized if p.key() not in done]
-        )
+        # The same resolution as run_campaign — a precondition of
+        # byte-identical rows.
+        specs, todo = pending_points(points, completed, schedule)
         self.total_points = len(points)
         self.skipped_points = len(points) - len(todo)
 
         self._lock = threading.Lock()
-        self._waiting: deque = deque(enumerate(todo))
-        self._active: Dict[int, PointState] = {}
-        self._leasable: deque = deque()  # (point_id, start, end), queued
+        # Its queue holds the leasable (point_id, start, end) ranges.
+        self._driver = PointDriver(todo, specs, self._cut_locked, self.max_active)
         self._ranges: Dict[Tuple[int, int, int], str] = {}
         self._leases: Dict[str, dict] = {}
         self._nodes: Dict[str, _Node] = {}
+        #: EWMA per-trial seconds of each node, keyed by node id.
+        self._node_costs = CostModel()
         self._results: "queue.Queue" = queue.Queue()
-        self._outstanding = len(todo)
-        self._finished = 0
         self._lease_ids = itertools.count(1)
         self._node_ids = itertools.count(1)
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._wire_metrics()
         with self._lock:
-            if self._outstanding == 0:
-                self._results.put(None)
-            else:
-                self._activate_locked()
+            self._finish_locked(self._driver.admit())
 
     # -- metrics -------------------------------------------------------
 
@@ -275,21 +235,27 @@ class CampaignCoordinator:
             rate.set(self._meter.rate())
             now = time.monotonic()
             with self._lock:
-                queue_depth.set(len(self._leasable))
+                queue_depth.set(len(self._driver.queue))
                 active_leases.set(len(self._leases))
-                points_active.set(len(self._active))
-                points_pending.set(self._outstanding)
-                points_done.set(self._finished)
+                points_active.set(len(self._driver.active))
+                outstanding = self._outstanding_locked()
+                points_pending.set(outstanding)
+                points_done.set(
+                    self.total_points - self.skipped_points - outstanding
+                )
                 nodes.set(len(self._nodes))
-                snapshot = list(self._nodes.values())
+                snapshot = [
+                    (node, self._node_costs.per_trial_seconds(node.node_id))
+                    for node in self._nodes.values()
+                ]
             horizon = _HEALTH_TTLS * self.lease_ttl
-            for node in snapshot:
+            for node, per_trial in snapshot:
                 healthy.set(
                     1 if now - node.last_seen <= horizon else 0,
                     node=node.name,
                 )
-                if node.per_trial is not None:
-                    node_cost.set(node.per_trial, node=node.name)
+                if per_trial is not None:
+                    node_cost.set(per_trial, node=node.name)
 
         metrics.collect(scrape)
 
@@ -331,13 +297,14 @@ class CampaignCoordinator:
                 # not authorization.
                 node = self._nodes[node_id] = _Node(node_id, str(node_id), 1, now)
             node.last_seen = now
-            if self._outstanding == 0:
+            if not self._outstanding_locked():
                 node.saw_done = True
                 return {"done": True, "leases": []}
-            while self._leasable and len(granted) < max_leases:
-                rng = self._leasable.popleft()
+            leasable = self._driver.queue
+            while leasable and len(granted) < max_leases:
+                rng = leasable.popleft()
                 point_id, start, end = rng
-                state = self._active.get(point_id)
+                state = self._driver.active.get(point_id)
                 if state is None or self._ranges.get(rng) != "queued":
                     continue
                 lease_id = f"L{next(self._lease_ids)}"
@@ -403,9 +370,6 @@ class CampaignCoordinator:
                 f"counts sum to {sum(counts.values())} but the report "
                 f"claims {trials} trials"
             )
-        elapsed = payload.get("elapsed")
-        if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)):
-            elapsed = 0.0
 
         now = time.monotonic()
         rng = (point_id, start, end)
@@ -414,7 +378,13 @@ class CampaignCoordinator:
                 node = self._nodes.get(node_id)
                 if node is not None:
                     node.last_seen = now
-                    node.observe(trials, float(elapsed))
+                    # The cost model rejects a missing, non-positive, or
+                    # non-finite elapsed: one bad report costs an
+                    # observation, never the node's estimate.
+                    if self._node_costs.observe(
+                        node_id, trials, payload.get("elapsed")
+                    ):
+                        node.trials += trials
             if lease_id is not None:
                 self._leases.pop(lease_id, None)
             tag = self._ranges.get(rng)
@@ -429,21 +399,17 @@ class CampaignCoordinator:
                 # original node finished after all: accept its fold and
                 # pull the range back off the queue.
                 try:
-                    self._leasable.remove(rng)
+                    self._driver.queue.remove(rng)
                 except ValueError:
                     pass
             self._ranges[rng] = "done"
-            state = self._active[point_id]
-            state.fold((counts, successes, steps_total, trials))
-            state.pending -= 1
             self._trials_total.inc(trials)
             self._reports.inc(status="accepted")
-            if state.pending == 0:
-                # Batch barrier: every slice of the batch has folded —
-                # the only place a stop decision may happen.
-                if state.converged() or not self._enqueue_batch_locked(state):
-                    self._finalize_locked(state)
-                    self._activate_locked()
+            self._finish_locked(
+                self._driver.arrive(
+                    point_id, (counts, successes, steps_total, trials), now
+                )
+            )
         self._meter.observe(trials)
         return {"status": "accepted"}
 
@@ -452,7 +418,7 @@ class CampaignCoordinator:
     @property
     def done(self) -> bool:
         with self._lock:
-            return self._outstanding == 0
+            return not self._outstanding_locked()
 
     def results(self) -> Iterator[ExperimentResult]:
         """Yield finished point results until the campaign completes.
@@ -502,20 +468,23 @@ class CampaignCoordinator:
                 node.name: {
                     "workers": node.workers,
                     "trials": node.trials,
-                    "per_trial_seconds": node.per_trial,
+                    "per_trial_seconds": self._node_costs.per_trial_seconds(
+                        node.node_id
+                    ),
                     "seconds_since_seen": round(now - node.last_seen, 3),
                 }
                 for node in self._nodes.values()
             }
+            outstanding = self._outstanding_locked()
             return {
                 "points": self.total_points,
                 "skipped": self.skipped_points,
-                "completed": self._finished,
-                "pending": self._outstanding,
-                "active": len(self._active),
-                "lease_queue": len(self._leasable),
+                "completed": self.total_points - self.skipped_points - outstanding,
+                "pending": outstanding,
+                "active": len(self._driver.active),
+                "lease_queue": len(self._driver.queue),
                 "leases_out": len(self._leases),
-                "done": self._outstanding == 0,
+                "done": outstanding == 0,
                 "nodes": nodes,
             }
 
@@ -534,46 +503,38 @@ class CampaignCoordinator:
             rng = lease["range"]
             if self._ranges.get(rng) == "leased":
                 self._ranges[rng] = "queued"
-                self._leasable.appendleft(rng)
+                self._driver.queue.appendleft(rng)
                 self._leases_expired.inc()
 
-    def _enqueue_batch_locked(self, state: PointState) -> bool:
-        """Slice the point's next batch into leases; False when the
-        point has no further batch."""
-        batch = state.next_batch()
-        if batch is None:
-            return False
-        start, end = batch
-        ranges = slice_ranges(start, end, self.lease_trials)
-        state.pending = len(ranges)
-        state.dispatches += len(ranges)
-        for rng_start, rng_end in ranges:
-            rng = (state.point_id, rng_start, rng_end)
+    def _cut_locked(
+        self, state: PointState, start: int, end: int
+    ) -> List[Tuple[int, int, int]]:
+        """The driver's batch cutter: slice a batch into lease ranges."""
+        ranges = [
+            (state.point_id, s, e)
+            for s, e in slice_ranges(start, end, self.lease_trials)
+        ]
+        for rng in ranges:
             self._ranges[rng] = "queued"
-            self._leasable.append(rng)
-        return True
+        return ranges
 
-    def _activate_locked(self) -> None:
-        """Admit waiting points until ``max_active`` are in flight;
-        points with nothing to run finalize immediately."""
-        while self._waiting and len(self._active) < self.max_active:
-            point_id, point = self._waiting.popleft()
-            state = PointState(point_id, point, self._specs[point.scenario])
-            if self._enqueue_batch_locked(state):
-                self._active[point_id] = state
-            else:
-                self._finalize_locked(state)
+    def _outstanding_locked(self) -> int:
+        """Points not finished yet: with no deadlines armed, every point
+        is waiting, active, or done."""
+        return len(self._driver.waiting) + len(self._driver.active)
 
-    def _finalize_locked(self, state: PointState) -> None:
-        self._active.pop(state.point_id, None)
-        # Purge the point's range states so duplicate late reports map
-        # to "unknown" and the table does not grow with campaign size.
-        for rng in [r for r in self._ranges if r[0] == state.point_id]:
-            del self._ranges[rng]
-        self._results.put(state.finalize())
-        self._finished += 1
-        self._outstanding -= 1
-        if self._outstanding == 0:
+    def _finish_locked(self, results: List[ExperimentResult]) -> None:
+        """Publish the driver's finished points; ``None`` ends the stream."""
+        if results:
+            # Purge finished points' range states so duplicate late
+            # reports map to "unknown" and the table stays small.
+            active = self._driver.active
+            self._ranges = {
+                rng: tag for rng, tag in self._ranges.items() if rng[0] in active
+            }
+        for result in results:
+            self._results.put(result)
+        if not self._outstanding_locked():
             self._results.put(None)
 
 

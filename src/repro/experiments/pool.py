@@ -278,10 +278,7 @@ class WorkerPool:
         return max(1, min(self.workers, os.cpu_count() or self.workers))
 
     def imap_unordered(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Iterable[Any],
-        bounded: bool = False,
+        self, fn: Callable[[Any], Any], payloads: Iterable[Any]
     ) -> Iterator[Any]:
         """Apply ``fn`` to every payload, yielding results as they land.
 
@@ -289,13 +286,6 @@ class WorkerPool:
         shared pool, throttled to :attr:`dispatch_window` in-flight
         chunks. Callers must treat arrival order as arbitrary either
         way.
-
-        ``bounded`` forces the windowed-dispatch path even when the pool
-        is not oversubscribed: at most :attr:`dispatch_window` chunks
-        are ever enqueued at once, so a consumer that *abandons* the
-        iterator early (the runner's cooperative deadline) strands at
-        most a window of already-submitted work instead of the whole
-        payload list.
         """
         if not self.parallel:
             for payload in payloads:
@@ -311,7 +301,7 @@ class WorkerPool:
         pool = self._ensure_pool()
         payloads = list(payloads)
         window = self.dispatch_window
-        if not bounded and (window >= self.workers or window >= len(payloads)):
+        if window >= self.workers or window >= len(payloads):
             # Not oversubscribed (or nothing to throttle): the pool's own
             # task queue already caps concurrency at the process count,
             # and pre-loading it lets finished workers grab the next

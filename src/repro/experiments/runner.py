@@ -50,10 +50,22 @@ cannot cross process boundaries.
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.distribution import OutcomeDistribution
-from repro.analysis.stats import Proportion, proportion
+from repro.analysis.stats import Proportion
 from repro.experiments.budget import BudgetPolicy, BudgetRef, as_policy
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import (
@@ -66,6 +78,9 @@ from repro.experiments.scenario import Params, ScenarioSpec, get_scenario
 from repro.sim.execution import run_protocol
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngRegistry, derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.experiments.campaign import PointState
 
 #: A scenario argument: registered name or an (ad-hoc) spec object.
 ScenarioRef = Union[str, ScenarioSpec]
@@ -523,7 +538,6 @@ class ExperimentRunner:
         self.max_steps = max_steps
         self.use_batch = use_batch
         self.chunker = chunker
-        self._dispatches = 0
         self._pool = pool
         self._owns_pool = pool is None
 
@@ -555,63 +569,45 @@ class ExperimentRunner:
     # -- internals -----------------------------------------------------
 
     def _dispatch(
-        self,
-        spec: ScenarioSpec,
-        params: Params,
-        base_seed: int,
-        indices: Sequence[int],
-        fold: bool,
-        bounded: bool = False,
-        chunk_size: Optional[int] = None,
+        self, state: "PointState", start: int, end: int, fold: bool
     ) -> Iterable[Union[List[TrialOutcome], ChunkFold]]:
+        """Run trials ``[start, end)`` of ``state``'s point, yielding
+        chunk results as they arrive (folds, or per-trial lists)."""
+        spec, point = state.spec, state.point
+        indices = range(start, end)
         use_pool = self.parallel and self.workers > 1 and len(indices) > 1
         payloads = chunk_payloads(
             spec,
-            params,
-            base_seed,
+            point.params,
+            point.base_seed,
             indices,
             self.record_trace,
             self.max_steps,
             workers=self.workers,
-            # A per-call override (the calibration probe) outranks the
-            # runner-wide setting, which outranks the adaptive chunker.
-            chunk_size=chunk_size if chunk_size is not None else self.chunk_size,
+            # The calibration probe ships as one bounded chunk; otherwise
+            # the runner-wide setting outranks the adaptive chunker.
+            chunk_size=(
+                state.probe if state.probe and end <= state.probe else self.chunk_size
+            ),
             # Streamed outcome path: per-trial results cross the process
             # boundary, so bound every dispatch's pickled payload.
             max_chunk=STREAM_CHUNK_TRIALS if use_pool and not fold else None,
             use_batch=self.use_batch,
             chunker=self.chunker,
         )
-        self._dispatches += len(payloads)
-        observe = self.chunker.observe if self.chunker is not None else None
-        if not use_pool:
-            # In-process: no pickling, so nothing to pack or bound.
-            fn = _run_chunk_folded if fold else _run_chunk
-            for payload in payloads:
-                started = time.perf_counter()
-                result = fn(payload)
-                if observe is not None:
-                    # Folded chunks time themselves; the streamed path's
-                    # trial lists don't, so the master's clock stands in.
-                    elapsed = result[4] if fold else time.perf_counter() - started
-                    observe(spec.name, len(payload[3]), elapsed)
-                yield result
-            return
-        pool = self._shared_pool()
-        if fold:
-            for chunk in pool.imap_unordered(
-                _run_chunk_folded, payloads, bounded=bounded
-            ):
-                if observe is not None:
-                    observe(spec.name, chunk[3], chunk[4])
-                yield chunk
-            return
-        for packed in pool.imap_unordered(
-            _run_chunk_packed, payloads, bounded=bounded
-        ):
-            if observe is not None:
-                observe(spec.name, len(packed[0]), packed[4])
-            yield _unpack_chunk(packed)
+        state.dispatches += len(payloads)
+        # Per-trial chunks travel as packed columns (cheap, bounded IPC)
+        # and are rebuilt into trial objects here.
+        fn = _run_chunk_folded if fold else _run_chunk_packed
+        if use_pool:
+            results = self._shared_pool().imap_unordered(fn, payloads)
+        else:
+            results = map(fn, payloads)  # in-process: no pickling
+        for result in results:
+            if self.chunker is not None:
+                trials = result[3] if fold else len(result[0])
+                self.chunker.observe(spec.name, trials, result[4])
+            yield result if fold else _unpack_chunk(result)
 
     # -- public API ----------------------------------------------------
 
@@ -624,7 +620,6 @@ class ExperimentRunner:
         on_outcome: Optional[Callable[[TrialOutcome], None]] = None,
         keep_outcomes: bool = True,
         budget: BudgetRef = None,
-        deadline: Optional[float] = None,
     ) -> ExperimentResult:
         """Run one experiment and fold the outcomes.
 
@@ -641,22 +636,14 @@ class ExperimentRunner:
         ``outcomes`` list is then empty (the distribution, success
         proportion, and row are identical either way).
 
-        ``deadline`` (a ``time.monotonic()`` timestamp) arms cooperative
-        cancellation: the run is abandoned at the first *chunk boundary*
-        past the deadline and the partial result comes back with
-        ``timed_out=True`` and ``trials`` set to what actually ran. At
-        least one chunk always runs — the check happens after a chunk
-        folds, never before work starts — and a single pathological
-        chunk can only be abandoned once it returns (per-trial hangs are
-        what ``max_steps`` is for). A run whose *last* chunk folds past
-        the deadline is complete, not timed out: nothing was lost. With
-        a parallel pool, dispatch is windowed while a deadline is armed,
-        so abandonment strands at most
-        :attr:`~repro.experiments.pool.WorkerPool.dispatch_window`
-        already-submitted chunks. The campaign layer uses this for
-        ``--point-timeout`` / ``--max-wall-clock``; timed-out rows are
-        excluded from resume identities so a rerun retries the point.
+        The experiment is one campaign point, batched, folded, and
+        stopped by the same :class:`~repro.experiments.campaign.PointState`
+        campaigns use.
         """
+        # campaign.py builds on this module, so its point state is
+        # imported at call time.
+        from repro.experiments.campaign import CampaignPoint, PointState
+
         spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
         resolved = spec.resolve_params(params)
         policy = as_policy(budget)
@@ -669,109 +656,46 @@ class ExperimentRunner:
                 raise ConfigurationError("trials is required without a budget")
             if trials < 0:
                 raise ConfigurationError(f"trials must be >= 0, got {trials}")
-        started = time.perf_counter()
         fold = not keep_outcomes and on_outcome is None
-        counts: Counter = Counter()
+        probe = 0
+        if (
+            policy is None
+            and fold
+            and self.chunker is not None
+            and self.chunk_size is None
+        ):
+            # In-run calibration: an unseen scenario's first chunk
+            # runs at a bounded size so its measured elapsed seeds
+            # the cost model, and the rest of this same point is
+            # chunked from evidence instead of the count heuristic.
+            probe = self.chunker.calibration_trials(spec.name, trials)
+        point = CampaignPoint(
+            spec.name, resolved, trials, base_seed, self.max_steps, policy
+        )
+        state = PointState(0, point, spec, probe)
         outcomes: List[TrialOutcome] = []
-        success_count = 0
-        steps_total = 0
-        ran = 0
-        timed_out = False
-        self._dispatches = 0
 
-        def _consume(start: int, end: int, chunk_size: Optional[int] = None) -> None:
-            nonlocal success_count, steps_total, ran, timed_out
-            for chunk_result in self._dispatch(
-                spec,
-                resolved,
-                base_seed,
-                range(start, end),
-                fold,
-                # An armed deadline may abandon the iterator: window the
-                # dispatch so abandonment strands at most a window of
-                # submitted chunks, not the whole experiment.
-                bounded=deadline is not None,
-                chunk_size=chunk_size,
-            ):
-                if fold:
-                    fold_counts, fold_successes, fold_steps, fold_trials = (
-                        chunk_result[:4]
-                    )
-                    counts.update(fold_counts)
-                    success_count += fold_successes
-                    steps_total += fold_steps
-                    ran += fold_trials
-                else:
-                    for trial in chunk_result:
-                        counts[trial.outcome] += 1
-                        success_count += int(trial.success)
-                        steps_total += trial.steps
-                        ran += 1
-                        if keep_outcomes:
-                            outcomes.append(trial)
-                        if on_outcome is not None:
-                            on_outcome(trial)
-                if deadline is not None and time.monotonic() >= deadline:
-                    # Cooperative cancellation: abandon at this chunk
-                    # boundary. Closing the dispatch generator discards
-                    # any in-flight parallel chunks' results.
-                    timed_out = True
-                    break
+        def _fold_trials(chunk: List[TrialOutcome]) -> Tuple[Counter, int, int, int]:
+            for trial in chunk:
+                if keep_outcomes:
+                    outcomes.append(trial)
+                if on_outcome is not None:
+                    on_outcome(trial)
+            return (
+                Counter(trial.outcome for trial in chunk),
+                sum(int(trial.success) for trial in chunk),
+                sum(trial.steps for trial in chunk),
+                len(chunk),
+            )
 
-        if policy is None:
-            probe = 0
-            if self.chunker is not None and self.chunk_size is None and fold:
-                # In-run calibration: an unseen scenario's first chunk
-                # runs at a bounded size so its measured elapsed seeds
-                # the cost model, and the rest of this same point is
-                # chunked from evidence instead of the count heuristic.
-                probe = self.chunker.calibration_trials(spec.name, trials)
-            if probe:
-                _consume(0, probe, chunk_size=probe)
-            if not timed_out:
-                _consume(probe, trials)
-            if timed_out and ran >= trials:
-                # The deadline lapsed exactly as the last chunk folded:
-                # every requested trial ran, so the result is complete —
-                # stamping it timed_out would discard it and retry the
-                # point forever under --resume.
-                timed_out = False
-        else:
-            done = 0
-            for end in policy.batch_ends():
-                if end > done:
-                    _consume(done, end)
-                    done = end
-                if timed_out:
-                    if ran == done and (
-                        ran >= policy.max_trials
-                        or policy.satisfied(success_count, ran, counts=counts)
-                    ):
-                        # Same complete-at-the-boundary case: the stop
-                        # rule already decided; nothing was lost.
-                        timed_out = False
-                    break
-                if policy.satisfied(success_count, done, counts=counts):
-                    break
-        outcomes.sort(key=lambda t: t.index)
-        distribution = OutcomeDistribution(
-            n=spec.size(resolved), trials=ran, counts=counts
-        )
-        return ExperimentResult(
-            scenario=spec.name,
-            params=resolved,
-            trials=ran,
-            base_seed=base_seed,
-            outcomes=outcomes,
-            distribution=distribution,
-            successes=proportion(success_count, ran, z=policy.z if policy else 1.96),
-            max_steps=self.max_steps,
-            elapsed=time.perf_counter() - started,
-            steps_total=steps_total,
-            dispatches=self._dispatches,
-            budget=policy,
-            timed_out=timed_out,
-        )
+        for start, end in iter(state.next_batch, None):
+            for chunk in self._dispatch(state, start, end, fold):
+                state.fold(chunk if fold else _fold_trials(chunk))
+            if state.converged():
+                break
+        result = state.finalize()
+        result.outcomes = sorted(outcomes, key=lambda t: t.index)
+        return result
 
 
 def _is_builtin(spec: ScenarioSpec) -> bool:

@@ -338,6 +338,30 @@ class TestHTTP:
         assert status["pending"] == status["points"]
         assert not status["done"]
 
+    def test_infinite_elapsed_cannot_poison_the_node_cost(self, served):
+        """JSON parses ``"elapsed": Infinity``; such a report still
+        folds its trials, but its elapsed must not become the node's
+        per-trial cost, or ``/status`` would emit the non-JSON token
+        ``Infinity`` and ``/metrics`` a ``+Inf`` sample forever."""
+        coordinator, address, _ = served
+        client = CoordinatorClient(address)
+        node = client.post("/register", {"name": "inf"})["node"]
+        (lease,) = client.post("/lease", {"node": node})["leases"]
+        with WorkerPool(1) as pool:
+            report = lease_fold(lease, pool)
+        # json.dumps writes float("inf") as the bare token Infinity.
+        report.update(node=node, elapsed=float("inf"))
+        assert client.post("/report", report)["status"] == "accepted"
+
+        def strict(token):
+            raise AssertionError(f"/status emitted non-JSON {token}")
+
+        with urllib.request.urlopen(f"http://{address}/status") as resp:
+            status = json.loads(resp.read().decode("utf-8"), parse_constant=strict)
+        assert status["nodes"][node]["per_trial_seconds"] is None
+        with urllib.request.urlopen(f"http://{address}/metrics") as resp:
+            assert "Inf" not in resp.read().decode("utf-8")
+
     def test_client_surfaces_protocol_errors(self, served):
         _, address, _ = served
         client = CoordinatorClient(address)

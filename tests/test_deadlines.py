@@ -136,21 +136,24 @@ class TestPointTimeout:
         ]
         assert [p.scenario for p in retried] == [SLEEPY]
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_timeout_clock_starts_at_first_result_not_admission(
-        self, sleepy_scenario
+        self, sleepy_scenario, workers
     ):
         """A fast point queued behind a slow one must not burn its
         timeout budget while starved (or while the pool spawns): with a
         timeout generous for each point but smaller than the first
         point's total runtime, the *second* point still completes."""
         points = [
-            _point(SLEEPY, {"n": 4, "delay": 0.02}, 10),  # 0.2s total
+            # 0.8s of sleeping: more than the timeout plus one dispatch
+            # window on any core count.
+            _point(SLEEPY, {"n": 4, "delay": 0.02}, 40),
             _point(SLEEPY, {"n": 8, "delay": 0.001}, 5),  # trivial
         ]
         results = {
             r.params["n"]: r
             for r in run_campaign(
-                points, workers=2, chunk_size=1, point_timeout=0.1
+                points, workers=workers, chunk_size=1, point_timeout=0.1
             )
         }
         assert results[4].timed_out

@@ -1,15 +1,25 @@
-"""Tests for the persistent worker pool and adaptive trial budgets."""
+"""Tests for the persistent worker pool, adaptive trial budgets, and
+the point driver's deadline rules."""
+
+import time
 
 import pytest
 
 from repro.experiments import (
     BudgetPolicy,
+    CampaignPoint,
+    ScenarioSpec,
     WilsonWidthPolicy,
     ExperimentRunner,
     WorkerPool,
+    get_scenario,
+    register_scenario,
     resolve_workers,
+    run_campaign,
     run_scenario,
+    unregister_scenario,
 )
+from repro.experiments.campaign import PointDriver
 from repro.experiments.pool import MAX_AUTO_WORKERS
 from repro.util.errors import ConfigurationError
 
@@ -527,3 +537,96 @@ class TestLifetimeCounters:
             list(pool.imap_unordered(_double, [1]))
             list(pool.imap_unordered(_double, [2, 3]))
             assert pool.counters()["completed"] == 3
+
+
+class _SlowFirstTrial:
+    """A trial that sleeps ``delay`` seconds on its first call only —
+    in-process state, so it only means something at ``workers=1``."""
+
+    def __init__(self, delay):
+        self.delay = delay
+
+    def __call__(self, params, registry, max_steps):
+        delay, self.delay = self.delay, 0.0
+        time.sleep(delay)
+        return 1, 1
+
+
+class TestSerialCampaignDeadline:
+    def test_point_timeout_clock_arms_at_first_chunk_result(self):
+        """A ``workers=1`` campaign runs chunks inline, so all that comes
+        before a point's first result is that chunk itself. A first
+        chunk slower than the whole timeout must not cost the point its
+        budget: the clock starts when the chunk's result arrives."""
+        spec = ScenarioSpec(
+            name="test/slow-first",
+            description="first trial sleeps, the rest are instant",
+            run_trial=_SlowFirstTrial(0.4),
+            defaults={"n": 4},
+            tags=("test",),
+        )
+        register_scenario(spec, replace=True)
+        try:
+            (result,) = run_campaign(
+                [CampaignPoint(spec.name, {"n": 4}, 3, 0, None, None)],
+                workers=1,
+                chunk_size=1,
+                point_timeout=0.2,
+            )
+        finally:
+            unregister_scenario(spec.name)
+        assert result.trials == 3
+        assert not result.timed_out
+
+
+class TestPointDriver:
+    """The driver takes ``now`` from its caller, so the deadline rules
+    are pinned on a fake clock — no sleeps, any host."""
+
+    def _driver(self, trials, **kwargs):
+        points = [
+            CampaignPoint("sync/broadcast", {"n": 4}, count, 0, None, None)
+            for count in trials
+        ]
+
+        def one_trial_units(state, start, end):
+            return [(state.point_id, i) for i in range(start, end)]
+
+        return PointDriver(
+            points,
+            {"sync/broadcast": get_scenario("sync/broadcast")},
+            one_trial_units,
+            max_active=1,
+            **kwargs,
+        )
+
+    @staticmethod
+    def _arrive(driver, now):
+        point_id, _ = driver.queue.popleft()
+        return driver.arrive(point_id, ({1: 1}, 1, 0, 1), now)
+
+    def test_clock_arms_at_first_result_not_admission(self):
+        driver = self._driver([5], point_timeout=10.0)
+        assert driver.admit() == []
+        assert self._arrive(driver, 100.0) == []  # arms: expires at 110
+        assert self._arrive(driver, 105.0) == []
+        (result,) = self._arrive(driver, 110.0)
+        assert result.timed_out and result.trials == 3
+        assert not driver.queue and not driver.active
+        assert not driver.deadline_hit()
+
+    def test_wall_deadline_drains_and_owes_the_rest(self):
+        driver = self._driver([3, 3], wall_deadline=50.0)
+        driver.admit()
+        assert self._arrive(driver, 10.0) == []
+        (result,) = self._arrive(driver, 60.0)
+        assert result.timed_out and result.trials == 2
+        assert not driver.active
+        assert driver.pending == 1 and driver.deadline_hit()
+
+    def test_wall_deadline_spares_a_complete_point(self):
+        driver = self._driver([1], wall_deadline=0.0)
+        driver.admit()
+        (result,) = self._arrive(driver, 5.0)
+        assert not result.timed_out and result.trials == 1
+        assert driver.draining and not driver.deadline_hit()
