@@ -37,11 +37,8 @@ from repro.experiments.scenario import (
     register_scenario,
     ring_topology,
 )
-from repro.util.mtcompat import HAVE_NUMPY, mt_random_state
+from repro.util.mtcompat import mt_random_state, numpy_module
 from repro.util.rng import derive_seed
-
-if HAVE_NUMPY:
-    import numpy as np
 
 
 def _frontier_cubic(topo, params, rng):
@@ -85,7 +82,7 @@ def within_envelope(outcome, params: Params) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _max_segment_numpy(state, n: int, p: float) -> int:
+def _max_segment_numpy(np, state, n: int, p: float) -> int:
     """Vectorized trial body: longest honest segment, or 0 if degenerate.
 
     Mirrors :meth:`RingPlacement.random_locations` (one uniform double
@@ -114,7 +111,8 @@ def run_random_segments_batch(
     seeds: Sequence[int], params: Params
 ) -> Optional[Tuple[Dict[object, int], int]]:
     """Fold a chunk of ``placement/random-segments`` trials."""
-    if not HAVE_NUMPY:
+    np = numpy_module()
+    if np is None:
         return None
     n = params["n"]
     p = segment_probability(params)
@@ -128,7 +126,7 @@ def run_random_segments_batch(
         scenario_seed = derive_seed(seed, "scenario")
         state = mt_random_state(scenario_seed, into=shared)
         if state is not None:
-            longest = _max_segment_numpy(state, n, p)
+            longest = _max_segment_numpy(np, state, n, p)
         else:  # 1-word MT seed: numpy's init diverges, replay exactly
             longest = _max_segment_python(random.Random(scenario_seed), n, p)
         counts[longest] = counts.get(longest, 0) + 1

@@ -27,15 +27,14 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.blocks.consensus import fair_consensus_protocol
 from repro.blocks.renaming import fair_renaming_protocol, my_name
+from repro.experiments.ring_kernels import alead_leader
 from repro.experiments.scenario import (
     Params,
     ScenarioSpec,
     register_scenario,
     ring_topology,
 )
-from repro.protocols.outcome import residue_to_id
 from repro.sim.execution import FAIL
-from repro.util.rng import derive_seed
 
 
 def _pid_input(pid):
@@ -64,16 +63,8 @@ def renaming_to_first_name(outcome, params: Params):
 #
 # Like A-LEADuni, an honest knowledge-sharing run is n^2 deliveries
 # (every processor sends exactly n messages) and its elected position
-# depends only on the first randrange(n) of each proc:<pid> stream.
-
-
-def _block_leader(registry_seed: int, n: int) -> int:
-    """The position an honest knowledge-sharing block elects."""
-    total = 0
-    for pid in range(1, n + 1):
-        stream = random.Random(derive_seed(registry_seed, f"proc:{pid}"))
-        total += stream.randrange(n)
-    return residue_to_id(total % n, n)
+# depends only on the first randrange(n) of each proc:<pid> stream: it
+# is the id an A-LEADuni election on the same registry elects.
 
 
 def run_fair_consensus_batch(
@@ -84,9 +75,10 @@ def run_fair_consensus_batch(
     n = params["n"]
     if n < 2:
         return None  # degenerate ring: let the scalar path report it
+    stream = random.Random(0)
     counts: Dict[object, int] = {}
     for seed in seeds:
-        leader = _block_leader(seed, n)
+        leader = alead_leader(seed, n, stream)
         counts[leader] = counts.get(leader, 0) + 1
     return counts, n * n * len(seeds)
 
@@ -99,9 +91,10 @@ def run_fair_renaming_batch(
     n = params["n"]
     if n < 2:
         return None
+    stream = random.Random(0)
     counts: Dict[object, int] = {}
     for seed in seeds:
-        name = (1 - _block_leader(seed, n)) % n + 1
+        name = (1 - alead_leader(seed, n, stream)) % n + 1
         counts[name] = counts.get(name, 0) + 1
     return counts, n * n * len(seeds)
 

@@ -32,6 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.attacks.basic_cheat import basic_cheat_protocol
 from repro.cointoss.protocols import independent_coin_fle
 from repro.cointoss.reductions import coin_toss_from_leader_election
+from repro.experiments.ring_kernels import alead_leader
 from repro.experiments.scenario import (
     Params,
     ScenarioSpec,
@@ -40,7 +41,6 @@ from repro.experiments.scenario import (
     ring_topology,
 )
 from repro.protocols.alead_uni import alead_uni_protocol
-from repro.protocols.outcome import residue_to_id
 from repro.sim.execution import FAIL
 from repro.sim.topology import unidirectional_ring
 from repro.util.rng import derive_seed
@@ -93,15 +93,6 @@ def run_coin_fle_trial(
 # the per-trial step count is closed-form too.
 
 
-def _alead_leader(registry_seed: int, n: int) -> int:
-    """The id an honest A-LEADuni election elects from this registry."""
-    total = 0
-    for pid in range(1, n + 1):
-        stream = random.Random(derive_seed(registry_seed, f"proc:{pid}"))
-        total += stream.randrange(n)
-    return residue_to_id(total % n, n)
-
-
 def run_fle_coin_batch(
     seeds: Sequence[int], params: Params
 ) -> Optional[Tuple[Dict[object, int], int]]:
@@ -109,9 +100,10 @@ def run_fle_coin_batch(
     n = params["n"]
     if n < 2:
         return None  # degenerate ring: let the scalar path report it
+    stream = random.Random(0)
     counts = {0: 0, 1: 0}
     for seed in seeds:
-        counts[_alead_leader(seed, n) % 2] += 1
+        counts[alead_leader(seed, n, stream) % 2] += 1
     counts = {bit: c for bit, c in counts.items() if c}
     return counts, n * n * len(seeds)
 
@@ -148,12 +140,13 @@ def run_coin_fle_batch(
     rounds = int(math.log2(n)) if n >= 2 else 0
     if n < 2 or 2**rounds != n:
         return None  # non-power-of-two: scalar path raises
+    stream = random.Random(0)
     counts: Dict[object, int] = {}
     for seed in seeds:
         value = 0
         for r in range(rounds):
             child = derive_seed(seed, f"spawn:coin-round:{r}")
-            value = (value << 1) | (_alead_leader(child, n) % 2)
+            value = (value << 1) | (alead_leader(child, n, stream) % 2)
         elected = value + 1
         counts[elected] = counts.get(elected, 0) + 1
     return counts, rounds * len(seeds)

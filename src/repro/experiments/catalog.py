@@ -31,6 +31,15 @@ attack/shamir-pool        Section 1.1 (sharp threshold)       complete
 (Run ``python -m repro scenarios`` for the full, registry-generated
 listing including the subsystem entries.)
 
+``honest/alead-uni`` and the four A-LEADuni/Basic-LEAD ring attacks
+``basic-cheat``, ``equal-spacing``, ``random-location`` and ``cubic``
+also carry exact ``run_batch`` kernels from
+:mod:`repro.experiments.ring_kernels`: honest A-LEADuni folds as a
+closed form over the processors' secret draws, the three placement-fixed
+attacks force their target on every seed once their builder validates,
+and random-location certifies each trial's placement or replays that
+trial on the executor.
+
 Parameters left at ``None`` (e.g. ``k``) are filled with the same
 size-derived defaults the CLI has always used, so ``sweep`` grid points
 only need to pin what they actually vary.
@@ -38,6 +47,7 @@ only need to pin what they actually vary.
 
 import math
 import random
+from functools import partial
 from typing import Hashable, Mapping
 
 from repro.attacks import (
@@ -50,6 +60,11 @@ from repro.attacks import (
     random_location_attack_protocol,
     recommended_probability,
     shamir_pooling_attack_protocol,
+)
+from repro.experiments.ring_kernels import (
+    run_alead_uni_batch,
+    run_forcing_batch,
+    run_random_location_batch,
 )
 from repro.experiments.scenario import (
     Params,
@@ -196,6 +211,7 @@ def _register_builtins() -> None:
                     else ring_topology
                 ),
                 build_protocol=builder,
+                run_batch=run_alead_uni_batch if name == "alead-uni" else None,
                 defaults={"n": n},
                 tags=("honest",),
             )
@@ -207,12 +223,14 @@ def _register_builtins() -> None:
             "single wait-and-cancel cheater controls Basic-LEAD (Claim B.1)",
             _attack_basic_cheat,
             {"n": 64, "cheater": 2, "target": 1},
+            partial(run_forcing_batch, _attack_basic_cheat),
         ),
         (
             "equal-spacing",
             "rushing coalition, evenly spaced (Lemma 4.1 / Thm 4.2)",
             _attack_equal_spacing,
             {"n": 64, "k": None, "target": 1},
+            partial(run_forcing_batch, _attack_equal_spacing),
         ),
         (
             "random-location",
@@ -222,33 +240,38 @@ def _register_builtins() -> None:
             # attack wins w.h.p.; at small n the density p = sqrt(8 ln n/n)
             # leaves segments too long and most trials get punished.
             {"n": 256, "p": None, "window": 3, "target": 1},
+            partial(run_random_location_batch, _attack_random_location),
         ),
         (
             "cubic",
             "staircase placement forcing with k ~ 2n^(1/3) (Thm 4.3)",
             _attack_cubic,
             {"n": 111, "k": None, "target": 1},
+            partial(run_forcing_batch, _attack_cubic),
         ),
         (
             "partial-sum",
             "covert-channel attack on the sum-output variant (App. E.4)",
             _attack_partial_sum,
             {"n": 64, "k": None, "target": 1},
+            None,
         ),
         (
             "phase-rushing",
             "rushing + brute-forced f vs PhaseAsyncLead (Rem. after 6.1)",
             _attack_phase_rushing,
             {"n": 64, "k": None, "target": 1},
+            None,
         ),
     )
-    for name, desc, builder, defaults in ring_attacks:
+    for name, desc, builder, defaults, kernel in ring_attacks:
         register_scenario(
             ScenarioSpec(
                 name=f"attack/{name}",
                 description=desc,
                 build_topology=ring_topology,
                 build_protocol=builder,
+                run_batch=kernel,
                 defaults=defaults,
                 success=forced_target,
                 tags=("attack",),

@@ -151,7 +151,8 @@ class Executor:
         missing = [v for v in topology.nodes if v not in protocol]
         if missing:
             raise ConfigurationError(f"no strategy for nodes: {missing}")
-        extra = [v for v in protocol if v not in set(topology.nodes)]
+        nodes = set(topology.nodes)
+        extra = [v for v in protocol if v not in nodes]
         if extra:
             raise ConfigurationError(f"strategies for unknown nodes: {extra}")
         strategies = list(protocol.values())

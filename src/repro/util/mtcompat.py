@@ -18,17 +18,36 @@ seeds below ``2**32`` and callers fall back to ``random.Random`` for that
 trial — a ~``2**-32`` event under BLAKE2b-derived 64-bit seeds, so the
 vectorized path covers essentially every trial while staying exact for
 all of them.
+
+numpy is imported on first use (:func:`numpy_module`), not with this
+module: most processes that import the experiment catalog never run a
+numpy kernel, and the import costs about as much as the rest of the
+package together.
 """
 
+import importlib.util
 from typing import Optional
 
-try:  # gate: environments without numpy keep the scalar path working
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+#: Whether vectorized kernels can run at all on this interpreter
+#: (found without importing numpy).
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
-#: Whether vectorized kernels can run at all on this interpreter.
-HAVE_NUMPY = _np is not None
+_UNLOADED = object()
+#: numpy once :func:`numpy_module` has run, ``None`` when it is absent,
+#: ``_UNLOADED`` before the first call.
+_np = _UNLOADED
+
+
+def numpy_module():
+    """numpy, imported on the first call, or ``None`` without it."""
+    global _np
+    if _np is _UNLOADED:
+        try:  # gate: environments without numpy keep the scalar path working
+            import numpy
+        except ImportError:  # pragma: no cover - the CI image ships numpy
+            numpy = None
+        _np = numpy
+    return _np
 
 
 def mt_key_words(seed: int):
@@ -44,8 +63,8 @@ def mt_key_words(seed: int):
 
 
 def mt_random_state(
-    seed: int, into: Optional["_np.random.RandomState"] = None
-) -> Optional["_np.random.RandomState"]:
+    seed: int, into: Optional["numpy.random.RandomState"] = None
+) -> Optional["numpy.random.RandomState"]:
     """A ``RandomState`` bit-identical to ``random.Random(seed)``, or None.
 
     ``None`` means "no exact vectorized stream exists here" — numpy is
@@ -59,10 +78,11 @@ def mt_random_state(
     ~6x a re-seed, so per-trial loops should allocate one state and pass
     it back in. ``into`` is untouched when this returns ``None``.
     """
-    if _np is None or seed < 2**32:
+    np = numpy_module()
+    if np is None or seed < 2**32:
         return None
-    key = _np.array(mt_key_words(seed), dtype=_np.int64)
+    key = np.array(mt_key_words(seed), dtype=np.int64)
     if into is None:
-        return _np.random.RandomState(key)
+        return np.random.RandomState(key)
     into.seed(key)
     return into

@@ -29,6 +29,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.attacks import RingPlacement
 from repro.experiments import ExperimentRunner, WorkerPool, all_scenarios, get_scenario
 from repro.util.errors import ConfigurationError
 
@@ -39,6 +40,10 @@ BATCH_NAMES = sorted(
 
 #: The names expected to carry kernels — update alongside the catalog.
 EXPECTED_BATCH_NAMES = [
+    "attack/basic-cheat",
+    "attack/cubic",
+    "attack/equal-spacing",
+    "attack/random-location",
     "blocks/fair-consensus",
     "blocks/fair-renaming",
     "cointoss/biased-coin",
@@ -46,6 +51,7 @@ EXPECTED_BATCH_NAMES = [
     "cointoss/fle-coin",
     "fullinfo/baton",
     "fullinfo/sequential-coin",
+    "honest/alead-uni",
     "placement/random-segments",
 ]
 
@@ -73,11 +79,50 @@ def _sample_sequential(rng):
     }
 
 
+def _sample_basic_cheat(rng):
+    n = rng.randrange(2, 65)
+    return {"n": n, "cheater": rng.randrange(1, n + 1), "target": rng.randrange(1, n + 1)}
+
+
+def _sample_equal_spacing(rng):
+    k = rng.randrange(2, 9)
+    n = rng.randrange(2 * k, k * k + 1)  # Lemma 4.1: every gap at most k - 1
+    return {"n": n, "k": k, "target": rng.randrange(1, n + 1)}
+
+
+def _sample_cubic(rng):
+    while True:
+        k = rng.randrange(3, 7)
+        n = rng.randrange(2 * k, k + (k - 1) * k * (k + 1) // 2 + 1)
+        try:
+            RingPlacement.cubic(n, k)
+        except ConfigurationError:
+            continue  # no Theorem 4.3 staircase at this (n, k)
+        return {"n": n, "k": k, "target": rng.randrange(1, n + 1)}
+
+
+def _sample_random_location(rng):
+    # Small rings: most placements miss the fast path (long segments,
+    # window >= k) and take the kernel's per-trial executor fallback.
+    n = rng.randrange(8, 97)
+    return {
+        "n": n,
+        "p": rng.choice([None, round(rng.uniform(0.05, 0.95), 3)]),
+        "window": rng.randrange(1, 6),
+        "target": rng.randrange(1, n + 1),
+    }
+
+
 #: Per-scenario random parameter points. Ranges stay inside each
 #: scenario's valid domain (the decline paths get their own test) but
 #: deliberately stress the edges the kernels special-case: coalition of
 #: everybody, cheater at either end of the ring, single-player batons.
 PARAM_SAMPLERS = {
+    "attack/basic-cheat": _sample_basic_cheat,
+    "attack/cubic": _sample_cubic,
+    "attack/equal-spacing": _sample_equal_spacing,
+    "attack/random-location": _sample_random_location,
+    "honest/alead-uni": lambda rng: {"n": rng.randrange(2, 33)},
     "cointoss/fle-coin": lambda rng: {"n": rng.randrange(2, 33)},
     "cointoss/biased-coin": _sample_biased_coin,
     "cointoss/coin-fle": lambda rng: {"n": 2 ** rng.randrange(1, 6)},
@@ -205,6 +250,27 @@ def test_declined_points_defer_to_scalar_validation():
     for use_batch in (True, False):
         with pytest.raises(ConfigurationError):
             _run("cointoss/coin-fle", 8, 3, {"n": 6}, use_batch=use_batch)
+
+
+@pytest.mark.parametrize(
+    "scenario, params",
+    [
+        ("attack/cubic", {"n": 111, "k": 3}),  # k too small for a staircase
+        ("attack/equal-spacing", {"n": 10, "k": 6}),  # n < 2k
+        ("attack/basic-cheat", {"n": 8, "cheater": 9}),  # cheater off the ring
+        ("attack/random-location", {"n": 16, "p": 0.9, "target": 17}),
+        ("attack/random-location", {"n": 16, "p": 0.9, "window": 0}),
+    ],
+)
+def test_ring_kernels_decline_what_the_builder_rejects(scenario, params):
+    """The forcing kernels run the scenario's own builder once per chunk
+    and decline when it raises; random-location declines parameters its
+    builder would reject. Either way the scalar error surfaces unchanged."""
+    spec = get_scenario(scenario)
+    assert spec.run_batch([1, 2, 3], spec.resolve_params(params)) is None
+    for use_batch in (True, False):
+        with pytest.raises(ConfigurationError):
+            _run(scenario, 8, 3, params, use_batch=use_batch)
 
 
 def test_kernel_decline_is_per_spec_not_per_runner():

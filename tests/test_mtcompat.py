@@ -7,10 +7,14 @@ interpreter without numpy — get exercised here explicitly: in the
 numpy-equipped CI image they otherwise only run by accident.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.util import mtcompat
 from repro.util.mtcompat import HAVE_NUMPY, mt_key_words, mt_random_state
 
@@ -81,6 +85,19 @@ class TestNoNumpyFallback:
     def test_key_words_need_no_numpy(self, monkeypatch):
         monkeypatch.setattr(mtcompat, "_np", None)
         assert mt_key_words(BIG_SEED) == [789, 456, 123]
+
+
+def test_importing_the_catalog_leaves_numpy_unloaded():
+    """numpy loads on the first numpy kernel, not on import: CLI, node
+    and worker start-up do not pay for it."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, repro.experiments; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")

@@ -7,7 +7,8 @@ seed derivation, a success predicate drifting off its scenario, or a
 fold miscounting successes would sail through byte-identity checks.
 
 This layer closes that gap for the scenarios whose success probabilities
-the paper gives in closed form: the fair coin extracted from an honest
+the paper gives in closed form: the uniform honest A-LEADuni election
+(every id at rate 1/n), the fair coin extracted from an honest
 election (Theorem 8.1), the deterministically forced biased coin, the
 uniform synchronous broadcast election, Saks' pass-the-baton game
 against the greedy coalition (computed exactly by a tiny Markov-chain
@@ -113,6 +114,20 @@ CONTRACTS = [
             ("always-elects", 1.0, lambda r: r.successes.successes),
             # ...and elects uniformly: each of the 6 ids at rate 1/6.
             ("uniform-leader", 1 / 6, lambda r: r.distribution.counts.get(1, 0)),
+        ],
+    ),
+    (
+        "alead-uni-uniform",
+        "honest/alead-uni",
+        {"n": 16},
+        1600,
+        1,
+        # Lemma 3.3: honest A-LEADuni always elects, and every one of the
+        # 16 ids at rate 1/16 (checked id by id, not only in aggregate).
+        [("always-elects", 1.0, lambda r: r.successes.successes)]
+        + [
+            (f"uniform-id-{pid}", 1 / 16, lambda r, pid=pid: r.distribution.counts.get(pid, 0))
+            for pid in range(1, 17)
         ],
     ),
     (
