@@ -20,6 +20,7 @@ and examples all run exactly the same setups.
 import argparse
 import json
 import os
+import sqlite3
 import sys
 from typing import Optional
 
@@ -40,17 +41,16 @@ from repro.experiments import (
     WilsonWidthPolicy,
     WorkerPool,
     all_scenarios,
+    classify_row_line,
     coerce_param,
     expand_grid,
-    fsync_directory,
     get_scenario,
     is_store_path,
     load_completed_keys,
     load_cost_model,
     load_manifest,
     resolve_workers,
-    retry_identity,
-    row_resume_key,
+    row_retry_identity,
     run_campaign,
     schedule_names,
     sweep_scenario,
@@ -193,9 +193,7 @@ def _parse_grid(pairs):
 
 
 def _read_rows_file(path: str, strict: bool = True):
-    """Lines of ``path`` (empty if absent), final newline normalised so
-    an externally written file whose last line lacks ``\\n`` cannot get
-    an appended row concatenated onto it.
+    """Lines of ``path`` (empty if absent).
 
     ``strict=False`` turns an unreadable file into a warning plus an
     empty result instead of death — what ``--dry-run`` wants, since it
@@ -205,7 +203,7 @@ def _read_rows_file(path: str, strict: bool = True):
         return []
     try:
         with open(path) as f:
-            lines = f.readlines()
+            return f.readlines()
     except OSError as exc:
         if not strict:
             print(
@@ -215,326 +213,181 @@ def _read_rows_file(path: str, strict: bool = True):
             )
             return []
         raise SystemExit(f"cannot read --out file: {exc}") from None
-    if lines and not lines[-1].endswith("\n"):
-        lines[-1] += "\n"
+
+
+def _out_store_path(out: str) -> str:
+    """The results store behind an ``--out`` target: the target itself
+    when it has a store suffix (:func:`is_store_path`), otherwise the
+    sibling ``X.jsonl.db`` that ``X.jsonl`` is a rendering of."""
+    return out if is_store_path(out) else f"{out}.db"
+
+
+def _out_lines(args):
+    """The lines of a JSONL ``--out`` that a run imports into its store.
+
+    Every non-blank line must be a row or a timed-out marker. The one
+    exception is a final line that is not JSON at all: a torn write
+    from a killed run, skipped with a warning so its point re-runs. Any
+    other line ends the run here, before a trial runs or a store is
+    created: the rendering that replaces ``--out`` when the run stops
+    holds only rows, so the line would be lost. Store targets (and runs
+    without ``--out``) have no JSONL to import.
+    """
+    if not args.out or is_store_path(args.out):
+        return []
+    lines = _read_rows_file(args.out)
+    filled = [number for number, line in enumerate(lines, 1) if line.strip()]
+    torn = 0
+    for number in filled:
+        row, _key, reason = classify_row_line(lines[number - 1].strip())
+        if reason is None:
+            continue
+        if reason == "timed-out":
+            try:
+                row_retry_identity(row)  # the marker's identity must parse
+                continue
+            except (ConfigurationError, KeyError, TypeError):
+                pass
+        # classify_row_line returns no row only when json.loads failed.
+        if row is None and number == filled[-1]:
+            torn = 1
+            continue
+        raise SystemExit(
+            f"{args.out}:{number}: not a result row; --out may hold only "
+            "sweep/campaign rows (move the file aside or remove the "
+            "line); nothing was run"
+        )
+    if torn:
+        print(
+            f"  [warning: skipped 1 malformed line(s) in {args.out} (torn "
+            "trailing write from a killed run?); its point will re-run]",
+            file=sys.stderr,
+        )
     return lines
 
 
-def _salvageable_rows(tmp_path: str, completed, strict: bool = True):
-    """Well-formed sweep rows stranded in an interrupted run's staging
-    file, minus those already in ``completed``. Malformed lines (torn
-    final write, corrupt budget objects), timed-out rows, and foreign
-    content are dropped — they can only cause a re-run, never a skip."""
-    rows = []
-    seen = set(completed)
-    for line in _read_rows_file(tmp_path, strict=strict):
+def _resume_keys(args, strict: bool = True):
+    """Resume keys ``--out`` already satisfies, read without creating or
+    writing anything: :func:`load_completed_keys` of a JSONL ``--out``
+    plus the store's completed keys when the store exists. That is
+    exactly the store's key set once the file is imported.
+    ``strict=False`` (the ``--dry-run`` posture) turns an unreadable
+    file or store into a warning instead of death."""
+    keys = set()
+    if not is_store_path(args.out):
+        keys = load_completed_keys(_read_rows_file(args.out, strict))
+    path = _out_store_path(args.out)
+    if os.path.exists(path):
         try:
-            row = json.loads(line)
-            key = row_resume_key(row)
-        except (ValueError, KeyError, TypeError, ConfigurationError):
-            continue
-        if key not in seen:
-            seen.add(key)
-            rows.append(row)
-    return rows
-
-
-def _completed_keys_reporting(lines, where: str):
-    """``load_completed_keys`` with the skip report printed to stderr.
-
-    A killed run's torn trailing line and a deadline's timed-out rows
-    both contribute no resume key — the difference is tone: torn lines
-    get a *warning* (data was lost mid-write; the affected point simply
-    re-runs), timed-out rows an informational note (their retry is the
-    contract working as designed).
-    """
-    skipped = {"malformed": 0, "timed-out": 0}
-
-    def _note(_number, _line, reason):
-        skipped[reason] += 1
-
-    completed = load_completed_keys(lines, on_skip=_note)
-    if skipped["malformed"]:
-        print(
-            f"  [warning: skipped {skipped['malformed']} malformed line(s) "
-            f"in {where} (torn trailing write from a killed run?); their "
-            "points will re-run]",
-            file=sys.stderr,
-        )
-    if skipped["timed-out"]:
-        print(
-            f"  [note: {skipped['timed-out']} timed-out row(s) in {where} "
-            "will be retried]",
-            file=sys.stderr,
-        )
-    return completed
-
-
-def _result_retry_identity(result) -> str:
-    """:func:`~repro.experiments.campaign.retry_identity` of a freshly
-    produced result row — what matches it against a held-back timed-out
-    marker."""
-    return retry_identity(
-        result.scenario,
-        result.params,
-        result.base_seed,
-        result.max_steps,
-        result.budget,
-    )
-
-
-def _hold_back_stale_timed_out(existing_lines, points, completed):
-    """Split out timed-out rows for points this campaign will retry.
-
-    A timed-out row is a retry marker, not a result; once its point is
-    re-run it must not survive next to the fresh row — a completed retry
-    would leave a phantom partial row double-counting the point, and
-    every later ``--resume`` would keep announcing a retry that already
-    happened. But the marker may only be *replaced*, never dropped
-    outright: if this run ends (deadline, Ctrl-C) before the retry
-    produced its fresh row, the held-back marker is written back, so the
-    store never loses the record that the point is still owed. Rows for
-    points *not* in this manifest (shared stores) are kept untouched.
-
-    Markers whose point already has a *completed* row (some other run —
-    a sweep over the shared store, an unguarded campaign — finished the
-    retry without pruning) are simply dropped: the retry they announce
-    already happened, and keeping them would double-count the point and
-    re-announce the retry forever.
-
-    Returns ``(kept_lines, held)`` where ``held`` maps retry identity ->
-    original line; :func:`_emit_rows` writes back whatever was not
-    replaced by a fresh row.
-    """
-    retrying = set()
-    superseded = set()
-    for point in points:
-        identity = retry_identity(
-            point.scenario,
-            point.params,
-            point.base_seed,
-            point.max_steps,
-            point.budget,
-        )
-        if point.key() in completed:
-            superseded.add(identity)
-        else:
-            retrying.add(identity)
-    kept = []
-    held = {}
-    if not retrying and not superseded:
-        return existing_lines, held
-    for line in existing_lines:
-        candidate = None
-        try:
-            row = json.loads(line)
-            if isinstance(row, dict) and row.get("timed_out"):
-                candidate = retry_identity(
-                    row["scenario"],
-                    row["params"],
-                    row["base_seed"],
-                    row.get("max_steps"),
-                    row.get("budget"),
-                )
-        except (ValueError, KeyError, TypeError, ConfigurationError):
-            # ConfigurationError: a torn budget dict in the marker — an
-            # unmatchable marker is just a kept foreign line.
-            pass
-        # Retry pending wins over superseded when both match (two
-        # manifest points sharing everything but trials): the marker is
-        # then still a live claim and gets the hold-back treatment.
-        if candidate is not None and candidate in retrying:
-            held[candidate] = line
-        elif candidate is not None and candidate in superseded:
-            continue  # the completed row already supersedes the marker
-        else:
-            kept.append(line)
-    return kept, held
-
-
-def _store_completed_keys(path: str, strict: bool = True):
-    """Completed resume keys of a SQLite ``--out`` target.
-
-    A path with no database yet means no completed points (the store is
-    created when rows stream in). ``strict=False`` mirrors
-    :func:`_read_rows_file`: an unreadable store warns and reports every
-    point pending instead of dying — the ``--dry-run`` posture.
-    """
-    if not os.path.exists(path):
-        return set()
-    try:
-        with ResultStore(path) as store:
-            return store.completed_keys()
-    except ConfigurationError as exc:
-        if not strict:
+            with ResultStore(path, read_only=True) as store:
+                keys |= store.completed_keys()
+        except ConfigurationError as exc:
+            if strict:
+                raise SystemExit(f"cannot read --out store: {exc}") from None
             print(
                 f"  [warning: cannot read {path}: {exc}; "
-                "treating every point as pending]",
+                "treating its points as pending]",
                 file=sys.stderr,
             )
-            return set()
-        raise SystemExit(f"cannot read --out store: {exc}") from None
+    return keys
 
 
 def _load_resume_state(args):
-    """The ``--resume`` bookkeeping shared by ``sweep`` and ``campaign``.
-
-    Rows already present in a previous run's --out file: their grid
-    points are skipped entirely, so an interrupted overnight run
-    re-executes only what is missing. A hard interrupt (Ctrl-C, crash)
-    leaves the finished rows in the .tmp staging file instead of --out
-    — salvage those too, or resuming would both re-run them and then
-    truncate the only copy when reopening the staging file.
-    """
+    """``(lines, completed)`` for a real ``sweep``/``campaign`` run: the
+    checked JSONL lines to import (:func:`_out_lines`), and under
+    ``--resume`` the resume keys to skip."""
     if args.resume and not args.out:
         raise SystemExit("--resume requires --out (the file to resume into)")
-    completed = set()
-    existing_lines = []
-    if args.resume:
-        if is_store_path(args.out):
-            # SQLite backend: the database is its own resume bookkeeping
-            # — completed keys are an indexed read, appends are durable
-            # in place (no staging file to salvage), and markers
-            # supersede inside the store. Opening read-write creates the
-            # database when this is the first run against the path.
-            return _store_completed_keys(args.out), existing_lines
-        existing_lines = _read_rows_file(args.out)
-        completed = _completed_keys_reporting(existing_lines, args.out)
-        for row in _salvageable_rows(f"{args.out}.tmp", completed):
-            existing_lines.append(json.dumps(row, sort_keys=True) + "\n")
-            completed.add(row_resume_key(row))
-    return completed, existing_lines
+    return _out_lines(args), _resume_keys(args) if args.resume else set()
+
+
+def _open_out_store(args, lines) -> ResultStore:
+    """Open (on first use, create) the store behind ``--out`` and import
+    the JSONL ``lines`` into it. :meth:`ResultStore.import_lines` is
+    idempotent, so re-importing the store's own rendering changes
+    nothing; a timed-out marker is replaced or superseded there too."""
+    path = _out_store_path(args.out)
+    try:
+        store = ResultStore(path)
+    except ConfigurationError as exc:
+        raise SystemExit(f"cannot open --out store: {exc}") from None
+    try:
+        store.import_lines(lines)
+        markers = len(store.pending_retries()) if args.resume else 0
+    except (sqlite3.Error, ConfigurationError) as exc:
+        store.close()
+        raise SystemExit(f"cannot import {args.out} into {path}: {exc}") from None
+    if markers:
+        print(
+            f"  [note: {markers} timed-out row(s) in {args.out} "
+            "will be retried]",
+            file=sys.stderr,
+        )
+    return store
+
+
+def _render_out(args, store: ResultStore) -> Optional[str]:
+    """Rewrite a JSONL ``--out`` as its store's rendering; returns an
+    error message instead of raising, since the rows are durable in the
+    store either way."""
+    if is_store_path(args.out):
+        return None
+    try:
+        store.render_jsonl(args.out)
+    except (OSError, ConfigurationError) as exc:
+        return (
+            f"cannot render {args.out} from {store.path}: {exc} (every row "
+            f"is in the store; 'repro db export {store.path}' renders it)"
+        )
+    return None
 
 
 class _EmitOutcome:
     """What streaming a result set actually did: rows run, points a
-    deadline abandoned, whether the global deadline fired, and where
-    this run's rows ended up (``--out`` itself, or the staging file
-    when promoting would have clobbered a pre-existing store)."""
+    deadline abandoned, and whether the global deadline fired."""
 
     def __init__(self):
         self.ran = 0
         self.timed_out = 0
         self.deadline: Optional[CampaignDeadline] = None
-        self.checkpoint_path: Optional[str] = None
 
 
-def _safe_checkpoint(args) -> str:
-    """Promote the staging file to ``--out`` only when that cannot lose
-    data, returning the path now holding this run's rows.
+def _emit_rows(results, args, lines, what: str) -> _EmitOutcome:
+    """Stream result rows to stdout and into the ``--out`` store.
 
-    A partial run's staging file holds only this run's rows (plus
-    whatever ``--resume`` seeded). Promoting it over a pre-existing
-    ``--out`` that was *not* seeded in would destroy the previous
-    results — so in that one configuration the staging file is left in
-    place instead (the ``--resume`` salvage path picks its rows up),
-    and the old store survives untouched.
+    Every ``--out`` is backed by a :class:`ResultStore`
+    (:func:`_out_store_path`), and :class:`StoreRowWriter` is the one
+    row sink: each row is durable once appended, and timed-out markers
+    are replaced or superseded inside the store's transaction. The JSONL
+    ``lines`` are imported first, so the store always holds every row
+    the file does. However the run stops — success,
+    :class:`CampaignDeadline` (reported on the outcome), Ctrl-C
+    (re-raised), a ``ConfigurationError`` from infeasible parameter
+    values, or a store write error (both exit non-zero) — a JSONL
+    ``--out`` is then rewritten atomically from the store
+    (:meth:`ResultStore.render_jsonl`). A rendering can therefore never
+    lose a row, and a failed one leaves the previous file in place.
+
+    Completed results also append an observed-cost record to the
+    ``--out`` timing sidecar, which later runs read back for
+    ``--schedule longest-first`` and adaptive chunk sizing.
     """
-    tmp_path = f"{args.out}.tmp"
-    if args.resume or not os.path.exists(args.out):
-        _finalize_out(tmp_path, args.out)
-        return args.out
-    return tmp_path
-
-
-def _finalize_out(tmp_path: str, out_path: str) -> None:
-    """Atomically promote the staging file to ``--out``.
-
-    ``os.replace`` is atomic on POSIX; the directory fsync afterwards
-    makes the *rename itself* durable, so a machine crash right after a
-    checkpoint cannot resurrect the old file (best-effort — some
-    platforms refuse directory handles)."""
-    os.replace(tmp_path, out_path)
-    fsync_directory(os.path.dirname(os.path.abspath(out_path)))
-
-
-def _emit_rows(
-    results,
-    args,
-    existing_lines,
-    what: str,
-    record_timings: bool = False,
-    replaces: Optional[dict] = None,
-) -> _EmitOutcome:
-    """Stream result rows to stdout and (atomically) to ``--out``.
-
-    Parameter *values* can still be infeasible (e.g. a placement that
-    does not fit the ring), and that only surfaces when the grid point
-    runs — so rows stream to a temp file that replaces --out atomically
-    on success, never clobbering earlier results on a failed run. Under
-    --resume the temp file starts as a copy of the previous rows and
-    missing rows are appended. Every append goes through the fsync'd
-    :class:`~repro.experiments.sweep.RowWriter`, so a killed run loses
-    at most one torn trailing line (which the resume loader skips).
-
-    Three early-stop shapes all leave a usable store:
-
-    - ``ConfigurationError`` (bad parameter values): the staging file is
-      discarded and --out keeps its previous contents;
-    - :class:`CampaignDeadline` (--max-wall-clock): the staging file is
-      *checkpointed* — promoted to --out, unless promotion would clobber
-      a pre-existing store whose rows were not seeded in (no --resume),
-      in which case the staging file itself is the checkpoint — and the
-      deadline is reported on the returned outcome;
-    - ``KeyboardInterrupt``: same safe checkpoint, then the interrupt
-      re-raises, so a mid-campaign Ctrl-C leaves a resumable store
-      without ever destroying a previous one.
-
-    With ``record_timings`` (the campaign path), completed results also
-    append an observed-cost record to the ``--out`` timing sidecar,
-    which future ``--schedule longest-first`` runs read back as real
-    per-trial seconds; sweeps have no scheduler to feed, so they leave
-    no sidecar behind.
-
-    ``replaces`` maps retry identities -> stale timed-out lines held
-    back from ``existing_lines`` (see
-    :func:`_hold_back_stale_timed_out`): a result for the same identity
-    supersedes its line, and whatever was not superseded when the run
-    stops — however it stops — is written back, so no retry marker is
-    ever lost.
-
-    A ``--out`` path with a store suffix (``.db``/``.sqlite``) swaps the
-    JSONL appender for the SQLite
-    :class:`~repro.experiments.store.StoreRowWriter`: appends are
-    transactionally durable in place, so there is no staging file, no
-    promotion, and nothing to discard — the database is the checkpoint
-    at every instant, and marker supersession happens inside the store.
-    The timing sidecar stays a JSONL file beside the database either
-    way.
-    """
-    writer = timing_writer = None
-    store_target = bool(args.out) and is_store_path(args.out)
+    store = writer = timing_writer = None
     if args.out:
+        store = _open_out_store(args, lines)
+        writer = StoreRowWriter(store.path, store=store)
         try:
-            if store_target:
-                writer = StoreRowWriter(args.out)
-            else:
-                writer = RowWriter(f"{args.out}.tmp")
-            if record_timings:
-                timing_writer = RowWriter(timings_path(args.out), append=True)
+            timing_writer = RowWriter(timings_path(args.out), append=True)
         except OSError as exc:
-            raise SystemExit(f"cannot write --out file: {exc}") from None
-        except ConfigurationError as exc:
-            raise SystemExit(f"cannot open --out store: {exc}") from None
+            writer.close()
+            raise SystemExit(f"cannot write --out timing sidecar: {exc}") from None
     outcome = _EmitOutcome()
-    held = dict(replaces) if replaces else {}
-
-    def _write_back_held() -> None:
-        """Re-append retry markers whose retry never produced a row."""
-        if writer and held:
-            for line in held.values():
-                writer.append(line.rstrip("\n"))
-            held.clear()
-
     failure = None
+    interrupted = False
     try:
-        if writer and existing_lines:
-            writer.write_lines(existing_lines)
         for result in results:
             outcome.ran += 1
             outcome.timed_out += bool(result.timed_out)
-            if held:
-                held.pop(_result_retry_identity(result), None)
             line = json.dumps(result.to_row(), sort_keys=True)
             print(line)
             if writer:
@@ -550,46 +403,31 @@ def _emit_rows(
                 file=sys.stderr,
             )
     except ConfigurationError as exc:
-        failure = exc
+        failure = f"{what} failed: {exc}"
     except CampaignDeadline as exc:
         outcome.deadline = exc
+    except sqlite3.Error as exc:
+        failure = f"{what} stopped: cannot write to --out store {store.path}: {exc}"
     except KeyboardInterrupt:
-        if writer:
-            _write_back_held()
-            writer.close()
-            dest = args.out if store_target else _safe_checkpoint(args)
-            print(
-                f"  [interrupted: {outcome.ran} finished row(s) "
-                f"checkpointed to {dest}; --resume continues]",
-                file=sys.stderr,
-            )
+        interrupted = True
         raise
     finally:
-        if writer and failure is None:
-            _write_back_held()
-        if writer:
-            writer.close()
         if timing_writer:
             timing_writer.close()
+        if writer:
+            rendered = _render_out(args, store)
+            writer.close()
+            failure = failure or rendered
+            if interrupted:
+                note = rendered or (
+                    f"{outcome.ran} finished row(s) checkpointed to {args.out}"
+                )
+                print(
+                    f"  [interrupted: {note}; --resume continues]",
+                    file=sys.stderr,
+                )
     if failure is not None:
-        if writer and not store_target:
-            # JSONL: discard the staging file so --out keeps its
-            # previous contents. Store rows already written are real,
-            # deterministic results — they stay, and a corrected re-run
-            # resumes past them.
-            os.remove(f"{args.out}.tmp")
-        raise SystemExit(f"{what} failed: {failure}")
-    if writer:
-        if store_target:
-            # Durable in place: nothing to promote.
-            outcome.checkpoint_path = args.out
-        elif outcome.deadline is not None:
-            # A deadline run is partial: promote only when it cannot
-            # clobber a store whose rows were not seeded into staging.
-            outcome.checkpoint_path = _safe_checkpoint(args)
-        else:
-            _finalize_out(f"{args.out}.tmp", args.out)
-            outcome.checkpoint_path = args.out
+        raise SystemExit(failure)
     return outcome
 
 
@@ -662,9 +500,9 @@ def _cmd_sweep(args) -> int:
         raise SystemExit(f"--trials must be >= 0, got {args.trials}")
     budget = _budget_from_args(args)
     grid = _parse_grid(args.param)
-    completed, existing_lines = _load_resume_state(args)
+    lines, completed = _load_resume_state(args)
     # sweep_scenario validates the scenario and the whole grid eagerly —
-    # a typo'd re-run fails here, before touching a previous --out file.
+    # a typo'd re-run fails here, before a store is created.
     try:
         total_points = len(expand_grid(grid))
         results = sweep_scenario(
@@ -681,12 +519,7 @@ def _cmd_sweep(args) -> int:
         )
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None
-    # record_timings: sweeps feed the same `.timings` sidecar campaigns
-    # do, so the cost model (scheduling *and* chunk sizing) learns from
-    # sweep workloads too.
-    ran = _emit_rows(
-        results, args, existing_lines, "sweep", record_timings=True
-    ).ran
+    ran = _emit_rows(results, args, lines, "sweep").ran
     if args.resume:
         print(
             f"  [resume: ran {ran} of {total_points} grid points; "
@@ -705,8 +538,8 @@ def _campaign_dry_run(args, points, scheduler, completed) -> int:
     the timing sidecar has observed the scenario, and the point's full
     identity — then a stderr summary matching the real run's footer,
     with an estimated total and ideal makespan when costs are observed.
-    Nothing is executed and the ``--out`` store is never opened for
-    writing.
+    Nothing is executed, and no store is created, imported into or
+    written.
     """
     done = 0
     pending_seconds = total_seconds = 0.0
@@ -866,46 +699,21 @@ def _cmd_campaign(args) -> int:
             raise SystemExit(f"{flag} must be a positive number of seconds")
     if args.dry_run:
         # The dry run answers "what is left?" whenever --out exists,
-        # without requiring --resume (nothing is written either way) —
-        # and a missing or unreadable --out means every point is
-        # pending, never a crash.
+        # without requiring --resume, and never creates, imports into or
+        # writes a store. A missing or unreadable --out means every
+        # point is pending, never a crash.
         if args.resume and not args.out:
             raise SystemExit("--resume requires --out (the file to resume into)")
-        completed = set()
-        if args.out and is_store_path(args.out):
-            completed = _store_completed_keys(args.out, strict=False)
-        elif args.out:
-            lines = _read_rows_file(args.out, strict=False)
-            if args.resume:
-                completed = _completed_keys_reporting(lines, args.out)
-                for row in _salvageable_rows(
-                    f"{args.out}.tmp", completed, strict=False
-                ):
-                    completed.add(row_resume_key(row))
-            else:
-                completed = load_completed_keys(lines)
+        completed = _resume_keys(args, strict=False) if args.out else set()
         return _campaign_dry_run(args, points, scheduler, completed)
-    completed, existing_lines = _load_resume_state(args)
-    # Timed-out rows for points this run retries are stale retry
-    # markers: the retry writes a fresh row (timed-out or complete) that
-    # replaces the old partial — which is written back untouched if the
-    # retry never got to run. SQLite targets skip the line pass: the
-    # store applies the same replace/supersede semantics transactionally
-    # on every append.
-    replaces = {}
-    if not is_store_path(args.out):
-        existing_lines, replaces = _hold_back_stale_timed_out(
-            existing_lines, points, completed
-        )
+    lines, completed = _load_resume_state(args)
     if args.coordinate:
         if args.metrics_port is not None:
             raise SystemExit(
                 "--metrics-port is redundant with --coordinate: the "
                 "coordinator already serves /metrics on --listen"
             )
-        return _coordinate_campaign(
-            args, points, scheduler, completed, existing_lines, replaces
-        )
+        return _coordinate_campaign(args, points, scheduler, completed, lines)
     # --metrics-port: the CLI owns the pool (run_campaign never closes
     # an injected one) so the /metrics scrape reads live chunk counters
     # while trials run; without the flag, run_campaign manages its own
@@ -950,10 +758,7 @@ def _cmd_campaign(args) -> int:
             )
             if observe is not None:
                 results = observe(results)
-            outcome = _emit_rows(
-                results, args, existing_lines, "campaign",
-                record_timings=True, replaces=replaces,
-            )
+            outcome = _emit_rows(results, args, lines, "campaign")
         except ConfigurationError as exc:
             raise SystemExit(str(exc)) from None
     except BaseException:
@@ -989,11 +794,7 @@ def _cmd_campaign(args) -> int:
             f"  [campaign: wall-clock deadline reached; "
             f"{outcome.deadline.pending} point(s) never started; "
             f"finished rows checkpointed"
-            + (
-                f" to {outcome.checkpoint_path}"
-                if outcome.checkpoint_path
-                else ""
-            )
+            + (f" to {args.out}" if args.out else "")
             + "; re-run with --resume to continue]",
             file=sys.stderr,
         )
@@ -1013,9 +814,7 @@ def _parse_listen(text: str):
         raise SystemExit(f"bad port in {text!r}") from None
 
 
-def _coordinate_campaign(
-    args, points, scheduler, completed, existing_lines, replaces
-) -> int:
+def _coordinate_campaign(args, points, scheduler, completed, lines) -> int:
     """The ``--coordinate`` arm of ``campaign``: serve leases to runner
     nodes instead of running trials locally, writing the identical row
     stream to the identical ``--out`` targets."""
@@ -1061,10 +860,7 @@ def _coordinate_campaign(
     except OSError as exc:
         raise SystemExit(f"cannot listen on {args.listen!r}: {exc}") from None
     try:
-        outcome = _emit_rows(
-            coordinator.results(), args, existing_lines, "campaign",
-            record_timings=True, replaces=replaces,
-        )
+        outcome = _emit_rows(coordinator.results(), args, lines, "campaign")
         # Linger until every live node has polled "done" (and so exits
         # 0) before tearing the server down; dead nodes aren't waited on.
         coordinator.await_nodes_done()
@@ -1108,16 +904,14 @@ def _cmd_db(args) -> int:
     if args.db_command == "export":
         if not os.path.exists(args.db):
             raise SystemExit(f"cannot read store: {args.db!r} does not exist")
+        # The default target of a run's sibling store X.jsonl.db is its
+        # rendering X.jsonl, rewritten by the same renderer the run uses.
         out = args.out or os.path.splitext(args.db)[0] + ".jsonl"
-        exported = 0
+        if os.path.abspath(out) == os.path.abspath(args.db):
+            raise SystemExit(f"refusing to export {args.db!r} over itself")
         try:
-            # repro-lint: allow[R301] db export IS the blessed store->JSONL path: lines come straight from the store's resume-keyed rows
-            with ResultStore(args.db, read_only=True) as store, open(
-                out, "w"
-            ) as f:
-                for line in store.export_lines():
-                    f.write(line + "\n")
-                    exported += 1
+            with ResultStore(args.db, read_only=True) as store:
+                exported = store.render_jsonl(out)
         except ConfigurationError as exc:
             raise SystemExit(str(exc)) from None
         except OSError as exc:
@@ -1390,8 +1184,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--out", default=None,
-        help="also write JSON rows to this file (a .db/.sqlite suffix "
-             "targets a SQLite results store instead of JSONL)",
+        help="also write JSON rows to this file, rendered from its "
+             "SQLite results store FILE.db (a .db/.sqlite suffix "
+             "targets the store itself)",
     )
     p.add_argument(
         "--resume",
@@ -1421,8 +1216,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--out", default=None,
-        help="also write JSON rows to this file (a .db/.sqlite suffix "
-             "targets a SQLite results store instead of JSONL)",
+        help="also write JSON rows to this file, rendered from its "
+             "SQLite results store FILE.db (a .db/.sqlite suffix "
+             "targets the store itself)",
     )
     p.add_argument(
         "--resume",

@@ -153,9 +153,8 @@ def retry_identity(
     ``trials=None`` — the full resume identity *minus* trials (a
     timed-out row's trial count is a scheduling artifact, which is
     exactly why it has no real resume key). Delegating keeps marker
-    matching in lockstep with whatever the identity rules are; both the
-    CLI's JSONL marker hold-back and the SQLite store's marker
-    supersession key off this one function.
+    matching in lockstep with whatever the identity rules are; the
+    SQLite store's marker supersession keys off this one function.
     """
     return resume_key(scenario, params, None, base_seed, max_steps, budget)
 

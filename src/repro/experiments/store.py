@@ -1,11 +1,12 @@
 """SQLite results store: the resume contract as a queryable database.
 
-JSONL ``--out`` files are the write-path artifact — append-only,
-crash-tolerant, diffable — but every *consumer* of the reproduction has
-been paying a linear scan (and a full re-parse) to answer "is this point
-done?" or "what is the forcing rate at n=64?". A :class:`ResultStore`
-keeps the same rows in SQLite so those questions are index lookups,
-while preserving every contract the JSONL store established:
+Answering "is this point done?" or "what is the forcing rate at n=64?"
+against a JSONL file costs a linear scan and a full re-parse. A
+:class:`ResultStore` keeps the same rows in SQLite so those questions
+are index lookups, and it is the one resume authority: every CLI
+``--out`` is backed by a store, and a JSONL ``--out`` is only its
+atomic rendering (:meth:`ResultStore.render_jsonl`). It keeps every
+contract the JSONL files established:
 
 - **The resume key is the schema's spine.** Each completed row is
   stored under the exact :func:`~repro.experiments.sweep.resume_key`
@@ -19,10 +20,10 @@ while preserving every contract the JSONL store established:
   UNIQUE index admits any number of NULLs), so they can never satisfy a
   resume lookup; they are stored under their
   :func:`~repro.experiments.campaign.retry_identity` instead, and the
-  marker lifecycle the CLI implements line-by-line for JSONL
-  (:``_hold_back_stale_timed_out``) becomes two indexed statements: a
-  fresh completed row deletes its stale markers, and a marker arriving
-  after its point already completed is dropped as superseded.
+  marker lifecycle is two indexed statements: a fresh completed row
+  deletes its stale markers, and a marker arriving after its point
+  already completed is dropped as superseded. A marker whose retry
+  never runs simply stays.
 - **Lossless.** The original row JSON rides along in the ``row``
   column, so nothing the JSONL format carried is lost to the schema —
   export is ``SELECT row``.
@@ -33,9 +34,8 @@ while preserving every contract the JSONL store established:
   :mod:`repro.serve`) without either blocking the other.
 
 :class:`StoreRowWriter` adapts the store to the :class:`RowWriter`
-interface (``append``/``write_lines``/``close``/context manager), which
-is how ``sweep --out results.db`` and ``campaign --out results.db``
-target the database without the emit loop knowing which backend it has.
+interface (``append``/``write_lines``/``close``/context manager); it is
+the one row sink of every ``sweep``/``campaign --out``.
 """
 
 import json
@@ -57,6 +57,7 @@ from typing import (
 
 from repro.experiments.campaign import retry_identity, row_retry_identity
 from repro.experiments.sweep import (
+    RowWriter,
     canonical_params,
     classify_row_line,
     fsync_directory,
@@ -354,6 +355,31 @@ class ResultStore:
         for (blob,) in self._query("SELECT row FROM results ORDER BY id"):
             yield blob
 
+    def render_jsonl(self, path: str) -> int:
+        """Atomically rewrite ``path`` as this store's JSONL rendering.
+
+        The one renderer behind every JSONL ``--out`` and ``db export``.
+        :meth:`export_lines` is read in full first, then written through
+        :class:`~repro.experiments.sweep.RowWriter` to ``path + ".render"``,
+        which ``os.replace`` swaps over ``path`` once it is complete and
+        synced; the directory fsync makes the rename itself durable. An
+        unreadable store or a failed write therefore never truncates
+        ``path``: the previous file survives until a whole rendering
+        replaces it. Returns the number of lines rendered.
+        """
+        lines = [line + "\n" for line in self.export_lines()]
+        staged = f"{path}.render"
+        try:
+            with RowWriter(staged) as writer:
+                writer.write_lines(lines)
+            os.replace(staged, path)
+        except BaseException:
+            if os.path.exists(staged):
+                os.remove(staged)
+            raise
+        fsync_directory(os.path.dirname(os.path.abspath(path)))
+        return len(lines)
+
     def pending_retries(self) -> Set[str]:
         """Retry identities of every stored timed-out marker."""
         return {
@@ -423,14 +449,12 @@ _INSERT_OR_IGNORE = (
 class StoreRowWriter:
     """:class:`~repro.experiments.sweep.RowWriter`-compatible adapter.
 
-    ``sweep --out results.db`` / ``campaign --out results.db`` hand
-    their row lines to this instead of a JSONL appender: each line is
-    parsed back into its row and stored through
+    Every ``sweep``/``campaign --out`` hands its row lines to this: each
+    line is parsed back into its row and stored through
     :meth:`ResultStore.append_row`, so marker supersession and duplicate
-    suppression happen at write time instead of in a file-rewrite pass.
-    Appends are transactionally durable (WAL + ``synchronous=FULL``), so
-    there is no staging file and nothing to promote — the database *is*
-    the checkpoint at every instant.
+    suppression happen at write time. Appends are transactionally
+    durable (WAL + ``synchronous=FULL``), so the database *is* the
+    checkpoint at every instant; a JSONL ``--out`` is rendered from it.
     """
 
     def __init__(self, path: str, store: Optional[ResultStore] = None):

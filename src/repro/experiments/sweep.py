@@ -314,8 +314,8 @@ class RowWriter:
 
     Per-row fsync is noise next to a grid point's trial work (rows are
     emitted once per experiment, not per trial); the bulk
-    :meth:`write_lines` path — used to seed a staging file with a
-    previous run's rows — pays one fsync for the whole block instead.
+    :meth:`write_lines` path — used to write a whole JSONL rendering of
+    a results store — pays one fsync for the whole block instead.
     """
 
     def __init__(self, path: str, append: bool = False):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -29,6 +31,17 @@ SMOKE_MANIFEST = os.path.join(
 
 def _rows(results):
     return sorted(json.dumps(r.to_row(), sort_keys=True) for r in results)
+
+
+def drop_stored_row(out, line):
+    """Delete one row from a JSONL --out and from the store it is a
+    rendering of (``rows.jsonl.db``), as if its point had never run."""
+    with closing(sqlite3.connect(f"{out}.db")) as con, con:
+        assert con.execute(
+            "DELETE FROM results WHERE row = ?", (line,)
+        ).rowcount == 1
+    kept = [l for l in out.read_text().splitlines() if l != line]
+    out.write_text("".join(l + "\n" for l in kept))
 
 
 class TestManifestExpansion:
@@ -246,7 +259,7 @@ class TestCampaignCli:
         capsys.readouterr()
         lines = out.read_text().splitlines()
         survivor, dropped = lines[:2], lines[2]
-        out.write_text("\n".join(survivor) + "\n")
+        drop_stored_row(out, dropped)
 
         assert main(["campaign", str(manifest), "--out", str(out),
                      "--resume", "--workers", "auto"]) == 0
@@ -295,6 +308,7 @@ class TestCampaignCli:
             main(["campaign", str(missing), "--out", str(out)])
         assert out.read_text() == '{"precious": "results"}\n'
         assert not (tmp_path / "rows.jsonl.tmp").exists()
+        assert not (tmp_path / "rows.jsonl.db").exists()
 
     def test_campaign_resume_requires_out(self, tmp_path):
         manifest = self._write_manifest(tmp_path)
@@ -528,7 +542,7 @@ class TestCampaignDryRun:
         capsys.readouterr()
         # Drop one row: exactly one point must come back as pending.
         lines = out_file.read_text().splitlines()
-        out_file.write_text("\n".join(lines[1:]) + "\n")
+        drop_stored_row(out_file, lines[0])
         assert main(["campaign", str(manifest), "--dry-run",
                      "--out", str(out_file)]) == 0
         out, err = capsys.readouterr()
@@ -566,6 +580,26 @@ class TestCampaignDryRun:
         capsys.readouterr()
         assert out_file.read_text() == '{"precious": "results"}\n'
         assert not (tmp_path / "rows.jsonl.tmp").exists()
+        assert not (tmp_path / "rows.jsonl.db").exists()
+
+    def test_dry_run_reads_the_store_when_the_rendering_is_gone(
+        self, tmp_path, capsys
+    ):
+        """After a kill before the first rendering only rows.jsonl.db
+        holds the rows; the plan must count them without writing."""
+        manifest = self._manifest(tmp_path)
+        out_file = tmp_path / "rows.jsonl"
+        assert main(["campaign", str(manifest), "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        out_file.unlink()
+        store = tmp_path / "rows.jsonl.db"
+        before = store.read_bytes()
+        assert main(["campaign", str(manifest), "--dry-run",
+                     "--out", str(out_file)]) == 0
+        out, err = capsys.readouterr()
+        assert [line.split()[0] for line in out.splitlines()] == ["done"] * 3
+        assert not out_file.exists()
+        assert store.read_bytes() == before
 
     def test_dry_run_still_validates_the_manifest_eagerly(self, tmp_path):
         bad = tmp_path / "bad.json"

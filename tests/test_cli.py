@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+import sqlite3
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import ResultStore, load_completed_keys
 
 
 class TestParser:
@@ -173,21 +177,29 @@ class TestSweep:
             main(["sweep", "--scenario", "honest/basic-lead", "--param", "n"])
 
     def test_sweep_typo_does_not_truncate_out_file(self, tmp_path, capsys):
-        """A failed invocation must leave a previous --out file intact."""
+        """A failed invocation must leave a previous --out file intact,
+        and a validation failure must not even create its store."""
+        yesterday = tmp_path / "yesterday.jsonl"
+        assert main(["sweep", "--scenario", "sync/broadcast", "--trials", "2",
+                     "--param", "n=4", "--out", str(yesterday)]) == 0
+        precious = yesterday.read_text()
         out_file = tmp_path / "rows.jsonl"
-        out_file.write_text('{"precious": "results"}\n')
+        out_file.write_text(precious)
         with pytest.raises(SystemExit):  # unknown scenario
             main(["sweep", "--scenario", "attack/cubik", "--trials", "2",
                   "--out", str(out_file)])
         with pytest.raises(SystemExit):  # unknown parameter key
             main(["sweep", "--scenario", "attack/cubic", "--trials", "2",
                   "--param", "kk=4", "--out", str(out_file)])
+        assert not (tmp_path / "rows.jsonl.db").exists()
         with pytest.raises(SystemExit):  # valid keys, infeasible values
             main(["sweep", "--scenario", "attack/equal-spacing",
                   "--trials", "2", "--param", "n=8", "--param", "k=7",
                   "--out", str(out_file)])
         capsys.readouterr()
-        assert out_file.read_text() == '{"precious": "results"}\n'
+        # The infeasible point surfaces only once it runs, after the
+        # import; the rendering written as the run stops is the same row.
+        assert out_file.read_text() == precious
         assert not (tmp_path / "rows.jsonl.tmp").exists()
 
     def test_attack_rejects_k_when_unsupported(self, capsys):
@@ -267,27 +279,45 @@ class TestSweepResume:
         assert out_file.exists()
 
     def test_resume_salvages_rows_from_an_interrupted_run(self, tmp_path, capsys):
-        """A hard interrupt leaves finished rows in the .tmp staging file
-        (--out is only replaced on full success). --resume must count
-        those rows as done and carry them into the final file instead of
-        re-running them and truncating the staging file."""
-        import json
-
+        """The crash shape a kill -9 leaves: rows durable in the sibling
+        store rows.jsonl.db, while rows.jsonl is a stale rendering (here
+        one row behind, with a torn tail). --resume must count every
+        stored row as done, run only the remainder, and render every
+        stored row."""
         out_file = tmp_path / "rows.jsonl"
-        # Simulate the interrupt: a full run whose output we move to .tmp.
-        assert self._sweep(out_file, ["n=8", "target=2"]) == 0
+        assert self._sweep(out_file, ["n=8,12", "target=2"]) == 0
         capsys.readouterr()
-        interrupted = out_file.read_text()
-        out_file.rename(tmp_path / "rows.jsonl.tmp")
-        # Torn final write from the crash must be ignored, not trusted.
-        with open(tmp_path / "rows.jsonl.tmp", "a") as f:
-            f.write('{"scenario": "attack/basic-cheat", "par')
+        stored = out_file.read_text().splitlines()
+        # Roll the rendering back: the n=12 row reached the store but the
+        # process died before rendering it.
+        out_file.write_text(stored[0] + "\n" + stored[1][:30])
 
-        assert self._sweep(out_file, ["n=8,12", "target=2"], resume=True) == 0
-        assert "ran 1 of 2 grid points" in capsys.readouterr().err
-        rows = [json.loads(l) for l in out_file.read_text().splitlines()]
-        assert [r["params"]["n"] for r in rows] == [8, 12]
-        assert json.dumps(rows[0], sort_keys=True) + "\n" == interrupted
+        assert self._sweep(
+            out_file, ["n=8,12,16", "target=2"], resume=True
+        ) == 0
+        err = capsys.readouterr().err
+        assert "ran 1 of 3 grid points" in err
+        assert "skipped 1 malformed line(s)" in err
+        lines = out_file.read_text().splitlines()
+        assert lines[:2] == stored
+        assert [json.loads(l)["params"]["n"] for l in lines] == [8, 12, 16]
+
+    def test_resume_from_the_store_alone_renders_every_row(
+        self, tmp_path, capsys
+    ):
+        """A kill before the first rendering leaves a store and no
+        --out file at all."""
+        out_file = tmp_path / "rows.jsonl"
+        assert self._sweep(out_file, ["n=8,12", "target=2"]) == 0
+        capsys.readouterr()
+        stored = out_file.read_text()
+        out_file.unlink()
+        assert self._sweep(
+            out_file, ["n=8,12,16", "target=2"], resume=True
+        ) == 0
+        assert "ran 1 of 3 grid points" in capsys.readouterr().err
+        assert out_file.read_text().startswith(stored)
+        assert len(out_file.read_text().splitlines()) == 3
 
     def test_resume_repairs_missing_trailing_newline(self, tmp_path, capsys):
         """A previous file whose last line lacks '\\n' (external tools,
@@ -317,6 +347,129 @@ class TestSweepResume:
         assert [r["scenario"] for r in rows] == [
             "honest/basic-lead", "attack/basic-cheat"
         ]
+
+
+class TestOutStore:
+    """Every --out is backed by a results store (rows.jsonl.db beside
+    rows.jsonl), and rows.jsonl is its atomic rendering."""
+
+    def _sweep(self, out_file, params, resume=False, scenario="attack/basic-cheat"):
+        argv = ["sweep", "--scenario", scenario, "--trials", "4",
+                "--out", str(out_file)]
+        for p in params:
+            argv += ["--param", p]
+        if resume:
+            argv.append("--resume")
+        return main(argv)
+
+    def _rows(self, tmp_path, name, params, scenario="attack/basic-cheat"):
+        """Rows of a throwaway run, for composing JSONL-era files."""
+        path = tmp_path / name
+        assert self._sweep(path, params, scenario=scenario) == 0
+        return path.read_text().splitlines()
+
+    def test_rendering_is_the_store_export(self, tmp_path, capsys):
+        out_file = tmp_path / "rows.jsonl"
+        assert self._sweep(out_file, ["n=8,12", "target=2"]) == 0
+        capsys.readouterr()
+        with ResultStore(str(tmp_path / "rows.jsonl.db"), read_only=True) as store:
+            exported = [line + "\n" for line in store.export_lines()]
+        assert out_file.read_text() == "".join(exported)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "rows.jsonl", "rows.jsonl.db", "rows.jsonl.timings"
+        ]
+
+    def test_legacy_jsonl_out_migrates_into_the_store(self, tmp_path, capsys):
+        """A JSONL-era --out with another scenario's row, a timed-out
+        marker and a torn tail: the first run imports it, retries the
+        marker's point, replaces the marker, and re-runs the torn point."""
+        other = self._rows(tmp_path, "other.jsonl", ["n=6"], "honest/basic-lead")
+        rows = self._rows(tmp_path, "full.jsonl", ["n=8,12,16", "target=2"])
+        marker = dict(json.loads(rows[1]), trials=1, timed_out=True)
+        out_file = tmp_path / "rows.jsonl"
+        out_file.write_text(
+            "\n".join([other[0], rows[0], json.dumps(marker, sort_keys=True),
+                       rows[2][:40]])
+        )
+        capsys.readouterr()
+
+        assert self._sweep(
+            out_file, ["n=8,12,16", "target=2"], resume=True
+        ) == 0
+        err = capsys.readouterr().err
+        assert "ran 2 of 3 grid points" in err
+        assert "skipped 1 malformed line(s)" in err
+        assert "1 timed-out row(s)" in err and "will be retried" in err
+        lines = out_file.read_text().splitlines()
+        assert lines == [other[0], rows[0], rows[1], rows[2]]
+        with ResultStore(str(tmp_path / "rows.jsonl.db"), read_only=True) as store:
+            assert store.completed_keys() == load_completed_keys(lines)
+            assert store.pending_retries() == set()
+
+    @pytest.mark.parametrize("where", ["middle", "last"])
+    def test_foreign_line_refused_before_any_trial(self, tmp_path, capsys, where):
+        rows = self._rows(tmp_path, "full.jsonl", ["n=8", "target=2"])
+        foreign = '{"precious": "results"}'
+        content = (
+            [rows[0], foreign] if where == "last" else [foreign, rows[0]]
+        )
+        out_file = tmp_path / "rows.jsonl"
+        out_file.write_text("\n".join(content) + "\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            self._sweep(out_file, ["n=8,12", "target=2"], resume=True)
+        assert "not a result row" in str(excinfo.value.code)
+        assert capsys.readouterr().out == ""  # no row ran
+        assert out_file.read_text() == "\n".join(content) + "\n"
+        assert not (tmp_path / "rows.jsonl.db").exists()
+
+    def test_run_without_resume_keeps_earlier_rows(self, tmp_path, capsys):
+        """Without --resume every point runs; rows already stored stay
+        and the first copy of a row wins."""
+        out_file = tmp_path / "rows.jsonl"
+        assert self._sweep(out_file, ["n=8", "target=2"]) == 0
+        first = out_file.read_text()
+        capsys.readouterr()
+        assert self._sweep(out_file, ["n=12,8", "target=2"]) == 0
+        printed = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("{")]
+        assert [json.loads(l)["params"]["n"] for l in printed] == [12, 8]
+        lines = out_file.read_text().splitlines()
+        assert out_file.read_text().startswith(first)
+        assert [json.loads(l)["params"]["n"] for l in lines] == [8, 12]
+
+    def test_store_write_error_renders_what_is_durable_and_exits(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Deterministic fault injection: the first append succeeds,
+        every later one fails as a dying disk would."""
+        real_append = ResultStore.append_row
+        appended = []
+
+        def failing_append(store, row):
+            if appended:
+                raise sqlite3.OperationalError("disk I/O error")
+            appended.append(row)
+            return real_append(store, row)
+
+        monkeypatch.setattr(ResultStore, "append_row", failing_append)
+        out_file = tmp_path / "rows.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            self._sweep(out_file, ["n=8,12,16", "target=2"])
+        message = str(excinfo.value.code)
+        assert str(tmp_path / "rows.jsonl.db") in message
+        assert "disk I/O error" in message
+        capsys.readouterr()
+        lines = out_file.read_text().splitlines()
+        assert [json.loads(l)["params"]["n"] for l in lines] == [8]
+
+        monkeypatch.setattr(ResultStore, "append_row", real_append)
+        assert self._sweep(
+            out_file, ["n=8,12,16", "target=2"], resume=True
+        ) == 0
+        assert "ran 2 of 3 grid points" in capsys.readouterr().err
+        lines = out_file.read_text().splitlines()
+        assert [json.loads(l)["params"]["n"] for l in lines] == [8, 12, 16]
 
 
 class TestScenariosCommand:

@@ -28,6 +28,7 @@ from repro.experiments import (
     CampaignPoint,
     CostModel,
     PointScheduler,
+    ResultStore,
     RowWriter,
     ScenarioSpec,
     WorkerPool,
@@ -47,6 +48,18 @@ from repro.util.errors import ConfigurationError
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SLEEPY = "test/sleepy"
+
+
+def _stored_rows(path) -> int:
+    """Completed rows committed to a results store another process is
+    writing; 0 while it does not exist or is still being created."""
+    if not path.exists():
+        return 0
+    try:
+        with ResultStore(str(path), read_only=True) as store:
+            return store.stats()["completed"]
+    except ConfigurationError:
+        return 0
 
 
 def _sleepy_trial(params, registry, max_steps):
@@ -248,9 +261,14 @@ class TestGlobalDeadline:
     def test_deadline_checkpoint_never_clobbers_an_unseeded_out(
         self, sleepy_scenario, tmp_path, capsys
     ):
-        """Without --resume, a pre-existing --out was never seeded into
-        the staging file — a partial run's checkpoint must land in the
-        staging file and leave yesterday's store untouched."""
+        """Without --resume, a pre-existing --out is still imported into
+        its store before the run, so a partial run's checkpoint (the
+        store's rendering) keeps yesterday's row byte for byte — and so
+        does the --resume run that finishes the campaign."""
+        yesterday = tmp_path / "yesterday.jsonl"
+        assert main(["sweep", "--scenario", "sync/broadcast", "--trials", "3",
+                     "--param", "n=4", "--out", str(yesterday)]) == 0
+        precious = yesterday.read_text().splitlines()[0]
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({
             "trials": 40,
@@ -259,21 +277,21 @@ class TestGlobalDeadline:
             ],
         }))
         out = tmp_path / "rows.jsonl"
-        out.write_text('{"precious": "yesterday"}\n')
+        out.write_text(precious + "\n")  # a JSONL-era --out: no store yet
+        capsys.readouterr()
         assert main(["campaign", str(manifest), "--out", str(out),
                      "--max-wall-clock", "0.1"]) == EXIT_DEADLINE
         err = capsys.readouterr().err
-        assert out.read_text() == '{"precious": "yesterday"}\n'
-        tmp_file = tmp_path / "rows.jsonl.tmp"
-        assert tmp_file.exists()
-        assert str(tmp_file) in err  # the message points at the real checkpoint
-        # A --resume run salvages the staging rows and finishes.
+        assert out.read_text().splitlines()[0] == precious
+        assert f"checkpointed to {out}" in err
+        assert not (tmp_path / "rows.jsonl.tmp").exists()
+        # A --resume run finishes; yesterday's row is still first.
         assert main(["campaign", str(manifest), "--out", str(out),
                      "--resume"]) == 0
         capsys.readouterr()
         lines = out.read_text().splitlines()
-        assert '{"precious": "yesterday"}' in lines
-        assert len(load_completed_keys(lines)) == 2
+        assert lines[0] == precious
+        assert len(load_completed_keys(lines)) == 3
 
     def test_cli_deadline_exit_code_and_resume(self, sleepy_scenario, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -291,8 +309,13 @@ class TestGlobalDeadline:
         err = capsys.readouterr().err
         assert "wall-clock deadline reached" in err
         assert "--resume" in err
-        # The checkpoint landed in --out itself (not a stranded .tmp)...
-        assert out.exists() and not (tmp_path / "rows.jsonl.tmp").exists()
+        # The checkpoint landed in --out itself: the rendering of its
+        # store, with no staging file left behind...
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m.json", "rows.jsonl", "rows.jsonl.db", "rows.jsonl.timings"
+        ]
+        with ResultStore(str(tmp_path / "rows.jsonl.db"), read_only=True) as store:
+            assert out.read_text().splitlines() == list(store.export_lines())
         completed = load_completed_keys(out.read_text().splitlines())
         assert len(completed) < 4
         # ...and an unguarded --resume finishes exactly the remainder.
@@ -359,7 +382,10 @@ class TestTornTrailingLines:
         assert main(["campaign", str(manifest), "--out", str(out)]) == 0
         capsys.readouterr()
         original = out.read_text().splitlines()
-        # Simulate a kill mid-append of the final row.
+        # A JSONL-era --out (no store beside it) killed mid-append of the
+        # final row. Renderings are atomic, so only such a file can still
+        # carry a torn line.
+        os.remove(tmp_path / "rows.jsonl.db")
         out.write_text("\n".join(original[:2]) + "\n" + original[2][:19])
         assert main(["campaign", str(manifest), "--out", str(out),
                      "--resume"]) == 0
@@ -367,13 +393,11 @@ class TestTornTrailingLines:
         assert "skipped 1 malformed line(s)" in err
         assert "ran 1 of 3 points" in err
         resumed = out.read_text().splitlines()
-        # The torn fragment is preserved verbatim (foreign content is
-        # never deleted from --out) but the damaged point's row was
-        # regenerated, so the complete row set is whole again.
-        assert original[2][:19] in resumed
-        assert sorted(r for r in resumed if r != original[2][:19]) == sorted(
-            original
-        )
+        # The torn fragment was never a row, so the rendering drops it;
+        # the damaged point's row was regenerated, so the complete row
+        # set is whole again.
+        assert original[2][:19] not in resumed
+        assert sorted(resumed) == sorted(original)
 
 
 class TestRowWriter:
@@ -811,10 +835,9 @@ class TestWorkerTeardown:
         )
         try:
             deadline = time.monotonic() + 60
-            # Wait for at least one fsync'd row in the staging file.
+            # Wait for at least one committed row in the --out store.
             while time.monotonic() < deadline:
-                tmp_file = tmp_path / "rows.jsonl.tmp"
-                if tmp_file.exists() and tmp_file.read_text().count("\n") >= 1:
+                if _stored_rows(tmp_path / "rows.jsonl.db") >= 1:
                     break
                 if proc.poll() is not None:
                     pytest.fail("campaign finished before it could be killed")

@@ -32,7 +32,6 @@ ALLOW_SITES = [
     ("src/repro/experiments/store.py", "R101"),
     ("src/repro/util/rng.py", "R102"),
     ("src/repro/experiments/sweep.py", "R301"),
-    ("src/repro/cli.py", "R301"),
     ("src/repro/fullinfo/scenarios.py", "R302"),
     ("src/repro/trees/scenarios.py", "R302"),
 ]

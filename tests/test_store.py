@@ -12,7 +12,10 @@ the ``db import``/``db stats``/``campaign --out results.db`` CLI paths.
 """
 
 import json
+import os
+import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -160,6 +163,31 @@ class TestImportEquivalence:
         with pytest.raises(SystemExit):
             main(["db", "export", str(tmp_path / "nope.db")])
 
+    def test_cli_db_export_failure_keeps_the_target(self, tmp_path):
+        """Exporting a database that is not a results store must fail
+        before the target is touched, not after truncating it."""
+        foreign = tmp_path / "foreign.db"
+        with closing(sqlite3.connect(str(foreign))) as con, con:
+            con.execute("CREATE TABLE t (x)")
+        keep = tmp_path / "keep.jsonl"
+        keep.write_text('{"a":1}\n')
+        with pytest.raises(SystemExit) as excinfo:
+            main(["db", "export", str(foreign), "--out", str(keep)])
+        assert "no such table: results" in str(excinfo.value.code)
+        assert keep.read_text() == '{"a":1}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "foreign.db", "keep.jsonl"
+        ]
+
+    def test_cli_db_export_refuses_to_overwrite_its_store(self, tmp_path):
+        db = tmp_path / "r.db"
+        with ResultStore(str(db)) as store:
+            store.append_row(synthetic_row(1))
+        before = db.read_bytes()
+        with pytest.raises(SystemExit):
+            main(["db", "export", str(db), "--out", str(db)])
+        assert db.read_bytes() == before
+
     def test_duplicate_resume_keys_keep_the_first_copy(self, tmp_path):
         row = synthetic_row(1)
         with ResultStore(str(tmp_path / "r.db")) as store:
@@ -248,6 +276,36 @@ class TestOpenAndRefuse:
         with ResultStore(str(tmp_path / "r.db")) as store:
             with pytest.raises((ConfigurationError, KeyError, TypeError)):
                 store.append_row({"unrelated": 1})
+
+
+class TestRenderJsonl:
+    def test_render_writes_the_export_and_reports_the_count(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("stale\n")
+        with ResultStore(str(tmp_path / "r.db")) as store:
+            for i in range(3):
+                store.append_row(synthetic_row(i))
+            assert store.render_jsonl(str(path)) == 3
+            exported = list(store.export_lines())
+        assert path.read_text().splitlines() == exported
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "r.db", "rows.jsonl"
+        ]
+
+    def test_failed_render_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("previous\n")
+
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
+
+        with ResultStore(str(tmp_path / "r.db")) as store:
+            store.append_row(synthetic_row(1))
+            monkeypatch.setattr(os, "replace", failing_replace)
+            with pytest.raises(OSError):
+                store.render_jsonl(str(path))
+        assert path.read_text() == "previous\n"
+        assert not (tmp_path / "rows.jsonl.render").exists()
 
 
 class TestStoreRowWriter:
