@@ -57,7 +57,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 from urllib.parse import urlparse
 
@@ -72,7 +71,7 @@ from repro.experiments.campaign import (
     slice_ranges,
 )
 from repro.experiments.runner import ExperimentResult
-from repro.httpd import JsonRequestHandler, bind_handler
+from repro.httpd import JsonHTTPServer, JsonRequestHandler, bind_handler
 from repro.metrics import MetricsRegistry, ThroughputMeter
 from repro.util.errors import ConfigurationError
 
@@ -594,7 +593,7 @@ class CoordinatorHandler(JsonRequestHandler):
 
 def make_coordinator_server(
     coordinator: CampaignCoordinator, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
+) -> JsonHTTPServer:
     """A threading HTTP server bound to ``coordinator`` (``port=0``
     binds an ephemeral port — read ``server.server_address`` back)."""
     handler = bind_handler(
@@ -603,7 +602,7 @@ def make_coordinator_server(
         coordinator=coordinator,
         disconnects=coordinator.disconnects,
     )
-    return ThreadingHTTPServer((host, port), handler)
+    return JsonHTTPServer((host, port), handler)
 
 
 def serve_coordinator(
@@ -611,7 +610,7 @@ def serve_coordinator(
     host: str = "127.0.0.1",
     port: int = 0,
     verbose: bool = False,
-) -> Tuple[ThreadingHTTPServer, threading.Thread]:
+) -> Tuple[JsonHTTPServer, threading.Thread]:
     """Start the coordinator's server on a daemon thread and announce
     the bound address on stderr; the caller drains ``results()`` and
     shuts the pair down when the campaign finishes."""

@@ -14,22 +14,25 @@ steps_total, trials, elapsed)``. Outcome keys cross the wire as
 :meth:`ExperimentResult.to_row` applies — so the coordinator's fold
 and the rows it emits are byte-identical to a single-host run.
 
-Failure model: the node is disposable. Connection errors are retried
-with backoff up to ``--retries`` consecutive failures (a coordinator
-restart mid-campaign looks like this); a failed report is abandoned —
+The node holds one persistent HTTP/1.1 connection to the coordinator
+for all its requests, so a lease costs no TCP set-up.
+
+Failure model: the node is disposable. A coordinator restart costs one
+reconnect; connection errors beyond that are retried with backoff up to
+``--retries`` consecutive failures; a failed report is abandoned —
 the lease expires coordinator-side and the range is re-leased, and
 determinism guarantees the retry folds the same numbers. ``kill -9``
 needs no cleanup for the same reason.
 """
 
+import http.client
 import json
 import socket
 import sys
 import time
-import urllib.error
-import urllib.request
 from collections import Counter
 from typing import Any, Dict, Mapping, Optional
+from urllib.parse import urlsplit
 
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool
@@ -43,13 +46,24 @@ DEFAULT_POLL_SECONDS = 0.2
 
 
 class CoordinatorClient:
-    """A minimal JSON-POST client for the coordinator protocol."""
+    """A minimal JSON-POST client for the coordinator protocol.
+
+    Every request goes over one persistent HTTP/1.1 connection, opened
+    on first use. A reused connection the coordinator has since dropped
+    (it restarted, or closed the connection after an error answer) is
+    reopened once and the request re-sent: reports fold exactly once
+    and a lost lease expires, so a repeated request is harmless."""
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         if "://" not in base_url:
             base_url = "http://" + base_url
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urlsplit(self.base_url)
+        self._prefix = parts.path
+        self._connection = http.client.HTTPConnection(
+            parts.netloc, timeout=timeout
+        )
 
     def post(self, path: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """POST ``payload`` as JSON; returns the parsed response object.
@@ -57,29 +71,48 @@ class CoordinatorClient:
         Raises :class:`ConfigurationError` on a 4xx (a protocol bug —
         retrying cannot help) and ``OSError`` on connection trouble
         (the retry loop's signal)."""
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
+        body = json.dumps(payload).encode("utf-8")
+        reused = self._connection.sock is not None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
+            status, data = self._round_trip(path, body)
+        except ConnectionError:
+            if not reused:
+                raise
+            # The coordinator dropped the kept-alive connection (it
+            # restarted, say): reconnect once and re-send.
+            status, data = self._round_trip(path, body)
+        if status >= 400:
             try:
-                detail = json.loads(error.read().decode("utf-8")).get("error")
+                detail = json.loads(data.decode("utf-8")).get("error")
             except Exception:
                 detail = None
             raise ConfigurationError(
-                f"coordinator rejected {path}: "
-                f"{detail or f'HTTP {error.code}'}"
-            ) from None
-        except urllib.error.URLError as error:
-            reason = error.reason
-            if isinstance(reason, OSError):
-                raise reason
-            raise OSError(str(reason)) from None
+                f"coordinator rejected {path}: {detail or f'HTTP {status}'}"
+            )
+        return json.loads(data.decode("utf-8"))
+
+    def _round_trip(self, path: str, body: bytes):
+        """One request and its response; a failure closes the
+        connection and raises ``OSError``."""
+        try:
+            self._connection.request(
+                "POST",
+                self._prefix + path,
+                body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = self._connection.getresponse()
+            return response.status, response.read()
+        except OSError:
+            self.close()
+            raise
+        except http.client.HTTPException as error:
+            self.close()
+            raise ConnectionError(f"coordinator {path}: {error!r}") from None
+
+    def close(self) -> None:
+        """Close the connection; the next :meth:`post` reopens it."""
+        self._connection.close()
 
 
 def lease_fold(
@@ -206,4 +239,5 @@ def run_node(
                     # costs wall-clock only.
                     log(f"report failed ({exc}); lease will be retried")
     finally:
+        client.close()
         pool.close()

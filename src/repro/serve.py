@@ -44,7 +44,6 @@ read-only refusal.
 import json
 import sys
 import threading
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Mapping, Optional
 from urllib.parse import parse_qsl, urlparse
 
@@ -56,7 +55,7 @@ from repro.experiments.pool import WorkerPool
 from repro.experiments.scenario import get_scenario, scenario_names
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import coerce_param
-from repro.httpd import JsonRequestHandler, bind_handler
+from repro.httpd import JsonHTTPServer, JsonRequestHandler, bind_handler
 from repro.metrics import MetricsRegistry, ThroughputMeter
 from repro.util.errors import ConfigurationError
 
@@ -434,11 +433,21 @@ class EstimateHandler(JsonRequestHandler):
             self._send(404, {"error": f"unknown path {parsed.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802
+        # A body left unread must close the connection, or its bytes
+        # would be parsed as the next request on a kept-alive one.
         if urlparse(self.path).path != "/estimate":
+            self.close_connection = True
             self._send(404, {"error": f"unknown path {self.path!r}"})
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            self.close_connection = True
+            self._send(400, {"error": "bad Content-Length"})
+            return
+        try:
             body = json.loads(self.rfile.read(length) or b"{}")
         except ValueError:
             self._send(400, {"error": "body must be a JSON object"})
@@ -478,7 +487,7 @@ class EstimateHandler(JsonRequestHandler):
 
 def make_server(
     service: EstimateService, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
+) -> JsonHTTPServer:
     """A threading HTTP server bound to ``service`` (``port=0`` binds an
     ephemeral port — read it back from ``server.server_address``)."""
     handler = bind_handler(
@@ -487,7 +496,7 @@ def make_server(
         service=service,
         disconnects=service.disconnects,
     )
-    return ThreadingHTTPServer((host, port), handler)
+    return JsonHTTPServer((host, port), handler)
 
 
 def run_server(

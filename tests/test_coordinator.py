@@ -7,6 +7,7 @@ Everything else (exactly-once folding, expiry, the HTTP protocol, the
 ``/metrics`` surface) exists in service of that contract.
 """
 
+import http.client
 import json
 import socket
 import threading
@@ -22,6 +23,7 @@ from repro.experiments import (
     WorkerPool,
     expand_manifest,
     lease_fold,
+    make_coordinator_server,
     run_campaign,
     run_node,
     serve_coordinator,
@@ -369,6 +371,135 @@ class TestHTTP:
             client.post("/lease", {})
         with pytest.raises(ConfigurationError, match="unknown path"):
             client.post("/nonsense", {})
+
+
+def free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def start_server(coordinator, port=0):
+    """A coordinator server on a daemon thread that records the peer
+    address of every connection it accepts in ``server.peers``."""
+    server = make_coordinator_server(coordinator, "127.0.0.1", port)
+    server.peers = []
+    accept = server.process_request
+
+    def record(request, client_address):
+        server.peers.append(client_address)
+        accept(request, client_address)
+
+    server.process_request = record
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
+
+
+def stop_server(server, thread):
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+class TestClientConnection:
+    """The node's client keeps one HTTP/1.1 connection to the
+    coordinator and reconnects once when a reused one was dropped."""
+
+    @pytest.fixture()
+    def live(self):
+        server, thread = start_server(CampaignCoordinator([]))
+        host, port = server.server_address[:2]
+        client = CoordinatorClient(f"{host}:{port}")
+        try:
+            yield server, client
+        finally:
+            client.close()
+            stop_server(server, thread)
+
+    def test_posts_share_one_connection(self, live):
+        server, client = live
+        node = client.post("/register", {"name": "ka"})["node"]
+        for _ in range(19):
+            assert client.post("/lease", {"node": node})["done"]
+        assert len(server.peers) == 1
+
+    def test_round_trips_do_not_stall_on_nagle(self, live):
+        """Headers and body written as two sends on a kept-alive
+        connection without TCP_NODELAY wait out the peer's delayed ACK:
+        about 40 ms per request, 2 s for these 50."""
+        _, client = live
+        node = client.post("/register", {"name": "fast"})["node"]
+        started = time.perf_counter()
+        for _ in range(50):
+            client.post("/lease", {"node": node})
+        assert time.perf_counter() - started < 1.0
+
+    def test_coordinator_restart_costs_one_reconnect(self):
+        port = free_port()
+        first, thread = start_server(CampaignCoordinator([]), port)
+        client = CoordinatorClient(f"127.0.0.1:{port}")
+        try:
+            assert client.post("/register", {"name": "a"})["node"]
+            stop_server(first, thread)
+            restarted = CampaignCoordinator([])
+            second, thread = start_server(restarted, port)
+            try:
+                assert client.post("/register", {"name": "b"})["node"]
+                assert len(second.peers) == 1
+                assert list(restarted.status()["nodes"]) == ["b-1"]
+            finally:
+                stop_server(second, thread)
+        finally:
+            client.close()
+
+    def test_refused_connection_raises_oserror(self):
+        client = CoordinatorClient(f"127.0.0.1:{free_port()}")
+        for _ in range(2):
+            with pytest.raises(OSError):
+                client.post("/register", {})
+
+    def test_garbled_response_raises_oserror(self):
+        """A peer that does not speak HTTP is connection trouble for the
+        retry loop, not an ``http.client`` exception escaping it."""
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+
+            def answer():
+                peer, _ = listener.accept()
+                with peer:
+                    peer.recv(65536)
+                    peer.sendall(b"not http\r\n\r\n")
+
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            port = listener.getsockname()[1]
+            client = CoordinatorClient(f"127.0.0.1:{port}")
+            with pytest.raises(OSError):
+                client.post("/register", {})
+            thread.join(timeout=5)
+
+    def test_unread_body_closes_the_connection(self, live):
+        """A bad Content-Length leaves the body unread; it must not be
+        parsed as the next request on the kept-alive connection."""
+        server, _ = live
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.request(
+                "POST", "/lease",
+                body=f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n",
+                headers={"Content-Length": "not-a-number"},
+            )
+            response = conn.getresponse()
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            response.read()
+            conn.request("GET", "/status")
+            assert "nodes" in json.loads(conn.getresponse().read())
+        finally:
+            conn.close()
 
 
 class TestCli:

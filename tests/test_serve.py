@@ -19,6 +19,7 @@ The load-bearing guarantees, each pinned directly:
   ephemeral-port server.
 """
 
+import http.client
 import json
 import socket
 import struct
@@ -31,6 +32,7 @@ import pytest
 
 import repro.serve as serve_mod
 from repro.experiments import ResultStore, run_scenario
+from repro.httpd import JsonHTTPServer
 from repro.metrics import parse_text
 from repro.serve import ComputeRefused, EstimateService, make_server
 from repro.util.errors import ConfigurationError
@@ -311,6 +313,36 @@ class TestHttpLayer:
         status, _ = fetch(http_service + "/scenarios")
         assert status == 200
 
+    @pytest.mark.parametrize(
+        "path, headers",
+        [("/nope", {}), ("/estimate", {"Content-Length": "-1"})],
+    )
+    def test_unread_body_is_not_parsed_as_the_next_request(
+        self, http_service, path, headers
+    ):
+        """An answer sent before the body was read closes the
+        connection; on a kept-alive one the body used to be parsed as
+        the next request, so ``GET /scenarios`` got the smuggled
+        ``/healthz`` answer."""
+        host, port = http_service.rsplit("/", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            conn.request(
+                "POST", path,
+                body=f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n",
+                headers=headers,
+            )
+            response = conn.getresponse()
+            assert response.status in (400, 404)
+            assert response.getheader("Connection") == "close"
+            response.read()
+            conn.request("GET", "/scenarios")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert SCENARIO in json.loads(response.read())["scenarios"]
+        finally:
+            conn.close()
+
     def test_duplicate_query_params_are_rejected(self, http_service):
         """``?n=8&n=64`` used to silently last-win through
         ``dict(parse_qsl(...))``; ambiguity is now a 400."""
@@ -431,6 +463,39 @@ class TestDisconnects:
         status, payload = fetch(f"http://{host}:{port}" + path)
         assert status == 200
         assert payload["source"] == "store"
+
+    def test_reset_after_a_response_is_counted_not_a_traceback(
+        self, live_service, monkeypatch
+    ):
+        """A kept-alive connection is read again after every response,
+        so a peer that resets it then (a ``kill -9``'d node) raises on
+        the read side. That is a disconnect, not a server error."""
+        errors = []
+        monkeypatch.setattr(
+            JsonHTTPServer, "handle_error",
+            lambda server, request, address: errors.append(address),
+        )
+        service, host, port = live_service
+        sock = socket.create_connection((host, port), timeout=5)
+        sock.sendall(
+            f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        assert response.status == 200
+        response.read()
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        deadline = time.monotonic() + 5
+        while (
+            service.disconnects.value() == 0
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        assert service.disconnects.value() == 1
+        assert errors == []
 
 
 class TestMetricsEndpoint:
