@@ -36,7 +36,6 @@ from repro.experiments import (
     PointScheduler,
     RelativePrecisionPolicy,
     ResultStore,
-    RowWriter,
     StoreRowWriter,
     WilsonWidthPolicy,
     WorkerPool,
@@ -47,15 +46,12 @@ from repro.experiments import (
     get_scenario,
     is_store_path,
     load_completed_keys,
-    load_cost_model,
     load_manifest,
     resolve_workers,
     row_retry_identity,
     run_campaign,
     schedule_names,
     sweep_scenario,
-    timing_record,
-    timings_path,
 )
 from repro.protocols import (
     alead_uni_protocol,
@@ -266,21 +262,18 @@ def _out_lines(args):
     return lines
 
 
-def _resume_keys(args, strict: bool = True):
-    """Resume keys ``--out`` already satisfies, read without creating or
-    writing anything: :func:`load_completed_keys` of a JSONL ``--out``
-    plus the store's completed keys when the store exists. That is
-    exactly the store's key set once the file is imported.
+def _read_out_store(args, strict: bool = True):
+    """``(completed keys, cost model)`` of the store behind ``--out``,
+    read in one read-only open that creates and writes nothing. The
+    model is replayed from the store's timings
+    (:meth:`ResultStore.load_chunker`); a missing store holds neither.
     ``strict=False`` (the ``--dry-run`` posture) turns an unreadable
-    file or store into a warning instead of death."""
-    keys = set()
-    if not is_store_path(args.out):
-        keys = load_completed_keys(_read_rows_file(args.out, strict))
+    store into a warning instead of death."""
     path = _out_store_path(args.out)
     if os.path.exists(path):
         try:
             with ResultStore(path, read_only=True) as store:
-                keys |= store.completed_keys()
+                return store.completed_keys(), store.load_chunker()
         except ConfigurationError as exc:
             if strict:
                 raise SystemExit(f"cannot read --out store: {exc}") from None
@@ -289,16 +282,24 @@ def _resume_keys(args, strict: bool = True):
                 "treating its points as pending]",
                 file=sys.stderr,
             )
-    return keys
+    return set(), AdaptiveChunker()
 
 
 def _load_resume_state(args):
-    """``(lines, completed)`` for a real ``sweep``/``campaign`` run: the
-    checked JSONL lines to import (:func:`_out_lines`), and under
-    ``--resume`` the resume keys to skip."""
+    """``(lines, completed, cost model)`` for a real ``sweep``/``campaign``
+    run: the checked JSONL lines to import (:func:`_out_lines`); under
+    ``--resume`` the resume keys to skip, which are the store's
+    completed keys plus those of ``lines`` (exactly the store's key set
+    once the lines are imported); and the ``--out`` store's cost model,
+    a fresh one without ``--out``."""
     if args.resume and not args.out:
         raise SystemExit("--resume requires --out (the file to resume into)")
-    return _out_lines(args), _resume_keys(args) if args.resume else set()
+    if not args.out:
+        return [], set(), AdaptiveChunker()
+    lines = _out_lines(args)
+    stored, model = _read_out_store(args)
+    completed = stored | load_completed_keys(lines) if args.resume else set()
+    return lines, completed, model
 
 
 def _open_out_store(args, lines) -> ResultStore:
@@ -368,19 +369,14 @@ def _emit_rows(results, args, lines, what: str) -> _EmitOutcome:
     (:meth:`ResultStore.render_jsonl`). A rendering can therefore never
     lose a row, and a failed one leaves the previous file in place.
 
-    Completed results also append an observed-cost record to the
-    ``--out`` timing sidecar, which later runs read back for
-    ``--schedule longest-first`` and adaptive chunk sizing.
+    Completed results also record their wall-clock in the store's
+    timings (:meth:`ResultStore.record_timing`), which later runs read
+    back for ``--schedule longest-first`` and adaptive chunk sizing.
     """
-    store = writer = timing_writer = None
+    store = writer = None
     if args.out:
         store = _open_out_store(args, lines)
         writer = StoreRowWriter(store.path, store=store)
-        try:
-            timing_writer = RowWriter(timings_path(args.out), append=True)
-        except OSError as exc:
-            writer.close()
-            raise SystemExit(f"cannot write --out timing sidecar: {exc}") from None
     outcome = _EmitOutcome()
     failure = None
     interrupted = False
@@ -392,10 +388,7 @@ def _emit_rows(results, args, lines, what: str) -> _EmitOutcome:
             print(line)
             if writer:
                 writer.append(line)
-            if timing_writer:
-                record = timing_record(result)
-                if record is not None:
-                    timing_writer.append(json.dumps(record, sort_keys=True))
+                store.record_timing(result)
             status = " TIMED OUT after" if result.timed_out else " trials in"
             print(
                 f"  [{result.scenario} {result.params}: "
@@ -412,8 +405,6 @@ def _emit_rows(results, args, lines, what: str) -> _EmitOutcome:
         interrupted = True
         raise
     finally:
-        if timing_writer:
-            timing_writer.close()
         if writer:
             rendered = _render_out(args, store)
             writer.close()
@@ -477,18 +468,6 @@ def _budget_from_args(args):
         raise SystemExit(str(exc)) from None
 
 
-def _cli_chunker(args, cost_model=None) -> "AdaptiveChunker | None":
-    """The run's adaptive chunker, seeded from the ``--out`` timing
-    sidecar when one exists — so a re-run starts from last night's
-    per-trial costs instead of re-calibrating. An explicit
-    ``--chunk-size`` pins sizing and disables the chunker entirely."""
-    if args.chunk_size is not None:
-        return None
-    if cost_model is None and args.out:
-        cost_model = load_cost_model(timings_path(args.out))
-    return AdaptiveChunker(cost_model=cost_model)
-
-
 def _cmd_sweep(args) -> int:
     if args.list:
         for name, desc, _tags, defaults, _batch in _scenario_rows():
@@ -500,7 +479,7 @@ def _cmd_sweep(args) -> int:
         raise SystemExit(f"--trials must be >= 0, got {args.trials}")
     budget = _budget_from_args(args)
     grid = _parse_grid(args.param)
-    lines, completed = _load_resume_state(args)
+    lines, completed, model = _load_resume_state(args)
     # sweep_scenario validates the scenario and the whole grid eagerly —
     # a typo'd re-run fails here, before a store is created.
     try:
@@ -515,7 +494,7 @@ def _cmd_sweep(args) -> int:
             completed=completed,
             budget=budget,
             chunk_size=args.chunk_size,
-            chunker=_cli_chunker(args),
+            chunker=None if args.chunk_size is not None else model,
         )
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None
@@ -535,7 +514,7 @@ def _campaign_dry_run(args, points, scheduler, completed) -> int:
     One stdout line per point in *admission* order — status
     (``done`` = its resume key already has a row in ``--out``,
     ``pending`` = it would run), scheduled cost, estimated seconds when
-    the timing sidecar has observed the scenario, and the point's full
+    the store's cost model can price the point, and the point's full
     identity — then a stderr summary matching the real run's footer,
     with an estimated total and ideal makespan when costs are observed.
     Nothing is executed, and no store is created, imported into or
@@ -598,21 +577,26 @@ def _campaign_dry_run(args, points, scheduler, completed) -> int:
     return 0
 
 
-def _campaign_metrics(pool, chunker, total_points):
+def _campaign_metrics(pool, cost_model, total_points):
     """Registry + row observer behind ``campaign --metrics-port``.
 
     Returns ``(registry, observe)``: the registry scrapes the pool's
-    chunk counters and the chunker's per-trial costs live, and
-    ``observe`` wraps the campaign's result iterator so every emitted
-    row feeds the trial/point counters and the throughput meter as it
-    streams past — the same numbers the coordinator exports for
-    distributed runs, for the single-host case.
+    chunk counters and the cost model's per-trial seconds live
+    (:func:`~repro.metrics.register_run_metrics`), and ``observe`` wraps
+    the campaign's result iterator so every emitted row feeds the
+    trial/point counters and the throughput meter as it streams past —
+    the same numbers the coordinator exports for distributed runs, for
+    the single-host case.
     """
-    from repro.metrics import MetricsRegistry, ThroughputMeter
+    from repro.metrics import MetricsRegistry, register_run_metrics
 
     registry = MetricsRegistry()
-    trials = registry.counter(
-        "repro_trials_total", "Trials folded into emitted rows"
+    count_trials = register_run_metrics(
+        registry,
+        "Trials folded into emitted rows",
+        workers=pool.workers,
+        pool=lambda: pool,
+        cost_model=cost_model,
     )
     points_done = registry.counter(
         "repro_points_completed",
@@ -621,47 +605,16 @@ def _campaign_metrics(pool, chunker, total_points):
     timed_out = registry.counter(
         "repro_points_timed_out_total", "Timed-out partial rows emitted"
     )
-    points_total = registry.gauge(
+    registry.gauge(
         "repro_points_total", "Points in the expanded manifest"
-    )
-    points_total.set(total_points)
-    workers = registry.gauge(
-        "repro_pool_workers", "Worker processes in the shared pool"
-    )
-    workers.set(pool.workers)
-    chunks = registry.counter(
-        "repro_pool_chunks_total",
-        "Worker chunks by disposition (pool lifetime)",
-    )
-    meter = ThroughputMeter()
-    rate = registry.gauge(
-        "repro_trials_per_second",
-        "Trials folded over the last sliding window",
-    )
-    per_trial = registry.gauge(
-        "repro_per_trial_seconds",
-        "Observed EWMA per-trial seconds by scenario",
-    )
-
-    def scrape():
-        rate.set(meter.rate())
-        for disposition, count in sorted(pool.counters().items()):
-            chunks.set_total(count, disposition=disposition)
-        if chunker is not None:
-            for scenario in chunker.scenarios():
-                cost = chunker.per_trial_seconds(scenario)
-                if cost is not None:
-                    per_trial.set(cost, scenario=scenario)
-
-    registry.collect(scrape)
+    ).set(total_points)
 
     def observe(results):
         for result in results:
             points_done.inc()
             if result.timed_out:
                 timed_out.inc()
-            trials.inc(result.trials)
-            meter.observe(result.trials)
+            count_trials(result.trials)
             yield result
 
     return registry, observe
@@ -674,18 +627,7 @@ def _cmd_campaign(args) -> int:
     # expansion — unknown scenarios/tags/grid keys/budgets all fail
     # before any trial runs and before a previous --out file is touched.
     try:
-        # One sidecar parse feeds both consumers: longest-first ordering
-        # / --dry-run estimates, and the adaptive chunker's starting
-        # per-trial costs. A pinned --chunk-size manifest-order run
-        # still skips the parse — nothing would ever look at it.
-        cost_model = None
-        if args.out and (
-            args.schedule == "longest-first"
-            or args.dry_run
-            or args.chunk_size is None
-        ):
-            cost_model = load_cost_model(timings_path(args.out))
-        scheduler = PointScheduler(args.schedule, cost_model=cost_model)
+        scheduler = PointScheduler(args.schedule)
         points = load_manifest(args.manifest)
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None
@@ -704,9 +646,18 @@ def _cmd_campaign(args) -> int:
         # point is pending, never a crash.
         if args.resume and not args.out:
             raise SystemExit("--resume requires --out (the file to resume into)")
-        completed = _resume_keys(args, strict=False) if args.out else set()
+        completed = set()
+        if args.out:
+            completed, scheduler.cost_model = _read_out_store(args, strict=False)
+            if not is_store_path(args.out):
+                completed |= load_completed_keys(
+                    _read_rows_file(args.out, strict=False)
+                )
         return _campaign_dry_run(args, points, scheduler, completed)
-    lines, completed = _load_resume_state(args)
+    lines, completed, model = _load_resume_state(args)
+    # One model feeds both consumers: longest-first ordering, and the
+    # adaptive chunker's starting per-trial costs.
+    scheduler.cost_model = model
     if args.coordinate:
         if args.metrics_port is not None:
             raise SystemExit(
@@ -718,7 +669,7 @@ def _cmd_campaign(args) -> int:
     # an injected one) so the /metrics scrape reads live chunk counters
     # while trials run; without the flag, run_campaign manages its own
     # pool exactly as before.
-    chunker = _cli_chunker(args, cost_model=cost_model)
+    chunker = None if args.chunk_size is not None else model
     pool = None
     observe = None
     metrics_server = None
@@ -727,7 +678,7 @@ def _cmd_campaign(args) -> int:
         from repro.httpd import serve_metrics
 
         pool = WorkerPool(resolve_workers(args.workers))
-        registry, observe = _campaign_metrics(pool, chunker, len(points))
+        registry, observe = _campaign_metrics(pool, model, len(points))
         try:
             metrics_server, metrics_thread = serve_metrics(
                 registry, port=args.metrics_port
@@ -1231,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=schedule_names(),
         help="admission order of the expanded points (longest-first "
              "shaves stragglers on wide grids, using observed per-trial "
-             "seconds from the --out timing sidecar when available; "
+             "seconds from the --out store when available; "
              "rows are identical either way)",
     )
     p.add_argument(

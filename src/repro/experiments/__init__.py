@@ -67,11 +67,9 @@ from repro.experiments.budget import (
 from repro.experiments.campaign import (
     CampaignDeadline,
     CampaignPoint,
-    CostModel,
     PointScheduler,
     PointState,
     expand_manifest,
-    load_cost_model,
     load_manifest,
     retry_identity,
     row_retry_identity,
@@ -79,8 +77,6 @@ from repro.experiments.campaign import (
     schedule_names,
     scheduled_cost,
     slice_ranges,
-    timing_record,
-    timings_path,
 )
 from repro.experiments.chunking import (
     CALIBRATION_TRIALS,
@@ -124,6 +120,7 @@ from repro.experiments.store import (
     StoreRowWriter,
     is_store_path,
     params_blob,
+    timing_record,
 )
 from repro.experiments.sweep import (
     RowWriter,
@@ -150,7 +147,6 @@ __all__ = [
     "CampaignDeadline",
     "CampaignPoint",
     "CoordinatorClient",
-    "CostModel",
     "DEFAULT_LEASE_TRIALS",
     "DEFAULT_LEASE_TTL",
     "MIN_CHUNK_SECONDS",
@@ -166,7 +162,6 @@ __all__ = [
     "as_policy",
     "expand_manifest",
     "lease_fold",
-    "load_cost_model",
     "load_manifest",
     "make_coordinator_server",
     "policy_names",
@@ -181,7 +176,6 @@ __all__ = [
     "serve_coordinator",
     "slice_ranges",
     "timing_record",
-    "timings_path",
     "Params",
     "ScenarioSpec",
     "all_scenarios",

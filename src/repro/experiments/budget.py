@@ -270,9 +270,9 @@ class BudgetPolicy:
 
         The realized count is an *outcome* of the run, unknown at
         planning time, so cost estimation (``longest-first`` admission,
-        ``--dry-run`` makespans, the campaign
-        :class:`~repro.experiments.campaign.CostModel`) plans for the
-        worst case. Never part of any identity — purely advisory.
+        ``--dry-run`` makespans, the observed cost model in
+        :class:`~repro.experiments.chunking.AdaptiveChunker`) plans for
+        the worst case. Never part of any identity — purely advisory.
         """
         return self.max_trials
 

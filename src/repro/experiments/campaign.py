@@ -58,16 +58,17 @@ Unattended robustness (the overnight contract):
   :class:`CampaignDeadline` — by then every finished row has been
   yielded, so the caller's stream is a complete checkpoint (the CLI
   finalises ``--out`` and exits with a distinct code).
-- **Observed-cost scheduling**: a :class:`CostModel` (EWMA per-trial
-  seconds per scenario, learned from the ``<out>.timings`` sidecar of
-  previous runs) feeds ``longest-first`` real seconds instead of the
+- **Observed-cost scheduling**: the
+  :class:`~repro.experiments.chunking.AdaptiveChunker` cost model (EWMA
+  per-trial seconds per scenario, replayed from the timings previous
+  runs left in the ``--out`` store) feeds ``longest-first`` real
+  seconds instead of the
   ``trials × outcome-size`` proxy, falling back to the proxy for
   scenarios it has never seen. Scheduling stays pure admission metadata:
   rows and resume keys are identical whatever the cost source.
 """
 
 import json
-import math
 import queue
 import time
 from collections import Counter, deque
@@ -342,188 +343,6 @@ def _planning_trials(point: CampaignPoint) -> int:
 CostedPoints = List[Tuple[CampaignPoint, int]]
 
 
-class CostModel:
-    """Observed wall-clock costs: an EWMA of per-trial seconds per scenario.
-
-    The ``trials × outcome-size`` proxy behind :func:`scheduled_cost`
-    ranks points of one scenario correctly but knows nothing about how
-    expensive scenarios are *relative to each other* — a 50-trial cubic
-    attack on a 170-ring dwarfs a 5000-trial coin toss in real seconds.
-    A ``CostModel`` closes that gap from evidence: every completed
-    (never timed-out) point contributes its realized
-    ``(trials, elapsed)`` to an exponentially-weighted moving average of
-    per-trial seconds for its scenario, newest observation weighted
-    ``alpha``. The CLI persists observations in a ``<out>.timings``
-    sidecar (see :func:`timing_record` / :func:`load_cost_model`), so a
-    resumed or repeated campaign schedules on what the machine actually
-    measured last time.
-
-    Two estimation tiers, so every point stays comparable on one scale:
-
-    - a scenario the model has **seen** is estimated at
-      ``planned trials × EWMA per-trial seconds``;
-    - an **unseen** scenario falls back to its proxy cost times a
-      global seconds-per-proxy-unit EWMA (calibrated from the same
-      observations), keeping the ranking in seconds;
-    - an **empty** model estimates nothing — callers keep the raw proxy
-      ordering, byte-compatible with cost-model-free campaigns.
-
-    Determinism: the model is a pure fold over observation order, and
-    estimation reads only ``(point, model)`` — the same sidecar file
-    yields the same admission order at any worker count. Estimates are
-    scheduling metadata only; rows and resume keys never see them.
-    """
-
-    def __init__(self, alpha: float = 0.5):
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._per_trial: Dict[str, float] = {}
-        self._per_unit: Optional[float] = None
-
-    @property
-    def observed(self) -> bool:
-        """Whether the model has absorbed at least one observation."""
-        return bool(self._per_trial) or self._per_unit is not None
-
-    def scenarios(self) -> List[str]:
-        """Sorted scenario names with an observed per-trial cost."""
-        return sorted(self._per_trial)
-
-    def per_trial_seconds(self, scenario: str) -> Optional[float]:
-        """The scenario's EWMA per-trial seconds (None when unseen)."""
-        return self._per_trial.get(scenario)
-
-    def observe(
-        self,
-        scenario: Any,
-        trials: Any,
-        elapsed: Any,
-        cost_units: Any = None,
-    ) -> bool:
-        """Fold one completed point's wall clock into the model.
-
-        Returns whether the observation was accepted. Foreign or
-        non-positive values are *rejected*, not raised — sidecar records
-        come from a file a crash may have torn, and a bad record must
-        only cost the model an observation, never the campaign a run.
-        """
-        if not isinstance(scenario, str):
-            return False
-        if not isinstance(trials, int) or isinstance(trials, bool) or trials <= 0:
-            return False
-        # `not >` plus isfinite (instead of `<= 0`): JSON happily parses
-        # NaN/Infinity, and one such record folded into the EWMA would
-        # poison every estimate — and the sort built on them — forever.
-        if (
-            not isinstance(elapsed, (int, float))
-            or isinstance(elapsed, bool)
-            or not elapsed > 0
-            or not math.isfinite(elapsed)
-        ):
-            return False
-        per = elapsed / trials
-        prev = self._per_trial.get(scenario)
-        self._per_trial[scenario] = (
-            per if prev is None else self.alpha * per + (1 - self.alpha) * prev
-        )
-        if (
-            isinstance(cost_units, (int, float))
-            and not isinstance(cost_units, bool)
-            and cost_units > 0
-            and math.isfinite(cost_units)
-        ):
-            unit = elapsed / cost_units
-            self._per_unit = (
-                unit
-                if self._per_unit is None
-                else self.alpha * unit + (1 - self.alpha) * self._per_unit
-            )
-        return True
-
-    def estimate_seconds(
-        self,
-        point: CampaignPoint,
-        cost_units: Optional[int] = None,
-        spec: Optional[ScenarioSpec] = None,
-    ) -> Optional[float]:
-        """Estimated wall-clock seconds for ``point`` (None when the
-        model is empty). ``cost_units`` (the point's already-computed
-        proxy cost) spares the unseen-scenario tier a spec lookup."""
-        per = self._per_trial.get(point.scenario)
-        if per is not None:
-            return _planning_trials(point) * per
-        if self._per_unit is not None:
-            units = cost_units
-            if units is None:
-                units = scheduled_cost(point, spec)
-            return units * self._per_unit
-        return None
-
-
-def timings_path(out_path: str) -> str:
-    """The timing-sidecar path belonging to a row store.
-
-    Timing lives *next to* the rows, never inside them: rows are the
-    deterministic artifact (byte-identical across runs, schedules, and
-    worker counts — the property every resume and golden-row contract
-    stands on), while wall-clock is machine noise. One sidecar line per
-    completed point keeps both.
-    """
-    return f"{out_path}.timings"
-
-
-def timing_record(result) -> Optional[Dict[str, Any]]:
-    """The sidecar record of one finished result, or ``None`` when it
-    carries no usable cost signal (timed-out or empty results: their
-    elapsed is an artifact of the guard, and feeding it to the EWMA
-    would teach the scheduler that pathological points are cheap)."""
-    if result.timed_out or not result.trials or result.elapsed <= 0:
-        return None
-    record = {
-        "scenario": result.scenario,
-        "trials": result.trials,
-        "elapsed": round(result.elapsed, 6),
-    }
-    try:
-        spec = get_scenario(result.scenario)
-    except ConfigurationError:
-        return record  # ad-hoc scenario: per-trial tier only
-    record["cost"] = result.trials * max(spec.size(result.params), 1)
-    return record
-
-
-def load_cost_model(path: str, alpha: float = 0.5) -> CostModel:
-    """Rebuild a :class:`CostModel` from a timing sidecar file.
-
-    Missing or unreadable files and torn/foreign lines cost
-    observations, never the campaign: the model simply knows less and
-    the scheduler degrades to the proxy ordering.
-    """
-    model = CostModel(alpha=alpha)
-    try:
-        with open(path) as f:
-            lines = f.readlines()
-    except OSError:
-        return model
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, Mapping):
-            model.observe(
-                record.get("scenario"),
-                record.get("trials"),
-                record.get("elapsed"),
-                record.get("cost"),
-            )
-    return model
-
-
 #: Registered scheduling-strategy names.
 _SCHEDULES = ("manifest-order", "longest-first")
 
@@ -544,7 +363,9 @@ class PointScheduler:
       expensive stragglers start while the pool still has company and
       the tail of the campaign is made of short points — the classic
       LPT heuristic for shaving makespan on wide grids. Cost is the
-      ``cost_model``'s estimated *seconds* when it has observations
+      ``cost_model``'s (an
+      :class:`~repro.experiments.chunking.AdaptiveChunker`'s) estimated
+      *seconds* when it has observations
       (real measured time, the quantity LPT actually wants), and the
       :func:`scheduled_cost` proxy otherwise.
 
@@ -559,7 +380,7 @@ class PointScheduler:
     def __init__(
         self,
         name: str = "manifest-order",
-        cost_model: Optional[CostModel] = None,
+        cost_model: Optional[AdaptiveChunker] = None,
     ):
         if name not in _SCHEDULES:
             raise ConfigurationError(
@@ -570,13 +391,16 @@ class PointScheduler:
         self.cost_model = cost_model
 
     def estimate_seconds(
-        self, point: CampaignPoint, cost_units: Optional[int] = None
+        self, point: CampaignPoint, cost_units: int
     ) -> Optional[float]:
-        """The cost model's seconds estimate for ``point`` (None without
-        an observed model) — what ``--dry-run`` prints per line."""
+        """The cost model's seconds estimate for ``point``, whose
+        :func:`scheduled_cost` is ``cost_units`` (None without an
+        observed model) — what ``--dry-run`` prints per line."""
         if self.cost_model is None:
             return None
-        return self.cost_model.estimate_seconds(point, cost_units=cost_units)
+        return self.cost_model.estimate_seconds(
+            point.scenario, _planning_trials(point), cost_units
+        )
 
     def plan(self, points: Sequence[CampaignPoint]) -> CostedPoints:
         """Admission-ordered ``(point, scheduled cost)`` pairs.
@@ -614,16 +438,15 @@ class PointScheduler:
     def _seconds_ranks(self, costed: CostedPoints) -> Optional[List[float]]:
         """Per-point seconds estimates, or ``None`` unless the model can
         price *every* point — a model that has per-trial observations
-        but no per-unit calibration (e.g. a sidecar of cost-less
-        records) cannot rank unseen scenarios in seconds, and mixing
+        but no per-unit calibration (e.g. observations from chunk folds
+        alone, which carry no cost units) cannot rank unseen scenarios in seconds, and mixing
         seconds with proxy units in one sort would be meaningless, so
         the whole plan falls back to the proxy scale together."""
-        model = self.cost_model
-        if model is None or not model.observed:
+        if self.cost_model is None or not self.cost_model.observed:
             return None
         ranks = []
         for point, cost in costed:
-            seconds = model.estimate_seconds(point, cost_units=cost)
+            seconds = self.estimate_seconds(point, cost)
             if seconds is None:
                 return None
             ranks.append(seconds)
@@ -1144,9 +967,10 @@ def run_campaign(
 
     Chunk sizing is cost-adaptive by default: a shared
     :class:`~repro.experiments.chunking.AdaptiveChunker` (a fresh one
-    unless ``chunker`` is given — pass one seeded from a ``.timings``
-    sidecar to start warm) learns per-trial seconds from every folded
-    chunk and sizes later dispatches toward its wall-seconds target.
+    unless ``chunker`` is given — pass one replayed from an ``--out``
+    store's timings to start warm) learns per-trial seconds from every
+    folded chunk and sizes later dispatches toward its wall-seconds
+    target.
     An explicit ``chunk_size`` disables it and pins the size instead.
     Chunking never affects the emitted rows, only scheduling.
 

@@ -1,4 +1,4 @@
-"""Cost-adaptive chunk sizing: observed seconds decide trials-per-chunk.
+"""The observed cost model: per-trial seconds, and chunks sized from them.
 
 The static heuristic the runner shipped with — ``count // (workers * 4)``
 — sizes chunks by *trial count*, which was the right proxy when every
@@ -11,17 +11,18 @@ paying a pool round-trip for 30 µs of arithmetic) or would starve
 deadline responsiveness on slow scenarios if simply made coarser.
 
 :class:`AdaptiveChunker` replaces the proxy with the quantity the
-heuristic was always approximating: **wall-seconds per chunk**. It wraps
-the same :class:`~repro.experiments.campaign.CostModel` EWMA the
-campaign scheduler learns from (so a ``.timings`` sidecar seeds it
-across runs, and every folded chunk sharpens it in-run) and sizes chunks
-toward :data:`TARGET_CHUNK_SECONDS`, floored at
-:data:`MIN_CHUNK_SECONDS` so cheap scenarios are never shredded for
-load balance, and capped at an even split across the workers so
-expensive ones still parallelise. Scenarios the model has never seen
-fall back to the static heuristic (returning ``None`` here), optionally
-after a bounded *calibration* chunk — see
-:meth:`AdaptiveChunker.calibration_trials`.
+heuristic was always approximating: **wall-seconds per chunk**. It is
+the one cost model of the system — an EWMA of per-trial seconds per
+scenario, which the ``longest-first`` campaign scheduler ranks points
+by, the coordinator keeps per node, and the ``--out`` store persists
+(its ``timings`` table seeds it across runs, and every folded chunk
+sharpens it in-run). Chunks are sized toward
+:data:`TARGET_CHUNK_SECONDS`, floored at :data:`MIN_CHUNK_SECONDS` so
+cheap scenarios are never shredded for load balance, and capped at an
+even split across the workers so expensive ones still parallelise.
+Scenarios the model has never seen fall back to the static heuristic
+(returning ``None`` here), optionally after a bounded *calibration*
+chunk — see :meth:`AdaptiveChunker.calibration_trials`.
 
 The contract that makes all of this free to take: **chunking never
 affects results**. Trial ``i``'s seed is a pure function of
@@ -30,17 +31,12 @@ rows are byte-identical however the index range is sliced — the
 1-vs-4-worker determinism and golden-row suites pin it. Chunk sizing
 may therefore depend on wall-clock measurements without ever
 threatening reproducibility: it is scheduling metadata, exactly like
-the admission order the cost model already feeds.
+the admission order the same model feeds.
 """
 
 import math
 import threading
-from typing import TYPE_CHECKING, Optional
-
-from repro.util.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.experiments.campaign import CostModel
+from typing import Any, Dict, List, Optional
 
 #: Wall-seconds one chunk should cost: coarse enough that dispatch and
 #: kernel-call overhead vanish next to trial work, fine enough that
@@ -54,6 +50,9 @@ TARGET_CHUNK_SECONDS = 0.25
 #: four processes is how the static heuristic lost its factor.
 MIN_CHUNK_SECONDS = 0.05
 
+#: EWMA weight of the newest observation.
+ALPHA = 0.5
+
 #: Trials in the calibration chunk of a scenario the model has never
 #: seen. Matches :data:`~repro.experiments.pool.STREAM_CHUNK_TRIALS`:
 #: big enough to amortise per-chunk overhead out of the first per-trial
@@ -62,14 +61,39 @@ MIN_CHUNK_SECONDS = 0.05
 CALIBRATION_TRIALS = 256
 
 
-class AdaptiveChunker:
-    """Sizes worker chunks from observed per-trial seconds.
+def _positive(value: Any) -> bool:
+    """Whether ``value`` is a finite positive number (bools excluded)."""
+    # `not >` plus isfinite (instead of `<= 0`): JSON and SQLite happily
+    # hand back NaN/Infinity, and one such value folded into the EWMA
+    # would poison every estimate — and the sort built on them — forever.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and value > 0
+        and math.isfinite(value)
+    )
 
-    Wraps a :class:`~repro.experiments.campaign.CostModel` (its own by
-    default, or a shared one — the CLI hands the same instance to the
-    chunker and the ``longest-first`` scheduler so one ``.timings``
-    sidecar feeds both). Thread-safe: the estimate service observes
-    folds from many request threads against one chunker.
+
+class AdaptiveChunker:
+    """Observed per-trial seconds, and the chunk sizes they imply.
+
+    Two estimation tiers, so every campaign point stays comparable on
+    one scale (:meth:`estimate_seconds`):
+
+    - a scenario the model has **seen** is estimated at
+      ``planned trials × EWMA per-trial seconds``;
+    - an **unseen** scenario falls back to its proxy cost units times a
+      global seconds-per-unit EWMA, calibrated from observations that
+      carried their cost units (the store's timing records do);
+    - an **empty** model estimates nothing — callers keep the raw proxy
+      ordering, byte-compatible with cost-model-free campaigns.
+
+    Thread-safe: the estimate service observes folds from many request
+    threads against one chunker, and the CLI hands the same instance to
+    the ``longest-first`` scheduler and to the campaign. The model is a
+    pure fold over observation order, so the same stored timings yield
+    the same admission order at any worker count. Estimates are
+    scheduling metadata only; rows and resume keys never see them.
 
     ``chunk_size`` answers with ``None`` for scenarios the model has no
     evidence about — the caller (:func:`~repro.experiments.runner.
@@ -77,65 +101,80 @@ class AdaptiveChunker:
     explicit user ``chunk_size`` always wins before either is consulted.
     """
 
-    #: Lock discipline, checked by ``python -m repro lint`` (R201):
-    #: the shared CostModel is read by every dispatching thread and
-    #: written by observe() — PR 9 fixed exactly this class of
-    #: unlocked-read bug by hand.
-    _GUARDED_BY = {"cost_model": "_lock"}
+    #: Lock discipline, checked by ``python -m repro lint`` (R201): the
+    #: EWMA state is read by every dispatching thread and written by
+    #: observe() — PR 9 fixed exactly this class of unlocked-read bug by
+    #: hand.
+    _GUARDED_BY = {"_per_trial": "_lock", "_per_unit": "_lock"}
 
-    def __init__(
-        self,
-        cost_model: Optional["CostModel"] = None,
-        target_seconds: float = TARGET_CHUNK_SECONDS,
-        min_seconds: float = MIN_CHUNK_SECONDS,
-    ):
-        if not target_seconds > 0 or not min_seconds > 0:
-            raise ConfigurationError(
-                "chunk duration targets must be positive, got "
-                f"target={target_seconds!r} min={min_seconds!r}"
-            )
-        if min_seconds > target_seconds:
-            raise ConfigurationError(
-                f"min_seconds ({min_seconds}) cannot exceed "
-                f"target_seconds ({target_seconds})"
-            )
-        if cost_model is None:
-            # Imported here, not at module level: campaign.py builds on
-            # the runner, which builds on this module.
-            from repro.experiments.campaign import CostModel
-
-            cost_model = CostModel()
-        self.cost_model = cost_model
-        self.target_seconds = target_seconds
-        self.min_seconds = min_seconds
+    def __init__(self):
+        self._per_trial: Dict[str, float] = {}
+        self._per_unit: Optional[float] = None
         self._lock = threading.Lock()
 
+    @property
+    def observed(self) -> bool:
+        """Whether the model has absorbed at least one observation."""
+        with self._lock:
+            return bool(self._per_trial) or self._per_unit is not None
+
     def per_trial_seconds(self, scenario: str) -> Optional[float]:
-        """The model's EWMA per-trial seconds (None when unseen).
+        """The scenario's EWMA per-trial seconds (None when unseen)."""
+        with self._lock:
+            return self._per_trial.get(scenario)
 
-        Locked like every other path to the shared model: the estimate
-        service (and now the campaign coordinator) reads this from
-        request threads while compute threads ``observe()`` — an
-        unlocked read races the model's internal dict writes.
+    def scenarios(self) -> List[str]:
+        """Sorted scenario names with an observed cost (the ``/metrics``
+        per-scenario cost gauge iterates this)."""
+        with self._lock:
+            return sorted(self._per_trial)
+
+    def observe(
+        self, scenario: Any, trials: Any, elapsed: Any, cost_units: Any = None
+    ) -> bool:
+        """Fold one measured ``(trials, elapsed)`` into the model, and
+        ``elapsed / cost_units`` into the per-unit tier when given.
+
+        Returns whether the observation was accepted. Foreign or
+        non-positive values are *rejected*, not raised — stored timings
+        may be damaged and a clock may hiccup, and either must only
+        cost the model an observation, never the campaign a run.
         """
+        if not isinstance(scenario, str):
+            return False
+        if not isinstance(trials, int) or isinstance(trials, bool) or trials <= 0:
+            return False
+        if not _positive(elapsed):
+            return False
+        per = elapsed / trials
+        unit = elapsed / cost_units if _positive(cost_units) else None
         with self._lock:
-            return self.cost_model.per_trial_seconds(scenario)
+            prev = self._per_trial.get(scenario)
+            self._per_trial[scenario] = (
+                per if prev is None else ALPHA * per + (1 - ALPHA) * prev
+            )
+            if unit is not None:
+                self._per_unit = (
+                    unit
+                    if self._per_unit is None
+                    else ALPHA * unit + (1 - ALPHA) * self._per_unit
+                )
+        return True
 
-    def scenarios(self) -> list:
-        """Sorted scenario names with an observed cost (locked snapshot
-        — the ``/metrics`` per-scenario cost gauge iterates this)."""
+    def estimate_seconds(
+        self, scenario: str, planned_trials: int, cost_units: Optional[int]
+    ) -> Optional[float]:
+        """Estimated wall-clock seconds for ``planned_trials`` trials of
+        ``scenario`` whose proxy cost is ``cost_units`` (None when the
+        model can price neither tier)."""
         with self._lock:
-            return self.cost_model.scenarios()
-
-    def observe(self, scenario: str, trials: int, elapsed: float) -> bool:
-        """Fold one chunk's measured ``(trials, elapsed)`` into the model.
-
-        Same tolerance as :meth:`CostModel.observe`: foreign or
-        non-positive values are rejected, never raised — a clock hiccup
-        must only cost an observation.
-        """
-        with self._lock:
-            return self.cost_model.observe(scenario, trials, elapsed)
+            per = self._per_trial.get(scenario)
+            unit = self._per_unit
+        if per is not None:
+            return planned_trials * per
+        if unit is not None and cost_units is not None:
+            return cost_units * unit
+        return None
 
     def chunk_size(self, scenario: str, count: int, workers: int = 1) -> Optional[int]:
         """Trials per chunk for ``count`` trials of ``scenario``, or
@@ -144,25 +183,28 @@ class AdaptiveChunker:
 
         Three forces, in priority order:
 
-        - chunks never exceed :attr:`target_seconds` (responsiveness:
-          deadlines and rebalancing act at chunk boundaries);
+        - chunks never exceed :data:`TARGET_CHUNK_SECONDS`
+          (responsiveness: deadlines and rebalancing act at chunk
+          boundaries);
         - subject to that, the range splits across the workers (load
           balance — trials of one point are uniform, so an even split
           is also the minimal-dispatch one);
-        - but never below :attr:`min_seconds` per chunk (cheap work is
-          run in fewer, larger chunks instead of being shredded —
-          splitting 30 µs of kernel time four ways buys nothing but
+        - but never below :data:`MIN_CHUNK_SECONDS` per chunk (cheap
+          work is run in fewer, larger chunks instead of being shredded
+          — splitting 30 µs of kernel time four ways buys nothing but
           IPC).
         """
         if count <= 0:
             return None
         with self._lock:
-            per = self.cost_model.per_trial_seconds(scenario)
-        if per is None or not per > 0 or not math.isfinite(per):
+            per = self._per_trial.get(scenario)
+        # observe() admits only finite positive costs, but a quotient of
+        # a tiny elapsed and a huge trial count can still underflow to 0.
+        if per is None or not per > 0:
             return None
-        target = max(1, int(self.target_seconds / per))
+        target = max(1, int(TARGET_CHUNK_SECONDS / per))
         balanced = math.ceil(count / max(workers, 1))
-        floor = max(1, int(self.min_seconds / per))
+        floor = max(1, int(MIN_CHUNK_SECONDS / per))
         size = max(min(target, balanced), floor)
         return max(1, min(size, count))
 

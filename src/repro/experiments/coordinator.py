@@ -62,7 +62,6 @@ from urllib.parse import urlparse
 
 from repro.experiments.campaign import (
     CampaignPoint,
-    CostModel,
     PointDriver,
     PointState,
     ScheduleRef,
@@ -70,9 +69,10 @@ from repro.experiments.campaign import (
     pending_points,
     slice_ranges,
 )
+from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.runner import ExperimentResult
 from repro.httpd import JsonHTTPServer, JsonRequestHandler, bind_handler
-from repro.metrics import MetricsRegistry, ThroughputMeter
+from repro.metrics import MetricsRegistry, register_run_metrics
 from repro.util.errors import ConfigurationError
 
 #: Trials per lease: coarse enough that lease round-trips vanish next to
@@ -128,8 +128,8 @@ class CampaignCoordinator:
     #: Lock discipline, checked by ``python -m repro lint`` (R201).
     #: ``_driver`` is the whole admit/batch/fold state, so every driver
     #: call happens under the lock. Not listed: ``_results`` (a
-    #: thread-safe queue.Queue), and ``_meter`` and the metric objects
-    #: (internally locked).
+    #: thread-safe queue.Queue), and ``_count_trials`` and the metric
+    #: objects (internally locked).
     _GUARDED_BY = {
         "_driver": "_lock",
         "_ranges": "_lock",
@@ -167,7 +167,7 @@ class CampaignCoordinator:
         self._leases: Dict[str, dict] = {}
         self._nodes: Dict[str, _Node] = {}
         #: EWMA per-trial seconds of each node, keyed by node id.
-        self._node_costs = CostModel()
+        self._node_costs = AdaptiveChunker()
         self._results: "queue.Queue" = queue.Queue()
         self._lease_ids = itertools.count(1)
         self._node_ids = itertools.count(1)
@@ -181,8 +181,8 @@ class CampaignCoordinator:
 
     def _wire_metrics(self) -> None:
         metrics = self.metrics
-        self._trials_total = metrics.counter(
-            "repro_trials_total", "Trials folded from node reports"
+        self._count_trials = register_run_metrics(
+            metrics, "Trials folded from node reports"
         )
         self._leases_granted = metrics.counter(
             "repro_leases_granted_total", "Leases handed to nodes"
@@ -197,11 +197,6 @@ class CampaignCoordinator:
         self.disconnects = metrics.counter(
             "repro_http_disconnects_total",
             "Clients that hung up before the response was fully written",
-        )
-        self._meter = ThroughputMeter()
-        rate = metrics.gauge(
-            "repro_trials_per_second",
-            "Trials folded over the last sliding window",
         )
         queue_depth = metrics.gauge(
             "repro_lease_queue_depth", "Trial ranges queued and leasable now"
@@ -231,7 +226,6 @@ class CampaignCoordinator:
         )
 
         def scrape() -> None:
-            rate.set(self._meter.rate())
             now = time.monotonic()
             with self._lock:
                 queue_depth.set(len(self._driver.queue))
@@ -402,14 +396,13 @@ class CampaignCoordinator:
                 except ValueError:
                     pass
             self._ranges[rng] = "done"
-            self._trials_total.inc(trials)
+            self._count_trials(trials)
             self._reports.inc(status="accepted")
             self._finish_locked(
                 self._driver.arrive(
                     point_id, (counts, successes, steps_total, trials), now
                 )
             )
-        self._meter.observe(trials)
         return {"status": "accepted"}
 
     # -- consumer side -------------------------------------------------

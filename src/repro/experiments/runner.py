@@ -509,9 +509,9 @@ class ExperimentRunner:
         A :class:`~repro.experiments.chunking.AdaptiveChunker` sizing
         chunks from observed per-trial seconds (every folded chunk's
         measured elapsed feeds it back). ``None`` keeps the static
-        count heuristic. Callers that own a ``.timings`` sidecar (the
-        sweep/campaign/serve layers) pass a chunker seeded from it; an
-        explicit ``chunk_size`` always wins over both. Chunking never
+        count heuristic. Callers that own an ``--out`` store (the
+        sweep/campaign CLI) pass the chunker replayed from its timings;
+        an explicit ``chunk_size`` always wins over both. Chunking never
         affects results, only scheduling.
     """
 

@@ -27,6 +27,12 @@ contract the JSONL files established:
 - **Lossless.** The original row JSON rides along in the ``row``
   column, so nothing the JSONL format carried is lost to the schema —
   export is ``SELECT row``.
+- **Self-contained.** The observed cost model lives beside the rows:
+  each finished point also records its wall-clock in a ``timings``
+  table (:meth:`ResultStore.record_timing`), and
+  :meth:`ResultStore.load_chunker` replays it, so a later run against
+  the same ``--out`` schedules and sizes chunks from what this machine
+  measured. Timing never reaches the ``row`` column.
 - **Durable and concurrent.** WAL journal mode plus ``synchronous=FULL``
   gives the same survive-kill-9 guarantee as :class:`RowWriter`'s
   per-append fsync, and lets one writer (a campaign streaming into the
@@ -53,9 +59,12 @@ from typing import (
     Mapping,
     Optional,
     Set,
+    Tuple,
 )
 
 from repro.experiments.campaign import retry_identity, row_retry_identity
+from repro.experiments.chunking import AdaptiveChunker
+from repro.experiments.scenario import get_scenario
 from repro.experiments.sweep import (
     RowWriter,
     canonical_params,
@@ -90,6 +99,13 @@ CREATE UNIQUE INDEX IF NOT EXISTS results_resume_key
     ON results(resume_key);
 CREATE INDEX IF NOT EXISTS results_point ON results(scenario, params);
 CREATE INDEX IF NOT EXISTS results_retry ON results(retry_key);
+CREATE TABLE IF NOT EXISTS timings (
+    id       INTEGER PRIMARY KEY,
+    scenario TEXT,
+    trials   INTEGER,
+    elapsed  REAL,
+    cost     INTEGER
+);
 """
 
 
@@ -97,6 +113,24 @@ def is_store_path(path: Optional[str]) -> bool:
     """Whether an ``--out``/``--db`` path names a SQLite store (by
     suffix) rather than a JSONL file."""
     return bool(path) and path.lower().endswith(STORE_SUFFIXES)
+
+
+def timing_record(result) -> Optional[Tuple[str, int, float, Optional[int]]]:
+    """The ``(scenario, trials, elapsed, cost)`` timing record of one
+    finished result, or ``None`` when it carries no usable cost signal
+    (timed-out or empty results: their elapsed is an artifact of the
+    guard, and feeding it to the EWMA would teach the scheduler that
+    pathological points are cheap). ``cost`` is the result's proxy
+    units, ``None`` for an unregistered scenario."""
+    if result.timed_out or not result.trials or result.elapsed <= 0:
+        return None
+    try:
+        spec = get_scenario(result.scenario)
+    except ConfigurationError:
+        cost = None  # ad-hoc scenario: per-trial tier only
+    else:
+        cost = result.trials * max(spec.size(result.params), 1)
+    return (result.scenario, result.trials, result.elapsed, cost)
 
 
 def params_blob(params: Mapping[str, Any]) -> str:
@@ -206,62 +240,37 @@ class ResultStore:
         ``KeyError``, ``TypeError``).
         """
         self._writable()
-        timed_out = bool(row.get("timed_out")) if isinstance(row, Mapping) else False
-        if timed_out:
-            key = None
-        else:
-            key = row_resume_key(row)  # raises on markers and damage
-        retry = row_retry_identity(row)
-        values = (
-            key,
-            retry,
-            row["scenario"],
-            params_blob(row["params"]),
-            row.get("trials"),
-            row.get("base_seed"),
-            row.get("max_steps"),
-            row.get("successes"),
-            json.dumps(row.get("outcomes"), sort_keys=True)
-            if row.get("outcomes") is not None
-            else None,
-            json.dumps(row.get("budget"), sort_keys=True)
-            if row.get("budget") is not None
-            else None,
-            row.get("steps_total"),
-            int(timed_out),
-            # repro-lint: allow[R101] created-marker timestamp: scheduling metadata for the timed-out lifecycle, never part of row identity
-            time.time(),
-            json.dumps(row, sort_keys=True),
-        )
-        outcome = None
+        prepared = _prepare(row)
         with self._lock, self._conn:
-            cursor = self._conn.cursor()
-            if timed_out:
-                cursor.execute(
-                    "SELECT 1 FROM results WHERE retry_key = ? "
-                    "AND timed_out = 0 LIMIT 1",
-                    (retry,),
-                )
-                if cursor.fetchone() is not None:
-                    outcome = "superseded"
-                else:
-                    cursor.execute(
-                        "DELETE FROM results "
-                        "WHERE retry_key = ? AND timed_out = 1",
-                        (retry,),
-                    )
-                    cursor.execute(_INSERT, values)
-                    outcome = "marker"
-            else:
-                cursor.execute(
-                    "DELETE FROM results WHERE retry_key = ? AND timed_out = 1",
-                    (retry,),
-                )
-                cursor.execute(_INSERT_OR_IGNORE, values)
-                outcome = "stored" if cursor.rowcount else "duplicate"
+            outcome = self._insert_locked(self._conn.cursor(), prepared)
         if self.observer is not None:
             self.observer(outcome)
         return outcome
+
+    def _insert_locked(self, cursor, prepared: tuple) -> str:
+        """Apply one row prepared by :func:`_prepare` inside the
+        caller's transaction; returns its :meth:`append_row` outcome."""
+        timed_out, retry, values = prepared
+        if timed_out:
+            cursor.execute(
+                "SELECT 1 FROM results WHERE retry_key = ? "
+                "AND timed_out = 0 LIMIT 1",
+                (retry,),
+            )
+            if cursor.fetchone() is not None:
+                return "superseded"
+            cursor.execute(
+                "DELETE FROM results WHERE retry_key = ? AND timed_out = 1",
+                (retry,),
+            )
+            cursor.execute(_INSERT, values)
+            return "marker"
+        cursor.execute(
+            "DELETE FROM results WHERE retry_key = ? AND timed_out = 1",
+            (retry,),
+        )
+        cursor.execute(_INSERT_OR_IGNORE, values)
+        return "stored" if cursor.rowcount else "duplicate"
 
     def import_lines(
         self,
@@ -278,7 +287,12 @@ class ResultStore:
         imported as markers (so a resume against the database retries
         exactly what a resume against the file would). Returns a count
         per :meth:`append_row` outcome plus ``"skipped"``.
+
+        The whole import is one transaction (one fsync, however many
+        lines): a write error leaves none of its rows behind, and the
+        :attr:`observer` hears each outcome only after the commit.
         """
+        self._writable()
         report = {
             "stored": 0,
             "duplicate": 0,
@@ -286,25 +300,46 @@ class ResultStore:
             "superseded": 0,
             "skipped": 0,
         }
+        prepared = []
         for number, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
             row, _key, reason = classify_row_line(line)
-            if reason == "malformed":
-                report["skipped"] += 1
-                if on_skip is not None:
-                    on_skip(number, line, "malformed")
-                continue
-            try:
-                report[self.append_row(row)] += 1
-            except (ConfigurationError, KeyError, TypeError):
-                # A marker whose identity fields are themselves damaged
-                # (e.g. a torn budget object): nothing to index it by.
-                report["skipped"] += 1
-                if on_skip is not None:
-                    on_skip(number, line, "malformed")
+            if reason != "malformed":
+                try:
+                    prepared.append(_prepare(row))
+                    continue
+                except (ConfigurationError, KeyError, TypeError):
+                    # A marker whose identity fields are themselves
+                    # damaged (e.g. a torn budget object): nothing to
+                    # index it by.
+                    pass
+            report["skipped"] += 1
+            if on_skip is not None:
+                on_skip(number, line, "malformed")
+        with self._lock, self._conn:
+            cursor = self._conn.cursor()
+            outcomes = [self._insert_locked(cursor, entry) for entry in prepared]
+        for outcome in outcomes:
+            report[outcome] += 1
+            if self.observer is not None:
+                self.observer(outcome)
         return report
+
+    def record_timing(self, result) -> None:
+        """Persist one finished result's :func:`timing_record` (a no-op
+        for results without a usable cost signal)."""
+        record = timing_record(result)
+        if record is None:
+            return
+        self._writable()
+        with self._lock, self._conn:
+            self._conn.execute(
+                "INSERT INTO timings (scenario, trials, elapsed, cost) "
+                "VALUES (?, ?, ?, ?)",
+                record,
+            )
 
     # -- reads ---------------------------------------------------------
 
@@ -380,6 +415,29 @@ class ResultStore:
         fsync_directory(os.path.dirname(os.path.abspath(path)))
         return len(lines)
 
+    def load_chunker(self) -> AdaptiveChunker:
+        """A fresh :class:`~repro.experiments.chunking.AdaptiveChunker`
+        replaying every recorded timing in insertion order.
+
+        Damaged records (NaN, infinite, non-positive or foreign values)
+        cost an observation each, never the campaign — the model simply
+        knows less. A store created before the ``timings`` table and
+        opened read-only (no DDL runs then) has no timings: an empty
+        model.
+        """
+        chunker = AdaptiveChunker()
+        with self._lock:
+            try:
+                records = self._conn.execute(
+                    "SELECT scenario, trials, elapsed, cost FROM timings "
+                    "ORDER BY id"
+                ).fetchall()
+            except sqlite3.OperationalError:
+                records = []
+        for record in records:
+            chunker.observe(*record)
+        return chunker
+
     def pending_retries(self) -> Set[str]:
         """Retry identities of every stored timed-out marker."""
         return {
@@ -432,6 +490,40 @@ class ResultStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _prepare(row: Mapping[str, Any]) -> tuple:
+    """``(timed_out, retry identity, column values)`` of one row — all
+    of :meth:`ResultStore.append_row`'s parsing, done before the lock.
+    Raises on damaged rows like the tolerant line loaders do."""
+    timed_out = bool(row.get("timed_out")) if isinstance(row, Mapping) else False
+    if timed_out:
+        key = None
+    else:
+        key = row_resume_key(row)  # raises on markers and damage
+    retry = row_retry_identity(row)
+    values = (
+        key,
+        retry,
+        row["scenario"],
+        params_blob(row["params"]),
+        row.get("trials"),
+        row.get("base_seed"),
+        row.get("max_steps"),
+        row.get("successes"),
+        json.dumps(row.get("outcomes"), sort_keys=True)
+        if row.get("outcomes") is not None
+        else None,
+        json.dumps(row.get("budget"), sort_keys=True)
+        if row.get("budget") is not None
+        else None,
+        row.get("steps_total"),
+        int(timed_out),
+        # repro-lint: allow[R101] created-marker timestamp: scheduling metadata for the timed-out lifecycle, never part of row identity
+        time.time(),
+        json.dumps(row, sort_keys=True),
+    )
+    return timed_out, retry, values
 
 
 _COLUMNS = (

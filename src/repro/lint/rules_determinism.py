@@ -13,8 +13,8 @@ R104  iterating a ``set`` in an order-sensitive position: CPython's set
       order depends on insertion history and (for str keys) hashing, so
       folding set iteration into an outcome makes rows machine-dependent
 
-Scheduling metadata (timestamps on store markers, the ``.timings``
-sidecar) is legitimately wall-clock — those audited sites carry
+Scheduling metadata (timestamps on store markers, the store's
+``timings`` table) is legitimately wall-clock — those audited sites carry
 ``# repro-lint: allow[R101] reason`` pragmas. Order-insensitive
 reductions over sets (``sorted(set(...))``, ``max(... for x in
 set(...))``) are structurally exempt from R104: only ``for`` statements

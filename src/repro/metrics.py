@@ -23,6 +23,10 @@ Three pieces:
   rate computation to the scraper, and the acceptance question
   ("how fast is it *now*?") deserves a direct answer.
 
+:func:`register_run_metrics` registers the families all three run
+surfaces share (``campaign --metrics-port``, ``repro serve`` and the
+coordinator), so they cannot drift apart in name, help text or labels.
+
 :func:`parse_text` is the format's own checker — tests and the CI smoke
 parse the endpoint's output back through it, so "valid Prometheus text"
 is a pinned property, not a hope.
@@ -33,7 +37,7 @@ import re
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.util.errors import ConfigurationError
 
@@ -297,6 +301,64 @@ class ThroughputMeter:
             total = sum(count for _, count in self._events)
             span = min(now - self._started, self.window)
         return total / max(span, 1.0)
+
+
+def register_run_metrics(
+    registry: MetricsRegistry,
+    trials_help: str,
+    workers: Optional[int] = None,
+    pool: Optional[Callable[[], Any]] = None,
+    cost_model: Any = None,
+) -> Callable[[float], None]:
+    """Register the metric families the run surfaces share.
+
+    Every surface gets ``repro_trials_total`` (described by
+    ``trials_help``) and its sliding-window ``repro_trials_per_second``;
+    the returned ``count(trials)`` feeds both. Surfaces that own a
+    worker pool pass ``workers`` (the configured count), ``pool`` (a
+    callable returning the live pool, or ``None`` before it starts) and
+    ``cost_model`` (the :class:`~repro.experiments.chunking.
+    AdaptiveChunker`), and also get ``repro_pool_workers``,
+    ``repro_pool_chunks_total{state}`` and
+    ``repro_per_trial_seconds{scenario}``, refreshed at scrape time.
+    """
+    trials = registry.counter("repro_trials_total", trials_help)
+    meter = ThroughputMeter()
+    rate = registry.gauge(
+        "repro_trials_per_second", "Trials folded over the last sliding window"
+    )
+
+    def count(amount: float) -> None:
+        trials.inc(amount)
+        meter.observe(amount)
+
+    if workers is None:
+        registry.collect(lambda: rate.set(meter.rate()))
+        return count
+    registry.gauge(
+        "repro_pool_workers", "Worker processes in the shared pool"
+    ).set(workers)
+    chunks = registry.counter(
+        "repro_pool_chunks_total", "Chunks through the shared pool, by state"
+    )
+    per_trial = registry.gauge(
+        "repro_per_trial_seconds",
+        "EWMA per-trial seconds by scenario (observed cost model)",
+    )
+
+    def scrape() -> None:
+        rate.set(meter.rate())
+        live = pool()
+        if live is not None:
+            for state, total in live.counters().items():
+                chunks.set_total(total, state=state)
+        for scenario in cost_model.scenarios():
+            seconds = cost_model.per_trial_seconds(scenario)
+            if seconds is not None:
+                per_trial.set(seconds, scenario=scenario)
+
+    registry.collect(scrape)
+    return count
 
 
 def _unescape_label_value(value: str) -> str:

@@ -56,7 +56,7 @@ from repro.experiments.scenario import get_scenario, scenario_names
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import coerce_param
 from repro.httpd import JsonHTTPServer, JsonRequestHandler, bind_handler
-from repro.metrics import MetricsRegistry, ThroughputMeter
+from repro.metrics import MetricsRegistry, register_run_metrics
 from repro.util.errors import ConfigurationError
 
 #: Default adaptive bounds for cold queries (overridable per service).
@@ -140,8 +140,12 @@ class EstimateService:
             "repro_compute_refused_total",
             "Cold estimates refused because the service is read-only",
         )
-        self._trials_total = metrics.counter(
-            "repro_trials_total", "Trials run by this process"
+        self._count_trials = register_run_metrics(
+            metrics,
+            "Trials run by this process",
+            workers=self.workers,
+            pool=self._current_pool,
+            cost_model=self._chunker,
         )
         self.disconnects = metrics.counter(
             "repro_http_disconnects_total",
@@ -153,47 +157,25 @@ class EstimateService:
                 "Rows offered to the results store, by append outcome",
             )
             self.store.observer = lambda outcome: appends.inc(outcome=outcome)
-        self._meter = ThroughputMeter()
-        rate = metrics.gauge(
-            "repro_trials_per_second",
-            "Trials folded over the last sliding window",
-        )
         inflight = metrics.gauge(
             "repro_inflight_computes",
             "Points currently holding or queued on a compute lock",
         )
-        pool_workers = metrics.gauge(
-            "repro_pool_workers", "Configured worker-process count"
-        )
         pool_alive = metrics.gauge(
             "repro_pool_alive", "Whether the shared worker pool is started"
         )
-        chunks = metrics.counter(
-            "repro_pool_chunks_total",
-            "Chunks through the shared pool, by state",
-        )
-        cost = metrics.gauge(
-            "repro_per_trial_seconds",
-            "EWMA per-trial seconds by scenario (observed cost model)",
-        )
 
         def scrape() -> None:
-            rate.set(self._meter.rate())
             with self._locks_guard:
                 inflight.set(len(self._locks))
-            pool_workers.set(self.workers)
-            with self._pool_lock:
-                pool = self._pool
-            pool_alive.set(0 if pool is None else 1)
-            if pool is not None:
-                for state, total in pool.counters().items():
-                    chunks.set_total(total, state=state)
-            for scenario in self._chunker.scenarios():
-                per = self._chunker.per_trial_seconds(scenario)
-                if per is not None:
-                    cost.set(per, scenario=scenario)
+            pool_alive.set(0 if self._current_pool() is None else 1)
 
         metrics.collect(scrape)
+
+    def _current_pool(self) -> Optional[WorkerPool]:
+        """The shared pool, or ``None`` before the first compute."""
+        with self._pool_lock:
+            return self._pool
 
     # -- the one question ----------------------------------------------
 
@@ -337,8 +319,7 @@ class EstimateService:
         self.store.append_row(row)
         trials = row.get("trials")
         if isinstance(trials, int) and not isinstance(trials, bool):
-            self._trials_total.inc(trials)
-            self._meter.observe(trials)
+            self._count_trials(trials)
         return row
 
     def _shared_pool(self) -> WorkerPool:

@@ -674,19 +674,34 @@ class TestCampaignMetricsPort:
 
     def test_registry_observes_the_result_stream(self, tmp_path):
         from repro.cli import _campaign_metrics
-        from repro.experiments import WorkerPool
+        from repro.experiments import AdaptiveChunker, WorkerPool
         from repro.metrics import parse_text
 
         points = load_manifest(str(self._manifest(tmp_path)))
+        model = AdaptiveChunker()
         with WorkerPool(1) as pool:
-            registry, observe = _campaign_metrics(pool, None, len(points))
-            results = list(observe(run_campaign(points, pool=pool)))
+            registry, observe = _campaign_metrics(pool, model, len(points))
+            results = list(
+                observe(run_campaign(points, pool=pool, chunker=model))
+            )
         assert len(results) == 2
         families = parse_text(registry.render())
         assert families["repro_points_total"] == [({}, 2.0)]
         assert families["repro_points_completed"] == [({}, 2.0)]
         assert families["repro_trials_total"] == [({}, 8.0)]
         assert families["repro_pool_workers"] == [({}, 1.0)]
+        # The chunk counters carry the label `repro serve` and perfbench
+        # use: `state`.
+        assert {
+            tuple(labels) for labels, _ in families["repro_pool_chunks_total"]
+        } == {("state",)}
+        assert {
+            labels["state"] for labels, _ in families["repro_pool_chunks_total"]
+        } == {"dispatched", "completed", "failed"}
+        assert {
+            labels["scenario"]
+            for labels, _ in families["repro_per_trial_seconds"]
+        } == {point.scenario for point in points}
 
     def test_rejected_alongside_coordinate(self, tmp_path):
         manifest = self._manifest(tmp_path)

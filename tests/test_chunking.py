@@ -5,8 +5,7 @@ Two layers, pinned separately:
 - :class:`AdaptiveChunker` unit behavior — unseen scenarios decline
   (``None``), the target/balanced/floor clamps compose in the
   documented priority order, the calibration probe fires only where the
-  split can pay for itself, and malformed construction/observations are
-  rejected.
+  split can pay for itself, and malformed observations are rejected.
 - The contract that makes adaptive sizing free to take: **chunking
   never affects row bytes**. Rows from pinned ``chunk_size=1``, the
   static heuristic, a cold adaptive chunker (probe path included), and
@@ -27,14 +26,12 @@ import pytest
 from repro.experiments import (
     CALIBRATION_TRIALS,
     AdaptiveChunker,
-    CostModel,
     ExperimentRunner,
     WilsonWidthPolicy,
     get_scenario,
     run_scenario,
 )
 from repro.experiments.runner import chunk_payloads
-from repro.util.errors import ConfigurationError
 
 BATCHED = "cointoss/biased-coin"  # vectorized run_batch kernel
 EXECUTOR = "attack/basic-cheat"  # per-trial executor simulation
@@ -85,27 +82,37 @@ class TestAdaptiveChunkerSizing:
         # The floor asks for 50k-trial chunks; only 3 trials exist.
         assert seeded(1e-6).chunk_size("any", 3, workers=1) == 3
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveChunker(target_seconds=0.0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveChunker(min_seconds=-1.0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveChunker(target_seconds=0.1, min_seconds=0.2)
-
     def test_garbage_observations_are_rejected_not_raised(self):
         chunker = AdaptiveChunker()
         assert not chunker.observe("any", 0, 1.0)
         assert not chunker.observe("any", 100, -1.0)
         assert chunker.chunk_size("any", 100, workers=1) is None
 
-    def test_shared_cost_model_is_shared(self):
-        # The CLI hands one model to both the scheduler and the chunker;
-        # an observation through either side is visible to the other.
-        model = CostModel()
-        chunker = AdaptiveChunker(cost_model=model)
-        model.observe("any", 1_000_000, 1.0)
-        assert chunker.chunk_size("any", 10**7, workers=1) == 250_000
+    def test_shared_cost_model_is_shared(self, tmp_path, monkeypatch):
+        # The CLI replays one model from the --out store and hands the
+        # same instance to the longest-first scheduler and the campaign.
+        from repro import cli
+
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "trials": 4,
+            "entries": [{"scenario": BATCHED, "grid": {"n": [8, 12]}}],
+        }))
+        argv = ["campaign", str(manifest), "--out", str(tmp_path / "rows.db"),
+                "--schedule", "longest-first"]
+        assert cli.main(argv) == 0  # records the timings
+        seen = {}
+        real_run_campaign = cli.run_campaign
+
+        def spy(points, **kwargs):
+            seen.update(kwargs)
+            return real_run_campaign(points, **kwargs)
+
+        monkeypatch.setattr(cli, "run_campaign", spy)
+        assert cli.main(argv) == 0
+        chunker = seen["chunker"]
+        assert seen["schedule"].cost_model is chunker
+        assert chunker.per_trial_seconds(BATCHED) is not None
 
 
 class TestCalibrationProbe:

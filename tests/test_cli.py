@@ -376,7 +376,7 @@ class TestOutStore:
             exported = [line + "\n" for line in store.export_lines()]
         assert out_file.read_text() == "".join(exported)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "rows.jsonl", "rows.jsonl.db", "rows.jsonl.timings"
+            "rows.jsonl", "rows.jsonl.db"
         ]
 
     def test_legacy_jsonl_out_migrates_into_the_store(self, tmp_path, capsys):

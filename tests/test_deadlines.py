@@ -7,8 +7,9 @@ resume. The unattended-overnight contract, end to end:
   distinct code;
 - timed-out rows, torn trailing lines, and blank lines can only cause a
   re-run, never a skip or a crash;
-- the ``CostModel`` feeds ``longest-first`` observed per-trial seconds
-  deterministically at any worker count;
+- the observed cost model (``AdaptiveChunker``, replayed from the
+  ``--out`` store's timings) feeds ``longest-first`` observed per-trial
+  seconds deterministically at any worker count;
 - ``KeyboardInterrupt`` tears worker processes down and leaves a
   resumable ``--out`` file (exercised with a real subprocess kill).
 """
@@ -16,6 +17,7 @@ resume. The unattended-overnight contract, end to end:
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -24,23 +26,21 @@ import pytest
 
 from repro.cli import EXIT_DEADLINE, main
 from repro.experiments import (
+    AdaptiveChunker,
     CampaignDeadline,
     CampaignPoint,
-    CostModel,
     PointScheduler,
     ResultStore,
     RowWriter,
     ScenarioSpec,
     WorkerPool,
     load_completed_keys,
-    load_cost_model,
     register_scenario,
     row_resume_key,
     run_campaign,
     run_scenario,
     scheduled_cost,
     timing_record,
-    timings_path,
     unregister_scenario,
 )
 from repro.util.errors import ConfigurationError
@@ -312,7 +312,7 @@ class TestGlobalDeadline:
         # The checkpoint landed in --out itself: the rendering of its
         # store, with no staging file left behind...
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "m.json", "rows.jsonl", "rows.jsonl.db", "rows.jsonl.timings"
+            "m.json", "rows.jsonl", "rows.jsonl.db"
         ]
         with ResultStore(str(tmp_path / "rows.jsonl.db"), read_only=True) as store:
             assert out.read_text().splitlines() == list(store.export_lines())
@@ -441,7 +441,7 @@ class TestRowWriter:
 
 class TestCostModel:
     def test_ewma_per_trial_seconds(self):
-        model = CostModel(alpha=0.5)
+        model = AdaptiveChunker()
         assert not model.observed
         assert model.observe("a", 100, 1.0)  # 10ms/trial
         assert model.per_trial_seconds("a") == pytest.approx(0.01)
@@ -450,7 +450,7 @@ class TestCostModel:
         assert model.scenarios() == ["a"]
 
     def test_foreign_observations_rejected_not_raised(self):
-        model = CostModel()
+        model = AdaptiveChunker()
         for bad in (
             (None, 10, 1.0),
             ("a", 0, 1.0),
@@ -467,45 +467,68 @@ class TestCostModel:
         assert model.observe("a", 10, 1.0, cost_units=float("nan"))
         assert model.per_trial_seconds("a") == pytest.approx(0.1)
         assert model.estimate_seconds(
-            _point("sync/broadcast", {"n": 4}, 10)
+            "sync/broadcast", 10, 40
         ) is None  # no per-unit calibration was absorbed
 
     def test_estimation_tiers(self, sleepy_scenario):
         seen = _point(SLEEPY, {"n": 4, "delay": 0.005}, 100)
         unseen = _point("sync/broadcast", {"n": 4}, 100)
-        model = CostModel()
-        assert model.estimate_seconds(seen) is None  # empty model
+        model = AdaptiveChunker()
+        scheduler = PointScheduler("longest-first", cost_model=model)
+
+        def estimate(point):
+            return scheduler.estimate_seconds(point, scheduled_cost(point))
+
+        assert estimate(seen) is None  # empty model
         model.observe(SLEEPY, 50, 1.0, cost_units=200)  # 20ms/trial, 5ms/unit
-        assert model.estimate_seconds(seen) == pytest.approx(100 * 0.02)
+        assert estimate(seen) == pytest.approx(100 * 0.02)
         # Unseen scenario: proxy units x calibrated seconds-per-unit.
         units = scheduled_cost(unseen)
-        assert model.estimate_seconds(unseen) == pytest.approx(units * 0.005)
+        assert estimate(unseen) == pytest.approx(units * 0.005)
 
     def test_timing_record_shape_and_exclusions(self):
         result = run_scenario("sync/broadcast", trials=5, params={"n": 4})
-        record = timing_record(result)
-        assert record["scenario"] == "sync/broadcast"
-        assert record["trials"] == 5
-        assert record["elapsed"] > 0
-        assert record["cost"] == 5 * 4
+        scenario, trials, elapsed, cost = timing_record(result)
+        assert scenario == "sync/broadcast"
+        assert trials == 5
+        assert elapsed > 0
+        assert cost == 5 * 4
         result.timed_out = True
         assert timing_record(result) is None  # guard artifacts never teach
 
-    def test_load_cost_model_tolerates_missing_and_torn_files(self, tmp_path):
-        assert not load_cost_model(str(tmp_path / "absent")).observed
-        sidecar = tmp_path / "rows.jsonl.timings"
-        record = {"scenario": "a", "trials": 10, "elapsed": 0.5, "cost": 40}
-        sidecar.write_text(
-            json.dumps(record) + "\n"
-            + "[1, 2]\n"
-            + "not json {\n"
-            + json.dumps(record)[:11]  # torn tail
+    def test_store_replay_skips_damaged_records(self, tmp_path):
+        path = str(tmp_path / "rows.db")
+        with ResultStore(path) as store:
+            assert not store.load_chunker().observed  # no timings yet
+        with sqlite3.connect(path) as conn:
+            conn.executemany(
+                "INSERT INTO timings (scenario, trials, elapsed, cost) "
+                "VALUES (?, ?, ?, ?)",
+                [
+                    ("a", 10, 0.5, 40),
+                    ("a", 10, float("nan"), 40),  # stored as NULL
+                    ("a", 10, float("inf"), 40),
+                    ("a", 10, float("-inf"), 40),
+                    ("a", 10, 0.0, 40),
+                    ("a", 10, -1.0, 40),
+                    ("a", 0, 1.0, 40),
+                    ("a", "ten", 1.0, 40),
+                    ("a", 10, "slow", 40),
+                    (None, 10, 1.0, 40),
+                    (b"a", 10, 1.0, 40),
+                    ("a", 10, 1.0, float("inf")),  # cost alone is damaged
+                ],
+            )
+        conn.close()
+        with ResultStore(path, read_only=True) as store:
+            model = store.load_chunker()
+        # Only the first record and the last one's (trials, elapsed)
+        # fold in: EWMA of 50 ms and 100 ms per trial.
+        assert model.per_trial_seconds("a") == pytest.approx(0.075)
+        assert model.scenarios() == ["a"]
+        assert model.estimate_seconds("b", 1, 100) == pytest.approx(
+            100 * 0.5 / 40
         )
-        model = load_cost_model(str(sidecar))
-        assert model.per_trial_seconds("a") == pytest.approx(0.05)
-
-    def test_timings_path_is_a_sidecar(self):
-        assert timings_path("rows.jsonl") == "rows.jsonl.timings"
 
 
 class TestObservedCostScheduling:
@@ -518,7 +541,7 @@ class TestObservedCostScheduling:
 
     def _observed_model(self):
         # ...but observation says a broadcast trial is 1000x slower.
-        model = CostModel()
+        model = AdaptiveChunker()
         model.observe("sync/broadcast", 10, 10.0, cost_units=160)
         model.observe("attack/basic-cheat", 1000, 1.0, cost_units=8000)
         return model
@@ -558,25 +581,42 @@ class TestObservedCostScheduling:
 
     def test_partially_calibrated_model_falls_back_to_proxy_for_all(self):
         """A model with per-trial observations but no per-unit
-        calibration (a sidecar of cost-less records) cannot price unseen
+        calibration (observations without cost units) cannot price unseen
         scenarios in seconds — the plan must fall back to the proxy for
         every point instead of crashing or mixing scales."""
         points = self._points()
-        model = CostModel()
+        model = AdaptiveChunker()
         model.observe("sync/broadcast", 10, 10.0)  # no cost_units
         assert model.observed
-        assert model.estimate_seconds(points[1]) is None  # unseen, no per-unit
-        ordered = PointScheduler("longest-first", cost_model=model).order(points)
+        scheduler = PointScheduler("longest-first", cost_model=model)
+        # unseen, no per-unit
+        assert scheduler.estimate_seconds(points[1], 400) is None
+        ordered = scheduler.order(points)
         assert ordered == PointScheduler("longest-first").order(points)
 
     def test_unknown_schedule_lists_known_names_even_with_a_model(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            PointScheduler("fastest-first", cost_model=CostModel())
+            PointScheduler("fastest-first", cost_model=AdaptiveChunker())
         message = str(excinfo.value)
         assert "manifest-order" in message and "longest-first" in message
 
 
+def _stored_timings(path):
+    """Every ``(scenario, trials, elapsed, cost)`` timing record in a
+    results store, in insertion order."""
+    conn = sqlite3.connect(str(path))
+    try:
+        return conn.execute(
+            "SELECT scenario, trials, elapsed, cost FROM timings ORDER BY id"
+        ).fetchall()
+    finally:
+        conn.close()
+
+
 class TestCliTimingSidecarAndDryRun:
+    """Observed costs live in the ``--out`` store's ``timings`` table;
+    no file is written beside it."""
+
     def _manifest(self, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({
@@ -589,19 +629,19 @@ class TestCliTimingSidecarAndDryRun:
         }))
         return manifest
 
-    def test_campaign_writes_the_timing_sidecar(self, tmp_path, capsys):
+    def test_campaign_records_timings_in_the_store(self, tmp_path, capsys):
         manifest = self._manifest(tmp_path)
         out = tmp_path / "rows.jsonl"
         assert main(["campaign", str(manifest), "--out", str(out)]) == 0
-        records = [
-            json.loads(line)
-            for line in (tmp_path / "rows.jsonl.timings").read_text().splitlines()
-        ]
+        records = _stored_timings(tmp_path / "rows.jsonl.db")
         assert len(records) == 3
-        assert {r["scenario"] for r in records} == {
+        assert {scenario for scenario, *_ in records} == {
             "attack/basic-cheat", "sync/broadcast"
         }
-        assert all(r["elapsed"] > 0 and r["cost"] > 0 for r in records)
+        assert all(elapsed > 0 and cost > 0 for _, _, elapsed, cost in records)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m.json", "rows.jsonl", "rows.jsonl.db"
+        ]
 
     def test_dry_run_shows_estimates_and_makespan_after_a_real_run(
         self, tmp_path, capsys
@@ -615,6 +655,30 @@ class TestCliTimingSidecarAndDryRun:
         plan, err = capsys.readouterr()
         assert all("est=" in line for line in plan.splitlines())
         assert "observed-cost estimate" in err and "makespan" in err
+
+    def test_dry_run_reads_a_store_older_than_the_timings_table(
+        self, tmp_path, capsys
+    ):
+        """A store written before timings moved into it has only the
+        ``results`` table, and a read-only open runs no DDL: the dry run
+        must read an empty model, keep the completed keys, and warn
+        about nothing."""
+        manifest = self._manifest(tmp_path)
+        out = tmp_path / "rows.db"
+        assert main(["campaign", str(manifest), "--out", str(out)]) == 0
+        conn = sqlite3.connect(str(out))
+        try:
+            conn.execute("DROP TABLE timings")
+            conn.commit()
+        finally:
+            conn.close()
+        capsys.readouterr()
+        assert main(["campaign", str(manifest), "--dry-run",
+                     "--out", str(out), "--schedule", "longest-first"]) == 0
+        plan, err = capsys.readouterr()
+        assert [line.split()[0] for line in plan.splitlines()] == ["done"] * 3
+        assert "est=" not in plan
+        assert "warning" not in err
 
     def test_dry_run_without_sidecar_prints_no_estimates(self, tmp_path, capsys):
         manifest = self._manifest(tmp_path)
@@ -660,19 +724,17 @@ class TestCliTimingSidecarAndDryRun:
         with pytest.raises(SystemExit):
             main(["campaign", str(manifest), "--point-timeout", "nan"])
 
-    def test_sweep_records_timing_sidecar(self, tmp_path, capsys):
-        # Sweeps feed the same cost model campaigns do: the sidecar
-        # seeds longest-first scheduling and adaptive chunk sizing for
-        # every later run against the same --out.
+    def test_sweep_records_timings_in_the_store(self, tmp_path, capsys):
+        # Sweeps feed the same cost model campaigns do: the stored
+        # timings seed longest-first scheduling and adaptive chunk
+        # sizing for every later run against the same --out.
         out = tmp_path / "rows.jsonl"
         assert main(["sweep", "--scenario", "sync/broadcast", "--trials", "3",
                      "--param", "n=4", "--out", str(out)]) == 0
         assert out.exists()
-        sidecar = tmp_path / "rows.jsonl.timings"
-        assert sidecar.exists()
-        records = [json.loads(line)
-                   for line in sidecar.read_text().splitlines() if line]
-        assert any(rec.get("scenario") == "sync/broadcast" for rec in records)
+        records = _stored_timings(tmp_path / "rows.jsonl.db")
+        assert [scenario for scenario, *_ in records] == ["sync/broadcast"]
+        assert not (tmp_path / "rows.jsonl.timings").exists()
 
 
 class TestCliPointTimeoutResume:

@@ -425,6 +425,24 @@ class TestCli:
             for key in jsonl_keys:
                 assert row_resume_key(store.get(key)) == key
 
+    def test_campaign_out_db_leaves_only_store_files(self, tmp_path, capsys):
+        """A ``.db`` --out is self-contained: rows and observed costs
+        both live in it, and nothing but SQLite's own files appears."""
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "trials": 2,
+            "entries": [{"scenario": "sync/broadcast", "grid": {"n": 4}}],
+        }))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["campaign", str(manifest), "--out",
+                     str(out / "rows.db")]) == 0
+        names = {p.name for p in out.iterdir()}
+        assert "rows.db" in names
+        assert names <= {"rows.db", "rows.db-wal", "rows.db-shm"}
+        with ResultStore(str(out / "rows.db"), read_only=True) as store:
+            assert store.load_chunker().scenarios() == ["sync/broadcast"]
+
     def test_sweep_out_db(self, tmp_path, capsys):
         db = tmp_path / "sweep.sqlite"
         assert main([
@@ -442,6 +460,56 @@ class TestCli:
                 )
                 for n in (8, 12)
             }
+
+
+class TestImportTransaction:
+    """``import_lines`` commits once per import, not once per row."""
+
+    def test_a_failed_insert_leaves_no_row_of_the_import(self, tmp_path):
+        path = str(tmp_path / "r.db")
+        lines = [json.dumps(synthetic_row(i), sort_keys=True) for i in range(6)]
+        with ResultStore(path) as store:
+            store.append_row(synthetic_row(100))
+        # Fail the 4th insert of the import with a genuine SQLite error.
+        conn = sqlite3.connect(path)
+        try:
+            conn.execute(
+                "CREATE TRIGGER fail_fourth BEFORE INSERT ON results "
+                "WHEN NEW.params = '{\"n\": 3}' "
+                "BEGIN SELECT RAISE(ABORT, 'injected fault'); END"
+            )
+            conn.commit()
+        finally:
+            conn.close()
+        seen = []
+        with ResultStore(path) as store:
+            store.observer = seen.append
+            with pytest.raises(sqlite3.Error, match="injected fault"):
+                store.import_lines(lines)
+            assert store.stats()["completed"] == 1  # only the earlier row
+            assert seen == []  # nothing was reported for a rolled-back import
+
+    def test_report_and_observer_outcomes_are_unchanged(self, tmp_path):
+        lines = [
+            json.dumps(synthetic_row(1), sort_keys=True),
+            json.dumps(synthetic_row(1), sort_keys=True),
+            json.dumps(synthetic_row(2, timed_out=True), sort_keys=True),
+            json.dumps(synthetic_row(1, timed_out=True), sort_keys=True),
+            json.dumps(synthetic_row(2), sort_keys=True),
+            "not json {",
+        ]
+        seen = []
+        with ResultStore(str(tmp_path / "r.db")) as store:
+            store.observer = seen.append
+            report = store.import_lines(lines)
+            assert store.stats() == {
+                "completed": 2, "timed_out": 0, "scenarios": 1,
+            }
+        assert report == {
+            "stored": 2, "duplicate": 1, "marker": 1, "superseded": 1,
+            "skipped": 1,
+        }
+        assert seen == ["stored", "duplicate", "marker", "superseded", "stored"]
 
 
 class TestObserver:
