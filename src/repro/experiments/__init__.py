@@ -17,11 +17,12 @@ Five layers, each usable on its own:
   :class:`ExperimentRunner` fans a trial budget out over the pool —
   trial ``i`` always derives its seed from ``(base_seed, i)`` alone, so
   results are identical at any worker count — and folds outcomes into
-  distributions and Wilson-interval proportions as they stream back.
+  distributions and Wilson-interval proportions as they come back.
   Trials run with trace recording off (the executor's Monte-Carlo fast
-  path); when per-trial outcomes aren't requested, workers fold their
-  own chunks and ship only counters — and when they are, outcomes
-  stream back in bounded packed chunks. An adaptive budget from the
+  path); workers fold their own chunks and ship counters, plus the
+  trials as columns when per-trial outcomes are requested. Each
+  experiment is a one-point campaign run through the campaign's point
+  loop. An adaptive budget from the
   :mod:`~repro.experiments.budget` policy registry (``wilson-width``,
   ``relative-precision``, ``fail-rate-target``) can replace the fixed
   trial count with a deterministic batch-boundary stop.

@@ -94,7 +94,9 @@ from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool
 from repro.experiments.runner import (
     ExperimentResult,
+    TrialOutcome,
     _run_chunk_folded,
+    check_chunk_size,
     chunk_payloads,
 )
 from repro.experiments.scenario import (
@@ -580,10 +582,9 @@ class PointState:
     (``next_batch`` — where stop decisions are allowed to happen),
     folding (commutative counters), the stop rule (``converged``), and
     finalization into an :class:`ExperimentResult`. :class:`PointDriver`
-    runs it for campaigns and the distributed coordinator, and
-    :meth:`~repro.experiments.runner.ExperimentRunner.run` runs its one
-    point through it — which is most of why rows match byte for byte
-    whatever executes the trials.
+    runs it for campaigns, the runner's one-point experiments, and the
+    distributed coordinator — which is most of why rows match byte for
+    byte whatever executes the trials.
     """
 
     def __init__(
@@ -600,6 +601,8 @@ class PointState:
         self.successes = 0
         self.steps_total = 0
         self.ran = 0
+        #: Per-trial outcomes carried by ``keep_outcomes`` chunk folds.
+        self.outcomes: List[TrialOutcome] = []
         self.dispatched = 0  # trial indices handed to workers so far
         self.dispatches = 0  # chunk payloads enqueued (scheduling metadata)
         self.pending = 0  # chunks of the current batch still out
@@ -642,6 +645,8 @@ class PointState:
         self.successes += successes
         self.steps_total += steps_total
         self.ran += trials
+        if len(chunk_fold) > 5:
+            self.outcomes.extend(map(TrialOutcome, *chunk_fold[5:9]))
 
     def converged(self) -> bool:
         """Whether the stop rule fires at the current batch boundary."""
@@ -669,7 +674,7 @@ class PointState:
             params=point.params,
             trials=self.ran,
             base_seed=point.base_seed,
-            outcomes=[],
+            outcomes=sorted(self.outcomes, key=lambda trial: trial.index),
             distribution=OutcomeDistribution(
                 n=self.spec.size(point.params), trials=self.ran, counts=self.counts
             ),
@@ -851,7 +856,11 @@ class PointDriver:
 
 
 def _chunk_cutter(
-    workers: int, chunk_size: Optional[int], chunker: Optional[AdaptiveChunker]
+    workers: int,
+    chunk_size: Optional[int],
+    chunker: Optional[AdaptiveChunker],
+    use_batch: bool = True,
+    keep_outcomes: bool = False,
 ) -> Callable[[PointState, int, int], List[tuple]]:
     """Cut batches into point-tagged worker chunk payloads. The
     calibration batch ships as one bounded chunk, so its measured fold
@@ -869,10 +878,11 @@ def _chunk_cutter(
                 point.params,
                 point.base_seed,
                 range(start, end),
-                False,
+                keep_outcomes,
                 point.max_steps,
                 workers=workers,
                 chunk_size=size,
+                use_batch=use_batch,
                 chunker=chunker,
             )
         ]
@@ -881,18 +891,20 @@ def _chunk_cutter(
 
 
 def _dispatcher(
-    driver: PointDriver, pool: WorkerPool
+    driver: PointDriver, pool: Optional[WorkerPool]
 ) -> Callable[[], Tuple[int, Any]]:
-    """The campaign backend's dispatch step: run queued chunks and
-    return the next ``(point_id, chunk fold)`` to arrive.
+    """The local backend's dispatch step: run queued chunks and return
+    the next ``(point_id, chunk fold)`` to arrive.
 
-    A serial pool runs the head of the queue inline, one chunk at a
-    time. A parallel pool trickles chunks into :meth:`WorkerPool.submit`
-    at most a window at a time and takes results off its callback
-    thread; the surplus stays in the driver's queue, where an abandoned
-    point's chunks can still be dropped.
+    Without a parallel pool the head of the queue runs inline, one
+    chunk at a time. A parallel pool trickles chunks into
+    :meth:`WorkerPool.submit` at most a window at a time and takes
+    results off its callback thread; the surplus stays in the driver's
+    queue, where an abandoned point's chunks can still be dropped. A
+    worker's exception surfaces as a :class:`ConfigurationError` naming
+    the point, chained from the original.
     """
-    if not pool.parallel:
+    if pool is None or not pool.parallel:
         return lambda: _campaign_chunk(driver.queue.popleft())
     results: "queue.Queue" = queue.Queue()
     # In-flight cap: the pool's oversubscription window when workers
@@ -919,12 +931,34 @@ def _dispatcher(
         if isinstance(outcome, BaseException):
             point = driver.active[point_id].point
             raise ConfigurationError(
-                f"campaign point {point.scenario!r} {point.params} "
-                f"failed: {outcome}"
+                f"point {point.scenario!r} {point.params} failed: {outcome}"
             ) from outcome
         return point_id, outcome
 
     return step
+
+
+def _drive(
+    driver: PointDriver,
+    pool: Optional[WorkerPool],
+    chunker: Optional[AdaptiveChunker],
+) -> Iterator[ExperimentResult]:
+    """The one local point loop: admit, dispatch a chunk, feed its
+    measured cost to ``chunker``, and fold it back into the driver —
+    yielding each point's result as it finishes. :func:`run_campaign`
+    and :meth:`~repro.experiments.runner.ExperimentRunner.run` both run
+    it; ``pool`` is ``None`` (or serial) for in-process dispatch."""
+    dispatch = _dispatcher(driver, pool)
+    yield from driver.admit()
+    while driver.active:
+        point_id, chunk_fold = dispatch()
+        if chunker is not None:
+            chunker.observe(
+                driver.active[point_id].point.scenario,
+                chunk_fold[3],
+                chunk_fold[4],
+            )
+        yield from driver.arrive(point_id, chunk_fold, time.monotonic())
 
 
 def run_campaign(
@@ -982,6 +1016,7 @@ def run_campaign(
         check_seconds("point_timeout", point_timeout)
     if max_wall_clock is not None:
         check_seconds("max_wall_clock", max_wall_clock)
+    check_chunk_size(chunk_size)
     if chunker is None and chunk_size is None:
         chunker = AdaptiveChunker()
     specs, todo = pending_points(points, completed, schedule)
@@ -1005,18 +1040,8 @@ def run_campaign(
                 else None
             ),
         )
-        dispatch = _dispatcher(driver, active_pool)
         try:
-            yield from driver.admit()
-            while driver.active:
-                point_id, chunk_fold = dispatch()
-                if chunker is not None:
-                    chunker.observe(
-                        driver.active[point_id].point.scenario,
-                        chunk_fold[3],
-                        chunk_fold[4],
-                    )
-                yield from driver.arrive(point_id, chunk_fold, time.monotonic())
+            yield from _drive(driver, active_pool, chunker)
             if driver.deadline_hit():
                 raise CampaignDeadline(pending=driver.pending)
         except BaseException:

@@ -54,10 +54,9 @@ MIN_CHUNK_SECONDS = 0.05
 ALPHA = 0.5
 
 #: Trials in the calibration chunk of a scenario the model has never
-#: seen. Matches :data:`~repro.experiments.pool.STREAM_CHUNK_TRIALS`:
-#: big enough to amortise per-chunk overhead out of the first per-trial
-#: estimate, small enough that probing an unknown (possibly ~10 ms per
-#: trial) scenario stays a few seconds at worst.
+#: seen: big enough to amortise per-chunk overhead out of the first
+#: per-trial estimate, small enough that probing an unknown (possibly
+#: ~10 ms per trial) scenario stays a few seconds at worst.
 CALIBRATION_TRIALS = 256
 
 

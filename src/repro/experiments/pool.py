@@ -11,15 +11,16 @@ set of warm worker processes.
 
 Two dispatch surfaces:
 
-- :meth:`imap_unordered` — the runner's streaming path: apply a worker
-  function to a payload list, yielding results as they arrive. With
+- :meth:`submit` — the point loop's async path (campaigns, the runner's
+  one-point experiments, the estimate service): enqueue one payload
+  with a completion callback, so chunks from *different* grid points
+  can interleave in the same pool and wide, shallow grids keep every
+  worker busy.
+- :meth:`imap_unordered` — a node's lease path: apply a worker function
+  to a payload list, yielding results as they arrive. With
   ``workers == 1`` it degenerates to a lazy in-process loop (no
   processes, no pickling), which is also the only mode that supports
   payloads built from unpicklable closures.
-- :meth:`submit` — the campaign orchestrator's async path: enqueue one
-  payload with a completion callback, so chunks from *different* grid
-  points can interleave in the same pool and wide, shallow grids keep
-  every worker busy.
 
 Worker processes import :mod:`repro.experiments` once at start-up (so
 builtin scenarios resolve by name) and then ``gc.freeze()`` the imported
@@ -46,21 +47,6 @@ WorkerCount = Union[int, str, None]
 #: on the kinds of trial loads we run outweighs extra parallelism.
 MAX_AUTO_WORKERS = 8
 
-#: Per-dispatch trial cap for the streamed per-trial-outcome path. When a
-#: consumer asks for every trial (``on_outcome``/``keep_outcomes``), the
-#: worker's result is a pickled batch of outcomes; without a cap its size
-#: scales with the chunk size, so a coarse-chunked 50k-trial experiment
-#: would ship 12.5k-outcome pickles through the result pipe in one gulp.
-#: Capping the chunk bounds every IPC message at a fixed number of trials
-#: — consumers receive outcomes in bounded chunks however large the
-#: experiment — while staying coarse enough that dispatch overhead stays
-#: invisible next to real trial work (at 128 the extra dispatch
-#: round-trips on cheap trials ate the encoding win; 256 keeps both).
-#: Folded dispatches (counters over IPC) don't need it: their result
-#: size is already independent of the chunk size.
-STREAM_CHUNK_TRIALS = 256
-
-
 def resolve_workers(workers: WorkerCount) -> int:
     """Resolve a worker-count argument to a concrete process count.
 
@@ -83,8 +69,9 @@ def resolve_workers(workers: WorkerCount) -> int:
 def _init_worker() -> None:
     """Pool-process initializer: register the catalog, then freeze it.
 
-    The import mirrors what :func:`~repro.experiments.runner._run_chunk`
-    would do lazily; doing it here moves the cost off the first chunk.
+    The import mirrors what
+    :func:`~repro.experiments.runner._run_chunk_folded` would do lazily;
+    doing it here moves the cost off the first chunk.
     ``gc.freeze`` then permanently exempts those import-time objects from
     cyclic collection — they can never die while the worker lives, so
     scanning them on every collection is pure overhead.

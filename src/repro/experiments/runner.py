@@ -13,7 +13,7 @@ hand-roll:
   with ``parallel=False``, one worker, or sixteen. (This derivation is
   exactly the one :func:`repro.analysis.distribution.estimate_distribution`
   has always used, so historical results are preserved bit-for-bit.)
-- **Lean hot path.** Trials run with ``record_trace=False`` by default:
+- **Lean hot path.** Trials run with the executor's trace off:
   Monte-Carlo estimation reads only outcomes, so the executor skips all
   event-object allocation.
 - **Pool reuse.** The runner dispatches through a persistent
@@ -22,19 +22,18 @@ hand-roll:
   experiment), or created lazily on first parallel use and kept for the
   runner's lifetime. Worker processes are never re-spawned between
   experiments.
-- **Folded aggregates.** When the caller doesn't ask for per-trial
-  outcomes (``keep_outcomes=False`` and no ``on_outcome``), worker
-  chunks come back as outcome-count dicts plus success/step counters
-  instead of pickled per-trial lists — counter addition is commutative,
-  so the fold order never shows in the result and IPC volume stops
-  scaling with the trial count.
-- **Streamed per-trial outcomes.** When a consumer *does* ask for every
-  trial (``on_outcome`` or ``keep_outcomes=True``) under a parallel
-  pool, dispatches are capped at
-  :data:`~repro.experiments.pool.STREAM_CHUNK_TRIALS` trials and come
-  back as columnar packed tuples, so consumers receive outcomes in
-  bounded, cheap IPC messages instead of one arbitrarily large pickled
-  object list per dispatch.
+- **Folded aggregates.** Every worker chunk comes back as an
+  outcome-count dict plus success/step counters — counter addition is
+  commutative, so the fold order never shows in the result and IPC
+  volume stops scaling with the trial count. When the caller asks for
+  per-trial outcomes (``keep_outcomes=True``), the chunk runs the scalar
+  loop and appends the trials as columnar tuples to the same fold, so
+  one worker entry point (:func:`_run_chunk_folded`) serves both.
+- **One point loop.** :meth:`ExperimentRunner.run` is a one-point
+  :class:`~repro.experiments.campaign.PointDriver` run: the experiment
+  is admitted, batched, dispatched, folded, and stopped by the loop
+  local campaigns and the estimate service run (the coordinator drives
+  the same :class:`~repro.experiments.campaign.PointDriver` over HTTP).
 - **Adaptive budgets.** ``run(budget=...)`` replaces the fixed trial
   count with a registered stop rule (Wilson width, relative precision,
   fail-rate target — see :mod:`~repro.experiments.budget`), evaluated
@@ -48,39 +47,18 @@ cannot cross process boundaries.
 """
 
 import time
-from collections import Counter
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.distribution import OutcomeDistribution
 from repro.analysis.stats import Proportion
 from repro.experiments.budget import BudgetPolicy, BudgetRef, as_policy
 from repro.experiments.chunking import AdaptiveChunker
-from repro.experiments.pool import (
-    STREAM_CHUNK_TRIALS,
-    WorkerCount,
-    WorkerPool,
-    resolve_workers,
-)
+from repro.experiments.pool import WorkerCount, WorkerPool, resolve_workers
 from repro.experiments.scenario import Params, ScenarioSpec, get_scenario
 from repro.sim.execution import run_protocol
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngRegistry, derive_seed
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.experiments.campaign import PointState
 
 #: A scenario argument: registered name or an (ad-hoc) spec object.
 ScenarioRef = Union[str, ScenarioSpec]
@@ -119,8 +97,8 @@ class ExperimentResult:
     elapsed: float = 0.0  # wall-clock; excluded from to_row() determinism
     steps_total: int = 0  # summed delivery steps across all trials
     #: Worker chunks this experiment dispatched — scheduling metadata
-    #: (like ``elapsed``), excluded from ``to_row()``; what the chunking
-    #: benchmark and the cost-adaptive tests measure.
+    #: (like ``elapsed``), excluded from ``to_row()``; what the
+    #: cost-adaptive tests measure.
     dispatches: int = 0
     budget: Optional[BudgetPolicy] = None  # adaptive policy, if one ran
     #: The experiment was abandoned at a chunk boundary by a deadline
@@ -177,7 +155,6 @@ def run_one_trial(
     params: Params,
     base_seed: int,
     index: int,
-    record_trace: bool = False,
     max_steps: Optional[int] = None,
 ) -> TrialOutcome:
     """Run trial ``index`` of an experiment and score it.
@@ -193,7 +170,7 @@ def run_one_trial(
     if spec.run_trial is not None:
         outcome, steps = spec.run_trial(params, registry, max_steps)
     else:
-        result = _execute_trial(spec, params, registry, record_trace, max_steps)
+        result = _execute_trial(spec, params, registry, False, max_steps)
         outcome, steps = result.outcome, result.steps
     if spec.map_outcome is not None:
         outcome = spec.map_outcome(outcome, params)
@@ -256,19 +233,23 @@ def run_traced_trial(
     )
 
 
-#: One chunk's work order, shipped to a worker. ``scenario`` is a builtin
-#: name (resolved from the worker's own catalog) or a full spec by value.
-#: The trailing ``use_batch`` flag opts the folded path in or out of a
-#: scenario's vectorized kernel; it is optional (older 6-tuples still
-#: parse, defaulting to batch-on) so pickled payloads stay compatible.
+#: One chunk's work order, shipped to a worker: ``(scenario, params,
+#: base_seed, indices, keep_outcomes, max_steps, use_batch)``.
+#: ``scenario`` is a builtin name (resolved from the worker's own
+#: catalog) or a full spec by value. ``keep_outcomes`` asks for the
+#: chunk's trials back as columns; ``use_batch`` opts the chunk in or
+#: out of a scenario's vectorized kernel.
 ChunkPayload = Tuple[ScenarioRef, Params, int, Tuple[int, ...], bool, Optional[int], bool]
 
 #: A worker-side folded chunk: (outcome -> count, successes, steps total,
 #: trial count, worker-measured elapsed seconds). Plain tuples pickle
-#: small and fold commutatively. The trailing ``elapsed`` is scheduling
+#: small and fold commutatively. The ``elapsed`` element is scheduling
 #: metadata — the cost-adaptive chunker's in-run feedback signal — and
 #: never reaches a row: the first four elements alone decide results.
-ChunkFold = Tuple[Dict[Any, int], int, int, int, float]
+#: A ``keep_outcomes`` chunk appends four columns after it — ``(indices,
+#: outcomes, steps, successes)`` tuples, one entry per trial — which
+#: pickle in a fraction of the bytes per-trial objects would.
+ChunkFold = Tuple[Any, ...]
 
 
 def _resolve_chunk_spec(scenario: ScenarioRef) -> ScenarioSpec:
@@ -277,68 +258,6 @@ def _resolve_chunk_spec(scenario: ScenarioRef) -> ScenarioSpec:
 
         return get_scenario(scenario)
     return scenario
-
-
-def _run_chunk(payload: ChunkPayload) -> List[TrialOutcome]:
-    """Worker entry point: run a chunk, returning per-trial outcomes."""
-    scenario, params, base_seed, indices, record_trace, max_steps = payload[:6]
-    spec = _resolve_chunk_spec(scenario)
-    return [
-        run_one_trial(spec, params, base_seed, i, record_trace, max_steps)
-        for i in indices
-    ]
-
-
-#: A worker-side *packed* chunk for the streamed outcome path: columnar
-#: ``(indices, outcomes, steps, successes, elapsed)`` tuples. Per-trial
-#: :class:`TrialOutcome` objects pickle as one class reference plus four
-#: boxed fields *each*; four flat tuples carry the same data in a
-#: fraction of the bytes, and the master rebuilds the objects locally.
-#: The trailing worker-measured ``elapsed`` seconds feed the
-#: cost-adaptive chunker and never reach a trial outcome.
-PackedChunk = Tuple[
-    Tuple[int, ...], Tuple[Any, ...], Tuple[int, ...], Tuple[bool, ...], float
-]
-
-
-def _run_chunk_packed(payload: ChunkPayload) -> PackedChunk:
-    """Worker entry point for the streamed outcome path: run a chunk and
-    return its trials as columnar tuples (see :data:`PackedChunk`).
-
-    Paired with the :data:`~repro.experiments.pool.STREAM_CHUNK_TRIALS`
-    chunk cap, this is what lets ``on_outcome`` consumers receive every
-    trial in bounded, cheap IPC messages instead of one arbitrarily
-    large pickled object list per dispatch.
-    """
-    scenario, params, base_seed, indices, record_trace, max_steps = payload[:6]
-    spec = _resolve_chunk_spec(scenario)
-    started = time.perf_counter()
-    outcomes = []
-    steps = []
-    successes = []
-    for i in indices:
-        trial = run_one_trial(spec, params, base_seed, i, record_trace, max_steps)
-        outcomes.append(trial.outcome)
-        steps.append(trial.steps)
-        successes.append(trial.success)
-    return (
-        tuple(indices),
-        tuple(outcomes),
-        tuple(steps),
-        tuple(successes),
-        time.perf_counter() - started,
-    )
-
-
-def _unpack_chunk(packed: PackedChunk) -> List[TrialOutcome]:
-    """Rebuild a packed chunk's :class:`TrialOutcome` objects master-side
-    (the trailing elapsed element, when present, is timing metadata the
-    dispatcher consumes — trials never see it)."""
-    indices, outcomes, steps, successes = packed[:4]
-    return [
-        TrialOutcome(index=i, outcome=o, steps=s, success=w)
-        for i, o, s, w in zip(indices, outcomes, steps, successes)
-    ]
 
 
 def trial_seeds(base_seed: int, indices: Sequence[int]) -> List[int]:
@@ -376,7 +295,7 @@ def _fold_batch(
 
 
 def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
-    """Worker entry point: run a chunk, returning only folded aggregates.
+    """Worker entry point: run a chunk, returning its folded aggregates.
 
     The worker folds its own trials into an outcome histogram and
     success/step counters, so what crosses the process boundary is a
@@ -386,18 +305,19 @@ def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
     When the scenario carries a vectorized ``run_batch`` kernel, the
     fold is computed by the kernel instead of the per-trial loop —
     same counts bit for bit, fraction of the interpreter time. The
-    kernel only applies where its contract does: the folded path with
-    no trace and the default step budget (a custom ``max_steps`` can
+    kernel only applies where its contract does: no per-trial outcomes
+    requested and the default step budget (a custom ``max_steps`` can
     change executor outcomes, which closed-form kernels cannot see).
+    A ``keep_outcomes`` chunk runs the scalar loop and appends its
+    trials as columns (see :data:`ChunkFold`).
     """
-    scenario, params, base_seed, indices, record_trace, max_steps = payload[:6]
-    use_batch = payload[6] if len(payload) > 6 else True
+    scenario, params, base_seed, indices, keep_outcomes, max_steps, use_batch = payload
     spec = _resolve_chunk_spec(scenario)
     started = time.perf_counter()
     if (
         use_batch
         and spec.run_batch is not None
-        and not record_trace
+        and not keep_outcomes
         and max_steps is None
     ):
         batched = _fold_batch(spec, params, base_seed, indices)
@@ -406,12 +326,33 @@ def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
     counts: Dict[Any, int] = {}
     successes = 0
     steps_total = 0
+    kept: List[TrialOutcome] = []
     for i in indices:
-        trial = run_one_trial(spec, params, base_seed, i, record_trace, max_steps)
+        trial = run_one_trial(spec, params, base_seed, i, max_steps)
         counts[trial.outcome] = counts.get(trial.outcome, 0) + 1
         successes += int(trial.success)
         steps_total += trial.steps
-    return (counts, successes, steps_total, len(indices), time.perf_counter() - started)
+        if keep_outcomes:
+            kept.append(trial)
+    fold = (counts, successes, steps_total, len(indices), time.perf_counter() - started)
+    if not keep_outcomes:
+        return fold
+    return fold + (
+        tuple(indices),
+        tuple(trial.outcome for trial in kept),
+        tuple(trial.steps for trial in kept),
+        tuple(trial.success for trial in kept),
+    )
+
+
+def check_chunk_size(chunk_size: Optional[int]) -> None:
+    """Reject a pinned chunk size that is not a positive integer."""
+    if chunk_size is not None and (
+        isinstance(chunk_size, bool)
+        or not isinstance(chunk_size, int)
+        or chunk_size < 1
+    ):
+        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size!r}")
 
 
 def chunk_payloads(
@@ -419,31 +360,29 @@ def chunk_payloads(
     params: Params,
     base_seed: int,
     indices: Sequence[int],
-    record_trace: bool = False,
+    keep_outcomes: bool = False,
     max_steps: Optional[int] = None,
     workers: int = 1,
     chunk_size: Optional[int] = None,
-    max_chunk: Optional[int] = None,
     use_batch: bool = True,
     chunker: Optional[AdaptiveChunker] = None,
 ) -> List[ChunkPayload]:
     """Slice a trial-index range into worker chunk payloads.
 
-    Shared by the runner and the campaign orchestrator so both ship the
-    exact same work orders. Builtin scenarios go by *name* (workers
-    resolve them from their own catalog import instead of unpickling
-    arbitrary callables); user-registered and ad-hoc specs go by value —
-    a worker under the spawn/forkserver start methods rebuilds only the
-    builtin catalog, so a bare name would not resolve there.
+    Shared by every backend (local campaigns, the runner, coordinator
+    nodes) so all of them ship the exact same work orders. Builtin
+    scenarios go by *name* (workers resolve them from their own catalog
+    import instead of unpickling arbitrary callables); user-registered
+    and ad-hoc specs go by value — a worker under the spawn/forkserver
+    start methods rebuilds only the builtin catalog, so a bare name
+    would not resolve there.
 
     Sizing precedence: an explicit ``chunk_size`` always wins; otherwise
     a ``chunker`` with observed per-trial seconds for the scenario sizes
     chunks toward its wall-seconds target (see
     :class:`~repro.experiments.chunking.AdaptiveChunker`); otherwise the
-    static count heuristic (~4 chunks per worker). ``max_chunk`` caps
-    the result whatever chose it — the streamed outcome path uses it to
-    bound per-dispatch IPC message size. Chunking never affects results,
-    only scheduling.
+    static count heuristic (~4 chunks per worker). Chunking never
+    affects results, only scheduling.
     """
     count = len(indices)
     size = None
@@ -453,8 +392,6 @@ def chunk_payloads(
         size = chunker.chunk_size(spec.name, count, workers)
     if size is None:
         size = max(1, count // (workers * 4) or 1)
-    if max_chunk is not None:
-        size = min(size, max_chunk)
     ship = spec.name if _is_builtin(spec) else spec
     return [
         (
@@ -462,7 +399,7 @@ def chunk_payloads(
             params,
             base_seed,
             tuple(indices[start : start + size]),
-            record_trace,
+            keep_outcomes,
             max_steps,
             use_batch,
         )
@@ -487,9 +424,6 @@ class ExperimentRunner:
     chunk_size:
         Trials per worker task; defaults to ~4 tasks per worker so slow
         chunks load-balance. Never affects results, only scheduling.
-    record_trace:
-        Forwarded to the executor; ``False`` (default) is the Monte-Carlo
-        fast path.
     max_steps:
         Per-trial delivery budget override (``None`` = executor default).
     pool:
@@ -507,9 +441,9 @@ class ExperimentRunner:
         mode; results are identical either way by contract.
     chunker:
         A :class:`~repro.experiments.chunking.AdaptiveChunker` sizing
-        chunks from observed per-trial seconds (every folded chunk's
-        measured elapsed feeds it back). ``None`` keeps the static
-        count heuristic. Callers that own an ``--out`` store (the
+        chunks from observed per-trial seconds (every chunk's measured
+        elapsed feeds it back). ``None`` keeps the static count
+        heuristic. Callers that own an ``--out`` store (the
         sweep/campaign CLI) pass the chunker replayed from its timings;
         an explicit ``chunk_size`` always wins over both. Chunking never
         affects results, only scheduling.
@@ -520,21 +454,18 @@ class ExperimentRunner:
         workers: WorkerCount = 1,
         parallel: Optional[bool] = None,
         chunk_size: Optional[int] = None,
-        record_trace: bool = False,
         max_steps: Optional[int] = None,
         pool: Optional[WorkerPool] = None,
         use_batch: bool = True,
         chunker: Optional[AdaptiveChunker] = None,
     ):
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+        check_chunk_size(chunk_size)
         if pool is not None:
             self.workers = pool.workers
         else:
             self.workers = resolve_workers(workers)
         self.parallel = parallel if parallel is not None else self.workers > 1
         self.chunk_size = chunk_size
-        self.record_trace = record_trace
         self.max_steps = max_steps
         self.use_batch = use_batch
         self.chunker = chunker
@@ -561,53 +492,13 @@ class ExperimentRunner:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _shared_pool(self) -> WorkerPool:
+    def _shared_pool(self) -> Optional[WorkerPool]:
+        """The pool to dispatch through, or None to run in-process."""
+        if not (self.parallel and self.workers > 1):
+            return None
         if self._pool is None:
             self._pool = WorkerPool(self.workers)
         return self._pool
-
-    # -- internals -----------------------------------------------------
-
-    def _dispatch(
-        self, state: "PointState", start: int, end: int, fold: bool
-    ) -> Iterable[Union[List[TrialOutcome], ChunkFold]]:
-        """Run trials ``[start, end)`` of ``state``'s point, yielding
-        chunk results as they arrive (folds, or per-trial lists)."""
-        spec, point = state.spec, state.point
-        indices = range(start, end)
-        use_pool = self.parallel and self.workers > 1 and len(indices) > 1
-        payloads = chunk_payloads(
-            spec,
-            point.params,
-            point.base_seed,
-            indices,
-            self.record_trace,
-            self.max_steps,
-            workers=self.workers,
-            # The calibration probe ships as one bounded chunk; otherwise
-            # the runner-wide setting outranks the adaptive chunker.
-            chunk_size=(
-                state.probe if state.probe and end <= state.probe else self.chunk_size
-            ),
-            # Streamed outcome path: per-trial results cross the process
-            # boundary, so bound every dispatch's pickled payload.
-            max_chunk=STREAM_CHUNK_TRIALS if use_pool and not fold else None,
-            use_batch=self.use_batch,
-            chunker=self.chunker,
-        )
-        state.dispatches += len(payloads)
-        # Per-trial chunks travel as packed columns (cheap, bounded IPC)
-        # and are rebuilt into trial objects here.
-        fn = _run_chunk_folded if fold else _run_chunk_packed
-        if use_pool:
-            results = self._shared_pool().imap_unordered(fn, payloads)
-        else:
-            results = map(fn, payloads)  # in-process: no pickling
-        for result in results:
-            if self.chunker is not None:
-                trials = result[3] if fold else len(result[0])
-                self.chunker.observe(spec.name, trials, result[4])
-            yield result if fold else _unpack_chunk(result)
 
     # -- public API ----------------------------------------------------
 
@@ -617,7 +508,6 @@ class ExperimentRunner:
         trials: Optional[int] = None,
         base_seed: int = 0,
         params: Optional[Mapping[str, Any]] = None,
-        on_outcome: Optional[Callable[[TrialOutcome], None]] = None,
         keep_outcomes: bool = True,
         budget: BudgetRef = None,
     ) -> ExperimentResult:
@@ -627,22 +517,26 @@ class ExperimentRunner:
         (adaptive Wilson stop, see
         :class:`~repro.experiments.budget.BudgetPolicy`) must be given.
 
-        ``on_outcome`` (if given) observes every trial as its chunk
-        arrives — arrival order is nondeterministic under parallelism,
-        but the folded result and the final ``outcomes`` list (sorted by
-        trial index) are not. With ``keep_outcomes=False`` and no
-        ``on_outcome``, chunks are folded *inside the workers* and only
-        aggregate counters cross the process boundary; the result's
-        ``outcomes`` list is then empty (the distribution, success
-        proportion, and row are identical either way).
+        With ``keep_outcomes`` (the default) the result's ``outcomes``
+        list holds every trial, sorted by index; without it only
+        aggregate counters cross the process boundary, chunks may run
+        through the scenario's vectorized kernel, and ``outcomes`` is
+        empty. The distribution, success proportion, and row are
+        identical either way.
 
-        The experiment is one campaign point, batched, folded, and
-        stopped by the same :class:`~repro.experiments.campaign.PointState`
-        campaigns use.
+        The experiment is a one-point
+        :class:`~repro.experiments.campaign.PointDriver` run — admitted,
+        batched, folded, and stopped by the loop campaigns use, which is
+        most of why rows match byte for byte whatever runs them.
         """
-        # campaign.py builds on this module, so its point state is
-        # imported at call time.
-        from repro.experiments.campaign import CampaignPoint, PointState
+        # campaign.py builds on this module, so its driver is imported
+        # at call time.
+        from repro.experiments.campaign import (
+            CampaignPoint,
+            PointDriver,
+            _chunk_cutter,
+            _drive,
+        )
 
         spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
         resolved = spec.resolve_params(params)
@@ -656,45 +550,23 @@ class ExperimentRunner:
                 raise ConfigurationError("trials is required without a budget")
             if trials < 0:
                 raise ConfigurationError(f"trials must be >= 0, got {trials}")
-        fold = not keep_outcomes and on_outcome is None
-        probe = 0
-        if (
-            policy is None
-            and fold
-            and self.chunker is not None
-            and self.chunk_size is None
-        ):
-            # In-run calibration: an unseen scenario's first chunk
-            # runs at a bounded size so its measured elapsed seeds
-            # the cost model, and the rest of this same point is
-            # chunked from evidence instead of the count heuristic.
-            probe = self.chunker.calibration_trials(spec.name, trials)
         point = CampaignPoint(
             spec.name, resolved, trials, base_seed, self.max_steps, policy
         )
-        state = PointState(0, point, spec, probe)
-        outcomes: List[TrialOutcome] = []
-
-        def _fold_trials(chunk: List[TrialOutcome]) -> Tuple[Counter, int, int, int]:
-            for trial in chunk:
-                if keep_outcomes:
-                    outcomes.append(trial)
-                if on_outcome is not None:
-                    on_outcome(trial)
-            return (
-                Counter(trial.outcome for trial in chunk),
-                sum(int(trial.success) for trial in chunk),
-                sum(trial.steps for trial in chunk),
-                len(chunk),
-            )
-
-        for start, end in iter(state.next_batch, None):
-            for chunk in self._dispatch(state, start, end, fold):
-                state.fold(chunk if fold else _fold_trials(chunk))
-            if state.converged():
-                break
-        result = state.finalize()
-        result.outcomes = sorted(outcomes, key=lambda t: t.index)
+        driver = PointDriver(
+            [point],
+            {spec.name: spec},
+            _chunk_cutter(
+                self.workers,
+                self.chunk_size,
+                self.chunker,
+                use_batch=self.use_batch,
+                keep_outcomes=keep_outcomes,
+            ),
+            max_active=1,
+            chunker=self.chunker if self.chunk_size is None else None,
+        )
+        (result,) = _drive(driver, self._shared_pool(), self.chunker)
         return result
 
 
@@ -714,7 +586,6 @@ def run_scenario(
     keep_outcomes: bool = True,
     budget: BudgetRef = None,
     pool: Optional[WorkerPool] = None,
-    on_outcome: Optional[Callable[[TrialOutcome], None]] = None,
     chunker: Optional[AdaptiveChunker] = None,
     **runner_kwargs: Any,
 ) -> ExperimentResult:
@@ -736,7 +607,6 @@ def run_scenario(
             trials,
             base_seed=base_seed,
             params=params,
-            on_outcome=on_outcome,
             keep_outcomes=keep_outcomes,
             budget=budget,
         )

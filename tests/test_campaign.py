@@ -215,6 +215,13 @@ class TestRunCampaign:
             (result,) = run_campaign([point], workers=workers)
             assert result.trials == 0
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_rejected_eagerly(self, chunk_size):
+        # Before any trial, and before the iterator is even started: a
+        # -1 used to run every point as an empty 0-trial row.
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            run_campaign(self.GRID[:1], chunk_size=chunk_size)
+
     def test_infeasible_point_raises_configuration_error(self):
         # k=7 rushers cannot be equally spaced on a ring of 8.
         bad = CampaignPoint(
@@ -308,6 +315,18 @@ class TestCampaignCli:
             main(["campaign", str(missing), "--out", str(out)])
         assert out.read_text() == '{"precious": "results"}\n'
         assert not (tmp_path / "rows.jsonl.tmp").exists()
+        assert not (tmp_path / "rows.jsonl.db").exists()
+
+    @pytest.mark.parametrize("chunk_size", ["0", "-1"])
+    def test_non_positive_chunk_size_exits_without_rows(
+        self, tmp_path, chunk_size
+    ):
+        out = tmp_path / "rows.jsonl"
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", SMOKE_MANIFEST, f"--chunk-size={chunk_size}",
+                  "--out", str(out)])
+        assert "chunk_size must be >= 1" in str(info.value.code)
+        assert not out.exists()
         assert not (tmp_path / "rows.jsonl.db").exists()
 
     def test_campaign_resume_requires_out(self, tmp_path):

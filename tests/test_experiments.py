@@ -267,15 +267,11 @@ class TestRunnerResults:
         with pytest.raises(ConfigurationError):
             ExperimentRunner().run("honest/alead-uni", trials=-1)
 
-    def test_on_outcome_sees_every_trial(self):
-        seen = []
-        ExperimentRunner().run(
-            "honest/alead-uni",
-            trials=7,
-            params={"n": 6},
-            on_outcome=seen.append,
+    def test_outcomes_hold_every_trial_in_index_order(self):
+        result = ExperimentRunner(chunk_size=3).run(
+            "honest/alead-uni", trials=7, params={"n": 6}
         )
-        assert sorted(t.index for t in seen) == list(range(7))
+        assert [t.index for t in result.outcomes] == list(range(7))
 
 
 class TestSweep:

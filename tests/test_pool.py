@@ -173,17 +173,14 @@ class TestFoldedAggregates:
         )
         assert folded.to_row() == serial.to_row()
 
-    def test_on_outcome_disables_the_fold_but_not_the_row(self):
-        seen = []
-        result = run_scenario(
-            "honest/basic-lead",
-            trials=7,
-            params={"n": 6},
-            keep_outcomes=False,
-            on_outcome=seen.append,
+    def test_kept_outcomes_ride_on_the_fold_without_changing_the_row(self):
+        kept = run_scenario("honest/basic-lead", trials=7, params={"n": 6})
+        folded = run_scenario(
+            "honest/basic-lead", trials=7, params={"n": 6}, keep_outcomes=False
         )
-        assert sorted(t.index for t in seen) == list(range(7))
-        assert result.outcomes == []  # still not retained
+        assert [t.index for t in kept.outcomes] == list(range(7))
+        assert folded.outcomes == []  # not retained
+        assert kept.to_row() == folded.to_row()
 
 
 class TestBudgetPolicy:
@@ -436,57 +433,65 @@ class TestPolicyRegistry:
         assert row(1) == row(4)
 
 
-class TestStreamedOutcomes:
-    def test_stream_cap_bounds_every_payload(self):
-        from repro.experiments.pool import STREAM_CHUNK_TRIALS
-        from repro.experiments.runner import chunk_payloads
-        from repro.experiments.scenario import get_scenario
+class TestKeptOutcomes:
+    """``keep_outcomes=True`` under real worker processes: the trials
+    ride back on the folded chunks and come out index-sorted."""
 
-        spec = get_scenario("sync/broadcast")
-        params = spec.resolve_params(None)
-        payloads = chunk_payloads(
-            spec, params, 0, range(10 * STREAM_CHUNK_TRIALS), False, None,
-            workers=2, chunk_size=10 * STREAM_CHUNK_TRIALS,
-            max_chunk=STREAM_CHUNK_TRIALS,
-        )
-        assert len(payloads) == 10
-        assert all(
-            len(payload[3]) <= STREAM_CHUNK_TRIALS for payload in payloads
-        )
-
-    def test_packed_chunk_roundtrips_the_trial_list(self):
-        from repro.experiments.runner import (
-            _run_chunk,
-            _run_chunk_packed,
-            _unpack_chunk,
-            chunk_payloads,
-        )
-        from repro.experiments.scenario import get_scenario
-
-        spec = get_scenario("fullinfo/baton")
-        params = spec.resolve_params({"n": 8, "k": 2})
-        (payload,) = chunk_payloads(
-            spec, params, 3, range(12), False, None, chunk_size=12
-        )
-        assert _unpack_chunk(_run_chunk_packed(payload)) == _run_chunk(payload)
-
-    def test_parallel_on_outcome_sees_every_trial_once(self):
-        seen = []
+    def test_parallel_outcomes_hold_every_trial_once(self):
         with WorkerPool(4) as pool:
-            streamed = run_scenario(
+            parallel = run_scenario(
                 "fullinfo/baton",
                 trials=300,
                 params={"n": 8, "k": 2},
                 pool=pool,
                 keep_outcomes=True,
-                on_outcome=seen.append,
             )
         serial = run_scenario(
             "fullinfo/baton", trials=300, params={"n": 8, "k": 2}
         )
-        assert sorted(t.index for t in seen) == list(range(300))
-        assert streamed.outcomes == serial.outcomes  # both index-sorted
-        assert streamed.to_row() == serial.to_row()
+        assert [t.index for t in parallel.outcomes] == list(range(300))
+        assert parallel.outcomes == serial.outcomes  # both index-sorted
+        assert parallel.to_row() == serial.to_row()
+
+    def test_budgeted_outcomes_match_serial_on_two_workers(self):
+        def run(pool=None):
+            return run_scenario(
+                "fullinfo/baton",
+                params={"n": 8, "k": 2},
+                budget=WilsonWidthPolicy(
+                    ci_width=0.2, min_trials=16, max_trials=512
+                ),
+                pool=pool,
+                keep_outcomes=True,
+            )
+
+        serial = run()
+        with WorkerPool(2) as pool:
+            parallel = run(pool)
+        assert len(parallel.outcomes) == parallel.trials
+        assert 16 <= parallel.trials <= 512
+        assert parallel.outcomes == serial.outcomes
+        assert parallel.to_row() == serial.to_row()
+
+    def test_parallel_worker_failure_names_the_point(self):
+        spec = ScenarioSpec(
+            name="test/explodes-in-worker",
+            description="a trial that always raises",
+            run_trial=_explode_trial,
+        )
+        register_scenario(spec)
+        try:
+            with WorkerPool(2) as pool:
+                with pytest.raises(ConfigurationError) as info:
+                    run_scenario(spec, trials=4, pool=pool)
+        finally:
+            unregister_scenario(spec.name)
+        assert "test/explodes-in-worker" in str(info.value)
+        assert isinstance(info.value.__cause__, ValueError)
+
+
+def _explode_trial(params, registry, max_steps):
+    raise ValueError("trial exploded")
 
 
 def _double(x):
