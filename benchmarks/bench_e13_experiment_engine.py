@@ -5,9 +5,9 @@ engine. The seed code estimated every distribution with a serial loop
 that recorded a full event ``Trace`` per trial and then read only the
 outcome; the experiment runner executes the same trials with trace
 recording off. This bench asserts the two agree outcome-for-outcome and
-benchmarks the fast path (the wall-clock comparison lives in
-``BENCH_experiment_engine.json``, regenerated by
-``benchmarks/measure_experiment_engine.py``).
+benchmarks the fast path (``BENCH_experiment_engine.json`` keeps the
+historical wall-clock comparison; ``perfbench/`` is the benchmark
+today).
 """
 
 import pytest

@@ -98,6 +98,7 @@ from repro.experiments.runner import (
     _run_chunk_folded,
     check_chunk_size,
     chunk_payloads,
+    cost_key,
 )
 from repro.experiments.scenario import (
     Params,
@@ -397,11 +398,15 @@ class PointScheduler:
     ) -> Optional[float]:
         """The cost model's seconds estimate for ``point``, whose
         :func:`scheduled_cost` is ``cost_units`` (None without an
-        observed model) — what ``--dry-run`` prints per line."""
+        observed model) — what ``--dry-run`` prints per line. The point
+        is priced on the path a campaign runs it on (its kernel, unless
+        its ``max_steps`` sends it to the scalar loop)."""
         if self.cost_model is None:
             return None
         return self.cost_model.estimate_seconds(
-            point.scenario, _planning_trials(point), cost_units
+            cost_key(get_scenario(point.scenario), point.max_steps),
+            _planning_trials(point),
+            cost_units,
         )
 
     def plan(self, points: Sequence[CampaignPoint]) -> CostedPoints:
@@ -738,8 +743,9 @@ class PointDriver:
         self.specs = specs
         self.cut = cut
         self.max_active = max_active
-        #: Sizes calibration probes for fixed-trial points of unseen
-        #: scenarios (``None``: no probes).
+        #: Sizes calibration probes for fixed-trial points whose cost
+        #: key is unseen (``None``: no probes); ``cut`` then names the
+        #: key, as a :class:`_ChunkCutter` does.
         self.chunker = chunker
         self.point_timeout = point_timeout
         self.wall_deadline = wall_deadline
@@ -764,12 +770,13 @@ class PointDriver:
             self.waiting and len(self.active) < self.max_active and not self.draining
         ):
             point_id, point = self.waiting.popleft()
+            spec = self.specs[point.scenario]
             probe = 0
             if self.chunker is not None and point.budget is None:
                 probe = self.chunker.calibration_trials(
-                    point.scenario, point.trials or 0
+                    self.cut.cost_key(spec, point), point.trials or 0
                 )
-            state = PointState(point_id, point, self.specs[point.scenario], probe)
+            state = PointState(point_id, point, spec, probe)
             if self._enqueue_batch(state):
                 self.active[point_id] = state
             else:
@@ -855,20 +862,33 @@ class PointDriver:
         return True
 
 
-def _chunk_cutter(
-    workers: int,
-    chunk_size: Optional[int],
-    chunker: Optional[AdaptiveChunker],
-    use_batch: bool = True,
-    keep_outcomes: bool = False,
-) -> Callable[[PointState, int, int], List[tuple]]:
-    """Cut batches into point-tagged worker chunk payloads. The
-    calibration batch ships as one bounded chunk, so its measured fold
-    is a clean per-trial estimate."""
+class _ChunkCutter:
+    """Cuts batches into point-tagged worker chunk payloads, and names
+    the cost key (:func:`~repro.experiments.runner.cost_key`) those
+    chunks are timed and probed under. The calibration batch ships as
+    one bounded chunk, so its measured fold is a clean per-trial
+    estimate."""
 
-    def cut(state: PointState, start: int, end: int) -> List[tuple]:
+    def __init__(
+        self,
+        workers: int,
+        chunk_size: Optional[int],
+        chunker: Optional[AdaptiveChunker],
+        use_batch: bool = True,
+        keep_outcomes: bool = False,
+    ):
+        self.workers = workers
+        self.chunk_size = chunk_size
+        self.chunker = chunker
+        self.use_batch = use_batch
+        self.keep_outcomes = keep_outcomes
+
+    def cost_key(self, spec: ScenarioSpec, point: CampaignPoint) -> str:
+        return cost_key(spec, point.max_steps, self.use_batch, self.keep_outcomes)
+
+    def __call__(self, state: PointState, start: int, end: int) -> List[tuple]:
         point = state.point
-        size = chunk_size
+        size = self.chunk_size
         if size is None and state.probe and end <= state.probe:
             size = state.probe
         return [
@@ -878,16 +898,14 @@ def _chunk_cutter(
                 point.params,
                 point.base_seed,
                 range(start, end),
-                keep_outcomes,
+                self.keep_outcomes,
                 point.max_steps,
-                workers=workers,
+                workers=self.workers,
                 chunk_size=size,
-                use_batch=use_batch,
-                chunker=chunker,
+                use_batch=self.use_batch,
+                chunker=self.chunker,
             )
         ]
-
-    return cut
 
 
 def _dispatcher(
@@ -953,8 +971,9 @@ def _drive(
     while driver.active:
         point_id, chunk_fold = dispatch()
         if chunker is not None:
+            state = driver.active[point_id]
             chunker.observe(
-                driver.active[point_id].point.scenario,
+                driver.cut.cost_key(state.spec, state.point),
                 chunk_fold[3],
                 chunk_fold[4],
             )
@@ -1027,7 +1046,7 @@ def run_campaign(
         driver = PointDriver(
             todo,
             specs,
-            _chunk_cutter(active_pool.workers, chunk_size, chunker),
+            _ChunkCutter(active_pool.workers, chunk_size, chunker),
             # Enough active points that the payload queue never drains
             # while points with tiny budgets finish; serial pools run
             # one, so rows keep admission order.

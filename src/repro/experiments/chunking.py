@@ -1,7 +1,7 @@
 """The observed cost model: per-trial seconds, and chunks sized from them.
 
-The static heuristic the runner shipped with — ``count // (workers * 4)``
-— sizes chunks by *trial count*, which was the right proxy when every
+The static heuristic the runner shipped with — ~4 chunks per worker —
+sizes chunks by *trial count*, which was the right proxy when every
 trial cost roughly the same. PR 6's batch kernels broke that premise by
 two orders of magnitude: a biased-coin trial folds in under a
 microsecond while an executor-backed ring trial still takes ~11 ms, so
@@ -13,16 +13,21 @@ deadline responsiveness on slow scenarios if simply made coarser.
 :class:`AdaptiveChunker` replaces the proxy with the quantity the
 heuristic was always approximating: **wall-seconds per chunk**. It is
 the one cost model of the system — an EWMA of per-trial seconds per
-scenario, which the ``longest-first`` campaign scheduler ranks points
-by, the coordinator keeps per node, and the ``--out`` store persists
-(its ``timings`` table seeds it across runs, and every folded chunk
-sharpens it in-run). Chunks are sized toward
+cost key (a scenario's kernel path and its scalar loop are separate
+keys, see :func:`~repro.experiments.runner.cost_key`), which the
+``longest-first`` campaign scheduler ranks points by, the coordinator
+keeps per node, and the ``--out`` store persists (its ``timings``
+table seeds it across runs, and every folded chunk sharpens it
+in-run). Chunks are sized toward
 :data:`TARGET_CHUNK_SECONDS`, floored at :data:`MIN_CHUNK_SECONDS` so
 cheap scenarios are never shredded for load balance, and capped at an
 even split across the workers so expensive ones still parallelise.
-Scenarios the model has never seen fall back to the static heuristic
-(returning ``None`` here), optionally after a bounded *calibration*
-chunk — see :meth:`AdaptiveChunker.calibration_trials`.
+Keys the model has never seen fall back to the caller's cold rule
+(returning ``None`` here; :func:`~repro.experiments.runner.chunk_payloads`
+splits a kernel range at most once per worker, in chunks of at most
+:data:`CALIBRATION_TRIALS`, and a scalar-loop range ~4 times per
+worker), optionally after a bounded *calibration* chunk — see
+:meth:`AdaptiveChunker.calibration_trials`.
 
 The contract that makes all of this free to take: **chunking never
 affects results**. Trial ``i``'s seed is a pure function of
@@ -56,7 +61,8 @@ ALPHA = 0.5
 #: Trials in the calibration chunk of a scenario the model has never
 #: seen: big enough to amortise per-chunk overhead out of the first
 #: per-trial estimate, small enough that probing an unknown (possibly
-#: ~10 ms per trial) scenario stays a few seconds at worst.
+#: ~10 ms per trial) scenario stays a few seconds at worst. Being the
+#: largest chunk ever shipped blind, it also caps cold kernel chunks.
 CALIBRATION_TRIALS = 256
 
 
@@ -94,10 +100,13 @@ class AdaptiveChunker:
     the same admission order at any worker count. Estimates are
     scheduling metadata only; rows and resume keys never see them.
 
-    ``chunk_size`` answers with ``None`` for scenarios the model has no
+    Every method's ``scenario`` argument is a cost key: the scenario
+    name, or its scalar-path key when a kernel-capable scenario runs the
+    per-trial loop (:func:`~repro.experiments.runner.cost_key`).
+    ``chunk_size`` answers with ``None`` for keys the model has no
     evidence about — the caller (:func:`~repro.experiments.runner.
-    chunk_payloads`) falls back to the static count heuristic, and an
-    explicit user ``chunk_size`` always wins before either is consulted.
+    chunk_payloads`) falls back to its cold rule, and an explicit user
+    ``chunk_size`` always wins before either is consulted.
     """
 
     #: Lock discipline, checked by ``python -m repro lint`` (R201): the
@@ -177,8 +186,10 @@ class AdaptiveChunker:
 
     def chunk_size(self, scenario: str, count: int, workers: int = 1) -> Optional[int]:
         """Trials per chunk for ``count`` trials of ``scenario``, or
-        ``None`` when the model has no estimate (caller falls back to
-        the static heuristic).
+        ``None`` when the model has no estimate (the caller falls back
+        to its cold rule: at most one kernel chunk per worker, capped at
+        :data:`CALIBRATION_TRIALS`, or ~4 scalar-loop chunks per
+        worker).
 
         Three forces, in priority order:
 

@@ -36,7 +36,7 @@ from urllib.parse import urlsplit
 
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool
-from repro.experiments.runner import _run_chunk_folded, chunk_payloads
+from repro.experiments.runner import _run_chunk_folded, chunk_payloads, cost_key
 from repro.experiments.scenario import get_scenario
 from repro.util.errors import ConfigurationError
 
@@ -129,16 +129,18 @@ def lease_fold(
     spec = get_scenario(lease["scenario"])
     params = spec.resolve_params(dict(lease.get("params") or {}))
     start, end = int(lease["start"]), int(lease["end"])
+    max_steps = lease.get("max_steps")
     payloads = chunk_payloads(
         spec,
         params,
         int(lease["base_seed"]),
         range(start, end),
         False,
-        lease.get("max_steps"),
+        max_steps,
         workers=pool.workers,
         chunker=chunker,
     )
+    key = cost_key(spec, max_steps)
     counts: Counter = Counter()
     successes = steps_total = trials = 0
     started = time.perf_counter()
@@ -152,7 +154,7 @@ def lease_fold(
         steps_total += chunk_steps
         trials += chunk_trials
         if chunker is not None and len(fold) > 4:
-            chunker.observe(spec.name, chunk_trials, fold[4])
+            chunker.observe(key, chunk_trials, fold[4])
     return {
         "lease": lease.get("lease"),
         "point": lease["point"],

@@ -46,6 +46,7 @@ and the fallback for ad-hoc scenario specs built from closures that
 cannot cross process boundaries.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -53,7 +54,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.analysis.distribution import OutcomeDistribution
 from repro.analysis.stats import Proportion
 from repro.experiments.budget import BudgetPolicy, BudgetRef, as_policy
-from repro.experiments.chunking import AdaptiveChunker
+from repro.experiments.chunking import CALIBRATION_TRIALS, AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool, resolve_workers
 from repro.experiments.scenario import Params, ScenarioSpec, get_scenario
 from repro.sim.execution import run_protocol
@@ -268,6 +269,51 @@ def trial_seeds(base_seed: int, indices: Sequence[int]) -> List[int]:
     return [derive_seed(base_seed, f"spawn:{i}") for i in indices]
 
 
+def _kernel_applies(
+    spec: ScenarioSpec,
+    use_batch: bool,
+    keep_outcomes: bool,
+    max_steps: Optional[int],
+) -> bool:
+    """Whether a chunk of ``spec`` runs through its ``run_batch`` kernel.
+
+    Only where the kernel's contract holds: batching allowed, no
+    per-trial outcomes requested, and the default step budget (a custom
+    ``max_steps`` can change executor outcomes, which closed-form
+    kernels cannot see). The worker decides its path with this, and
+    chunk sizing and the cost model key by it, so sizing never assumes
+    a kernel the worker then skips.
+    """
+    return (
+        use_batch
+        and spec.run_batch is not None
+        and not keep_outcomes
+        and max_steps is None
+    )
+
+
+def cost_key(
+    spec: ScenarioSpec,
+    max_steps: Optional[int] = None,
+    use_batch: bool = True,
+    keep_outcomes: bool = False,
+) -> str:
+    """The cost-model key chunks of ``spec`` are timed and sized under.
+
+    A kernel and the scalar loop of one scenario can differ by four
+    orders of magnitude per trial, so they never share an EWMA: the
+    scalar-path chunks of a kernel-capable scenario are keyed
+    ``"<name> (scalar)"``. The kernel path, and every scenario without
+    a kernel, keep the bare name, which is what timings recorded before
+    the split carry, so old stores keep replaying.
+    """
+    if spec.run_batch is None or _kernel_applies(
+        spec, use_batch, keep_outcomes, max_steps
+    ):
+        return spec.name
+    return f"{spec.name} (scalar)"
+
+
 def _fold_batch(
     spec: ScenarioSpec, params: Params, base_seed: int, indices: Sequence[int]
 ) -> Optional[Tuple[Dict[Any, int], int, int, int]]:
@@ -302,24 +348,16 @@ def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
     handful of counts however many trials the chunk held. Addition is
     commutative, so the master can fold chunk results in arrival order.
 
-    When the scenario carries a vectorized ``run_batch`` kernel, the
-    fold is computed by the kernel instead of the per-trial loop —
-    same counts bit for bit, fraction of the interpreter time. The
-    kernel only applies where its contract does: no per-trial outcomes
-    requested and the default step budget (a custom ``max_steps`` can
-    change executor outcomes, which closed-form kernels cannot see).
-    A ``keep_outcomes`` chunk runs the scalar loop and appends its
-    trials as columns (see :data:`ChunkFold`).
+    When the scenario's vectorized ``run_batch`` kernel applies (see
+    :func:`_kernel_applies`), the fold is computed by the kernel instead
+    of the per-trial loop — same counts bit for bit, fraction of the
+    interpreter time. A ``keep_outcomes`` chunk runs the scalar loop and
+    appends its trials as columns (see :data:`ChunkFold`).
     """
     scenario, params, base_seed, indices, keep_outcomes, max_steps, use_batch = payload
     spec = _resolve_chunk_spec(scenario)
     started = time.perf_counter()
-    if (
-        use_batch
-        and spec.run_batch is not None
-        and not keep_outcomes
-        and max_steps is None
-    ):
+    if _kernel_applies(spec, use_batch, keep_outcomes, max_steps):
         batched = _fold_batch(spec, params, base_seed, indices)
         if batched is not None:
             return batched + (time.perf_counter() - started,)
@@ -378,20 +416,29 @@ def chunk_payloads(
     would not resolve there.
 
     Sizing precedence: an explicit ``chunk_size`` always wins; otherwise
-    a ``chunker`` with observed per-trial seconds for the scenario sizes
-    chunks toward its wall-seconds target (see
-    :class:`~repro.experiments.chunking.AdaptiveChunker`); otherwise the
-    static count heuristic (~4 chunks per worker). Chunking never
-    affects results, only scheduling.
+    a ``chunker`` with observed per-trial seconds for the chunks'
+    :func:`cost_key` sizes them toward its wall-seconds target (see
+    :class:`~repro.experiments.chunking.AdaptiveChunker`); otherwise a
+    cold rule fitted to the path that will run them. A kernel chunk
+    costs microseconds to a few milliseconds a trial, so the range is
+    split at most once per worker, and no chunk exceeds
+    :data:`~repro.experiments.chunking.CALIBRATION_TRIALS` (the largest
+    chunk ever shipped blind); scalar-loop chunks are cut ~4 per worker
+    so slow trials load-balance. Chunking never affects results, only
+    scheduling.
     """
     count = len(indices)
-    size = None
-    if chunk_size is not None:
-        size = chunk_size
-    elif chunker is not None:
-        size = chunker.chunk_size(spec.name, count, workers)
+    size = chunk_size
+    if size is None and chunker is not None:
+        size = chunker.chunk_size(
+            cost_key(spec, max_steps, use_batch, keep_outcomes), count, workers
+        )
     if size is None:
-        size = max(1, count // (workers * 4) or 1)
+        if _kernel_applies(spec, use_batch, keep_outcomes, max_steps):
+            size = min(math.ceil(count / workers), CALIBRATION_TRIALS)
+        else:
+            size = count // (workers * 4)
+        size = max(1, size)
     ship = spec.name if _is_builtin(spec) else spec
     return [
         (
@@ -422,8 +469,11 @@ class ExperimentRunner:
         derives it from ``workers > 1``. ``parallel=False`` with many
         workers is the test mode: same chunking, no processes.
     chunk_size:
-        Trials per worker task; defaults to ~4 tasks per worker so slow
-        chunks load-balance. Never affects results, only scheduling.
+        Trials per worker task; ``None`` (the default) lets the
+        ``chunker`` size chunks, or, without evidence, the cold rule of
+        :func:`chunk_payloads` (at most one kernel chunk per worker,
+        ~4 scalar-loop chunks per worker). Never affects results, only
+        scheduling.
     max_steps:
         Per-trial delivery budget override (``None`` = executor default).
     pool:
@@ -442,8 +492,8 @@ class ExperimentRunner:
     chunker:
         A :class:`~repro.experiments.chunking.AdaptiveChunker` sizing
         chunks from observed per-trial seconds (every chunk's measured
-        elapsed feeds it back). ``None`` keeps the static count
-        heuristic. Callers that own an ``--out`` store (the
+        elapsed feeds it back). ``None`` keeps the cold rule of
+        :func:`chunk_payloads`. Callers that own an ``--out`` store (the
         sweep/campaign CLI) pass the chunker replayed from its timings;
         an explicit ``chunk_size`` always wins over both. Chunking never
         affects results, only scheduling.
@@ -534,7 +584,7 @@ class ExperimentRunner:
         from repro.experiments.campaign import (
             CampaignPoint,
             PointDriver,
-            _chunk_cutter,
+            _ChunkCutter,
             _drive,
         )
 
@@ -556,7 +606,7 @@ class ExperimentRunner:
         driver = PointDriver(
             [point],
             {spec.name: spec},
-            _chunk_cutter(
+            _ChunkCutter(
                 self.workers,
                 self.chunk_size,
                 self.chunker,

@@ -64,6 +64,7 @@ from typing import (
 
 from repro.experiments.campaign import retry_identity, row_retry_identity
 from repro.experiments.chunking import AdaptiveChunker
+from repro.experiments.runner import cost_key
 from repro.experiments.scenario import get_scenario
 from repro.experiments.sweep import (
     RowWriter,
@@ -116,21 +117,26 @@ def is_store_path(path: Optional[str]) -> bool:
 
 
 def timing_record(result) -> Optional[Tuple[str, int, float, Optional[int]]]:
-    """The ``(scenario, trials, elapsed, cost)`` timing record of one
+    """The ``(key, trials, elapsed, cost)`` timing record of one
     finished result, or ``None`` when it carries no usable cost signal
     (timed-out or empty results: their elapsed is an artifact of the
     guard, and feeding it to the EWMA would teach the scheduler that
-    pathological points are cheap). ``cost`` is the result's proxy
-    units, ``None`` for an unregistered scenario."""
+    pathological points are cheap). ``key`` is the cost-model key of the
+    path the campaign ran the result on
+    (:func:`~repro.experiments.runner.cost_key`; the ``timings`` table
+    keeps it in its ``scenario`` column), and ``cost`` is the result's
+    proxy units. An unregistered scenario is keyed by its name, with no
+    cost."""
     if result.timed_out or not result.trials or result.elapsed <= 0:
         return None
     try:
         spec = get_scenario(result.scenario)
     except ConfigurationError:
-        cost = None  # ad-hoc scenario: per-trial tier only
+        key, cost = result.scenario, None  # ad-hoc scenario: per-trial tier only
     else:
+        key = cost_key(spec, result.max_steps)
         cost = result.trials * max(spec.size(result.params), 1)
-    return (result.scenario, result.trials, result.elapsed, cost)
+    return (key, result.trials, result.elapsed, cost)
 
 
 def params_blob(params: Mapping[str, Any]) -> str:

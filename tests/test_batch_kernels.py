@@ -229,6 +229,27 @@ def test_batch_fold_matches_scalar_fold_4_workers(name, shared_pool):
     assert _comparable(parallel) == _comparable(serial)
 
 
+@pytest.mark.parametrize(
+    "scenario, params",
+    [
+        ("cointoss/fle-coin", {"n": 8}),
+        ("cointoss/biased-coin", {"n": 8, "cheater": 2, "target": 4}),
+        ("cointoss/coin-fle", {"n": 16}),
+        # Big ring: the baton kernel's incremental pools, far past the
+        # sampler's n <= 40.
+        ("fullinfo/baton", {"n": 256, "k": 16}),
+        ("fullinfo/sequential-coin", {"game": "majority", "n": 7, "k": 2, "target": 1}),
+        ("blocks/fair-consensus", {"n": 6}),
+        ("blocks/fair-renaming", {"n": 6}),
+        ("placement/random-segments", {"n": 256}),
+    ],
+)
+def test_fixed_kernel_points_match_scalar(scenario, params):
+    """Fixed points at the sizes the kernels were tuned on, 64 trials
+    each, batch vs scalar."""
+    _assert_modes_agree(scenario, 64, 0, params)
+
+
 def test_biased_coin_edge_cheaters_match_scalar():
     """The biased-coin kernel's O(1) closed form covers the parameter
     edges explicitly: the cheater in the origin slot and the cheater

@@ -15,6 +15,10 @@ Two layers, pinned separately:
 - What the machinery buys: a budgeted point's dispatch count drops by
   an integer multiple under a seeded chunker, while trial counts (the
   worker-invariance of stop decisions) stay identical.
+- The cold rule, when the model has no evidence: a kernel range is
+  split at most once per worker (no chunk over ``CALIBRATION_TRIALS``),
+  a scalar-loop range ``count // (workers * 4)`` trials a chunk; and a
+  scenario's kernel and scalar loop never share one cost estimate.
 """
 
 import json
@@ -25,17 +29,24 @@ import pytest
 
 from repro.experiments import (
     CALIBRATION_TRIALS,
+    TARGET_CHUNK_SECONDS,
     AdaptiveChunker,
+    CampaignPoint,
     ExperimentRunner,
+    PointScheduler,
     WilsonWidthPolicy,
+    WorkerPool,
     get_scenario,
+    lease_fold,
     run_scenario,
+    timing_record,
 )
-from repro.experiments.runner import chunk_payloads
+from repro.experiments.runner import chunk_payloads, cost_key
 
 BATCHED = "cointoss/biased-coin"  # vectorized run_batch kernel
 EXECUTOR = "attack/basic-cheat"  # per-trial executor simulation
 MIXED_RATE = "fullinfo/baton"  # batched, p far from 0 and 1
+SCALAR_ONLY = "sync/broadcast"  # no run_batch kernel at all
 
 
 def seeded(per_trial_seconds: float, scenario: str = "any") -> AdaptiveChunker:
@@ -144,10 +155,15 @@ class TestExplicitChunkSizeWins:
             spec, spec.defaults, 0, range(100), workers=4, chunker=chunker,
         )
         assert len(adaptive) == 1  # 100 µs of work: one chunk
-        static = chunk_payloads(
+        cold = chunk_payloads(
             spec, spec.defaults, 0, range(100), workers=4,
         )
-        assert len(static) == 17  # 100 // 16 = 6 trials per chunk
+        assert [len(p[3]) for p in cold] == [25] * 4  # one per worker
+        # The scalar-loop control keeps the count heuristic.
+        scalar = chunk_payloads(
+            spec, spec.defaults, 0, range(100), workers=4, use_batch=False,
+        )
+        assert len(scalar) == 17  # 100 // 16 = 6 trials per chunk
 
 
 def draw_params(rng: random.Random, scenario: str) -> dict:
@@ -248,54 +264,201 @@ class TestDispatchReduction:
     def test_budgeted_point_dispatches_drop(self):
         """The headline effect: an adaptive-budget point of a cheap
         batched scenario stops paying per-batch dispatch confetti once
-        the chunker knows the per-trial cost."""
+        the chunker knows the per-trial cost — and, with no evidence at
+        all, as soon as sizing knows the kernel runs it."""
         budget = lambda: WilsonWidthPolicy(  # noqa: E731
             ci_width=0.1, min_trials=32, max_trials=4096
         )
+        scalar_key = cost_key(get_scenario(MIXED_RATE), use_batch=False)
         static_row, static = rows_for(
             MIXED_RATE, None, {"n": 16}, budget=budget(),
-            workers=4, parallel=False,
+            workers=4, parallel=False, use_batch=False,
         )
         seeded_row, adaptive = rows_for(
             MIXED_RATE, None, {"n": 16}, budget=budget(),
-            workers=4, parallel=False, chunker=seeded(1e-6, MIXED_RATE),
+            workers=4, parallel=False, use_batch=False,
+            chunker=seeded(1e-6, scalar_key),
         )
-        assert seeded_row == static_row
-        assert adaptive.trials == static.trials
-        # Static: ~16 chunks per doubling batch. Seeded adaptive: one
-        # chunk per batch (microsecond trials never split). The exact
-        # ratio depends on how many batches the stop rule needs, but an
-        # integer multiple survives any in-run EWMA drift.
+        cold_row, cold = rows_for(
+            MIXED_RATE, None, {"n": 16}, budget=budget(),
+            workers=4, parallel=False,
+        )
+        assert seeded_row == static_row == cold_row
+        assert adaptive.trials == static.trials == cold.trials
+        # Static scalar loop: ~16 chunks per doubling batch. Seeded
+        # adaptive: one chunk per batch (microsecond trials never
+        # split). The exact ratio depends on how many batches the stop
+        # rule needs, but an integer multiple survives any in-run EWMA
+        # drift.
         assert adaptive.dispatches * 4 <= static.dispatches
         assert adaptive.dispatches >= 1
+        # Cold kernel: exactly one chunk per worker per batch (no batch
+        # here exceeds 4 * CALIBRATION_TRIALS trials).
+        batches = sum(1 for end in budget().batch_ends() if end <= cold.trials)
+        assert cold.trials <= 4 * CALIBRATION_TRIALS
+        assert cold.dispatches == 4 * batches
 
     def test_fixed_point_probe_then_one_chunk(self):
         """A large fixed point of an unseen scenario: one calibration
-        chunk, then the evidence-sized remainder — not 17 static
-        chunks."""
+        chunk, then the evidence-sized remainder — not 16 static
+        scalar-loop chunks."""
         trials = 3 * CALIBRATION_TRIALS
-        static_row, static = rows_for(
-            BATCHED, trials, {"n": 16, "target": 5},
-            workers=4, parallel=False,
-        )
-        adaptive_row, adaptive = rows_for(
-            BATCHED, trials, {"n": 16, "target": 5},
-            workers=4, parallel=False, chunker=AdaptiveChunker(),
-        )
-        assert adaptive_row == static_row
-        assert static.dispatches == 16  # 48-trial chunks (count // 16)
+        params = {"n": 16, "target": 5}
+        runs = {
+            name: rows_for(BATCHED, trials, params, workers=4, parallel=False, **kw)
+            for name, kw in {
+                "static": {},
+                "adaptive": {"chunker": AdaptiveChunker()},
+                "static-scalar": {"use_batch": False},
+                "adaptive-scalar": {"use_batch": False, "chunker": AdaptiveChunker()},
+            }.items()
+        }
+        assert len({row for row, _ in runs.values()}) == 1
+        dispatches = {name: result.dispatches for name, (_, result) in runs.items()}
+        # Cold kernel: 192-trial chunks, one per worker.
+        assert dispatches["static"] == 4
+        # Cold scalar loop: 48-trial chunks (count // 16).
+        assert dispatches["static-scalar"] == 16
         # probe + a handful of measured chunks, whatever this machine's
-        # timers said (a gross measurement still beats the static 17).
-        assert adaptive.dispatches <= 8
+        # timers said (a gross measurement still beats the static 16).
+        assert dispatches["adaptive-scalar"] <= 8
+        assert dispatches["adaptive"] <= 8
 
     def test_run_scenario_defaults_to_adaptive(self):
+        # keep_outcomes (the default) runs the scalar loop, which at
+        # workers=1 cold-splits 768 trials into 4 static chunks; the
+        # probe path does better and proves the default engaged.
         result = run_scenario(
             BATCHED, trials=3 * CALIBRATION_TRIALS, base_seed=11,
-            keep_outcomes=False,
         )
-        # workers=1 static would be 4 chunks; the probe path does better
-        # and proves the default engaged.
+        assert len(result.outcomes) == 3 * CALIBRATION_TRIALS
         assert result.dispatches <= 3
+
+
+def chunk_lengths(scenario, count, workers, **kwargs):
+    spec = get_scenario(scenario)
+    payloads = chunk_payloads(
+        spec, spec.defaults, 0, range(count), workers=workers, **kwargs
+    )
+    lengths = [len(p[3]) for p in payloads]
+    assert sum(lengths) == count
+    return lengths
+
+
+class TestColdChunkSizing:
+    """With no evidence, chunks are sized by the path that runs them."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("count", [1, 3, 64, 100, 255, 256])
+    def test_kernel_point_splits_at_most_once_per_worker(self, workers, count):
+        for total in (count, count * workers):
+            lengths = chunk_lengths(BATCHED, total, workers)
+            assert len(lengths) <= workers
+            assert max(lengths) <= CALIBRATION_TRIALS
+
+    def test_kernel_cap_holds_at_one_worker(self):
+        count = 2 * CALIBRATION_TRIALS + 88
+        assert chunk_lengths(BATCHED, count, 1) == [
+            CALIBRATION_TRIALS, CALIBRATION_TRIALS, 88
+        ]
+        assert chunk_lengths(BATCHED, 4 * CALIBRATION_TRIALS, 2) == [
+            CALIBRATION_TRIALS
+        ] * 4
+
+    @pytest.mark.parametrize(
+        "scenario, kwargs",
+        [
+            (SCALAR_ONLY, {}),
+            (BATCHED, {"use_batch": False}),
+            (BATCHED, {"keep_outcomes": True}),
+            (BATCHED, {"max_steps": 10**6}),
+        ],
+        ids=["no-kernel", "use_batch=False", "keep_outcomes", "max_steps"],
+    )
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_scalar_path_keeps_the_count_heuristic(self, scenario, kwargs, workers):
+        lengths = chunk_lengths(scenario, 1000, workers, **kwargs)
+        size = 1000 // (workers * 4)
+        assert set(lengths[:-1]) == {size}
+        assert len(lengths) == -(-1000 // size)
+
+
+class TestKernelAndScalarCostsAreSeparate:
+    """One scenario's kernel and scalar loop differ by orders of
+    magnitude per trial, so the cost model keys them apart."""
+
+    EXPENSIVE = {"n": 64}  # attack/basic-cheat: ms per scalar trial
+
+    def test_cost_keys(self):
+        spec = get_scenario(EXECUTOR)
+        assert cost_key(spec) == EXECUTOR
+        scalar = cost_key(spec, max_steps=10**6)
+        assert scalar != EXECUTOR
+        assert cost_key(spec, use_batch=False) == scalar
+        assert cost_key(spec, keep_outcomes=True) == scalar
+        # A scenario with no kernel has one path and one key.
+        assert cost_key(get_scenario(SCALAR_ONLY), max_steps=10**6) == SCALAR_ONLY
+
+    def test_scalar_timings_do_not_shred_the_kernel_point(self):
+        """A scalar-loop point (custom ``max_steps``) of a scenario
+        followed by a large kernel point of the same scenario, on one
+        chunker: the kernel point must not be cut to the scalar loop's
+        per-trial cost (hundreds of sub-millisecond chunks), and the
+        scalar loop must not inherit the kernel's cost either."""
+        chunker = AdaptiveChunker()
+        runner = ExperimentRunner(workers=2, parallel=False, chunker=chunker)
+        spec = get_scenario(EXECUTOR)
+        params = spec.resolve_params(self.EXPENSIVE)
+        scalar_key = cost_key(spec, max_steps=10**6)
+        scalar_runner = ExperimentRunner(
+            workers=2, parallel=False, chunker=chunker, max_steps=10**6
+        )
+        scalar_runner.run(EXECUTOR, 8, params=params, keep_outcomes=False)
+        assert chunker.per_trial_seconds(scalar_key) is not None
+        kernel = runner.run(EXECUTOR, 20_000, params=params, keep_outcomes=False)
+        # One calibration chunk, then the evidence-sized remainder.
+        assert kernel.dispatches <= 8
+        # The reverse: a scalar point sized after the kernel ran stays
+        # cut to the scalar loop's cost, not shipped as one huge chunk.
+        scalar_payloads = chunk_payloads(
+            spec, params, 0, range(2000), max_steps=10**6,
+            workers=2, chunker=chunker,
+        )
+        per_trial = chunker.per_trial_seconds(scalar_key)
+        assert len(scalar_payloads) > 2
+        assert max(len(p[3]) for p in scalar_payloads) <= max(
+            1, int(TARGET_CHUNK_SECONDS / per_trial)
+        )
+
+    def test_every_cost_site_keys_by_path(self):
+        spec = get_scenario(BATCHED)
+        params = spec.resolve_params({"n": 8})
+        scalar_key = cost_key(spec, max_steps=10**6)
+        # The --out store's timing record.
+        result = run_scenario(
+            BATCHED, trials=4, params=params, keep_outcomes=False,
+            max_steps=10**6,
+        )
+        assert timing_record(result)[0] == scalar_key
+        result = run_scenario(BATCHED, trials=4, params=params, keep_outcomes=False)
+        assert timing_record(result)[0] == BATCHED
+        # The longest-first scheduler's estimate.
+        model = AdaptiveChunker()
+        model.observe(scalar_key, 10, 1.0)
+        scheduler = PointScheduler("longest-first", cost_model=model)
+        budgeted = CampaignPoint(BATCHED, params, 10, 0, 10**6, None)
+        default = CampaignPoint(BATCHED, params, 10, 0, None, None)
+        assert scheduler.estimate_seconds(budgeted, 1) == pytest.approx(1.0)
+        assert scheduler.estimate_seconds(default, 1) is None
+        # A node's lease fold.
+        chunker = AdaptiveChunker()
+        lease = {
+            "lease": 1, "point": 0, "scenario": BATCHED, "params": params,
+            "base_seed": 0, "start": 0, "end": 8, "max_steps": 10**6,
+        }
+        with WorkerPool(1) as pool:
+            lease_fold(lease, pool, chunker)
+        assert chunker.scenarios() == [scalar_key]
 
 
 class TestThreadSafety:

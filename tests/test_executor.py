@@ -314,6 +314,31 @@ class TestTraceRecordingSwitch:
         assert len(traced.trace) > 0
         assert len(bare.trace) == 0
 
+    def test_fast_loop_matches_classic_untraced_loop(self):
+        """The allocation-free fast loop and the classic loop with the
+        trace off agree trial by trial: 20 seeds of honest A-LEADuni on
+        a ring of 64, outcome and step count pairwise."""
+        from repro.protocols.alead_uni import alead_uni_protocol
+
+        topo = unidirectional_ring(64)
+
+        def runs(fast):
+            results = [
+                run_protocol(
+                    topo,
+                    alead_uni_protocol(topo),
+                    rng=RngRegistry(0).spawn(str(t)),
+                    record_trace=False,
+                    fast=fast,
+                )
+                for t in range(20)
+            ]
+            return [(r.outcome, r.steps) for r in results]
+
+        fast = runs(True)
+        assert fast == runs(False)
+        assert len(set(fast)) > 1  # the seeds really differ
+
     def test_trace_off_keeps_failure_reporting(self):
         topo = two_ring()
         res = run_protocol(
