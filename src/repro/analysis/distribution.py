@@ -7,9 +7,9 @@ chi-square statistic (scipy when available, plain implementation
 otherwise, so the core library stays dependency-free).
 
 Estimation delegates to the :mod:`repro.experiments` runner: trials run
-with trace recording off (the executor fast path) and can fan out over
-worker processes, while the per-trial seed derivation is unchanged from
-the original serial loop — so historical results are preserved exactly.
+with trace recording off and can fan out over worker processes, while
+the per-trial seed derivation is unchanged from the original serial
+loop — so historical results are preserved exactly.
 """
 
 import math

@@ -120,22 +120,9 @@ class Executor:
     record_trace:
         When ``True`` (the default) every wakeup/send/receive/terminate is
         recorded as an event object on ``result.trace``. Monte-Carlo loops
-        that only read ``result.outcome`` should pass ``False``: the hot
-        path then skips all event allocation and the result carries an
-        empty trace.
-    fast:
-        Selects the allocation-free delivery loop (:meth:`_run_fast`):
-        one reusable context per processor (successors and rng stream
-        resolved once instead of per callback), no per-processor
-        sent/received counters, no logical clock, and the default FIFO
-        scheduler inlined to an O(1) dict-head read. Deliveries, rng
-        consumption, and outcomes are identical to the classic loop —
-        only trace-feeding bookkeeping is skipped, which is why it
-        requires ``record_trace=False``. Default ``None`` means "fast
-        whenever untraced", so Monte-Carlo runs get it automatically;
-        pass ``False`` to force the classic loop (benchmark baselines,
-        or strategies that illegitimately retain contexts between
-        callbacks).
+        that only read ``result.outcome`` should pass ``False``: the loop
+        then allocates no events and the result carries an empty trace.
+        Deliveries, rng consumption and outcomes are the same either way.
     """
 
     def __init__(
@@ -146,7 +133,6 @@ class Executor:
         rng: Optional[RngRegistry] = None,
         max_steps: Optional[int] = None,
         record_trace: bool = True,
-        fast: Optional[bool] = None,
     ):
         missing = [v for v in topology.nodes if v not in protocol]
         if missing:
@@ -168,122 +154,29 @@ class Executor:
         self.max_steps = max_steps if max_steps is not None else 40 * n * n + 1000
 
         self._queues: Dict[Link, Deque[Any]] = {e: deque() for e in topology.edges}
-        # Non-empty links in first-ready order. An insertion-ordered dict
-        # doubles as an ordered set: append, membership, and removal are all
-        # O(1), where the previous list needed O(ready) scans for the latter
-        # two on every delivery.
+        # Non-empty links in first-ready order: an insertion-ordered dict is
+        # an ordered set with O(1) append, membership and removal.
         self._ready: Dict[Link, None] = {}
         self._terminated: Dict[Hashable, bool] = {v: False for v in topology.nodes}
         self._outputs: Dict[Hashable, Any] = {}
-        self._sent: Dict[Hashable, int] = {v: 0 for v in topology.nodes}
-        self._received: Dict[Hashable, int] = {v: 0 for v in topology.nodes}
         self._record_trace = record_trace
-        if fast is None:
-            fast = not record_trace
-        elif fast and record_trace:
-            raise ConfigurationError(
-                "fast=True skips the bookkeeping event recording needs; "
-                "pass record_trace=False (or fast=False) instead"
-            )
-        self._fast = fast
         self._trace = Trace()
-        self._time = 0
-
-    # -- internal helpers ----------------------------------------------
-
-    def _enqueue(self, sender: Hashable, receiver: Hashable, value: Any) -> None:
-        link = (sender, receiver)
-        queue = self._queues.get(link)
-        if queue is None:
-            raise SimulationError(f"send on non-existent link {link}")
-        if not queue:
-            self._ready[link] = None
-        queue.append(value)
-        self._sent[sender] += 1
-        if self._record_trace:
-            self._trace.append(
-                SendEvent(self._time, sender, receiver, value, self._sent[sender])
-            )
-
-    def _drain_context(self, pid: Hashable, ctx: Context) -> None:
-        for to, value in ctx.sends:
-            self._enqueue(pid, to, value)
-        if ctx.terminated:
-            self._terminated[pid] = True
-            self._outputs[pid] = ctx.output
-            if self._record_trace:
-                self._trace.append(TerminateEvent(self._time, pid, ctx.output))
-                if ctx.output == ABORT:
-                    self._trace.append(
-                        AbortEvent(self._time, pid, ctx.abort_reason or "abort")
-                    )
-
-    def _make_context(self, pid: Hashable) -> Context:
-        return Context(
-            pid=pid,
-            out_neighbors=self.topology.successors(pid),
-            n=len(self.topology),
-            rng=self.rng.stream(f"proc:{pid}"),
-        )
-
-    # -- main loop -------------------------------------------------------
 
     def run(self) -> ExecutionResult:
-        """Execute to quiescence (or the step budget) and score the outcome."""
-        if self._fast:
-            return self._run_fast()
-        for pid in self.topology.nodes:
-            self._time += 1
-            if self._record_trace:
-                self._trace.append(WakeupEvent(self._time, pid))
-            ctx = self._make_context(pid)
-            self.protocol[pid].on_wakeup(ctx)
-            self._drain_context(pid, ctx)
+        """Execute to quiescence (or the step budget) and score the outcome.
 
-        steps = 0
-        ready = self._ready
-        ready_view = _ReadyLinks(ready)
-        while ready and steps < self.max_steps:
-            link = self.scheduler.choose(ready_view)
-            if link not in ready:
-                raise SimulationError(f"scheduler chose non-ready link {link}")
-            queue = self._queues[link]
-            value = queue.popleft()
-            if not queue:
-                del ready[link]
-            sender, receiver = link
-            steps += 1
-            self._time += 1
-            self._received[receiver] += 1
-            if self._record_trace:
-                self._trace.append(
-                    ReceiveEvent(
-                        self._time, sender, receiver, value, self._received[receiver]
-                    )
-                )
-            if self._terminated[receiver]:
-                continue  # terminated processors ignore late messages
-            ctx = self._make_context(receiver)
-            self.protocol[receiver].on_receive(ctx, value, sender)
-            self._drain_context(receiver, ctx)
+        Each processor gets one :class:`Context` for the whole run, with
+        its successors and ``proc:<pid>`` stream resolved once; its
+        ``sends`` are applied and cleared after every callback. A
+        non-default scheduler sees the :class:`_ReadyLinks` view and its
+        choice is validated; the default :class:`FifoScheduler`'s
+        head-of-dict choice is inlined.
 
-        quiesced = not ready
-        return self._score(steps, quiesced)
-
-    def _run_fast(self) -> ExecutionResult:
-        """The untraced delivery loop, stripped to what outcomes need.
-
-        Per-delivery allocations of the classic loop that this one
-        eliminates: the fresh :class:`Context` (reused per processor,
-        with successors and the ``proc:<pid>`` stream — an f-string plus
-        two dict hops — resolved once up front), the event objects (no
-        trace), and the ``_sent`` / ``_received`` counter updates and
-        logical clock that exist only to stamp events. The scheduler
-        contract is kept — a non-default scheduler sees the same
-        :class:`_ReadyLinks` view and validation — but the default
-        :class:`FifoScheduler`'s head-of-dict choice is inlined.
-        Delivery order and rng consumption are identical to the classic
-        loop, so outcomes (and therefore every experiment row) are too.
+        With ``record_trace`` on, the loop also appends each callback's
+        events to the trace. Times are derived, not kept in a clock:
+        wakeup ``i`` (1-based, in node order) is stamped ``i``, and
+        delivery ``s`` and the actions it triggers ``n + s``. The
+        per-processor ``seq`` counters exist only while recording.
         """
         topology = self.topology
         protocol = self.protocol
@@ -292,21 +185,37 @@ class Executor:
         terminated = self._terminated
         outputs = self._outputs
         rng = self.rng
-
-        contexts: Dict[Hashable, Context] = {}
+        nodes = topology.nodes
         n = len(topology)
-        for pid in topology.nodes:
-            contexts[pid] = Context(
-                pid=pid,
-                out_neighbors=topology.successors(pid),
-                n=n,
-                rng=rng.stream(f"proc:{pid}"),
-            )
+        contexts = {
+            pid: Context(pid, topology.successors(pid), n, rng.stream(f"proc:{pid}"))
+            for pid in nodes
+        }
+        recording = self._record_trace
+        if recording:
+            trace = self._trace
+            sent = dict.fromkeys(nodes, 0)
+            received = dict.fromkeys(nodes, 0)
 
-        for pid in topology.nodes:
+        for time, pid in enumerate(nodes, 1):
             ctx = contexts[pid]
+            if recording:
+                trace.append(WakeupEvent(time, pid))
             protocol[pid].on_wakeup(ctx)
-            self._drain_context_fast(pid, ctx)
+            if recording:
+                self._record(time, pid, ctx, sent)
+            for to, value in ctx.sends:
+                link = (pid, to)
+                queue = queues.get(link)
+                if queue is None:
+                    raise SimulationError(f"send on non-existent link {link}")
+                if not queue:
+                    ready[link] = None
+                queue.append(value)
+            ctx.sends.clear()
+            if ctx.terminated:
+                terminated[pid] = True
+                outputs[pid] = ctx.output
 
         steps = 0
         max_steps = self.max_steps
@@ -326,11 +235,16 @@ class Executor:
                 del ready[link]
             steps += 1
             receiver = link[1]
+            if recording:
+                seq = received[receiver] = received[receiver] + 1
+                trace.append(ReceiveEvent(n + steps, link[0], receiver, value, seq))
             if terminated[receiver]:
                 continue  # terminated processors ignore late messages
             ctx = contexts[receiver]
             protocol[receiver].on_receive(ctx, value, link[0])
-            # _drain_context_fast, inlined: this runs once per delivery.
+            if recording:
+                self._record(n + steps, receiver, ctx, sent)
+            # Apply the callback's actions, inlined: this runs per delivery.
             sends = ctx.sends
             if sends:
                 for to, out_value in sends:
@@ -348,27 +262,22 @@ class Executor:
                 terminated[receiver] = True
                 outputs[receiver] = ctx.output
 
-        quiesced = not ready
-        return self._score(steps, quiesced)
+        return self._score(steps, quiesced=not ready)
 
-    def _drain_context_fast(self, pid: Hashable, ctx: Context) -> None:
-        """Apply a reused context's actions without trace bookkeeping."""
-        sends = ctx.sends
-        if sends:
-            queues = self._queues
-            ready = self._ready
-            for to, value in sends:
-                link = (pid, to)
-                queue = queues.get(link)
-                if queue is None:
-                    raise SimulationError(f"send on non-existent link {link}")
-                if not queue:
-                    ready[link] = None
-                queue.append(value)
-            sends.clear()
+    def _record(
+        self, time: int, pid: Hashable, ctx: Context, sent: Dict[Hashable, int]
+    ) -> None:
+        """Append the events of one callback's actions, before they apply."""
+        trace = self._trace
+        seq = sent[pid]
+        for to, value in ctx.sends:
+            seq += 1
+            trace.append(SendEvent(time, pid, to, value, seq))
+        sent[pid] = seq
         if ctx.terminated:
-            self._terminated[pid] = True
-            self._outputs[pid] = ctx.output
+            trace.append(TerminateEvent(time, pid, ctx.output))
+            if ctx.output == ABORT:
+                trace.append(AbortEvent(time, pid, ctx.abort_reason or "abort"))
 
     def _score(self, steps: int, quiesced: bool) -> ExecutionResult:
         undelivered = {
@@ -413,15 +322,12 @@ def run_protocol(
     seed: Optional[int] = None,
     max_steps: Optional[int] = None,
     record_trace: bool = True,
-    fast: Optional[bool] = None,
 ) -> ExecutionResult:
     """One-shot convenience wrapper around :class:`Executor`.
 
     Exactly one of ``rng`` / ``seed`` may be given; ``seed`` builds a fresh
     :class:`RngRegistry`. Pass ``record_trace=False`` for Monte-Carlo hot
-    loops that only inspect the outcome (the trace comes back empty, and
-    the allocation-free fast loop is selected automatically; ``fast``
-    overrides — see :class:`Executor`).
+    loops that only inspect the outcome (the trace comes back empty).
     """
     if rng is not None and seed is not None:
         raise ConfigurationError("pass either rng or seed, not both")
@@ -434,6 +340,5 @@ def run_protocol(
         rng=rng,
         max_steps=max_steps,
         record_trace=record_trace,
-        fast=fast,
     )
     return executor.run()

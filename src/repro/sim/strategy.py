@@ -28,15 +28,15 @@ _ABORT_SENTINEL = "⊥"
 
 
 class Context:
-    """Per-callback action collector handed to strategy callbacks.
+    """Action collector handed to strategy callbacks.
 
-    On the traced path a fresh context is created for every callback
-    invocation; the executor's untraced fast path instead keeps one
-    context per processor and clears ``sends`` between callbacks (see
-    :meth:`reset_actions`), which is indistinguishable to strategies
-    that act only within the callback — the documented contract. The
-    context also carries read-only information the strategy is entitled
-    to: its id, its out-neighbours, the ring size, and its private RNG.
+    The executor keeps one context per processor for the whole run and
+    applies and clears its ``sends`` after every callback. Strategies act
+    on it only within a callback — the documented contract — and must
+    not keep it between callbacks. Termination state is never cleared: a
+    terminated processor receives no further callbacks. The context also
+    carries read-only information the strategy is entitled to: its id,
+    its out-neighbours, the ring size, and its private RNG.
     """
 
     __slots__ = (
@@ -65,15 +65,6 @@ class Context:
         self.terminated = False
         self.output: Any = None
         self.abort_reason: Optional[str] = None
-
-    def reset_actions(self) -> None:
-        """Clear queued sends between callbacks (fast-path reuse only).
-
-        Termination state is deliberately *not* cleared: a terminated
-        processor receives no further callbacks, and keeping the flag
-        preserves the send-after-terminate guard across reuse.
-        """
-        self.sends.clear()
 
     def send(self, to: Hashable, value: Any) -> None:
         """Queue ``value`` on the link to ``to`` (must be an out-neighbour)."""
