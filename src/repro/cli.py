@@ -24,11 +24,8 @@ import sqlite3
 import sys
 from typing import Optional
 
-from repro.analysis.bias import empirical_bias
-from repro.analysis.distribution import (
-    chi_square_uniformity,
-    estimate_distribution,
-)
+from repro.analysis.bias import BiasReport
+from repro.analysis.distribution import chi_square_uniformity
 from repro.experiments import (
     AdaptiveChunker,
     CampaignDeadline,
@@ -50,27 +47,16 @@ from repro.experiments import (
     resolve_workers,
     row_retry_identity,
     run_campaign,
+    run_scenario,
+    scenario_names,
     schedule_names,
     sweep_scenario,
 )
-from repro.protocols import (
-    alead_uni_protocol,
-    async_complete_protocol,
-    basic_lead_protocol,
-    phase_async_protocol,
-)
+from repro.experiments.campaign import check_seconds
 from repro.sim.execution import run_protocol
-from repro.sim.topology import complete_graph, unidirectional_ring
 from repro.trees import impossibility_certificate
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngRegistry
-
-PROTOCOLS = {
-    "basic-lead": (basic_lead_protocol, "ring"),
-    "alead-uni": (alead_uni_protocol, "ring"),
-    "phase-async": (phase_async_protocol, "ring"),
-    "async-complete": (async_complete_protocol, "complete"),
-}
 
 #: CLI attack name -> registered scenario. The CLI predates the registry
 #: and keeps its short names; the wiring behind them is shared.
@@ -94,16 +80,21 @@ DEFAULT_MIN_TRIALS = 32
 EXIT_DEADLINE = 3
 
 
-def _topology(kind: str, n: int):
-    return unidirectional_ring(n) if kind == "ring" else complete_graph(n)
+def _execute(scenario: str, overrides, args):
+    """One traced execution of a registered scenario: its topology and
+    protocol at the overridden parameters, all randomness drawn from
+    ``RngRegistry(--seed)`` (the protocol build from its ``scenario``
+    stream), stopped after ``--max-steps`` deliveries."""
+    spec = get_scenario(scenario)
+    params = spec.resolve_params(overrides)
+    registry = RngRegistry(args.seed)
+    topo = spec.build_topology(params)
+    protocol = spec.build_protocol(topo, params, registry.stream("scenario"))
+    return run_protocol(topo, protocol, rng=registry, max_steps=args.max_steps)
 
 
 def _cmd_run(args) -> int:
-    maker, kind = PROTOCOLS[args.protocol]
-    topo = _topology(kind, args.n)
-    result = run_protocol(
-        topo, maker(topo), seed=args.seed, max_steps=args.max_steps
-    )
+    result = _execute(f"honest/{args.protocol}", {"n": args.n}, args)
     print(f"protocol : {args.protocol} (n={args.n}, seed={args.seed})")
     print(f"outcome  : {result.outcome}")
     print(f"steps    : {result.steps}")
@@ -113,22 +104,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    spec = get_scenario(ATTACK_SCENARIOS[args.name])
     overrides = {"n": args.n, "target": args.target}
     if args.k is not None:
-        if "k" not in spec.defaults:
-            raise SystemExit(
-                f"attack {args.name!r} does not take --k "
-                f"(parameters: {sorted(spec.defaults)})"
-            )
+        # A scenario without a k parameter rejects it in resolve_params.
         overrides["k"] = args.k
-    params = spec.resolve_params(overrides)
-    registry = RngRegistry(args.seed)
-    topo = spec.build_topology(params)
-    protocol = spec.build_protocol(topo, params, registry.stream("scenario"))
-    result = run_protocol(
-        topo, protocol, rng=registry, max_steps=args.max_steps
-    )
+    result = _execute(ATTACK_SCENARIOS[args.name], overrides, args)
     forced = result.outcome == args.target
     print(f"attack   : {args.name} (n={args.n}, target={args.target})")
     print(f"outcome  : {result.outcome} ({'FORCED' if forced else 'not forced'})")
@@ -138,17 +118,18 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bias(args) -> int:
-    maker, kind = PROTOCOLS[args.protocol]
-    topo = _topology(kind, args.n)
-    dist = estimate_distribution(
-        topo,
-        maker,
+    dist = run_scenario(
+        f"honest/{args.protocol}",
         trials=args.trials,
         base_seed=args.seed,
+        params={"n": args.n},
         workers=resolve_workers(args.workers),
+        keep_outcomes=False,
         max_steps=args.max_steps,
+    ).distribution
+    report = BiasReport(
+        dist.n, dist.trials, dist.max_probability(), dist.fail_rate
     )
-    report = empirical_bias(topo, maker, args.trials, distribution=dist)
     print(f"protocol : {args.protocol} (n={args.n}, {args.trials} trials)")
     print(f"fail rate: {report.fail_rate:.4f}")
     print(f"max Pr   : {report.max_probability:.4f} (1/n = {1/args.n:.4f})")
@@ -460,12 +441,9 @@ def _budget_from_args(args):
         min_trials = min(DEFAULT_MIN_TRIALS, max_trials)
     else:
         min_trials = args.min_trials
-    try:
-        return policy_class(
-            **{field: value, "min_trials": min_trials, "max_trials": max_trials}
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    return policy_class(
+        **{field: value, "min_trials": min_trials, "max_trials": max_trials}
+    )
 
 
 def _cmd_sweep(args) -> int:
@@ -482,22 +460,19 @@ def _cmd_sweep(args) -> int:
     lines, completed, model = _load_resume_state(args)
     # sweep_scenario validates the scenario and the whole grid eagerly —
     # a typo'd re-run fails here, before a store is created.
-    try:
-        total_points = len(expand_grid(grid))
-        results = sweep_scenario(
-            args.scenario,
-            trials=None if budget else args.trials,
-            grid=grid,
-            base_seed=args.seed,
-            workers=resolve_workers(args.workers),
-            max_steps=args.max_steps,
-            completed=completed,
-            budget=budget,
-            chunk_size=args.chunk_size,
-            chunker=None if args.chunk_size is not None else model,
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    total_points = len(expand_grid(grid))
+    results = sweep_scenario(
+        args.scenario,
+        trials=None if budget else args.trials,
+        grid=grid,
+        base_seed=args.seed,
+        workers=resolve_workers(args.workers),
+        max_steps=args.max_steps,
+        completed=completed,
+        budget=budget,
+        chunk_size=args.chunk_size,
+        chunker=None if args.chunk_size is not None else model,
+    )
     ran = _emit_rows(results, args, lines, "sweep").ran
     if args.resume:
         print(
@@ -626,19 +601,14 @@ def _cmd_campaign(args) -> int:
     # CLI spelling, this guards programmatic calls too), then manifest
     # expansion — unknown scenarios/tags/grid keys/budgets all fail
     # before any trial runs and before a previous --out file is touched.
-    try:
-        scheduler = PointScheduler(args.schedule)
-        points = load_manifest(args.manifest)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    scheduler = PointScheduler(args.schedule)
+    points = load_manifest(args.manifest)
     for flag, value in (
         ("--point-timeout", args.point_timeout),
         ("--max-wall-clock", args.max_wall_clock),
     ):
-        # `not >` so NaN is rejected too (NaN <= 0 is False, and a NaN
-        # deadline would silently never fire).
-        if value is not None and not value > 0:
-            raise SystemExit(f"{flag} must be a positive number of seconds")
+        if value is not None:
+            check_seconds(flag, value)
     if args.dry_run:
         # The dry run answers "what is left?" whenever --out exists,
         # without requiring --resume, and never creates, imports into or
@@ -664,68 +634,11 @@ def _cmd_campaign(args) -> int:
                 "--metrics-port is redundant with --coordinate: the "
                 "coordinator already serves /metrics on --listen"
             )
-        return _coordinate_campaign(args, points, scheduler, completed, lines)
-    # --metrics-port: the CLI owns the pool (run_campaign never closes
-    # an injected one) so the /metrics scrape reads live chunk counters
-    # while trials run; without the flag, run_campaign manages its own
-    # pool exactly as before.
-    chunker = None if args.chunk_size is not None else model
-    pool = None
-    observe = None
-    metrics_server = None
-    metrics_thread = None
-    if args.metrics_port is not None:
-        from repro.httpd import serve_metrics
-
-        pool = WorkerPool(resolve_workers(args.workers))
-        registry, observe = _campaign_metrics(pool, model, len(points))
-        try:
-            metrics_server, metrics_thread = serve_metrics(
-                registry, port=args.metrics_port
-            )
-        except OSError as exc:
-            pool.terminate()
-            raise SystemExit(
-                f"cannot serve /metrics on port {args.metrics_port}: {exc}"
-            ) from None
-        bound_host, bound_port = metrics_server.server_address[:2]
-        print(
-            f"  [campaign: serving http://{bound_host}:{bound_port}"
-            "/metrics]",
-            file=sys.stderr,
-        )
-    try:
-        try:
-            results = run_campaign(
-                points,
-                workers=resolve_workers(args.workers),
-                pool=pool,
-                completed=completed,
-                schedule=scheduler,
-                point_timeout=args.point_timeout,
-                max_wall_clock=args.max_wall_clock,
-                chunk_size=args.chunk_size,
-                chunker=chunker,
-            )
-            if observe is not None:
-                results = observe(results)
-            outcome = _emit_rows(results, args, lines, "campaign")
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
-    except BaseException:
-        # Mirror run_campaign's own-pool semantics for the CLI-owned
-        # pool: terminate on any early exit, close on success.
-        if pool is not None:
-            pool.terminate()
-        raise
+        outcome = _coordinate_campaign(args, points, scheduler, completed, lines)
+        where = " across worker nodes"
     else:
-        if pool is not None:
-            pool.close()
-    finally:
-        if metrics_server is not None:
-            metrics_server.shutdown()
-            metrics_server.server_close()
-            metrics_thread.join(timeout=5)
+        outcome = _local_campaign(args, points, scheduler, completed, lines)
+        where = ""
     # Count skips from the completed set, not len(points) - ran: under a
     # deadline, points that never started are pending, not "already in".
     skipped = sum(point.key() in completed for point in points)
@@ -737,7 +650,7 @@ def _cmd_campaign(args) -> int:
             f"; {outcome.timed_out} timed out (a --resume run retries them)"
         )
     print(
-        f"  [campaign: ran {outcome.ran} of {len(points)} points{notes}]",
+        f"  [campaign: ran {outcome.ran} of {len(points)} points{where}{notes}]",
         file=sys.stderr,
     )
     if outcome.deadline is not None:
@@ -753,6 +666,48 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
+def _local_campaign(args, points, scheduler, completed, lines) -> _EmitOutcome:
+    """The local arm of ``campaign``: run every point on this host's
+    worker pool. The CLI owns the pool (``run_campaign`` never closes an
+    injected one), so ``--metrics-port`` can scrape its live chunk
+    counters while trials run."""
+    with WorkerPool(resolve_workers(args.workers)) as pool:
+        results = run_campaign(
+            points,
+            pool=pool,
+            completed=completed,
+            schedule=scheduler,
+            point_timeout=args.point_timeout,
+            max_wall_clock=args.max_wall_clock,
+            chunk_size=args.chunk_size,
+            chunker=None if args.chunk_size is not None else scheduler.cost_model,
+        )
+        if args.metrics_port is None:
+            return _emit_rows(results, args, lines, "campaign")
+        from repro.httpd import serve_metrics
+
+        registry, observe = _campaign_metrics(
+            pool, scheduler.cost_model, len(points)
+        )
+        try:
+            server, thread = serve_metrics(registry, port=args.metrics_port)
+        except OSError as exc:
+            raise SystemExit(
+                f"cannot serve /metrics on port {args.metrics_port}: {exc}"
+            ) from None
+        bound_host, bound_port = server.server_address[:2]
+        print(
+            f"  [campaign: serving http://{bound_host}:{bound_port}/metrics]",
+            file=sys.stderr,
+        )
+        try:
+            return _emit_rows(observe(results), args, lines, "campaign")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+
 def _parse_listen(text: str):
     """``HOST:PORT`` -> ``(host, port)`` (``:PORT`` binds all
     interfaces' loopback default; port 0 asks for an ephemeral one)."""
@@ -765,7 +720,7 @@ def _parse_listen(text: str):
         raise SystemExit(f"bad port in {text!r}") from None
 
 
-def _coordinate_campaign(args, points, scheduler, completed, lines) -> int:
+def _coordinate_campaign(args, points, scheduler, completed, lines) -> _EmitOutcome:
     """The ``--coordinate`` arm of ``campaign``: serve leases to runner
     nodes instead of running trials locally, writing the identical row
     stream to the identical ``--out`` targets."""
@@ -806,8 +761,6 @@ def _coordinate_campaign(args, points, scheduler, completed, lines) -> int:
             lease_ttl=lease_ttl,
         )
         server, thread = serve_coordinator(coordinator, host, port)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
     except OSError as exc:
         raise SystemExit(f"cannot listen on {args.listen!r}: {exc}") from None
     try:
@@ -819,14 +772,7 @@ def _coordinate_campaign(args, points, scheduler, completed, lines) -> int:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
-    skipped = sum(point.key() in completed for point in points)
-    notes = f"; {skipped} already in {args.out}" if args.resume else ""
-    print(
-        f"  [campaign: ran {outcome.ran} of {len(points)} points "
-        f"across worker nodes{notes}]",
-        file=sys.stderr,
-    )
-    return 0
+    return outcome
 
 
 def _cmd_node(args) -> int:
@@ -843,8 +789,6 @@ def _cmd_node(args) -> int:
             retries=args.retries,
             verbose=args.verbose,
         )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
     except KeyboardInterrupt:
         return 0
 
@@ -853,8 +797,7 @@ def _cmd_db(args) -> int:
     """``db import``: JSONL rows -> SQLite store; ``db export``: store
     back to JSONL; ``db stats``: counts."""
     if args.db_command == "export":
-        if not os.path.exists(args.db):
-            raise SystemExit(f"cannot read store: {args.db!r} does not exist")
+        # A missing store is refused by the read-only open below.
         # The default target of a run's sibling store X.jsonl.db is its
         # rendering X.jsonl, rewritten by the same renderer the run uses.
         out = args.out or os.path.splitext(args.db)[0] + ".jsonl"
@@ -863,8 +806,6 @@ def _cmd_db(args) -> int:
         try:
             with ResultStore(args.db, read_only=True) as store:
                 exported = store.render_jsonl(out)
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
         except OSError as exc:
             raise SystemExit(f"cannot write {out!r}: {exc}") from None
         print(f"exported {args.db} to {out}: {exported} line(s)")
@@ -874,11 +815,8 @@ def _cmd_db(args) -> int:
             raise SystemExit(f"cannot read rows file: {args.rows!r} does not exist")
         db = args.db or os.path.splitext(args.rows)[0] + ".db"
         lines = _read_rows_file(args.rows)
-        try:
-            with ResultStore(db) as store:
-                report = store.import_lines(lines)
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
+        with ResultStore(db) as store:
+            report = store.import_lines(lines)
         print(
             f"imported {args.rows} into {db}: {report['stored']} stored, "
             f"{report['duplicate']} duplicate, {report['marker']} "
@@ -886,11 +824,8 @@ def _cmd_db(args) -> int:
             f"{report['skipped']} skipped"
         )
         return 0
-    try:
-        with ResultStore(args.db, read_only=True) as store:
-            stats = store.stats()
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    with ResultStore(args.db, read_only=True) as store:
+        stats = store.stats()
     print(
         f"{args.db}: {stats['completed']} completed row(s), "
         f"{stats['timed_out']} timed-out marker(s), "
@@ -905,20 +840,17 @@ def _cmd_serve(args) -> int:
     # for the HTTP layer.
     from repro.serve import run_server
 
-    try:
-        return run_server(
-            args.db,
-            host=args.host,
-            port=args.port,
-            workers=resolve_workers(args.workers),
-            read_only=args.read_only,
-            min_trials=args.min_trials,
-            max_trials=args.max_trials,
-            base_seed=args.seed,
-            verbose=args.verbose,
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    return run_server(
+        args.db,
+        host=args.host,
+        port=args.port,
+        workers=resolve_workers(args.workers),
+        read_only=args.read_only,
+        min_trials=args.min_trials,
+        max_trials=args.max_trials,
+        base_seed=args.seed,
+        verbose=args.verbose,
+    )
 
 
 #: Column layout of the ``scenarios`` listing (shared by --markdown).
@@ -962,14 +894,11 @@ def _cmd_scenarios(args) -> int:
 
 def _cmd_certificate(args) -> int:
     n = args.n
+    nodes = list(range(1, n + 1))
     if args.graph == "ring":
-        nodes = list(range(1, n + 1))
         edges = [(i, i % n + 1) for i in nodes]
-    elif args.graph == "complete":
-        nodes = list(range(1, n + 1))
+    else:  # "complete", the only other argparse choice
         edges = [(u, v) for u in nodes for v in nodes if u < v]
-    else:
-        raise SystemExit(f"unknown graph {args.graph!r}")
     cert = impossibility_certificate(nodes, edges)
     print(cert["statement"])
     print(f"parts    : {cert['parts']}")
@@ -1020,12 +949,7 @@ def _cmd_lint(args) -> int:
     # Imported lazily, like serve/node: only this subcommand pays for it.
     from repro.lint import lint_paths, render_json, render_text
 
-    try:
-        findings = lint_paths(
-            args.paths, select=args.select, ignore=args.ignore
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    findings = lint_paths(args.paths, select=args.select, ignore=args.ignore)
     if args.format == "json":
         sys.stdout.write(render_json(findings))
     else:
@@ -1044,17 +968,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run a protocol honestly")
-    p.add_argument("--protocol", choices=sorted(PROTOCOLS), required=True)
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--max-steps", type=int, default=None,
-        help="delivery budget before declaring non-termination",
+    # Flags several subcommands share, each declared once and attached
+    # through argparse ``parents``.
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
+        "--workers", type=_workers_arg, default=1, metavar="N|auto",
+        help="worker processes (auto = derive from the machine)",
     )
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    max_steps = argparse.ArgumentParser(add_help=False)
+    max_steps.add_argument(
+        "--max-steps", type=int, default=None,
+        help="per-execution delivery budget before declaring "
+             "non-termination",
+    )
+    out_store = argparse.ArgumentParser(add_help=False)
+    out_store.add_argument(
+        "--out", default=None,
+        help="also write JSON rows to this file, rendered from its "
+             "SQLite results store FILE.db (a .db/.sqlite suffix "
+             "targets the store itself)",
+    )
+    out_store.add_argument(
+        "--resume",
+        action="store_true",
+        help="skip points whose rows are already in --out; append the rest",
+    )
+    out_store.add_argument(
+        "--chunk-size", type=int, default=None, metavar="N",
+        help="pin trials per worker chunk (default: cost-adaptive "
+             "sizing from observed per-trial seconds; never affects "
+             "results, only scheduling)",
+    )
+    # run/bias --protocol X runs the registered scenario honest/X.
+    honest = [
+        name[len("honest/"):]
+        for name in scenario_names()
+        if name.startswith("honest/")
+    ]
+
+    p = sub.add_parser(
+        "run", parents=[seed, max_steps], help="run a protocol honestly"
+    )
+    p.add_argument("--protocol", choices=honest, required=True)
+    p.add_argument("--n", type=int, default=16)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("attack", help="run an adversarial deviation")
+    p = sub.add_parser(
+        "attack", parents=[seed, max_steps], help="run an adversarial deviation"
+    )
     p.add_argument(
         "--name",
         choices=sorted(ATTACK_SCENARIOS),
@@ -1063,50 +1026,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--target", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--max-steps", type=int, default=None,
-        help="delivery budget before declaring non-termination",
-    )
     p.set_defaults(func=_cmd_attack)
 
-    p = sub.add_parser("bias", help="estimate a protocol's bias")
-    p.add_argument("--protocol", choices=sorted(PROTOCOLS), required=True)
+    p = sub.add_parser(
+        "bias", parents=[seed, workers, max_steps], help="estimate a protocol's bias"
+    )
+    p.add_argument("--protocol", choices=honest, required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--trials", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N|auto",
-        help="worker processes (auto = derive from the machine)",
-    )
-    p.add_argument(
-        "--max-steps", type=int, default=None,
-        help="per-trial delivery budget",
-    )
     p.set_defaults(func=_cmd_bias)
 
     p = sub.add_parser(
         "sweep",
+        parents=[seed, workers, max_steps, out_store],
         help="run a registered scenario grid; one JSON row per grid point",
     )
     p.add_argument("--scenario", default=None, help="registry name, e.g. attack/cubic")
     p.add_argument("--list", action="store_true", help="list registered scenarios")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N|auto",
-        help="worker processes (auto = derive from the machine)",
-    )
     p.add_argument(
         "--param",
         action="append",
         default=[],
         metavar="KEY=V[,V...]",
         help="pin a parameter or sweep comma-separated values (repeatable)",
-    )
-    p.add_argument(
-        "--max-steps", type=int, default=None,
-        help="per-trial delivery budget",
     )
     p.add_argument(
         "--ci-width", type=float, default=None, metavar="W",
@@ -1133,48 +1076,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-trials", type=int, default=None,
         help="adaptive budget: hard trial ceiling (default: --trials)",
     )
-    p.add_argument(
-        "--out", default=None,
-        help="also write JSON rows to this file, rendered from its "
-             "SQLite results store FILE.db (a .db/.sqlite suffix "
-             "targets the store itself)",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip grid points whose rows are already in --out; append the rest",
-    )
-    p.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="pin trials per worker chunk (default: cost-adaptive "
-             "sizing from observed per-trial seconds; never affects "
-             "results, only scheduling)",
-    )
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
         "campaign",
+        parents=[workers, out_store],
         help="run a JSON manifest of scenario grids against one resume store",
     )
     p.add_argument(
         "manifest",
         help="JSON file of (scenario|tag, grid, trials, base_seed) entries",
-    )
-    p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N|auto",
-        help="worker processes shared by all grid points "
-             "(auto = derive from the machine)",
-    )
-    p.add_argument(
-        "--out", default=None,
-        help="also write JSON rows to this file, rendered from its "
-             "SQLite results store FILE.db (a .db/.sqlite suffix "
-             "targets the store itself)",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip points whose rows are already in --out; append the rest",
     )
     p.add_argument(
         "--schedule",
@@ -1204,12 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the expanded point list with scheduled costs, "
              "observed-cost estimates, and resume status instead of "
              "running anything",
-    )
-    p.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="pin trials per worker chunk (default: cost-adaptive "
-             "sizing from observed per-trial seconds; never affects "
-             "results, only scheduling)",
     )
     p.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
@@ -1245,17 +1150,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "node",
+        parents=[workers],
         help="join a 'campaign --coordinate' coordinator and run leased "
              "trial ranges on a local worker pool",
     )
     p.add_argument(
         "--join", required=True, metavar="HOST:PORT",
         help="coordinator address (the campaign --listen value)",
-    )
-    p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N|auto",
-        help="worker processes for leased ranges "
-             "(auto = derive from the machine)",
     )
     p.add_argument(
         "--poll", type=float, default=0.2, metavar="SECONDS",
@@ -1313,6 +1214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
+        parents=[workers],
         help="serve estimate queries over HTTP from a results database "
              "(stored rows when precise enough, adaptive points on miss)",
     )
@@ -1321,11 +1223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--port", type=int, default=8080,
         help="listen port (0 binds an ephemeral port)",
-    )
-    p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N|auto",
-        help="worker processes for cold-miss computations "
-             "(auto = derive from the machine)",
     )
     p.add_argument(
         "--read-only", action="store_true",
@@ -1370,26 +1267,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "frontier",
+        parents=[workers],
         help="Conjecture 4.7: smallest forcing coalition per ring size",
     )
     p.add_argument("--sizes", type=int, nargs="+", default=[64, 144, 256])
-    p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N|auto",
-        help="worker processes (auto = derive from the machine)",
-    )
     p.set_defaults(func=_cmd_frontier)
 
     p = sub.add_parser(
-        "fuzz", help="random-deviation search against A-LEADuni (Thm 5.1)"
+        "fuzz",
+        parents=[seed, workers],
+        help="random-deviation search against A-LEADuni (Thm 5.1)",
     )
     p.add_argument("--n", type=int, default=25)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N|auto",
-        help="worker processes (auto = derive from the machine)",
-    )
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser(
@@ -1422,7 +1313,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Infeasible values (a ring too small, a coalition too large, a bad
+    # store or manifest) raise ConfigurationError wherever they are
+    # checked; on the command line each is a one-line usage error.
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import multiprocessing
+import re
+import socket
 import sqlite3
 
 import pytest
@@ -122,6 +125,59 @@ class TestMaxStepsAndExitCodes:
         out = capsys.readouterr().out
         assert rc == 1
         assert "fail rate: 1.0000" in out
+
+
+class TestUsageErrors:
+    """Infeasible values exit with the scenario's one-line message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("run --protocol alead-uni --n 1",
+             "ring needs at least 2 processors, got 1"),
+            ("attack --name cubic --n 10 --k 50 --target 3",
+             "cubic placement needs n - k >= k so every segment is "
+             "exposed (n=10, k=50)"),
+            ("attack --name basic-cheat --n 8 --target 99",
+             "target 99 out of range 1..8"),
+            ("bias --protocol alead-uni --n 0 --trials 5",
+             "ring needs at least 2 processors, got 0"),
+        ],
+    )
+    def test_one_line_exit_without_traceback(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        # A string exit code is printed as-is: no traceback, no context.
+        assert info.value.code == message
+        assert info.value.__suppress_context__
+        assert capsys.readouterr().out == ""
+
+    def test_run_takes_every_honest_scenario(self, capsys):
+        assert main(["run", "--protocol", "wakeup-alead", "--n", "6"]) == 0
+        assert "protocol : wakeup-alead (n=6, seed=0)" in capsys.readouterr().out
+
+
+class TestCampaignPoolTeardown:
+    def test_failed_point_stops_workers_and_metrics_server(
+        self, tmp_path, capsys
+    ):
+        # equal-spacing needs n >= 2k: the point fails inside a worker.
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "trials": 8,
+            "entries": [
+                {"scenario": "attack/equal-spacing", "grid": {"n": 8, "k": 7}},
+            ],
+        }))
+        before = set(multiprocessing.active_children())
+        with pytest.raises(SystemExit, match="equal spacing needs n >= 2k"):
+            main(["campaign", str(manifest), "--workers", "2",
+                  "--metrics-port", "0"])
+        assert set(multiprocessing.active_children()) - before == set()
+        err = capsys.readouterr().err
+        port = int(re.search(r"http://127\.0\.0\.1:(\d+)/metrics", err).group(1))
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
 
 
 class TestSweep:
