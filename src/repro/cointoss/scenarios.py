@@ -43,7 +43,7 @@ from repro.experiments.scenario import (
 from repro.protocols.alead_uni import alead_uni_protocol
 from repro.sim.execution import FAIL
 from repro.sim.topology import unidirectional_ring
-from repro.util.rng import derive_seed
+from repro.util.rng import derive_seeds
 
 
 def _honest_alead(topo, params, rng):
@@ -144,8 +144,7 @@ def run_coin_fle_batch(
     counts: Dict[object, int] = {}
     for seed in seeds:
         value = 0
-        for r in range(rounds):
-            child = derive_seed(seed, f"spawn:coin-round:{r}")
+        for child in derive_seeds(seed, "spawn:coin-round:", range(rounds)):
             value = (value << 1) | (alead_leader(child, n, stream) % 2)
         elected = value + 1
         counts[elected] = counts.get(elected, 0) + 1

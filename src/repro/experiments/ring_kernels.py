@@ -37,7 +37,7 @@ from repro.experiments.scenario import Params, ProtocolFactory, ring_topology
 from repro.protocols.outcome import residue_to_id
 from repro.sim.execution import run_protocol
 from repro.util.errors import ConfigurationError
-from repro.util.rng import RngRegistry, derive_seed
+from repro.util.rng import RngRegistry, derive_seed, derive_seeds
 
 #: What a kernel returns: ``(outcome -> count, steps total)``, or None.
 Fold = Optional[Tuple[Dict[object, int], int]]
@@ -55,13 +55,15 @@ def _secret_draws(
     the first ``randrange(n)`` of its ``proc:<pid>`` stream.
 
     ``stream`` is re-seeded once per processor instead of building a
-    ``random.Random`` each time; the draws are the same. Seeding the
-    Mersenne Twister is most of the cost, and it is the floor: a numpy
-    ``RandomState`` re-seed costs more than twice ``random.Random.seed``.
+    ``random.Random`` each time; the draws are the same. The n
+    ``proc:<pid>`` seeds come from one primed hasher
+    (:func:`~repro.util.rng.derive_seeds`). Seeding the Mersenne Twister
+    is most of the cost, and it is the floor: a numpy ``RandomState``
+    re-seed costs more than twice ``random.Random.seed``.
     """
     draws = []
-    for pid in pids:
-        stream.seed(derive_seed(seed, f"proc:{pid}"))
+    for proc_seed in derive_seeds(seed, "proc:", pids):
+        stream.seed(proc_seed)
         draws.append(stream.randrange(n))
     return draws
 

@@ -46,10 +46,21 @@ and the fallback for ad-hoc scenario specs built from closures that
 cannot cross process boundaries.
 """
 
+import collections.abc
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.distribution import OutcomeDistribution
 from repro.analysis.stats import Proportion
@@ -59,7 +70,7 @@ from repro.experiments.pool import WorkerCount, WorkerPool, resolve_workers
 from repro.experiments.scenario import Params, ScenarioSpec, get_scenario
 from repro.sim.execution import run_protocol
 from repro.util.errors import ConfigurationError
-from repro.util.rng import RngRegistry, derive_seed
+from repro.util.rng import RngRegistry, derive_seed, derive_seeds
 
 #: A scenario argument: registered name or an (ad-hoc) spec object.
 ScenarioRef = Union[str, ScenarioSpec]
@@ -261,12 +272,41 @@ def _resolve_chunk_spec(scenario: ScenarioRef) -> ScenarioSpec:
     return scenario
 
 
-def trial_seeds(base_seed: int, indices: Sequence[int]) -> List[int]:
+class TrialSeeds(collections.abc.Sequence):
+    """The lazy sequence :func:`trial_seeds` returns.
+
+    ``len`` is free; iterating derives each seed from one hasher primed
+    with ``f"{base_seed}:spawn:"``; an int index derives that one seed.
+    So a closed-form kernel that reads only ``len(seeds)`` hashes
+    nothing.
+    """
+
+    __slots__ = ("base_seed", "indices")
+
+    def __init__(self, base_seed: int, indices: Sequence[int]):
+        self.base_seed = base_seed
+        self.indices = indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self) -> Iterator[int]:
+        return derive_seeds(self.base_seed, "spawn:", self.indices)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return TrialSeeds(self.base_seed, self.indices[position])
+        return derive_seed(self.base_seed, f"spawn:{self.indices[position]}")
+
+
+def trial_seeds(base_seed: int, indices: Sequence[int]) -> TrialSeeds:
     """The registry master seeds trials ``indices`` run from — what a
     :attr:`~repro.experiments.scenario.ScenarioSpec.run_batch` kernel
     receives. Seed ``i`` is exactly ``trial_registry(base_seed, i).seed``,
-    computed without building the registry objects."""
-    return [derive_seed(base_seed, f"spawn:{i}") for i in indices]
+    computed without building the registry objects. The result is a
+    lazy ``Sequence[int]``: ``len`` is free, and only iterating or
+    indexing it derives seeds."""
+    return TrialSeeds(base_seed, indices)
 
 
 def _kernel_applies(

@@ -80,10 +80,13 @@ OutcomeMap = Callable[[Any, Params], Any]
 #: Vectorized whole-chunk trial kernel. Receives the chunk's per-trial
 #: registry master seeds (trial ``i`` of an experiment always gets
 #: ``derive_seed(base_seed, f"spawn:{i}")`` — exactly the seed of
-#: :func:`repro.experiments.runner.trial_registry`) and the resolved
-#: parameters, and returns ``(outcome_counts, steps_total)`` where
-#: ``outcome_counts`` histograms the *final* outcomes (i.e. after
-#: ``map_outcome``) and ``steps_total`` sums the per-trial step counts.
+#: :func:`repro.experiments.runner.trial_registry`) as a lazy
+#: ``Sequence[int]`` whose ``len`` is free and whose iteration derives
+#: the seeds, so a closed-form kernel that reads only ``len(seeds)``
+#: hashes nothing. It also receives the resolved parameters, and
+#: returns ``(outcome_counts, steps_total)`` where ``outcome_counts``
+#: histograms the *final* outcomes (i.e. after ``map_outcome``) and
+#: ``steps_total`` sums the per-trial step counts.
 #: The contract is bit-exactness: the counts must equal what running
 #: ``run_one_trial`` per seed would fold to, which means deriving all
 #: randomness from the same labelled streams (``derive_seed(seed,

