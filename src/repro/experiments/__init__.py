@@ -27,8 +27,9 @@ Five layers, each usable on its own:
   ``relative-precision``, ``fail-rate-target``) can replace the fixed
   trial count with a deterministic batch-boundary stop.
 - **Sweeps** (:mod:`~repro.experiments.sweep`): cartesian parameter
-  grids over a scenario, one JSON-stable row per grid point; surfaced on
-  the command line as ``python -m repro sweep``.
+  grids over a scenario, run as a one-entry campaign, one JSON-stable
+  row per grid point; surfaced on the command line as ``python -m repro
+  sweep``.
 - **Campaigns** (:mod:`~repro.experiments.campaign`): a JSON manifest of
   ``(scenario | tag, grid, trials, base_seed)`` entries run against one
   resume store with grid-level parallelism — chunks from many grid
@@ -78,6 +79,7 @@ from repro.experiments.campaign import (
     schedule_names,
     scheduled_cost,
     slice_ranges,
+    sweep_scenario,
 )
 from repro.experiments.chunking import (
     CALIBRATION_TRIALS,
@@ -133,7 +135,6 @@ from repro.experiments.sweep import (
     load_completed_keys,
     resume_key,
     row_resume_key,
-    sweep_scenario,
 )
 
 # Importing the catalog registers the builtin scenarios as a side effect;

@@ -89,7 +89,7 @@ from typing import (
 
 from repro.analysis.distribution import OutcomeDistribution
 from repro.analysis.stats import proportion
-from repro.experiments.budget import BudgetPolicy, as_policy
+from repro.experiments.budget import BudgetPolicy, BudgetRef, as_policy
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool
 from repro.experiments.runner import (
@@ -97,6 +97,7 @@ from repro.experiments.runner import (
     TrialOutcome,
     _run_chunk_folded,
     check_chunk_size,
+    check_trials,
     chunk_payloads,
     cost_key,
 )
@@ -107,7 +108,7 @@ from repro.experiments.scenario import (
     known_tags,
     scenario_names,
 )
-from repro.experiments.sweep import expand_grid, resume_key
+from repro.experiments.sweep import Grid, expand_grid, resume_key
 from repro.util.errors import ConfigurationError
 
 #: Keys a manifest entry may carry.
@@ -1075,3 +1076,47 @@ def run_campaign(
             active_pool.close()
 
     return _run()
+
+
+def sweep_scenario(
+    scenario: str,
+    trials: Optional[int] = None,
+    grid: Optional[Grid] = None,
+    base_seed: int = 0,
+    workers: WorkerCount = 1,
+    max_steps: Optional[int] = None,
+    completed: Optional[Collection[str]] = None,
+    budget: BudgetRef = None,
+    chunk_size: Optional[int] = None,
+    chunker: Optional[AdaptiveChunker] = None,
+) -> Iterator[ExperimentResult]:
+    """Run ``scenario`` at every grid point — a one-entry campaign.
+
+    The scenario, the whole grid, and the trials/budget choice are
+    validated *eagerly*: an unknown scenario, a grid key the scenario
+    does not declare (the error lists the known parameters), or a
+    missing or negative trial count raises
+    :class:`~repro.util.errors.ConfigurationError` from this call
+    itself, so a typo'd overnight grid dies before any trial runs.
+
+    Everything else is :func:`run_campaign`'s: points whose
+    :func:`~repro.experiments.sweep.resume_key` is in ``completed`` are
+    skipped, every point shares one worker pool and one cost-adaptive
+    chunker, and rows come in grid order on one worker and in
+    completion order on more. ``budget`` switches every point from the
+    fixed ``trials`` count to an adaptive stop (see
+    :class:`~repro.experiments.budget.BudgetPolicy`).
+    """
+    spec = get_scenario(scenario)
+    policy = check_trials(trials, budget)
+    points = [
+        CampaignPoint(spec.name, params, trials, base_seed, max_steps, policy)
+        for params in expand_grid(grid)
+    ]
+    return run_campaign(
+        points,
+        workers=workers,
+        completed=completed,
+        chunk_size=chunk_size,
+        chunker=chunker,
+    )

@@ -34,6 +34,7 @@ from collections import Counter
 from typing import Any, Dict, Mapping, Optional
 from urllib.parse import urlsplit
 
+from repro.experiments.campaign import CampaignPoint, PointState
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool
 from repro.experiments.runner import _run_chunk_folded, chunk_payloads, cost_key
@@ -130,10 +131,11 @@ def lease_fold(
     params = spec.resolve_params(dict(lease.get("params") or {}))
     start, end = int(lease["start"]), int(lease["end"])
     max_steps = lease.get("max_steps")
+    base_seed = int(lease["base_seed"])
     payloads = chunk_payloads(
         spec,
         params,
-        int(lease["base_seed"]),
+        base_seed,
         range(start, end),
         False,
         max_steps,
@@ -141,30 +143,30 @@ def lease_fold(
         chunker=chunker,
     )
     key = cost_key(spec, max_steps)
-    counts: Counter = Counter()
-    successes = steps_total = trials = 0
-    started = time.perf_counter()
+    state = PointState(
+        lease["point"],
+        CampaignPoint(spec.name, params, end - start, base_seed, max_steps, None),
+        spec,
+    )
     for fold in pool.imap_unordered(_run_chunk_folded, payloads):
-        chunk_counts, chunk_successes, chunk_steps, chunk_trials = fold[:4]
-        for outcome, count in chunk_counts.items():
-            # str(outcome): the same stringification to_row applies, so
-            # the coordinator's JSON-keyed fold matches a local fold.
-            counts[str(outcome)] += count
-        successes += chunk_successes
-        steps_total += chunk_steps
-        trials += chunk_trials
+        state.fold(fold)
         if chunker is not None and len(fold) > 4:
-            chunker.observe(key, chunk_trials, fold[4])
+            chunker.observe(key, fold[3], fold[4])
+    # str(outcome): the same stringification to_row applies, so the
+    # coordinator's JSON-keyed fold matches a local fold.
+    counts: Counter = Counter()
+    for outcome, count in state.counts.items():
+        counts[str(outcome)] += count
     return {
         "lease": lease.get("lease"),
         "point": lease["point"],
         "start": start,
         "end": end,
         "counts": dict(counts),
-        "successes": successes,
-        "steps_total": steps_total,
-        "trials": trials,
-        "elapsed": round(time.perf_counter() - started, 6),
+        "successes": state.successes,
+        "steps_total": state.steps_total,
+        "trials": state.ran,
+        "elapsed": round(time.perf_counter() - state.started, 6),
     }
 
 

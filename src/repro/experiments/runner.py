@@ -433,6 +433,22 @@ def check_chunk_size(chunk_size: Optional[int]) -> None:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size!r}")
 
 
+def check_trials(trials: Optional[int], budget: BudgetRef) -> Optional[BudgetPolicy]:
+    """Require exactly one of a fixed ``trials`` count (>= 0) and an
+    adaptive ``budget``; returns the budget as a policy (or None)."""
+    policy = as_policy(budget)
+    if policy is not None and trials is not None:
+        raise ConfigurationError(
+            "pass either a fixed trials count or an adaptive budget, not both"
+        )
+    if policy is None:
+        if trials is None:
+            raise ConfigurationError("trials is required without a budget")
+        if trials < 0:
+            raise ConfigurationError(f"trials must be >= 0, got {trials}")
+    return policy
+
+
 def chunk_payloads(
     spec: ScenarioSpec,
     params: Params,
@@ -630,16 +646,7 @@ class ExperimentRunner:
 
         spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
         resolved = spec.resolve_params(params)
-        policy = as_policy(budget)
-        if policy is not None and trials is not None:
-            raise ConfigurationError(
-                "pass either a fixed trials count or an adaptive budget, not both"
-            )
-        if policy is None:
-            if trials is None:
-                raise ConfigurationError("trials is required without a budget")
-            if trials < 0:
-                raise ConfigurationError(f"trials must be >= 0, got {trials}")
+        policy = check_trials(trials, budget)
         point = CampaignPoint(
             spec.name, resolved, trials, base_seed, self.max_steps, policy
         )

@@ -1,21 +1,15 @@
 """Parameter-grid sweeps over registered scenarios, with resume support.
 
-A sweep is the cartesian product of per-parameter value lists, each grid
-point run as one experiment through the
-:class:`~repro.experiments.runner.ExperimentRunner`. Rows come back as
-JSON-stable dicts (see :meth:`ExperimentResult.to_row`), so the ``python
--m repro sweep`` command can stream them line-by-line and downstream
-tooling can diff runs — the rows are identical whatever the worker
-count.
-
-Every grid point of one sweep dispatches through one shared
-:class:`~repro.experiments.pool.WorkerPool` (injected, or owned by the
-sweep's runner), so worker processes spawn once per sweep, not once per
-grid point.
+A sweep is the cartesian product of per-parameter value lists, run as a
+one-entry campaign by :func:`~repro.experiments.campaign.sweep_scenario`.
+Rows come back as JSON-stable dicts (see
+:meth:`ExperimentResult.to_row`), so the ``python -m repro sweep``
+command can stream them line-by-line and downstream tooling can diff
+runs — the row set is identical whatever the worker count.
 
 Long grids are resumable: every grid point has a canonical *resume key*
 — a pure function of ``(scenario, resolved params, trials, base_seed,
-max_steps, budget)`` — and :func:`sweep_scenario` skips points whose key
+max_steps, budget)`` — and a sweep skips points whose key
 appears in the ``completed`` set, which :func:`load_completed_keys`
 reconstructs from a previous run's ``--out`` file. Because the key is
 computed on *resolved* parameters (defaults overlaid), it is independent
@@ -36,10 +30,8 @@ import os
 from typing import (
     Callable,
     Any,
-    Collection,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -49,10 +41,6 @@ from typing import (
 )
 
 from repro.experiments.budget import BudgetRef, as_policy
-from repro.experiments.chunking import AdaptiveChunker
-from repro.experiments.pool import WorkerCount, WorkerPool
-from repro.experiments.runner import ExperimentRunner, ExperimentResult
-from repro.experiments.scenario import Params, get_scenario
 from repro.util.errors import ConfigurationError
 
 #: A grid: parameter name -> single value or list of values to sweep.
@@ -353,90 +341,3 @@ class RowWriter:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def sweep_scenario(
-    scenario: str,
-    trials: Optional[int] = None,
-    grid: Optional[Grid] = None,
-    base_seed: int = 0,
-    workers: WorkerCount = 1,
-    max_steps: Optional[int] = None,
-    completed: Optional[Collection[str]] = None,
-    budget: BudgetRef = None,
-    pool: Optional[WorkerPool] = None,
-    chunk_size: Optional[int] = None,
-    chunker: Optional[AdaptiveChunker] = None,
-) -> Iterator[ExperimentResult]:
-    """Run ``scenario`` at every grid point, yielding results lazily.
-
-    The scenario, the whole grid, and the budget are validated *eagerly*,
-    before the first experiment runs: an unknown scenario or a grid key
-    the scenario does not declare raises
-    :class:`~repro.util.errors.ConfigurationError` (listing the known
-    parameters) from this call itself, not from deep inside iteration —
-    so a typo'd overnight grid dies immediately instead of after the
-    first grid point's trials.
-
-    Grid points whose :func:`resume_key` appears in ``completed`` are
-    skipped entirely; pass :func:`load_completed_keys` of a previous
-    run's output to resume a partial sweep. Remaining points run
-    sequentially — each one parallelises internally over one *shared*
-    worker pool (``pool``, or a pool the sweep's runner owns and closes
-    when the iterator finishes), so memory stays flat however large the
-    grid is, callers can stream rows as they complete, and worker
-    processes spawn once for the whole sweep. ``budget`` switches every
-    grid point from the fixed ``trials`` count to an adaptive Wilson
-    stop (see :class:`~repro.experiments.budget.BudgetPolicy`).
-
-    Chunk sizing is cost-adaptive by default: one
-    :class:`~repro.experiments.chunking.AdaptiveChunker` is shared
-    across the whole grid (a fresh one unless ``chunker`` is given), so
-    the first point's measured folds size every later point's chunks.
-    An explicit ``chunk_size`` pins the size instead. Neither affects
-    the emitted rows, only scheduling.
-    """
-    spec = get_scenario(scenario)
-    policy = as_policy(budget)
-    if policy is not None and trials is not None:
-        raise ConfigurationError(
-            "pass either a fixed trials count or an adaptive budget, not both"
-        )
-    resolved_points: List[Params] = [
-        spec.resolve_params(point) for point in expand_grid(grid)
-    ]
-    if chunker is None and chunk_size is None:
-        chunker = AdaptiveChunker()
-    runner = ExperimentRunner(
-        workers=workers,
-        max_steps=max_steps,
-        pool=pool,
-        chunk_size=chunk_size,
-        chunker=chunker,
-    )
-    done = frozenset(completed) if completed else frozenset()
-    key_trials = None if policy is not None else trials
-
-    def _run() -> Iterator[ExperimentResult]:
-        try:
-            for params in resolved_points:
-                if (
-                    done
-                    and resume_key(
-                        spec.name, params, key_trials, base_seed, max_steps, policy
-                    )
-                    in done
-                ):
-                    continue
-                yield runner.run(
-                    spec,
-                    trials,
-                    base_seed=base_seed,
-                    params=params,
-                    keep_outcomes=False,
-                    budget=policy,
-                )
-        finally:
-            runner.close()
-
-    return _run()

@@ -1,5 +1,7 @@
 """Tests for the experiment engine: registry, runner, determinism."""
 
+import json
+
 import pytest
 
 from repro.analysis.distribution import estimate_distribution
@@ -341,7 +343,15 @@ class TestSweep:
                 )
             ]
 
-        assert rows(1) == rows(2)
+        def text(row):
+            return json.dumps(row, sort_keys=True)
+
+        serial, parallel = rows(1), rows(2)
+        # The row set is the contract at any worker count (INVARIANTS
+        # R1); a parallel sweep yields in completion order.
+        assert sorted(serial, key=text) == sorted(parallel, key=text)
+        # A serial pool keeps admission order: rows come in grid order.
+        assert [r["params"]["n"] for r in serial] == [8, 12]
 
     def test_sweep_unknown_scenario_raises(self):
         with pytest.raises(ConfigurationError):

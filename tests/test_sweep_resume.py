@@ -472,6 +472,13 @@ class TestSweepScenarioValidation:
         with pytest.raises(ConfigurationError):
             sweep_scenario("no/such", trials=1)
 
+    @pytest.mark.parametrize("trials", [None, -1])
+    def test_missing_or_negative_trials_raise_eagerly(self, trials):
+        """No trials and no budget, or a negative count, fails at call
+        time — not on the first next()."""
+        with pytest.raises(ConfigurationError):
+            sweep_scenario("attack/basic-cheat", trials=trials, grid={"n": [8]})
+
 
 class TestSweepResume:
     def _rows(self, grid, completed=None):
