@@ -53,7 +53,7 @@ from repro.experiments import (
     sweep_scenario,
 )
 from repro.experiments.campaign import check_seconds
-from repro.sim.execution import run_protocol
+from repro.experiments.runner import _execute_trial
 from repro.trees import impossibility_certificate
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngRegistry
@@ -87,10 +87,9 @@ def _execute(scenario: str, overrides, args):
     stream), stopped after ``--max-steps`` deliveries."""
     spec = get_scenario(scenario)
     params = spec.resolve_params(overrides)
-    registry = RngRegistry(args.seed)
-    topo = spec.build_topology(params)
-    protocol = spec.build_protocol(topo, params, registry.stream("scenario"))
-    return run_protocol(topo, protocol, rng=registry, max_steps=args.max_steps)
+    return _execute_trial(
+        spec, params, RngRegistry(args.seed), True, args.max_steps
+    )
 
 
 def _cmd_run(args) -> int:
@@ -573,7 +572,7 @@ def _campaign_metrics(pool, cost_model, total_points):
         pool=lambda: pool,
         cost_model=cost_model,
     )
-    points_done = registry.counter(
+    points_done = registry.gauge(
         "repro_points_completed",
         "Campaign points emitted (timed-out partials included)",
     )

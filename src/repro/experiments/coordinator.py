@@ -48,7 +48,9 @@ counts, successes, steps_total, trials, elapsed} -> {status}`` with
 status ``accepted`` | ``duplicate`` | ``unknown``; ``GET /status``,
 ``GET /healthz``, and ``GET /metrics`` (Prometheus text format:
 trials/sec, lease queue depth, active leases, per-node EWMA per-trial
-seconds, node health, report/expiry counters).
+seconds, node health, report/expiry counters). A malformed POST body
+(a bad ``Content-Length``, or a body that is not a JSON object) answers
+400, as does a request that breaks the protocol.
 """
 
 import itertools
@@ -58,7 +60,6 @@ import threading
 import time
 from collections import Counter
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
-from urllib.parse import urlparse
 
 from repro.experiments.campaign import (
     CampaignPoint,
@@ -71,7 +72,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.runner import ExperimentResult
-from repro.httpd import JsonHTTPServer, JsonRequestHandler, bind_handler
+from repro.httpd import JsonHTTPServer, make_json_server
 from repro.metrics import MetricsRegistry, register_run_metrics
 from repro.util.errors import ConfigurationError
 
@@ -535,67 +536,34 @@ class CampaignCoordinator:
 # ----------------------------------------------------------------------
 
 
-class CoordinatorHandler(JsonRequestHandler):
-    """Routes node traffic to the class-attribute ``coordinator``
-    (installed per server by :func:`make_coordinator_server`)."""
-
-    coordinator: CampaignCoordinator = None  # type: ignore[assignment]
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server's casing)
-        path = urlparse(self.path).path
-        if path == "/healthz":
-            self._send(200, {"status": "ok", "done": self.coordinator.done})
-        elif path == "/metrics":
-            self._send_text(200, self.coordinator.metrics.render())
-        elif path == "/status":
-            self._send(200, self.coordinator.status())
-        else:
-            self._send(404, {"error": f"unknown path {path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802
-        path = urlparse(self.path).path
-        body = self.read_json_body()
-        if body is None:
-            body = {}
-        try:
-            if path == "/register":
-                self._send(
-                    200,
-                    self.coordinator.register(
-                        name=body.get("name"), workers=body.get("workers", 1)
-                    ),
-                )
-            elif path == "/lease":
-                node = body.get("node")
-                if not isinstance(node, str) or not node:
-                    self._send(400, {"error": "missing 'node'"})
-                    return
-                self._send(
-                    200,
-                    self.coordinator.lease(
-                        node, max_leases=body.get("max_leases", 1)
-                    ),
-                )
-            elif path == "/report":
-                self._send(200, self.coordinator.report(body))
-            else:
-                self._send(404, {"error": f"unknown path {path!r}"})
-        except ConfigurationError as exc:
-            self._send(400, {"error": str(exc)})
-
-
 def make_coordinator_server(
     coordinator: CampaignCoordinator, host: str = "127.0.0.1", port: int = 0
 ) -> JsonHTTPServer:
     """A threading HTTP server bound to ``coordinator`` (``port=0``
     binds an ephemeral port — read ``server.server_address`` back)."""
-    handler = bind_handler(
-        CoordinatorHandler,
-        "BoundCoordinatorHandler",
-        coordinator=coordinator,
-        disconnects=coordinator.disconnects,
+
+    def lease(body: Dict[str, Any]) -> Dict[str, Any]:
+        node = body.get("node")
+        if not isinstance(node, str) or not node:
+            raise ConfigurationError("missing 'node'")
+        return coordinator.lease(node, max_leases=body.get("max_leases", 1))
+
+    routes = {
+        ("GET", "/status"): lambda query: coordinator.status(),
+        ("POST", "/register"): lambda body: coordinator.register(
+            name=body.get("name"), workers=body.get("workers", 1)
+        ),
+        ("POST", "/lease"): lease,
+        ("POST", "/report"): coordinator.report,
+    }
+    return make_json_server(
+        host,
+        port,
+        routes,
+        coordinator.metrics,
+        lambda: {"status": "ok", "done": coordinator.done},
+        coordinator.disconnects,
     )
-    return JsonHTTPServer((host, port), handler)
 
 
 def serve_coordinator(

@@ -206,11 +206,9 @@ def _execute_trial(
     is byte-for-byte the execution the untraced trial would have been."""
     topology = spec.build_topology(params)
     protocol = spec.build_protocol(topology, params, registry.stream("scenario"))
-    scheduler = spec.build_scheduler(params) if spec.build_scheduler else None
     return run_protocol(
         topology,
         protocol,
-        scheduler=scheduler,
         rng=registry,
         max_steps=max_steps,
         record_trace=record_trace,

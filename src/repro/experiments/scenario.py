@@ -38,7 +38,6 @@ from typing import (
 )
 
 from repro.sim.execution import FAIL
-from repro.sim.scheduler import Scheduler
 from repro.sim.strategy import Strategy
 from repro.sim.topology import Topology, unidirectional_ring
 from repro.util.errors import ConfigurationError
@@ -55,9 +54,6 @@ TopologyFactory = Callable[[Params], Topology]
 #: their own setup (e.g. random adversary placement); deterministic
 #: scenarios simply ignore it.
 ProtocolFactory = Callable[[Topology, Params, random.Random], Mapping[Hashable, Strategy]]
-
-#: Builds the (oblivious) scheduler for one trial; ``None`` means FIFO.
-SchedulerFactory = Callable[[Params], Scheduler]
 
 #: Classifies one finished trial's outcome as success/failure.
 SuccessPredicate = Callable[[Any, Params], bool]
@@ -147,10 +143,10 @@ class ScenarioSpec:
         Registry key, e.g. ``"attack/cubic"``.
     description:
         One-line human summary (shown by ``python -m repro sweep --list``).
-    build_topology / build_protocol / build_scheduler:
-        Factories invoked once per trial. ``build_scheduler=None`` selects
-        the default :class:`~repro.sim.scheduler.FifoScheduler`. Both
-        builders may be omitted when ``run_trial`` is given instead.
+    build_topology / build_protocol:
+        Factories invoked once per trial; trials run under the default
+        :class:`~repro.sim.scheduler.FifoScheduler`. Both builders may
+        be omitted when ``run_trial`` is given instead.
     run_trial:
         Self-contained trial function for scenarios outside the
         asynchronous executor (sync engine, tree games, coin-toss
@@ -187,7 +183,6 @@ class ScenarioSpec:
     description: str
     build_topology: Optional[TopologyFactory] = None
     build_protocol: Optional[ProtocolFactory] = None
-    build_scheduler: Optional[SchedulerFactory] = None
     run_trial: Optional[TrialRunner] = None
     run_batch: Optional[BatchRunner] = None
     map_outcome: Optional[OutcomeMap] = None
@@ -198,10 +193,10 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.run_trial is not None:
-            if self.build_topology or self.build_protocol or self.build_scheduler:
+            if self.build_topology or self.build_protocol:
                 raise ConfigurationError(
                     f"scenario {self.name!r}: run_trial is mutually "
-                    "exclusive with the topology/protocol/scheduler builders"
+                    "exclusive with the topology/protocol builders"
                 )
         elif not (self.build_topology and self.build_protocol):
             raise ConfigurationError(

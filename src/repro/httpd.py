@@ -1,35 +1,43 @@
-"""Shared stdlib-HTTP scaffolding for the served surfaces.
+"""One JSON HTTP front end for every served surface.
 
-Both HTTP front ends — the estimate service (:mod:`repro.serve`) and
-the campaign coordinator (:mod:`repro.experiments.coordinator`) — are
-``http.server`` threading servers speaking JSON. This module holds the
-plumbing they share so the two stay behaviourally identical where it
-matters:
+The estimate service (:mod:`repro.serve`), the campaign coordinator
+(:mod:`repro.experiments.coordinator`) and ``campaign --metrics-port``
+are ``http.server`` threading servers speaking JSON, and all three
+answer through :class:`JsonRequestHandler`, the only handler class. A
+server is a route table: :func:`make_json_server` binds the routes, a
+metrics registry, a ``health()`` callback and a disconnect counter onto
+a throwaway subclass (``BaseHTTPServer`` instantiates the handler class
+itself, so per-server state rides on class attributes, not globals).
 
-- :class:`JsonRequestHandler`: response writers (``_send`` for JSON,
-  ``_send_text`` for Prometheus text) that guard the *entire* response
-  write against client disconnects. A client that gives up mid-compute
-  (curl timing out during a long cold estimate) used to raise
-  ``BrokenPipeError``/``ConnectionResetError`` out of the handler and
-  dump a traceback per request; now the write is abandoned quietly and
-  counted on the bound ``disconnects`` counter so the operator sees the
-  rate on ``/metrics`` instead of in a log flood.
-- Keep-alive: handlers speak HTTP/1.1 with ``TCP_NODELAY`` and write
-  each response in one send, so a client (a campaign node) can reuse
-  one connection for every request. Without ``TCP_NODELAY`` a
-  response's second segment waits for the peer's delayed ACK, about
-  40 ms per request on a kept-alive connection. A peer that resets
-  the connection while the handler waits for its next request counts
-  as a disconnect too, and a response sent before the request body
-  was read closes the connection so the unread bytes cannot be parsed
-  as the next request.
-- :class:`JsonHTTPServer`: the threading server both front ends run;
-  ``server_close`` also drops its kept-alive connections, as a process
-  exit would.
-- :func:`bind_handler`: the bound-subclass pattern — ``BaseHTTPServer``
-  instantiates the handler class itself, so per-server state (the
-  service object, verbosity, counters) rides on class attributes of a
-  throwaway subclass rather than globals.
+One dispatcher answers every request:
+
+- ``GET /metrics`` renders the bound registry (Prometheus text) and
+  ``GET /healthz`` answers the bound ``health()``, on every server.
+- Any other ``(method, path)`` is looked up in the route table. A GET
+  route gets the raw query string, a POST route the body object; the
+  route returns the JSON payload of a 200.
+- A route raising :class:`~repro.util.errors.ConfigurationError`
+  answers 400; a :class:`RouteError` carries its own status.
+- An unknown path answers 404. On a POST it also closes the connection.
+
+One body reader: an empty body reads as ``{}``; a bad or negative
+``Content-Length`` closes the connection and answers 400 ``bad
+Content-Length``; a body that is not a JSON object answers 400 ``body
+must be a JSON object``. A response sent before the body was read
+closes the connection so the unread bytes cannot be parsed as the next
+request on a kept-alive one.
+
+Transport: the handler speaks HTTP/1.1 with ``TCP_NODELAY`` and writes
+each response in one send, so a client (a campaign node) can reuse one
+connection for every request. Without ``TCP_NODELAY`` a response's
+second segment waits for the peer's delayed ACK, about 40 ms per
+request on a kept-alive connection. The whole response write is guarded
+against client disconnects: a client that gives up mid-compute (curl
+timing out during a long cold estimate), or a peer that resets the
+connection while the handler waits for its next request, is counted on
+the bound ``disconnects`` counter instead of dumping a traceback.
+:class:`JsonHTTPServer`'s ``server_close`` also drops its kept-alive
+connections, as a process exit would.
 """
 
 import io
@@ -37,22 +45,36 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 from repro.metrics import TEXT_CONTENT_TYPE
+from repro.util.errors import ConfigurationError
+
+
+class RouteError(Exception):
+    """Raised by a route to answer ``status`` with the message."""
+
+    status: int
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
-    """Request-handler base with disconnect-guarded response writers.
+    """The one dispatcher: built-in ``/metrics`` and ``/healthz``, then
+    the bound route table (see the module docstring).
 
-    Subclasses route in ``do_GET``/``do_POST`` and answer via
-    :meth:`_send` / :meth:`_send_text`; class attributes ``verbose``
-    and ``disconnects`` (a :class:`repro.metrics.Counter` or ``None``)
-    are bound per server by :func:`bind_handler`.
+    Every class attribute below is bound per server by
+    :func:`make_json_server`.
     """
 
-    #: Bound per server: a metrics Counter fed one inc() per client
-    #: that vanished mid-request or mid-response, or None to only
-    #: swallow the error.
+    #: ``{(method, path): route}``; a route takes the query string (GET)
+    #: or the body object (POST) and returns the JSON payload.
+    routes: dict = {}
+    #: The :class:`repro.metrics.MetricsRegistry` behind ``/metrics``.
+    registry = None
+    #: A static callable returning the ``/healthz`` payload.
+    health = None
+    #: A :class:`repro.metrics.Counter` fed one inc() per client that
+    #: vanished mid-request or mid-response, or None to only swallow
+    #: the error.
     disconnects = None
     verbose = False
 
@@ -61,6 +83,52 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     #: Buffer the response so headers and body leave in one send;
     #: :meth:`_send_bytes` flushes it.
     wbufsize = io.DEFAULT_BUFFER_SIZE
+
+    def do_GET(self):  # noqa: N802 (http.server's casing)
+        self._dispatch("GET")
+
+    def do_POST(self):  # noqa: N802
+        self._dispatch("POST")
+
+    def _dispatch(self, method):
+        url = urlsplit(self.path)
+        if method == "GET" and url.path == "/metrics":
+            self._send_text(200, self.registry.render())
+            return
+        if method == "GET" and url.path == "/healthz":
+            self._send(200, self.health())
+            return
+        route = self.routes.get((method, url.path))
+        if route is None:
+            if method == "POST":
+                self.close_connection = True
+            self._send(404, {"error": f"unknown path {url.path!r}"})
+            return
+        try:
+            payload = route(self._read_body() if method == "POST" else url.query)
+        except ConfigurationError as exc:
+            self._send(400, {"error": str(exc)})
+        except RouteError as exc:
+            self._send(exc.status, {"error": str(exc)})
+        else:
+            self._send(200, payload)
+
+    def _read_body(self):
+        """The request body as a JSON object (``{}`` when empty)."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            self.close_connection = True
+            raise ConfigurationError("bad Content-Length") from None
+        try:
+            body = json.loads(self.rfile.read(length) or b"{}")
+        except ValueError:
+            body = None
+        if not isinstance(body, dict):
+            raise ConfigurationError("body must be a JSON object")
+        return body
 
     def handle_one_request(self):
         try:
@@ -99,24 +167,6 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             # ConnectionResetError are both ConnectionError). There is
             # nobody left to answer; drop the connection and count it.
             self._disconnected()
-
-    def read_json_body(self):
-        """The request body parsed as a JSON object, or ``None`` when
-        absent/malformed (callers answer 400).
-
-        A body left unread closes the connection after the answer."""
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            self.close_connection = True
-            return None
-        if length <= 0:
-            return None
-        try:
-            parsed = json.loads(self.rfile.read(length).decode("utf-8"))
-        except ValueError:
-            return None
-        return parsed if isinstance(parsed, dict) else None
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.verbose:
@@ -158,42 +208,32 @@ class JsonHTTPServer(ThreadingHTTPServer):
                 pass
 
 
-def bind_handler(base, name, **attrs):
-    """A throwaway subclass of ``base`` carrying per-server state."""
-    return type(name, (base,), attrs)
-
-
-class MetricsHandler(JsonRequestHandler):
-    """GET-only handler exposing one registry: ``/metrics`` (Prometheus
-    text), ``/healthz``. The campaign CLI binds this for plain
-    single-host runs; the coordinator and estimate service keep their
-    own richer handlers."""
-
-    #: Bound per server by :func:`bind_handler`.
-    registry = None
-
-    def do_GET(self):
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            self._send_text(200, self.registry.render())
-        elif path == "/healthz":
-            self._send(200, {"ok": True})
-        else:
-            self._send(404, {"error": f"no such path: {path}"})
+def make_json_server(host, port, routes, registry, health, disconnects=None):
+    """A :class:`JsonHTTPServer` on ``(host, port)`` answering through
+    :class:`JsonRequestHandler` with these bindings (``port=0`` binds an
+    ephemeral port — read it back from ``server.server_address``)."""
+    handler = type(
+        "BoundJsonRequestHandler",
+        (JsonRequestHandler,),
+        {
+            "routes": routes,
+            "registry": registry,
+            "health": staticmethod(health),
+            "disconnects": disconnects,
+        },
+    )
+    return JsonHTTPServer((host, port), handler)
 
 
 def serve_metrics(registry, host="127.0.0.1", port=0, verbose=False):
     """Serve ``registry`` on a daemon thread; returns ``(server, thread)``.
 
-    Port 0 binds an ephemeral port (read it back from
-    ``server.server_address``). Callers own the teardown:
-    ``server.shutdown(); server.server_close(); thread.join()``.
+    Only ``/metrics`` and ``/healthz`` answer. Port 0 binds an ephemeral
+    port (read it back from ``server.server_address``). Callers own the
+    teardown: ``server.shutdown(); server.server_close(); thread.join()``.
     """
-    handler = bind_handler(
-        MetricsHandler, "BoundMetricsHandler",
-        registry=registry, verbose=verbose,
-    )
-    server = JsonHTTPServer((host, port), handler)
+    server = make_json_server(host, port, {}, registry, lambda: {"ok": True})
+    server.RequestHandlerClass.verbose = verbose
     thread = threading.Thread(
         target=server.serve_forever, name="metrics-http", daemon=True
     )

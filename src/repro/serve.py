@@ -37,15 +37,15 @@ silently last-winning or vanishing), ``POST /estimate`` (JSON body
 ``GET /scenarios``, ``GET /healthz``, and ``GET /metrics`` (Prometheus
 text format — store hit/miss counters, trials/sec, in-flight computes,
 pool chunk counters, per-scenario EWMA cost, client disconnects).
-Errors: 400 for malformed queries, 404 for unknown paths, 409 for a
-read-only refusal.
+Errors: 400 for malformed queries and malformed POST bodies (a bad
+``Content-Length``, or a body that is not a JSON object), 404 for
+unknown paths, 409 for a read-only refusal.
 """
 
-import json
 import sys
 import threading
 from typing import Any, Dict, Mapping, Optional
-from urllib.parse import parse_qsl, urlparse
+from urllib.parse import parse_qsl
 
 from repro.analysis.stats import wilson_interval
 from repro.experiments.budget import WilsonWidthPolicy, precision_satisfied
@@ -55,7 +55,7 @@ from repro.experiments.pool import WorkerPool
 from repro.experiments.scenario import get_scenario, scenario_names
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import coerce_param
-from repro.httpd import JsonHTTPServer, JsonRequestHandler, bind_handler
+from repro.httpd import JsonHTTPServer, RouteError, make_json_server
 from repro.metrics import MetricsRegistry, register_run_metrics
 from repro.util.errors import ConfigurationError
 
@@ -64,9 +64,11 @@ DEFAULT_MIN_TRIALS = 32
 DEFAULT_MAX_TRIALS = 100_000
 
 
-class ComputeRefused(Exception):
+class ComputeRefused(RouteError):
     """A cold query hit a read-only service: nothing stored satisfies
     the requested precision and computing is disabled."""
+
+    status = 409
 
 
 class EstimateService:
@@ -362,108 +364,44 @@ class EstimateService:
 # ----------------------------------------------------------------------
 
 
-class EstimateHandler(JsonRequestHandler):
-    """Routes requests to the class-attribute ``service`` (installed by
-    :func:`make_server`, so each server instance binds its own).
+def _estimate(service, scenario, params, ci_width) -> Dict[str, Any]:
+    """The request checks both ``/estimate`` routes share."""
+    if not scenario:
+        raise ConfigurationError("missing 'scenario'")
+    if ci_width is None:
+        raise ConfigurationError("missing 'ci_width'")
+    try:
+        ci_width = float(ci_width)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"bad ci_width {ci_width!r}") from None
+    if not isinstance(params, dict):
+        raise ConfigurationError("'params' must be an object")
+    return service.estimate(scenario, params, ci_width)
 
-    Response writing (and the disconnect guard + counter around it)
-    lives on :class:`~repro.httpd.JsonRequestHandler`.
-    """
 
-    service: EstimateService = None  # type: ignore[assignment]
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server's casing)
-        parsed = urlparse(self.path)
-        if parsed.path == "/healthz":
-            self._send(
-                200, {"status": "ok", "read_only": self.service.read_only}
-            )
-        elif parsed.path == "/metrics":
-            self._send_text(200, self.service.metrics.render())
-        elif parsed.path == "/scenarios":
-            self._send(200, {"scenarios": scenario_names()})
-        elif parsed.path == "/estimate":
-            # keep_blank_values: "?flag=" must reach coerce_param and be
-            # rejected there, not silently vanish from the params dict.
-            pairs = parse_qsl(parsed.query, keep_blank_values=True)
-            keys = [key for key, _ in pairs]
-            duplicates = sorted({key for key in keys if keys.count(key) > 1})
-            if duplicates:
-                # "?n=8&n=64" used to estimate n=64 (dict() last-wins);
-                # an ambiguous query is the client's bug to hear about.
-                self._send(
-                    400,
-                    {
-                        "error": "duplicate query parameter(s): "
-                        + ", ".join(duplicates)
-                    },
-                )
-                return
-            query = dict(pairs)
-            scenario = query.pop("scenario", None)
-            ci_width = query.pop("ci_width", None)
-            params = {}
-            for key, value in query.items():
-                try:
-                    params[key] = coerce_param(value)
-                except ConfigurationError as exc:
-                    self._send(400, {"error": f"{key}: {exc}"})
-                    return
-            self._estimate(scenario, params, ci_width)
-        else:
-            self._send(404, {"error": f"unknown path {parsed.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802
-        # A body left unread must close the connection, or its bytes
-        # would be parsed as the next request on a kept-alive one.
-        if urlparse(self.path).path != "/estimate":
-            self.close_connection = True
-            self._send(404, {"error": f"unknown path {self.path!r}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length < 0:
-                raise ValueError(length)
-        except ValueError:
-            self.close_connection = True
-            self._send(400, {"error": "bad Content-Length"})
-            return
-        try:
-            body = json.loads(self.rfile.read(length) or b"{}")
-        except ValueError:
-            self._send(400, {"error": "body must be a JSON object"})
-            return
-        if not isinstance(body, dict):
-            self._send(400, {"error": "body must be a JSON object"})
-            return
-        self._estimate(
-            body.get("scenario"), body.get("params") or {}, body.get("ci_width")
+def _get_estimate(service, query: str) -> Dict[str, Any]:
+    """``GET /estimate``: every query key but ``scenario`` and
+    ``ci_width`` is a parameter literal."""
+    # keep_blank_values: "?flag=" must reach coerce_param and be
+    # rejected there, not silently vanish from the params dict.
+    pairs = parse_qsl(query, keep_blank_values=True)
+    keys = [key for key, _ in pairs]
+    duplicates = sorted({key for key in keys if keys.count(key) > 1})
+    if duplicates:
+        # "?n=8&n=64" used to estimate n=64 (dict() last-wins); an
+        # ambiguous query is the client's bug to hear about.
+        raise ConfigurationError(
+            "duplicate query parameter(s): " + ", ".join(duplicates)
         )
-
-    def _estimate(self, scenario, params, ci_width) -> None:
-        if not scenario:
-            self._send(400, {"error": "missing 'scenario'"})
-            return
-        if ci_width is None:
-            self._send(400, {"error": "missing 'ci_width'"})
-            return
+    params = dict(pairs)
+    scenario = params.pop("scenario", None)
+    ci_width = params.pop("ci_width", None)
+    for key, value in params.items():
         try:
-            ci_width = float(ci_width)
-        except (TypeError, ValueError):
-            self._send(400, {"error": f"bad ci_width {ci_width!r}"})
-            return
-        if not isinstance(params, dict):
-            self._send(400, {"error": "'params' must be an object"})
-            return
-        try:
-            payload = self.service.estimate(scenario, params, ci_width)
+            params[key] = coerce_param(value)
         except ConfigurationError as exc:
-            self._send(400, {"error": str(exc)})
-            return
-        except ComputeRefused as exc:
-            self._send(409, {"error": str(exc)})
-            return
-        self._send(200, payload)
+            raise ConfigurationError(f"{key}: {exc}") from None
+    return _estimate(service, scenario, params, ci_width)
 
 
 def make_server(
@@ -471,13 +409,24 @@ def make_server(
 ) -> JsonHTTPServer:
     """A threading HTTP server bound to ``service`` (``port=0`` binds an
     ephemeral port — read it back from ``server.server_address``)."""
-    handler = bind_handler(
-        EstimateHandler,
-        "BoundEstimateHandler",
-        service=service,
-        disconnects=service.disconnects,
+    routes = {
+        ("GET", "/scenarios"): lambda query: {"scenarios": scenario_names()},
+        ("GET", "/estimate"): lambda query: _get_estimate(service, query),
+        ("POST", "/estimate"): lambda body: _estimate(
+            service,
+            body.get("scenario"),
+            body.get("params") or {},
+            body.get("ci_width"),
+        ),
+    }
+    return make_json_server(
+        host,
+        port,
+        routes,
+        service.metrics,
+        lambda: {"status": "ok", "read_only": service.read_only},
+        service.disconnects,
     )
-    return JsonHTTPServer((host, port), handler)
 
 
 def run_server(

@@ -722,6 +722,23 @@ class TestCampaignMetricsPort:
             for labels, _ in families["repro_per_trial_seconds"]
         } == {point.scenario for point in points}
 
+    def test_points_completed_is_a_gauge_on_both_servers(self):
+        """One TYPE per family: the coordinator sets
+        ``repro_points_completed`` at scrape and the CLI inc()s it, but
+        both declare it a gauge."""
+        from repro.cli import _campaign_metrics
+        from repro.experiments import (
+            AdaptiveChunker,
+            CampaignCoordinator,
+            WorkerPool,
+        )
+
+        with WorkerPool(1) as pool:
+            registry, _ = _campaign_metrics(pool, AdaptiveChunker(), 0)
+            cli_render = registry.render()
+        for render in (cli_render, CampaignCoordinator([]).metrics.render()):
+            assert "# TYPE repro_points_completed gauge" in render.splitlines()
+
     def test_rejected_alongside_coordinate(self, tmp_path):
         manifest = self._manifest(tmp_path)
         with pytest.raises(SystemExit, match="redundant with --coordinate"):

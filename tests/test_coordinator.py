@@ -480,7 +480,8 @@ class TestClientConnection:
                 client.post("/register", {})
             thread.join(timeout=5)
 
-    def test_unread_body_closes_the_connection(self, live):
+    @pytest.mark.parametrize("length", ["not-a-number", "-1"])
+    def test_unread_body_closes_the_connection(self, live, length):
         """A bad Content-Length leaves the body unread; it must not be
         parsed as the next request on the kept-alive connection."""
         server, _ = live
@@ -490,7 +491,7 @@ class TestClientConnection:
             conn.request(
                 "POST", "/lease",
                 body=f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n",
-                headers={"Content-Length": "not-a-number"},
+                headers={"Content-Length": length},
             )
             response = conn.getresponse()
             assert response.status == 400
@@ -500,6 +501,23 @@ class TestClientConnection:
             assert "nodes" in json.loads(conn.getresponse().read())
         finally:
             conn.close()
+
+    def test_non_json_body_is_rejected_not_registered(self):
+        """A body that is not a JSON object is a 400, not an empty
+        request: ``POST /register`` must not register a node."""
+        coordinator = CampaignCoordinator([])
+        server, thread = start_server(coordinator)
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.request("POST", "/register", body="{not json")
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "JSON object" in json.loads(response.read())["error"]
+            assert coordinator.status()["nodes"] == {}
+        finally:
+            conn.close()
+            stop_server(server, thread)
 
 
 class TestCli:
