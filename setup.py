@@ -17,8 +17,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    # numpy drives the vectorized batch-trial kernels; the library
-    # degrades gracefully without it (repro.util.mtcompat gates every
-    # numpy touch), but installs should get the fast path.
-    install_requires=["numpy"],
 )

@@ -37,7 +37,6 @@ from repro.experiments.scenario import (
     register_scenario,
     ring_topology,
 )
-from repro.util.mtcompat import mt_random_state, numpy_module
 from repro.util.rng import derive_seed
 
 
@@ -82,53 +81,39 @@ def within_envelope(outcome, params: Params) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _max_segment_numpy(np, state, n: int, p: float) -> int:
-    """Vectorized trial body: longest honest segment, or 0 if degenerate.
-
-    Mirrors :meth:`RingPlacement.random_locations` (one uniform double
-    per non-origin processor, selected where ``< p``) and
-    :meth:`RingPlacement.distances` (consecutive gaps minus one, plus
-    the wrap-around gap through the origin), with numpy drawing the
-    doubles the trial's ``random.Random`` stream would have drawn.
-    """
-    positions = np.flatnonzero(state.random_sample(n - 1) < p) + 2
-    if positions.size < 2:
-        return 0
-    gaps = np.diff(positions) - 1
-    wrap = int(positions[0]) + n - int(positions[-1]) - 1
-    return max(int(gaps.max()), wrap)
-
-
-def _max_segment_python(rng: random.Random, n: int, p: float) -> int:
-    """The same trial body off numpy (absent, or a 1-word MT seed)."""
-    placement = RingPlacement.random_locations(n, p, rng)
-    if placement is None:
-        return 0
-    return segment_statistics(placement).max_length
-
-
 def run_random_segments_batch(
     seeds: Sequence[int], params: Params
 ) -> Optional[Tuple[Dict[object, int], int]]:
-    """Fold a chunk of ``placement/random-segments`` trials."""
-    np = numpy_module()
-    if np is None:
-        return None
+    """Fold a chunk of ``placement/random-segments`` trials.
+
+    Each trial re-seeds one shared ``random.Random`` with the seed its
+    ``scenario`` stream would get (a re-seed costs well under building
+    a generator) and draws exactly what
+    :meth:`RingPlacement.random_locations` draws: one ``random()`` per
+    pid ``2..n``, kept where ``< p``. The outcome is the longest honest
+    segment, as :meth:`RingPlacement.distances` measures it: the largest
+    gap between consecutive positions, the wrap-around through the
+    origin included, minus one; 0 when fewer than two were kept.
+    """
     n = params["n"]
     p = segment_probability(params)
     if n < 2 or not 0 <= p <= 1:
         return None  # degenerate draws / invalid p: scalar path decides
     counts: Dict[object, int] = {}
-    # One RandomState re-seeded per trial: construction costs ~6x a
-    # re-seed, and the streams are bit-identical either way.
-    shared = np.random.RandomState(0)
+    rng = random.Random()
+    draw = rng.random
+    pids = range(2, n + 1)
     for seed in seeds:
-        scenario_seed = derive_seed(seed, "scenario")
-        state = mt_random_state(scenario_seed, into=shared)
-        if state is not None:
-            longest = _max_segment_numpy(np, state, n, p)
-        else:  # 1-word MT seed: numpy's init diverges, replay exactly
-            longest = _max_segment_python(random.Random(scenario_seed), n, p)
+        rng.seed(derive_seed(seed, "scenario"))
+        positions = [pid for pid in pids if draw() < p]
+        longest = 0
+        if len(positions) >= 2:
+            prev = positions[-1] - n  # the wrap-around gap ends at the first
+            for pid in positions:
+                if pid - prev > longest:
+                    longest = pid - prev
+                prev = pid
+            longest -= 1
         counts[longest] = counts.get(longest, 0) + 1
     return counts, 0
 

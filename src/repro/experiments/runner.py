@@ -25,10 +25,12 @@ hand-roll:
 - **Folded aggregates.** Every worker chunk comes back as an
   outcome-count dict plus success/step counters — counter addition is
   commutative, so the fold order never shows in the result and IPC
-  volume stops scaling with the trial count. When the caller asks for
-  per-trial outcomes (``keep_outcomes=True``), the chunk runs the scalar
-  loop and appends the trials as columnar tuples to the same fold, so
-  one worker entry point (:func:`_run_chunk_folded`) serves both.
+  volume stops scaling with the trial count. The work order going the
+  other way names its trials as a ``range``, so it does not scale
+  either. When the caller asks for per-trial outcomes
+  (``keep_outcomes=True``), the chunk runs the scalar loop and appends
+  the trials as columns to the same fold, so one worker entry point
+  (:func:`_run_chunk_folded`) serves both.
 - **One point loop.** :meth:`ExperimentRunner.run` is a one-point
   :class:`~repro.experiments.campaign.PointDriver` run: the experiment
   is admitted, batched, dispatched, folded, and stopped by the loop
@@ -246,19 +248,23 @@ def run_traced_trial(
 #: One chunk's work order, shipped to a worker: ``(scenario, params,
 #: base_seed, indices, keep_outcomes, max_steps, use_batch)``.
 #: ``scenario`` is a builtin name (resolved from the worker's own
-#: catalog) or a full spec by value. ``keep_outcomes`` asks for the
-#: chunk's trials back as columns; ``use_batch`` opts the chunk in or
-#: out of a scenario's vectorized kernel.
-ChunkPayload = Tuple[ScenarioRef, Params, int, Tuple[int, ...], bool, Optional[int], bool]
+#: catalog) or a full spec by value. ``indices`` is the chunk's trial
+#: ``range``: it pickles in a few dozen bytes however many trials it
+#: spans, so a work order costs the same to cut, ship and unpack at
+#: ten trials or a million. ``keep_outcomes`` asks for the chunk's
+#: trials back as columns; ``use_batch`` opts the chunk in or out of a
+#: scenario's vectorized kernel.
+ChunkPayload = Tuple[ScenarioRef, Params, int, range, bool, Optional[int], bool]
 
 #: A worker-side folded chunk: (outcome -> count, successes, steps total,
 #: trial count, worker-measured elapsed seconds). Plain tuples pickle
 #: small and fold commutatively. The ``elapsed`` element is scheduling
 #: metadata — the cost-adaptive chunker's in-run feedback signal — and
 #: never reaches a row: the first four elements alone decide results.
-#: A ``keep_outcomes`` chunk appends four columns after it — ``(indices,
-#: outcomes, steps, successes)`` tuples, one entry per trial — which
-#: pickle in a fraction of the bytes per-trial objects would.
+#: A ``keep_outcomes`` chunk appends four columns after it — the
+#: payload's ``indices`` range, then ``outcomes``, ``steps`` and
+#: ``successes`` tuples, one entry per trial — which pickle in a
+#: fraction of the bytes per-trial objects would.
 ChunkFold = Tuple[Any, ...]
 
 
@@ -414,7 +420,7 @@ def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
     if not keep_outcomes:
         return fold
     return fold + (
-        tuple(indices),
+        indices,
         tuple(trial.outcome for trial in kept),
         tuple(trial.steps for trial in kept),
         tuple(trial.success for trial in kept),
@@ -451,7 +457,7 @@ def chunk_payloads(
     spec: ScenarioSpec,
     params: Params,
     base_seed: int,
-    indices: Sequence[int],
+    indices: range,
     keep_outcomes: bool = False,
     max_steps: Optional[int] = None,
     workers: int = 1,
@@ -462,7 +468,10 @@ def chunk_payloads(
     """Slice a trial-index range into worker chunk payloads.
 
     Shared by every backend (local campaigns, the runner, coordinator
-    nodes) so all of them ship the exact same work orders. Builtin
+    nodes) so all of them ship the exact same work orders. Each
+    payload's indices are a slice of the ``indices`` range, itself a
+    ``range``, so cutting allocates nothing per trial and a payload
+    pickles to the same few dozen bytes at any size. Builtin
     scenarios go by *name* (workers resolve them from their own catalog
     import instead of unpickling arbitrary callables); user-registered
     and ad-hoc specs go by value — a worker under the spawn/forkserver
@@ -499,7 +508,7 @@ def chunk_payloads(
             ship,
             params,
             base_seed,
-            tuple(indices[start : start + size]),
+            indices[start : start + size],
             keep_outcomes,
             max_steps,
             use_batch,
