@@ -13,7 +13,7 @@ import pytest
 
 from repro import run_protocol, unidirectional_ring
 from repro.attacks import basic_cheat_protocol
-from repro.experiments import ExperimentRunner, get_scenario
+from repro.experiments import get_scenario, run_scenario
 from repro.protocols.alead_uni import (
     ALeadNormalStrategy,
     ALeadOriginStrategy,
@@ -59,7 +59,7 @@ def test_a4_buffer_ablation(benchmark, experiment_report):
     # Against Basic-LEAD: total control — measured over registry trials
     # (the ``attack/basic-cheat`` spec, cheater moved to node 4).
     spec = get_scenario("attack/basic-cheat")
-    result = ExperimentRunner().run(
+    result = run_scenario(
         spec,
         trials=8,
         base_seed=1,

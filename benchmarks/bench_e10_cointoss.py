@@ -18,23 +18,22 @@ from repro.cointoss import (
     coin_bias_bound_from_fle,
     fle_bias_bound_from_coin,
 )
-from repro.experiments import ExperimentRunner
+from repro.experiments import run_scenario
 
 
 @pytest.mark.smoke
 def test_e10_reductions(benchmark, experiment_report):
     rows = []
-    runner = ExperimentRunner()
 
     # Honest FLE -> coin: balanced.
-    result = runner.run("cointoss/fle-coin", trials=200, params={"n": 8})
+    result = run_scenario("cointoss/fle-coin", trials=200, params={"n": 8})
     ones = result.distribution.counts[1]
     rows.append(f"honest FLE->coin: Pr[1]={ones/200:.2f} (target 0.5)")
     assert result.fail_rate == 0.0
     assert 0.35 <= ones / 200 <= 0.65
 
     # Honest coins -> FLE over n=8: uniform-ish.
-    result = runner.run("cointoss/coin-fle", trials=200, params={"n": 8})
+    result = run_scenario("cointoss/coin-fle", trials=200, params={"n": 8})
     counts = result.distribution.counts
     top = max(counts.values()) / 200
     rows.append(f"honest coin->FLE(8): max Pr={top:.2f} (target 0.125)")
@@ -42,7 +41,7 @@ def test_e10_reductions(benchmark, experiment_report):
     assert top < 0.30
 
     # Fully biased FLE -> constant coin (saturates (n/2)eps).
-    result = runner.run(
+    result = run_scenario(
         "cointoss/biased-coin",
         trials=20,
         params={"n": 8, "cheater": 2, "target": 4},
@@ -63,8 +62,9 @@ def test_e10_reductions(benchmark, experiment_report):
     experiment_report("E10 FLE <-> coin toss (Thm 8.1)", rows)
 
     benchmark(
-        lambda: ExperimentRunner()
-        .run("cointoss/coin-fle", trials=1, base_seed=1, params={"n": 8})
+        lambda: run_scenario(
+            "cointoss/coin-fle", trials=1, base_seed=1, params={"n": 8}
+        )
         .outcomes[0]
         .outcome
     )

@@ -19,7 +19,7 @@ shapes:
 
 import math
 
-from repro.experiments import ExperimentRunner
+from repro.experiments import run_scenario
 from repro.fullinfo import (
     coalition_influence,
     majority_function,
@@ -63,11 +63,10 @@ def test_e11_one_round_influence(benchmark, experiment_report):
 
 
 def test_e11_sequential_and_baton(benchmark, experiment_report):
-    runner = ExperimentRunner()
 
     def forced(game, n, k, target=1):
         """Exact forced probability via the sequential-coin scenario."""
-        result = runner.run(
+        result = run_scenario(
             "fullinfo/sequential-coin",
             trials=1,
             params={"game": game, "n": n, "k": k, "target": target},
@@ -98,7 +97,7 @@ def test_e11_sequential_and_baton(benchmark, experiment_report):
 
     def survival(k, trials, base_seed=0):
         """Pr[leader in coalition] = the baton scenario's success rate."""
-        return runner.run(
+        return run_scenario(
             "fullinfo/baton",
             trials=trials,
             base_seed=base_seed,

@@ -13,7 +13,7 @@ from repro import run_protocol, unidirectional_ring
 from repro.analysis.distribution import chi_square_uniformity
 from repro.blocks import fair_renaming_protocol, knowledge_sharing_protocol
 from repro.blocks.renaming import my_name
-from repro.experiments import ExperimentRunner
+from repro.experiments import run_scenario
 
 
 def test_e12_blocks_fairness(benchmark, experiment_report):
@@ -33,13 +33,12 @@ def test_e12_blocks_fairness(benchmark, experiment_report):
         assert ok
     experiment_report("E12a knowledge-sharing block", rows)
 
-    runner = ExperimentRunner()
     n = 6
     trials = 360
 
     # Fair consensus: decided input uniform over processors.
     rows = []
-    result = runner.run("blocks/fair-consensus", trials=trials, params={"n": n})
+    result = run_scenario("blocks/fair-consensus", trials=trials, params={"n": n})
     assert result.fail_rate == 0.0
     p = chi_square_uniformity(result.distribution)
     rows.append(f"consensus n={n}: decided-input chi2 p={p:.3f}")
@@ -48,7 +47,7 @@ def test_e12_blocks_fairness(benchmark, experiment_report):
 
     # Fair renaming: processor 1's new name uniform over 1..n.
     rows = []
-    result = runner.run("blocks/fair-renaming", trials=trials, params={"n": n})
+    result = run_scenario("blocks/fair-renaming", trials=trials, params={"n": n})
     assert result.fail_rate == 0.0
     p = chi_square_uniformity(result.distribution)
     rows.append(f"renaming n={n}: name-of-processor-1 chi2 p={p:.3f}")

@@ -14,7 +14,7 @@ import pytest
 
 from repro import run_protocol, unidirectional_ring
 from repro.attacks import basic_cheat_protocol
-from repro.experiments import ExperimentRunner
+from repro.experiments import run_scenario
 from repro.util.rng import RngRegistry
 
 N = 64
@@ -38,11 +38,10 @@ def seed_style_traced_loop(trials: int):
 
 @pytest.mark.smoke
 def test_e13_fast_path_agrees_and_benchmarks(benchmark, experiment_report):
-    runner = ExperimentRunner()  # in-process, record_trace=False
     traced = seed_style_traced_loop(TRIALS)
 
     def fast_path():
-        result = runner.run(
+        result = run_scenario(
             "attack/basic-cheat",
             trials=TRIALS,
             base_seed=0,

@@ -14,16 +14,15 @@ import pytest
 
 from repro import run_protocol, unidirectional_ring
 from repro.attacks import basic_cheat_protocol
-from repro.experiments import ExperimentRunner
+from repro.experiments import run_scenario
 
 
 @pytest.mark.smoke
 def test_e1_forcing_rate(benchmark, experiment_report):
-    runner = ExperimentRunner()  # in-process, trace-off trials
     rows = []
     for n in (8, 16, 32, 64):
         for target in (1, n // 2, n):
-            result = runner.run(
+            result = run_scenario(
                 "attack/basic-cheat",
                 trials=10,
                 base_seed=n,

@@ -18,7 +18,7 @@ import math
 from repro.analysis.segments import segment_statistics
 from repro.attacks import RingPlacement
 from repro.analysis.scenarios import segment_probability
-from repro.experiments import ExperimentRunner
+from repro.experiments import run_scenario
 
 
 def test_f1_segment_geometry(benchmark, experiment_report):
@@ -45,10 +45,9 @@ def test_f1_segment_geometry(benchmark, experiment_report):
     experiment_report("F1b cubic staircase profiles", rows)
 
     rows = []
-    runner = ExperimentRunner()
     for n in (256, 400):
         params = {"n": n, "p": None}
-        result = runner.run(
+        result = run_scenario(
             "placement/random-segments", trials=12, params=params
         )
         maxima = [t.outcome for t in result.outcomes if t.outcome > 0]

@@ -8,7 +8,7 @@ Public API highlights:
 - :mod:`repro.protocols` — Basic-LEAD, A-LEADuni, PhaseAsyncLead.
 - :mod:`repro.attacks` — every adversarial deviation the paper analyses.
 - :mod:`repro.experiments` — the Monte-Carlo experiment engine: the
-  scenario registry, the parallel deterministic trial runner, and
+  scenario registry, deterministic single runs (``run_scenario``), and
   parameter-grid sweeps (``python -m repro sweep``).
 - :mod:`repro.analysis` — outcome distributions, bias estimation,
   synchronization-gap traces.
@@ -32,7 +32,6 @@ from repro.protocols import (
     RandomFunction,
 )
 from repro.experiments import (
-    ExperimentRunner,
     ScenarioSpec,
     get_scenario,
     register_scenario,
@@ -53,7 +52,6 @@ __all__ = [
     "phase_async_protocol",
     "PhaseAsyncParams",
     "RandomFunction",
-    "ExperimentRunner",
     "ScenarioSpec",
     "get_scenario",
     "register_scenario",

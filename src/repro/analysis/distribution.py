@@ -101,7 +101,7 @@ def estimate_distribution(
     not per-trial outcomes; a shared ``pool`` amortises worker spawn
     across repeated estimates.
     """
-    from repro.experiments.runner import ExperimentRunner
+    from repro.experiments.campaign import run_scenario
     from repro.experiments.scenario import ScenarioSpec
 
     spec = ScenarioSpec(
@@ -110,10 +110,15 @@ def estimate_distribution(
         build_topology=_FixedTopology(topology),
         build_protocol=_FactoryProtocol(factory),
     )
-    with ExperimentRunner(workers=workers, max_steps=max_steps, pool=pool) as runner:
-        return runner.run(
-            spec, trials, base_seed=base_seed, keep_outcomes=False
-        ).distribution
+    return run_scenario(
+        spec,
+        trials,
+        base_seed,
+        workers=workers,
+        keep_outcomes=False,
+        pool=pool,
+        max_steps=max_steps,
+    ).distribution
 
 
 def chi_square_uniformity(dist: OutcomeDistribution) -> float:

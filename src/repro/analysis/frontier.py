@@ -7,8 +7,8 @@ ring size, for the smallest coalition at which any implemented attack
 family forces the outcome — the empirical frontier an experimenter can
 track against the conjecture as better attacks are added.
 
-The per-``(family, k)`` estimation runs through the shared
-:class:`~repro.experiments.runner.ExperimentRunner` over the registered
+Each ``(family, k)`` probe is one
+:func:`~repro.experiments.campaign.run_scenario` call on the registered
 ``frontier/*`` scenarios (:mod:`repro.analysis.scenarios`), so the scan
 inherits deterministic trial seeding and optional multiprocessing
 fan-out — every probe of a scan (all families, all ``k``, all ring
@@ -21,6 +21,7 @@ builder and simply exclude that family at that ``k``.
 
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -83,26 +84,26 @@ def smallest_forcing_coalition(
     """Scan k upward until some family forces the target on all seeds.
 
     ``seeds`` is the trial count per probe (one experiment of ``seeds``
-    trials through the runner); a family forces at ``k`` when every
-    trial ends on the target. All probes of the scan share one worker
-    pool — ``pool`` (caller-owned, e.g. one pool for a whole frontier
-    table), or a pool the scan's runner creates once and closes at the
-    end.
+    trials); a family forces at ``k`` when every trial ends on the
+    target. All probes of the scan share one worker pool — ``pool``
+    (caller-owned, e.g. one pool for a whole frontier table), or a
+    ``WorkerPool(workers)`` the scan opens once and closes at the end.
     """
-    from repro.experiments.runner import ExperimentRunner
+    from repro.experiments.campaign import run_scenario
+    from repro.experiments.pool import WorkerPool
     from repro.experiments.scenario import get_scenario
 
     if k_max is None:
         k_max = math.isqrt(n) + 2
-    with ExperimentRunner(workers=workers, pool=pool) as runner:
+    with (nullcontext(pool) if pool is not None else WorkerPool(workers)) as pool:
         for k in range(2, k_max + 1):
             for family, scenario in FAMILIES.items():
                 spec = get_scenario(scenario)
                 params = spec.resolve_params({"n": n, "k": k, "target": TARGET})
                 if not _placement_feasible(spec, params):
                     continue
-                result = runner.run(
-                    spec, trials=seeds, params=params, keep_outcomes=False
+                result = run_scenario(
+                    spec, seeds, params=params, keep_outcomes=False, pool=pool
                 )
                 if result.trials and result.success_rate == 1.0:
                     return FrontierPoint(
@@ -120,14 +121,8 @@ def forcing_frontier(
     """
     from repro.experiments.pool import WorkerPool
 
-    own = pool is None
-    if own:
-        pool = WorkerPool(workers)
-    try:
+    with (nullcontext(pool) if pool is not None else WorkerPool(workers)) as pool:
         return [
             smallest_forcing_coalition(n, seeds=seeds, pool=pool)
             for n in sizes
         ]
-    finally:
-        if own:
-            pool.close()

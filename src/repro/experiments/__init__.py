@@ -13,16 +13,14 @@ Five layers, each usable on its own:
   — grid points, frontier probes, fuzz campaigns — so worker processes
   spawn once, not once per experiment; ``resolve_workers("auto")``
   derives a clamped count from the machine.
-- **Runner** (:mod:`~repro.experiments.runner`): an
-  :class:`ExperimentRunner` fans a trial budget out over the pool —
-  trial ``i`` always derives its seed from ``(base_seed, i)`` alone, so
-  results are identical at any worker count — and folds outcomes into
-  distributions and Wilson-interval proportions as they come back.
-  Trials run with trace recording off (the executor's Monte-Carlo fast
-  path); workers fold their own chunks and ship counters, plus the
-  trials as columns when per-trial outcomes are requested. Each
-  experiment is a one-point campaign run through the campaign's point
-  loop. An adaptive budget from the
+- **Trials** (:mod:`~repro.experiments.runner`): trial ``i`` always
+  derives its seed from ``(base_seed, i)`` alone, so results are
+  identical at any worker count. Trials run with trace recording off
+  (the executor's Monte-Carlo fast path); workers fold their own chunks
+  and ship counters, plus the trials as columns when per-trial outcomes
+  are requested. :func:`run_scenario` runs one experiment as a
+  one-point campaign through the campaign's point loop, on the caller's
+  pool or on one it opens for the call. An adaptive budget from the
   :mod:`~repro.experiments.budget` policy registry (``wilson-width``,
   ``relative-precision``, ``fail-rate-target``) can replace the fixed
   trial count with a deterministic batch-boundary stop.
@@ -78,6 +76,7 @@ from repro.experiments.campaign import (
     run_campaign,
     schedule_names,
     scheduled_cost,
+    run_scenario,
     slice_ranges,
     sweep_scenario,
 )
@@ -111,10 +110,8 @@ from repro.experiments.scenario import (
 )
 from repro.experiments.runner import (
     ExperimentResult,
-    ExperimentRunner,
     TrialOutcome,
     run_one_trial,
-    run_scenario,
     run_traced_trial,
     trial_registry,
 )
@@ -190,7 +187,6 @@ __all__ = [
     "scenario_names",
     "unregister_scenario",
     "ExperimentResult",
-    "ExperimentRunner",
     "TrialOutcome",
     "run_one_trial",
     "run_scenario",

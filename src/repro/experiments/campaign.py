@@ -72,6 +72,7 @@ import json
 import queue
 import time
 from collections import Counter, deque
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import (
     Any,
@@ -94,6 +95,7 @@ from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool
 from repro.experiments.runner import (
     ExperimentResult,
+    ScenarioRef,
     TrialOutcome,
     _run_chunk_folded,
     check_chunk_size,
@@ -588,7 +590,7 @@ class PointState:
     (``next_batch`` — where stop decisions are allowed to happen),
     folding (commutative counters), the stop rule (``converged``), and
     finalization into an :class:`ExperimentResult`. :class:`PointDriver`
-    runs it for campaigns, the runner's one-point experiments, and the
+    runs it for campaigns, single runs (:func:`run_scenario`), and the
     distributed coordinator — which is most of why rows match byte for
     byte whatever executes the trials.
     """
@@ -965,8 +967,8 @@ def _drive(
     """The one local point loop: admit, dispatch a chunk, feed its
     measured cost to ``chunker``, and fold it back into the driver —
     yielding each point's result as it finishes. :func:`run_campaign`
-    and :meth:`~repro.experiments.runner.ExperimentRunner.run` both run
-    it; ``pool`` is ``None`` (or serial) for in-process dispatch."""
+    and :func:`run_scenario` both run it; ``pool`` is ``None`` (or
+    serial) for in-process dispatch."""
     dispatch = _dispatcher(driver, pool)
     yield from driver.admit()
     while driver.active:
@@ -1028,9 +1030,10 @@ def run_campaign(
     An explicit ``chunk_size`` disables it and pins the size instead.
     Chunking never affects the emitted rows, only scheduling.
 
-    The iterator is lazy; closing it (or exhausting it) closes a
-    self-created pool, while an injected ``pool`` stays open for the
-    caller's next campaign.
+    The iterator is lazy. A self-created pool lives in a ``with``
+    block: exhausting the iterator closes it, and an error or closing
+    the iterator early terminates its workers. An injected ``pool``
+    stays open for the caller's next campaign.
     """
     if point_timeout is not None:
         check_seconds("point_timeout", point_timeout)
@@ -1042,38 +1045,30 @@ def run_campaign(
     specs, todo = pending_points(points, completed, schedule)
 
     def _run() -> Iterator[ExperimentResult]:
-        own_pool = pool is None
-        active_pool = pool if pool is not None else WorkerPool(workers)
-        driver = PointDriver(
-            todo,
-            specs,
-            _ChunkCutter(active_pool.workers, chunk_size, chunker),
-            # Enough active points that the payload queue never drains
-            # while points with tiny budgets finish; serial pools run
-            # one, so rows keep admission order.
-            max_active=max(2 * active_pool.workers, 4) if active_pool.parallel else 1,
-            chunker=chunker if chunk_size is None else None,
-            point_timeout=point_timeout,
-            wall_deadline=(
-                time.monotonic() + max_wall_clock
-                if max_wall_clock is not None
-                else None
-            ),
-        )
-        try:
+        with (
+            nullcontext(pool) if pool is not None else WorkerPool(workers)
+        ) as active_pool:
+            driver = PointDriver(
+                todo,
+                specs,
+                _ChunkCutter(active_pool.workers, chunk_size, chunker),
+                # Enough active points that the payload queue never drains
+                # while points with tiny budgets finish; serial pools run
+                # one, so rows keep admission order.
+                max_active=(
+                    max(2 * active_pool.workers, 4) if active_pool.parallel else 1
+                ),
+                chunker=chunker if chunk_size is None else None,
+                point_timeout=point_timeout,
+                wall_deadline=(
+                    time.monotonic() + max_wall_clock
+                    if max_wall_clock is not None
+                    else None
+                ),
+            )
             yield from _drive(driver, active_pool, chunker)
             if driver.deadline_hit():
                 raise CampaignDeadline(pending=driver.pending)
-        except BaseException:
-            # Error path (including KeyboardInterrupt and an abandoned
-            # iterator's GeneratorExit): a graceful close would block on
-            # whatever is still queued — kill a self-created pool's
-            # workers instead. Injected pools stay the caller's problem.
-            if own_pool:
-                active_pool.terminate()
-            raise
-        if own_pool:
-            active_pool.close()
 
     return _run()
 
@@ -1120,3 +1115,69 @@ def sweep_scenario(
         chunk_size=chunk_size,
         chunker=chunker,
     )
+
+
+def run_scenario(
+    scenario: ScenarioRef,
+    trials: Optional[int] = None,
+    base_seed: int = 0,
+    params: Optional[Mapping[str, Any]] = None,
+    workers: WorkerCount = 1,
+    keep_outcomes: bool = True,
+    budget: BudgetRef = None,
+    pool: Optional[WorkerPool] = None,
+    chunker: Optional[AdaptiveChunker] = None,
+    *,
+    max_steps: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+    use_batch: bool = True,
+) -> ExperimentResult:
+    """Run one experiment — a one-point campaign — and fold its outcomes.
+
+    ``scenario`` is a registered name or an ad-hoc
+    :class:`~repro.experiments.scenario.ScenarioSpec`. Exactly one of
+    ``trials`` (fixed count) and ``budget`` (adaptive stop, see
+    :class:`~repro.experiments.budget.BudgetPolicy`) must be given.
+
+    The point runs through :func:`run_campaign`'s loop on ``pool`` (the
+    caller's, left open, whose size wins over ``workers``) or on a
+    ``WorkerPool(workers)`` that lives for this call only; one worker
+    runs in-process, which is the only mode for ad-hoc specs built from
+    closures that cannot cross process boundaries.
+
+    With ``keep_outcomes`` (the default) the result's ``outcomes`` list
+    holds every trial, sorted by index; without it only aggregate
+    counters cross the process boundary, chunks may run through the
+    scenario's vectorized kernel (``use_batch=False`` forces the scalar
+    loop, the equivalence tests' control), and ``outcomes`` is empty.
+    ``max_steps`` overrides the per-trial delivery budget. Chunk sizing
+    is cost-adaptive (a fresh
+    :class:`~repro.experiments.chunking.AdaptiveChunker` unless
+    ``chunker`` shares a seeded one); a ``chunk_size`` pins it. The row
+    is identical whatever the pool, chunking or keep_outcomes.
+    """
+    check_chunk_size(chunk_size)
+    if chunker is None and chunk_size is None:
+        chunker = AdaptiveChunker()
+    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
+    resolved = spec.resolve_params(params)
+    policy = check_trials(trials, budget)
+    point = CampaignPoint(spec.name, resolved, trials, base_seed, max_steps, policy)
+    with (
+        nullcontext(pool) if pool is not None else WorkerPool(workers)
+    ) as active_pool:
+        driver = PointDriver(
+            [point],
+            {spec.name: spec},
+            _ChunkCutter(
+                active_pool.workers,
+                chunk_size,
+                chunker,
+                use_batch=use_batch,
+                keep_outcomes=keep_outcomes,
+            ),
+            max_active=1,
+            chunker=chunker if chunk_size is None else None,
+        )
+        (result,) = _drive(driver, active_pool, chunker)
+    return result

@@ -8,8 +8,9 @@ convention, then pulls in the subsystem catalogs (``sync/``, ``tree/``,
 ``placement/`` — each a ``scenarios`` module inside its own package) so
 ``scenario_names()`` enumerates the whole paper. All builder functions
 are module-level so the specs resolve identically in any process that
-imports the package — the contract the parallel
-:class:`~repro.experiments.runner.ExperimentRunner` relies on.
+imports the package — the contract parallel runs rely on: a worker
+resolves a builtin scenario by name from its own catalog import
+(:func:`~repro.experiments.runner.chunk_payloads`).
 
 ========================  ==================================  ===========
 Scenario                  Paper reference                     Topology

@@ -1,18 +1,18 @@
 """A persistent worker pool shared across experiments.
 
-The PR-1 runner created a fresh ``multiprocessing.Pool`` inside every
-``ExperimentRunner.run()`` call — fine for one big experiment, but a
-sweep of thirty shallow grid points paid thirty pool spawns, and the
-frontier/fuzz inner loops paid one per probe. :class:`WorkerPool` is the
-fix: created once (by the caller, or lazily by the first runner that
-needs it) and reused for every experiment dispatched through it, so
-consecutive grid points, frontier probes, and campaign entries share one
-set of warm worker processes.
+A pool per experiment would make a sweep of thirty shallow grid points
+pay thirty pool spawns, and the frontier/fuzz inner loops one per
+probe. :class:`WorkerPool` is created once — by the caller, or by a
+``with WorkerPool(...)`` around one campaign or one
+:func:`~repro.experiments.campaign.run_scenario` call — and reused for
+every experiment dispatched through it, so consecutive grid points,
+frontier probes, and campaign entries share one set of warm worker
+processes.
 
 Two dispatch surfaces:
 
-- :meth:`submit` — the point loop's async path (campaigns, the runner's
-  one-point experiments, the estimate service): enqueue one payload
+- :meth:`submit` — the point loop's async path (campaigns, single
+  runs, the estimate service): enqueue one payload
   with a completion callback, so chunks from *different* grid points
   can interleave in the same pool and wide, shallow grids keep every
   worker busy.

@@ -1,8 +1,10 @@
-"""The Monte-Carlo trial runner: deterministic fan-out over workers.
+"""Trials and work orders: what one Monte-Carlo trial is, and how a
+range of them is cut, shipped and folded.
 
 One *experiment* is a set of independent executions of a scenario, each
-with its own derived seed. The runner owns the loop every caller used to
-hand-roll:
+with its own derived seed. This module holds the pieces every backend
+shares; the loop that drives an experiment is
+:func:`~repro.experiments.campaign.run_scenario`, a one-point campaign.
 
 - **Determinism by construction.** Trial ``i`` of an experiment with
   ``base_seed`` always runs from the registry seed
@@ -10,42 +12,22 @@ hand-roll:
   ``(base_seed, i)``. How trials are sliced into worker chunks, and how
   many workers there are, cannot change any trial's randomness; the same
   ``(scenario, params, trials, base_seed)`` produces the same outcomes
-  with ``parallel=False``, one worker, or sixteen. (This derivation is
-  exactly the one :func:`repro.analysis.distribution.estimate_distribution`
-  has always used, so historical results are preserved bit-for-bit.)
+  in-process, on one worker, or on sixteen. (This derivation is exactly
+  the one :func:`repro.analysis.distribution.estimate_distribution` has
+  always used, so historical results are preserved bit-for-bit.)
 - **Lean hot path.** Trials run with the executor's trace off:
   Monte-Carlo estimation reads only outcomes, so the executor skips all
   event-object allocation.
-- **Pool reuse.** The runner dispatches through a persistent
-  :class:`~repro.experiments.pool.WorkerPool` — injected by the caller
-  (sweeps, campaigns, frontier/fuzz loops share one pool across every
-  experiment), or created lazily on first parallel use and kept for the
-  runner's lifetime. Worker processes are never re-spawned between
-  experiments.
+- **Constant-size work orders.** :func:`chunk_payloads` cuts a trial
+  range into chunks whose indices are themselves a ``range``, so a work
+  order pickles to the same few dozen bytes at any size.
 - **Folded aggregates.** Every worker chunk comes back as an
   outcome-count dict plus success/step counters — counter addition is
   commutative, so the fold order never shows in the result and IPC
-  volume stops scaling with the trial count. The work order going the
-  other way names its trials as a ``range``, so it does not scale
-  either. When the caller asks for per-trial outcomes
-  (``keep_outcomes=True``), the chunk runs the scalar loop and appends
-  the trials as columns to the same fold, so one worker entry point
-  (:func:`_run_chunk_folded`) serves both.
-- **One point loop.** :meth:`ExperimentRunner.run` is a one-point
-  :class:`~repro.experiments.campaign.PointDriver` run: the experiment
-  is admitted, batched, dispatched, folded, and stopped by the loop
-  local campaigns and the estimate service run (the coordinator drives
-  the same :class:`~repro.experiments.campaign.PointDriver` over HTTP).
-- **Adaptive budgets.** ``run(budget=...)`` replaces the fixed trial
-  count with a registered stop rule (Wilson width, relative precision,
-  fail-rate target — see :mod:`~repro.experiments.budget`), evaluated
-  on a deterministic batch schedule so the realized trial count is
-  identical at any worker count.
-
-The in-process mode (``parallel=False`` or one worker) runs the same
-per-trial function with no multiprocessing at all — the mode tests use,
-and the fallback for ad-hoc scenario specs built from closures that
-cannot cross process boundaries.
+  volume stops scaling with the trial count. When the caller asks for
+  per-trial outcomes (``keep_outcomes=True``), the chunk runs the
+  scalar loop and appends the trials as columns to the same fold, so
+  one worker entry point (:func:`_run_chunk_folded`) serves both.
 """
 
 import collections.abc
@@ -68,7 +50,6 @@ from repro.analysis.distribution import OutcomeDistribution
 from repro.analysis.stats import Proportion
 from repro.experiments.budget import BudgetPolicy, BudgetRef, as_policy
 from repro.experiments.chunking import CALIBRATION_TRIALS, AdaptiveChunker
-from repro.experiments.pool import WorkerCount, WorkerPool, resolve_workers
 from repro.experiments.scenario import Params, ScenarioSpec, get_scenario
 from repro.sim.execution import run_protocol
 from repro.util.errors import ConfigurationError
@@ -438,8 +419,13 @@ def check_chunk_size(chunk_size: Optional[int]) -> None:
 
 
 def check_trials(trials: Optional[int], budget: BudgetRef) -> Optional[BudgetPolicy]:
-    """Require exactly one of a fixed ``trials`` count (>= 0) and an
-    adaptive ``budget``; returns the budget as a policy (or None)."""
+    """Require exactly one of a fixed ``trials`` count and an adaptive
+    ``budget``; returns the budget as a policy (or None).
+
+    A count must be an ``int`` >= 0, as in manifest entries: ``True``
+    would run one trial under a resume key (``true``) that its own row
+    (``1``) never matches, so a resumed sweep would re-run it forever.
+    """
     policy = as_policy(budget)
     if policy is not None and trials is not None:
         raise ConfigurationError(
@@ -448,8 +434,10 @@ def check_trials(trials: Optional[int], budget: BudgetRef) -> Optional[BudgetPol
     if policy is None:
         if trials is None:
             raise ConfigurationError("trials is required without a budget")
-        if trials < 0:
-            raise ConfigurationError(f"trials must be >= 0, got {trials}")
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
+            raise ConfigurationError(
+                f"trials must be a non-negative integer, got {trials!r}"
+            )
     return policy
 
 
@@ -467,8 +455,8 @@ def chunk_payloads(
 ) -> List[ChunkPayload]:
     """Slice a trial-index range into worker chunk payloads.
 
-    Shared by every backend (local campaigns, the runner, coordinator
-    nodes) so all of them ship the exact same work orders. Each
+    Shared by every backend (local campaigns and single runs,
+    coordinator nodes) so all of them ship the exact same work orders. Each
     payload's indices are a slice of the ``indices`` range, itself a
     ``range``, so cutting allocates nothing per trial and a payload
     pickles to the same few dozen bytes at any size. Builtin
@@ -517,202 +505,8 @@ def chunk_payloads(
     ]
 
 
-class ExperimentRunner:
-    """Fans a trial budget out over worker processes, deterministically.
-
-    Parameters
-    ----------
-    workers:
-        Worker-process count; ``1`` (the default) runs in-process and
-        ``"auto"`` derives a clamped count from the machine (see
-        :func:`~repro.experiments.pool.resolve_workers`). Ignored when
-        ``pool`` is given — the pool's size wins.
-    parallel:
-        Force (``True``) or forbid (``False``) multiprocessing; ``None``
-        derives it from ``workers > 1``. ``parallel=False`` with many
-        workers is the test mode: same chunking, no processes.
-    chunk_size:
-        Trials per worker task; ``None`` (the default) lets the
-        ``chunker`` size chunks, or, without evidence, the cold rule of
-        :func:`chunk_payloads` (at most one kernel chunk per worker,
-        ~4 scalar-loop chunks per worker). Never affects results, only
-        scheduling.
-    max_steps:
-        Per-trial delivery budget override (``None`` = executor default).
-    pool:
-        A shared :class:`~repro.experiments.pool.WorkerPool` to dispatch
-        through — the caller keeps ownership (the runner never closes
-        it), so many runners and many experiments reuse one set of warm
-        workers. Without one, the runner lazily creates its own pool on
-        first parallel use and keeps it until :meth:`close` (or GC), so
-        even a single runner amortises spawn cost across its ``run()``
-        calls.
-    use_batch:
-        Whether folded chunks may run through a scenario's vectorized
-        ``run_batch`` kernel (the default). ``False`` forces the
-        per-trial loop everywhere — the equivalence tests' control
-        mode; results are identical either way by contract.
-    chunker:
-        A :class:`~repro.experiments.chunking.AdaptiveChunker` sizing
-        chunks from observed per-trial seconds (every chunk's measured
-        elapsed feeds it back). ``None`` keeps the cold rule of
-        :func:`chunk_payloads`. Callers that own an ``--out`` store (the
-        sweep/campaign CLI) pass the chunker replayed from its timings;
-        an explicit ``chunk_size`` always wins over both. Chunking never
-        affects results, only scheduling.
-    """
-
-    def __init__(
-        self,
-        workers: WorkerCount = 1,
-        parallel: Optional[bool] = None,
-        chunk_size: Optional[int] = None,
-        max_steps: Optional[int] = None,
-        pool: Optional[WorkerPool] = None,
-        use_batch: bool = True,
-        chunker: Optional[AdaptiveChunker] = None,
-    ):
-        check_chunk_size(chunk_size)
-        if pool is not None:
-            self.workers = pool.workers
-        else:
-            self.workers = resolve_workers(workers)
-        self.parallel = parallel if parallel is not None else self.workers > 1
-        self.chunk_size = chunk_size
-        self.max_steps = max_steps
-        self.use_batch = use_batch
-        self.chunker = chunker
-        self._pool = pool
-        self._owns_pool = pool is None
-
-    # -- pool lifecycle ------------------------------------------------
-
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The pool this runner dispatches through (None until first use
-        when self-owned)."""
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down a self-owned pool; injected pools are left alone."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ExperimentRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _shared_pool(self) -> Optional[WorkerPool]:
-        """The pool to dispatch through, or None to run in-process."""
-        if not (self.parallel and self.workers > 1):
-            return None
-        if self._pool is None:
-            self._pool = WorkerPool(self.workers)
-        return self._pool
-
-    # -- public API ----------------------------------------------------
-
-    def run(
-        self,
-        scenario: ScenarioRef,
-        trials: Optional[int] = None,
-        base_seed: int = 0,
-        params: Optional[Mapping[str, Any]] = None,
-        keep_outcomes: bool = True,
-        budget: BudgetRef = None,
-    ) -> ExperimentResult:
-        """Run one experiment and fold the outcomes.
-
-        Exactly one of ``trials`` (classic fixed budget) and ``budget``
-        (adaptive Wilson stop, see
-        :class:`~repro.experiments.budget.BudgetPolicy`) must be given.
-
-        With ``keep_outcomes`` (the default) the result's ``outcomes``
-        list holds every trial, sorted by index; without it only
-        aggregate counters cross the process boundary, chunks may run
-        through the scenario's vectorized kernel, and ``outcomes`` is
-        empty. The distribution, success proportion, and row are
-        identical either way.
-
-        The experiment is a one-point
-        :class:`~repro.experiments.campaign.PointDriver` run — admitted,
-        batched, folded, and stopped by the loop campaigns use, which is
-        most of why rows match byte for byte whatever runs them.
-        """
-        # campaign.py builds on this module, so its driver is imported
-        # at call time.
-        from repro.experiments.campaign import (
-            CampaignPoint,
-            PointDriver,
-            _ChunkCutter,
-            _drive,
-        )
-
-        spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        resolved = spec.resolve_params(params)
-        policy = check_trials(trials, budget)
-        point = CampaignPoint(
-            spec.name, resolved, trials, base_seed, self.max_steps, policy
-        )
-        driver = PointDriver(
-            [point],
-            {spec.name: spec},
-            _ChunkCutter(
-                self.workers,
-                self.chunk_size,
-                self.chunker,
-                use_batch=self.use_batch,
-                keep_outcomes=keep_outcomes,
-            ),
-            max_active=1,
-            chunker=self.chunker if self.chunk_size is None else None,
-        )
-        (result,) = _drive(driver, self._shared_pool(), self.chunker)
-        return result
-
-
 def _is_builtin(spec: ScenarioSpec) -> bool:
     from repro.experiments.catalog import BUILTIN_SCENARIO_NAMES
     from repro.experiments.scenario import _REGISTRY
 
     return spec.name in BUILTIN_SCENARIO_NAMES and _REGISTRY.get(spec.name) is spec
-
-
-def run_scenario(
-    scenario: ScenarioRef,
-    trials: Optional[int] = None,
-    base_seed: int = 0,
-    params: Optional[Mapping[str, Any]] = None,
-    workers: WorkerCount = 1,
-    keep_outcomes: bool = True,
-    budget: BudgetRef = None,
-    pool: Optional[WorkerPool] = None,
-    chunker: Optional[AdaptiveChunker] = None,
-    **runner_kwargs: Any,
-) -> ExperimentResult:
-    """One-shot convenience: build a runner and run one experiment.
-
-    Chunk sizing is cost-adaptive by default (a fresh
-    :class:`~repro.experiments.chunking.AdaptiveChunker` per call);
-    pass ``chunker=...`` to share a seeded model, or
-    ``chunk_size=...`` (via ``runner_kwargs``) to pin it.
-    """
-    if chunker is None and "chunk_size" not in runner_kwargs:
-        chunker = AdaptiveChunker()
-    runner = ExperimentRunner(
-        workers=workers, pool=pool, chunker=chunker, **runner_kwargs
-    )
-    try:
-        return runner.run(
-            scenario,
-            trials,
-            base_seed=base_seed,
-            params=params,
-            keep_outcomes=keep_outcomes,
-            budget=budget,
-        )
-    finally:
-        runner.close()

@@ -162,16 +162,17 @@ def deviation_search(
     ``pool`` so worker processes spawn once; trial outcomes come back as
     worker-side folded counters, never per-sample lists.
     """
-    from repro.experiments.runner import ExperimentRunner
+    from repro.experiments.campaign import run_scenario
 
-    with ExperimentRunner(workers=workers, pool=pool) as runner:
-        result = runner.run(
-            "fuzz/random-deviation",
-            trials=samples,
-            base_seed=master_seed,
-            params={"n": n, "k": k},
-            keep_outcomes=False,
-        )
+    result = run_scenario(
+        "fuzz/random-deviation",
+        samples,
+        master_seed,
+        {"n": n, "k": k},
+        workers=workers,
+        keep_outcomes=False,
+        pool=pool,
+    )
     histogram: Dict[int, int] = {
         outcome: count
         for outcome, count in result.distribution.counts.items()

@@ -30,7 +30,7 @@ from dataclasses import replace
 import pytest
 
 from repro.attacks import RingPlacement
-from repro.experiments import ExperimentRunner, WorkerPool, all_scenarios, get_scenario
+from repro.experiments import WorkerPool, all_scenarios, get_scenario, run_scenario
 from repro.util.errors import ConfigurationError
 
 #: Every batch-capable scenario in the registered catalog.
@@ -143,22 +143,16 @@ def _scenario_rng(name: str) -> random.Random:
 
 
 def _run(scenario, trials, base_seed, params, *, use_batch, pool=None, **kwargs):
-    runner = ExperimentRunner(
-        workers=pool.workers if pool is not None else 1,
+    return run_scenario(
+        scenario,
+        trials,
+        base_seed,
+        params,
+        keep_outcomes=kwargs.pop("keep_outcomes", False),
         pool=pool,
         use_batch=use_batch,
+        **kwargs,
     )
-    try:
-        return runner.run(
-            scenario,
-            trials,
-            base_seed=base_seed,
-            params=params,
-            keep_outcomes=kwargs.pop("keep_outcomes", False),
-            **kwargs,
-        )
-    finally:
-        runner.close()
 
 
 def _comparable(result):

@@ -32,15 +32,16 @@ from repro.experiments import (
     TARGET_CHUNK_SECONDS,
     AdaptiveChunker,
     CampaignPoint,
-    ExperimentRunner,
     PointScheduler,
     WilsonWidthPolicy,
     WorkerPool,
+    as_policy,
     get_scenario,
     lease_fold,
     run_scenario,
     timing_record,
 )
+from repro.experiments.campaign import PointDriver, _ChunkCutter, _drive
 from repro.experiments.runner import chunk_payloads, cost_key
 
 BATCHED = "cointoss/biased-coin"  # vectorized run_batch kernel
@@ -171,31 +172,67 @@ def draw_params(rng: random.Random, scenario: str) -> dict:
     return {"n": n, "target": rng.randint(2, 4)}
 
 
-def rows_for(scenario, trials, params, budget=None, **runner_kwargs):
-    runner = ExperimentRunner(**runner_kwargs)
-    try:
-        result = runner.run(
-            scenario,
-            trials,
-            base_seed=11,
-            params=params,
-            keep_outcomes=False,
-            budget=budget,
-        )
-        return json.dumps(result.to_row(), sort_keys=True), result
-    finally:
-        runner.close()
+def run_inline(
+    scenario,
+    trials,
+    params=None,
+    budget=None,
+    *,
+    workers,
+    base_seed=0,
+    chunker=None,
+    chunk_size=None,
+    use_batch=True,
+    keep_outcomes=True,
+    max_steps=None,
+):
+    """One experiment cut for ``workers`` workers but run in-process:
+    ``run_scenario``'s one-point driver, dispatched inline, so the
+    ``workers``-worker chunk layout runs with no processes. Unlike
+    ``run_scenario``, ``chunker=None`` keeps the cold sizing rule of
+    ``chunk_payloads``."""
+    spec = get_scenario(scenario)
+    point = CampaignPoint(
+        spec.name,
+        spec.resolve_params(params),
+        trials,
+        base_seed,
+        max_steps,
+        as_policy(budget),
+    )
+    driver = PointDriver(
+        [point],
+        {spec.name: spec},
+        _ChunkCutter(
+            workers,
+            chunk_size,
+            chunker,
+            use_batch=use_batch,
+            keep_outcomes=keep_outcomes,
+        ),
+        max_active=1,
+        chunker=chunker if chunk_size is None else None,
+    )
+    (result,) = _drive(driver, None, chunker)
+    return result
 
 
-#: Every chunking mode the runner supports, as ExperimentRunner kwargs.
-#: parallel=False keeps the 4-worker modes in-process (same chunking,
-#: no processes) so the matrix stays fast.
+def rows_for(scenario, trials, params, budget=None, **layout):
+    result = run_inline(
+        scenario, trials, params, budget, base_seed=11, keep_outcomes=False, **layout
+    )
+    return json.dumps(result.to_row(), sort_keys=True), result
+
+
+#: Every chunking mode, as ``run_inline`` layouts: the 4-worker modes
+#: run in-process (same chunking, no processes) so the matrix stays
+#: fast, and ``chunker=None`` is the cold static rule.
 MODES = {
     "chunk1-w1": dict(workers=1, chunk_size=1),
-    "static-w4": dict(workers=4, parallel=False),
+    "static-w4": dict(workers=4),
     "adaptive-w1": dict(workers=1, chunker=None),  # fresh per run below
-    "adaptive-w4": dict(workers=4, parallel=False, chunker=None),
-    "seeded-w4": dict(workers=4, parallel=False, chunker=None),
+    "adaptive-w4": dict(workers=4, chunker=None),
+    "seeded-w4": dict(workers=4, chunker=None),
 }
 
 
@@ -272,16 +309,16 @@ class TestDispatchReduction:
         scalar_key = cost_key(get_scenario(MIXED_RATE), use_batch=False)
         static_row, static = rows_for(
             MIXED_RATE, None, {"n": 16}, budget=budget(),
-            workers=4, parallel=False, use_batch=False,
+            workers=4, use_batch=False,
         )
         seeded_row, adaptive = rows_for(
             MIXED_RATE, None, {"n": 16}, budget=budget(),
-            workers=4, parallel=False, use_batch=False,
+            workers=4, use_batch=False,
             chunker=seeded(1e-6, scalar_key),
         )
         cold_row, cold = rows_for(
             MIXED_RATE, None, {"n": 16}, budget=budget(),
-            workers=4, parallel=False,
+            workers=4,
         )
         assert seeded_row == static_row == cold_row
         assert adaptive.trials == static.trials == cold.trials
@@ -305,7 +342,7 @@ class TestDispatchReduction:
         trials = 3 * CALIBRATION_TRIALS
         params = {"n": 16, "target": 5}
         runs = {
-            name: rows_for(BATCHED, trials, params, workers=4, parallel=False, **kw)
+            name: rows_for(BATCHED, trials, params, workers=4, **kw)
             for name, kw in {
                 "static": {},
                 "adaptive": {"chunker": AdaptiveChunker()},
@@ -406,16 +443,18 @@ class TestKernelAndScalarCostsAreSeparate:
         per-trial cost (hundreds of sub-millisecond chunks), and the
         scalar loop must not inherit the kernel's cost either."""
         chunker = AdaptiveChunker()
-        runner = ExperimentRunner(workers=2, parallel=False, chunker=chunker)
         spec = get_scenario(EXECUTOR)
         params = spec.resolve_params(self.EXPENSIVE)
         scalar_key = cost_key(spec, max_steps=10**6)
-        scalar_runner = ExperimentRunner(
-            workers=2, parallel=False, chunker=chunker, max_steps=10**6
+        run_inline(
+            EXECUTOR, 8, params, workers=2, chunker=chunker,
+            keep_outcomes=False, max_steps=10**6,
         )
-        scalar_runner.run(EXECUTOR, 8, params=params, keep_outcomes=False)
         assert chunker.per_trial_seconds(scalar_key) is not None
-        kernel = runner.run(EXECUTOR, 20_000, params=params, keep_outcomes=False)
+        kernel = run_inline(
+            EXECUTOR, 20_000, params, workers=2, chunker=chunker,
+            keep_outcomes=False,
+        )
         # One calibration chunk, then the evidence-sized remainder.
         assert kernel.dispatches <= 8
         # The reverse: a scalar point sized after the kernel ran stays

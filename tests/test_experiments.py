@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.distribution import estimate_distribution
 from repro.experiments import (
-    ExperimentRunner,
     ScenarioSpec,
     expand_grid,
     get_scenario,
@@ -23,6 +22,7 @@ from repro.sim.execution import run_protocol
 from repro.sim.topology import unidirectional_ring
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngRegistry
+from test_chunking import run_inline
 
 def _build_ring6(params):
     return unidirectional_ring(6)
@@ -128,16 +128,14 @@ class TestRunnerDeterminism:
     """Same (scenario, params, trials, base_seed) -> same outcomes, always."""
 
     @staticmethod
-    def _outcomes(**runner_kwargs):
-        runner = ExperimentRunner(**runner_kwargs)
-        result = runner.run(
-            "honest/alead-uni", trials=24, base_seed=11, params={"n": 8}
-        )
+    def _outcomes(run=run_scenario, **layout):
+        result = run("honest/alead-uni", 24, base_seed=11, params={"n": 8}, **layout)
         return [t.outcome for t in result.outcomes], result.to_row()
 
     def test_identical_across_worker_counts(self):
         serial, serial_row = self._outcomes(workers=1)
-        forced_off, off_row = self._outcomes(workers=4, parallel=False)
+        # The 4-worker chunk layout with no processes.
+        forced_off, off_row = self._outcomes(run_inline, workers=4)
         parallel, par_row = self._outcomes(workers=4)
         assert serial == forced_off == parallel
         assert serial_row == off_row == par_row
@@ -168,7 +166,7 @@ class TestRunnerDeterminism:
             ).outcome
             for t in range(20)
         ]
-        result = ExperimentRunner().run(
+        result = run_scenario(
             "honest/alead-uni", trials=20, base_seed=17, params={"n": 8}
         )
         assert [t.outcome for t in result.outcomes] == legacy
@@ -192,7 +190,7 @@ class TestRunnerDeterminism:
         try:
             assert not _is_builtin(custom)
             # And the parallel path still runs it (spec shipped by value).
-            result = ExperimentRunner(workers=2).run(custom, trials=6)
+            result = run_scenario(custom, trials=6, workers=2)
             assert result.trials == 6 and result.fail_rate == 0.0
         finally:
             unregister_scenario("test/custom-parallel")
@@ -304,21 +302,31 @@ class TestRunnerResults:
         assert sum(row["outcomes"].values()) == 4
 
     def test_max_steps_override_fails_trials(self):
-        runner = ExperimentRunner(max_steps=2)
-        result = runner.run("honest/alead-uni", trials=3, params={"n": 8})
+        result = run_scenario(
+            "honest/alead-uni", trials=3, params={"n": 8}, max_steps=2
+        )
         assert result.fail_rate == 1.0
 
     def test_invalid_runner_config_rejected(self):
         with pytest.raises(ConfigurationError):
-            ExperimentRunner(workers=0)
+            run_scenario("honest/alead-uni", trials=1, workers=0)
         with pytest.raises(ConfigurationError):
-            ExperimentRunner(chunk_size=0)
+            run_scenario("honest/alead-uni", trials=1, chunk_size=0)
         with pytest.raises(ConfigurationError):
-            ExperimentRunner().run("honest/alead-uni", trials=-1)
+            run_scenario("honest/alead-uni", trials=-1)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "4"])
+    @pytest.mark.parametrize("entry", [run_scenario, sweep_scenario])
+    def test_non_integer_trials_rejected(self, entry, trials):
+        # True would run one trial under a resume key that says "true",
+        # which its own row never matches; the others used to escape as
+        # a raw TypeError.
+        with pytest.raises(ConfigurationError, match="non-negative integer"):
+            entry("honest/alead-uni", trials)
 
     def test_outcomes_hold_every_trial_in_index_order(self):
-        result = ExperimentRunner(chunk_size=3).run(
-            "honest/alead-uni", trials=7, params={"n": 6}
+        result = run_scenario(
+            "honest/alead-uni", trials=7, params={"n": 6}, chunk_size=3
         )
         assert [t.index for t in result.outcomes] == list(range(7))
 

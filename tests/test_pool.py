@@ -1,6 +1,7 @@
 """Tests for the persistent worker pool, adaptive trial budgets, and
 the point driver's deadline rules."""
 
+import multiprocessing
 import time
 
 import pytest
@@ -10,7 +11,6 @@ from repro.experiments import (
     CampaignPoint,
     ScenarioSpec,
     WilsonWidthPolicy,
-    ExperimentRunner,
     WorkerPool,
     get_scenario,
     register_scenario,
@@ -112,11 +112,11 @@ class TestWorkerPool:
 class TestRunnerPoolWiring:
     def test_injected_pool_sets_worker_count_and_survives_close(self):
         with WorkerPool(3) as pool:
-            runner = ExperimentRunner(pool=pool)
-            assert runner.workers == 3
-            runner.run("honest/alead-uni", 6, params={"n": 6})
-            runner.close()  # injected pools are the caller's to close
-            assert pool.started
+            # The pool's size wins over workers=1: the run dispatches
+            # its chunks to the pool's processes.
+            run_scenario("honest/alead-uni", 6, params={"n": 6}, workers=1, pool=pool)
+            assert pool.started and pool.counters()["dispatched"] > 0
+            # Injected pools are the caller's to close.
             assert (
                 run_scenario(
                     "honest/alead-uni", trials=6, params={"n": 6}, pool=pool
@@ -124,22 +124,38 @@ class TestRunnerPoolWiring:
                 == 6
             )
 
-    def test_self_owned_pool_persists_across_runs_then_closes(self):
-        runner = ExperimentRunner(workers=2)
-        assert runner.pool is None  # lazy until first parallel run
-        runner.run("honest/alead-uni", 8, params={"n": 6})
-        owned = runner.pool
-        assert owned is not None and owned.started
-        runner.run("honest/alead-uni", 8, params={"n": 6})
-        assert runner.pool is owned
-        runner.close()
-        with pytest.raises(ConfigurationError):
-            owned.warm_up()
 
-    def test_parallel_false_never_touches_a_pool(self):
-        runner = ExperimentRunner(workers=4, parallel=False)
-        runner.run("honest/alead-uni", 8, params={"n": 6})
-        assert runner.pool is None
+def _run_point(scenario, params):
+    return run_scenario(scenario, 8, params=params, workers=2, keep_outcomes=False)
+
+
+def _campaign_point(scenario, params):
+    (result,) = run_campaign(
+        [CampaignPoint(scenario, params, 8, 0, None, None)], workers=2
+    )
+    return result
+
+
+class TestOwnPoolTeardown:
+    """A run or a pool-less campaign opens its pool in a ``with``
+    block: no worker process outlives the call, whether the point
+    succeeds or one of its chunks raises."""
+
+    @pytest.mark.parametrize("run", [_run_point, _campaign_point])
+    def test_success_leaves_no_workers(self, run):
+        before = set(multiprocessing.active_children())
+        assert run("honest/alead-uni", {"n": 6}).trials == 8
+        assert set(multiprocessing.active_children()) - before == set()
+
+    @pytest.mark.parametrize("run", [_run_point, _campaign_point])
+    def test_failing_chunk_leaves_no_workers(self, run):
+        before = set(multiprocessing.active_children())
+        # equal-spacing needs n >= 2k: every chunk raises in a worker.
+        with pytest.raises(ConfigurationError) as info:
+            run("attack/equal-spacing", {"n": 8, "k": 7})
+        assert "point 'attack/equal-spacing'" in str(info.value)
+        assert "equal spacing needs n >= 2k" in str(info.value)
+        assert set(multiprocessing.active_children()) - before == set()
 
 
 class TestFoldedAggregates:

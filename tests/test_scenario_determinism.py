@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentRunner, run_one_trial, scenario_names
+from repro.experiments import run_one_trial, run_scenario, scenario_names
 from repro.experiments.scenario import get_scenario
 
 #: Per-scenario parameter shrinkage so the sweep stays test-suite fast.
@@ -45,11 +45,10 @@ TRIALS = 8
 BASE_SEED = 7
 
 
-def _row(name, **runner_kwargs):
-    runner = ExperimentRunner(**runner_kwargs)
-    result = runner.run(
+def _row(name, **layout):
+    result = run_scenario(
         name, trials=TRIALS, base_seed=BASE_SEED,
-        params=SMALL_PARAMS.get(name),
+        params=SMALL_PARAMS.get(name), **layout,
     )
     return result.to_row(), [
         (t.index, t.outcome, t.steps, t.success) for t in result.outcomes
