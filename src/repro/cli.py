@@ -33,19 +33,16 @@ from repro.experiments import (
     PointScheduler,
     RelativePrecisionPolicy,
     ResultStore,
-    StoreRowWriter,
     WilsonWidthPolicy,
     WorkerPool,
     all_scenarios,
-    classify_row_line,
     coerce_param,
     expand_grid,
     get_scenario,
     is_store_path,
-    load_completed_keys,
     load_manifest,
+    parse_out_lines,
     resolve_workers,
-    row_retry_identity,
     run_campaign,
     run_scenario,
     scenario_names,
@@ -198,8 +195,9 @@ def _out_store_path(out: str) -> str:
     return out if is_store_path(out) else f"{out}.db"
 
 
-def _out_lines(args):
-    """The lines of a JSONL ``--out`` that a run imports into its store.
+def _out_rows(args):
+    """The rows of a JSONL ``--out`` that a run imports into its store,
+    parsed once (:func:`parse_out_lines`).
 
     Every non-blank line must be a row or a timed-out marker. The one
     exception is a final line that is not JSON at all: a torn write
@@ -212,34 +210,30 @@ def _out_lines(args):
     if not args.out or is_store_path(args.out):
         return []
     lines = _read_rows_file(args.out)
-    filled = [number for number, line in enumerate(lines, 1) if line.strip()]
-    torn = 0
-    for number in filled:
-        row, _key, reason = classify_row_line(lines[number - 1].strip())
-        if reason is None:
-            continue
-        if reason == "timed-out":
-            try:
-                row_retry_identity(row)  # the marker's identity must parse
-                continue
-            except (ConfigurationError, KeyError, TypeError):
-                pass
-        # classify_row_line returns no row only when json.loads failed.
-        if row is None and number == filled[-1]:
-            torn = 1
-            continue
-        raise SystemExit(
-            f"{args.out}:{number}: not a result row; --out may hold only "
-            "sweep/campaign rows (move the file aside or remove the "
-            "line); nothing was run"
-        )
-    if torn:
+    skips = []
+    rows = parse_out_lines(
+        lines, on_skip=lambda number, _line, reason: skips.append((number, reason))
+    )
+    last = max((n for n, line in enumerate(lines, 1) if line.strip()), default=0)
+    for number, reason in skips:
+        if (number, reason) != (last, "not-json"):
+            raise SystemExit(
+                f"{args.out}:{number}: not a result row; --out may hold only "
+                "sweep/campaign rows (move the file aside or remove the "
+                "line); nothing was run"
+            )
+    if skips:
         print(
             f"  [warning: skipped 1 malformed line(s) in {args.out} (torn "
             "trailing write from a killed run?); its point will re-run]",
             file=sys.stderr,
         )
-    return lines
+    return rows
+
+
+def _completed(rows):
+    """Resume keys of the completed rows among parsed ``rows``."""
+    return {row.key for row in rows if row.key is not None}
 
 
 def _read_out_store(args, strict: bool = True):
@@ -266,25 +260,25 @@ def _read_out_store(args, strict: bool = True):
 
 
 def _load_resume_state(args):
-    """``(lines, completed, cost model)`` for a real ``sweep``/``campaign``
-    run: the checked JSONL lines to import (:func:`_out_lines`); under
+    """``(rows, completed, cost model)`` for a real ``sweep``/``campaign``
+    run: the checked JSONL rows to import (:func:`_out_rows`); under
     ``--resume`` the resume keys to skip, which are the store's
-    completed keys plus those of ``lines`` (exactly the store's key set
-    once the lines are imported); and the ``--out`` store's cost model,
+    completed keys plus those of ``rows`` (exactly the store's key set
+    once the rows are imported); and the ``--out`` store's cost model,
     a fresh one without ``--out``."""
     if args.resume and not args.out:
         raise SystemExit("--resume requires --out (the file to resume into)")
     if not args.out:
         return [], set(), AdaptiveChunker()
-    lines = _out_lines(args)
+    rows = _out_rows(args)
     stored, model = _read_out_store(args)
-    completed = stored | load_completed_keys(lines) if args.resume else set()
-    return lines, completed, model
+    completed = stored | _completed(rows) if args.resume else set()
+    return rows, completed, model
 
 
-def _open_out_store(args, lines) -> ResultStore:
+def _open_out_store(args, rows) -> ResultStore:
     """Open (on first use, create) the store behind ``--out`` and import
-    the JSONL ``lines`` into it. :meth:`ResultStore.import_lines` is
+    the JSONL ``rows`` into it. :meth:`ResultStore.import_rows` is
     idempotent, so re-importing the store's own rendering changes
     nothing; a timed-out marker is replaced or superseded there too."""
     path = _out_store_path(args.out)
@@ -293,7 +287,7 @@ def _open_out_store(args, lines) -> ResultStore:
     except ConfigurationError as exc:
         raise SystemExit(f"cannot open --out store: {exc}") from None
     try:
-        store.import_lines(lines)
+        store.import_rows(rows)
         markers = len(store.pending_retries()) if args.resume else 0
     except (sqlite3.Error, ConfigurationError) as exc:
         store.close()
@@ -333,15 +327,15 @@ class _EmitOutcome:
         self.deadline: Optional[CampaignDeadline] = None
 
 
-def _emit_rows(results, args, lines, what: str) -> _EmitOutcome:
+def _emit_rows(results, args, rows, what: str) -> _EmitOutcome:
     """Stream result rows to stdout and into the ``--out`` store.
 
     Every ``--out`` is backed by a :class:`ResultStore`
-    (:func:`_out_store_path`), and :class:`StoreRowWriter` is the one
-    row sink: each row is durable once appended, and timed-out markers
-    are replaced or superseded inside the store's transaction. The JSONL
-    ``lines`` are imported first, so the store always holds every row
-    the file does. However the run stops — success,
+    (:func:`_out_store_path`), and :meth:`ResultStore.append_row` is the
+    one row sink: each row is durable once appended, and timed-out
+    markers are replaced or superseded inside the store's transaction.
+    The JSONL ``rows`` are imported first, so the store always holds
+    every row the file does. However the run stops — success,
     :class:`CampaignDeadline` (reported on the outcome), Ctrl-C
     (re-raised), a ``ConfigurationError`` from infeasible parameter
     values, or a store write error (both exit non-zero) — a JSONL
@@ -353,10 +347,9 @@ def _emit_rows(results, args, lines, what: str) -> _EmitOutcome:
     timings (:meth:`ResultStore.record_timing`), which later runs read
     back for ``--schedule longest-first`` and adaptive chunk sizing.
     """
-    store = writer = None
+    store = None
     if args.out:
-        store = _open_out_store(args, lines)
-        writer = StoreRowWriter(store.path, store=store)
+        store = _open_out_store(args, rows)
     outcome = _EmitOutcome()
     failure = None
     interrupted = False
@@ -364,10 +357,10 @@ def _emit_rows(results, args, lines, what: str) -> _EmitOutcome:
         for result in results:
             outcome.ran += 1
             outcome.timed_out += bool(result.timed_out)
-            line = json.dumps(result.to_row(), sort_keys=True)
-            print(line)
-            if writer:
-                writer.append(line)
+            row = result.to_row()
+            print(json.dumps(row, sort_keys=True))
+            if store is not None:
+                store.append_row(row)
                 store.record_timing(result)
             status = " TIMED OUT after" if result.timed_out else " trials in"
             print(
@@ -385,9 +378,9 @@ def _emit_rows(results, args, lines, what: str) -> _EmitOutcome:
         interrupted = True
         raise
     finally:
-        if writer:
+        if store is not None:
             rendered = _render_out(args, store)
-            writer.close()
+            store.close()
             failure = failure or rendered
             if interrupted:
                 note = rendered or (
@@ -456,7 +449,7 @@ def _cmd_sweep(args) -> int:
         raise SystemExit(f"--trials must be >= 0, got {args.trials}")
     budget = _budget_from_args(args)
     grid = _parse_grid(args.param)
-    lines, completed, model = _load_resume_state(args)
+    rows, completed, model = _load_resume_state(args)
     # sweep_scenario validates the scenario and the whole grid eagerly —
     # a typo'd re-run fails here, before a store is created.
     total_points = len(expand_grid(grid))
@@ -472,7 +465,7 @@ def _cmd_sweep(args) -> int:
         chunk_size=args.chunk_size,
         chunker=None if args.chunk_size is not None else model,
     )
-    ran = _emit_rows(results, args, lines, "sweep").ran
+    ran = _emit_rows(results, args, rows, "sweep").ran
     if args.resume:
         print(
             f"  [resume: ran {ran} of {total_points} grid points; "
@@ -619,11 +612,11 @@ def _cmd_campaign(args) -> int:
         if args.out:
             completed, scheduler.cost_model = _read_out_store(args, strict=False)
             if not is_store_path(args.out):
-                completed |= load_completed_keys(
-                    _read_rows_file(args.out, strict=False)
+                completed |= _completed(
+                    parse_out_lines(_read_rows_file(args.out, strict=False))
                 )
         return _campaign_dry_run(args, points, scheduler, completed)
-    lines, completed, model = _load_resume_state(args)
+    rows, completed, model = _load_resume_state(args)
     # One model feeds both consumers: longest-first ordering, and the
     # adaptive chunker's starting per-trial costs.
     scheduler.cost_model = model
@@ -633,10 +626,10 @@ def _cmd_campaign(args) -> int:
                 "--metrics-port is redundant with --coordinate: the "
                 "coordinator already serves /metrics on --listen"
             )
-        outcome = _coordinate_campaign(args, points, scheduler, completed, lines)
+        outcome = _coordinate_campaign(args, points, scheduler, completed, rows)
         where = " across worker nodes"
     else:
-        outcome = _local_campaign(args, points, scheduler, completed, lines)
+        outcome = _local_campaign(args, points, scheduler, completed, rows)
         where = ""
     # Count skips from the completed set, not len(points) - ran: under a
     # deadline, points that never started are pending, not "already in".
@@ -665,7 +658,7 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _local_campaign(args, points, scheduler, completed, lines) -> _EmitOutcome:
+def _local_campaign(args, points, scheduler, completed, rows) -> _EmitOutcome:
     """The local arm of ``campaign``: run every point on this host's
     worker pool. The CLI owns the pool (``run_campaign`` never closes an
     injected one), so ``--metrics-port`` can scrape its live chunk
@@ -682,7 +675,7 @@ def _local_campaign(args, points, scheduler, completed, lines) -> _EmitOutcome:
             chunker=None if args.chunk_size is not None else scheduler.cost_model,
         )
         if args.metrics_port is None:
-            return _emit_rows(results, args, lines, "campaign")
+            return _emit_rows(results, args, rows, "campaign")
         from repro.httpd import serve_metrics
 
         registry, observe = _campaign_metrics(
@@ -700,7 +693,7 @@ def _local_campaign(args, points, scheduler, completed, lines) -> _EmitOutcome:
             file=sys.stderr,
         )
         try:
-            return _emit_rows(observe(results), args, lines, "campaign")
+            return _emit_rows(observe(results), args, rows, "campaign")
         finally:
             server.shutdown()
             server.server_close()
@@ -719,7 +712,7 @@ def _parse_listen(text: str):
         raise SystemExit(f"bad port in {text!r}") from None
 
 
-def _coordinate_campaign(args, points, scheduler, completed, lines) -> _EmitOutcome:
+def _coordinate_campaign(args, points, scheduler, completed, rows) -> _EmitOutcome:
     """The ``--coordinate`` arm of ``campaign``: serve leases to runner
     nodes instead of running trials locally, writing the identical row
     stream to the identical ``--out`` targets."""
@@ -763,7 +756,7 @@ def _coordinate_campaign(args, points, scheduler, completed, lines) -> _EmitOutc
     except OSError as exc:
         raise SystemExit(f"cannot listen on {args.listen!r}: {exc}") from None
     try:
-        outcome = _emit_rows(coordinator.results(), args, lines, "campaign")
+        outcome = _emit_rows(coordinator.results(), args, rows, "campaign")
         # Linger until every live node has polled "done" (and so exits
         # 0) before tearing the server down; dead nodes aren't waited on.
         coordinator.await_nodes_done()
@@ -798,8 +791,15 @@ def _cmd_db(args) -> int:
     if args.db_command == "export":
         # A missing store is refused by the read-only open below.
         # The default target of a run's sibling store X.jsonl.db is its
-        # rendering X.jsonl, rewritten by the same renderer the run uses.
-        out = args.out or os.path.splitext(args.db)[0] + ".jsonl"
+        # rendering X.jsonl (the inverse of _out_store_path), rewritten
+        # by the same renderer the run uses; any other store X.db
+        # exports to X.jsonl.
+        out = args.out
+        if not out:
+            if args.db.endswith(".jsonl.db"):
+                out = args.db[: -len(".db")]
+            else:
+                out = os.path.splitext(args.db)[0] + ".jsonl"
         if os.path.abspath(out) == os.path.abspath(args.db):
             raise SystemExit(f"refusing to export {args.db!r} over itself")
         try:
@@ -813,14 +813,17 @@ def _cmd_db(args) -> int:
         if not os.path.exists(args.rows):
             raise SystemExit(f"cannot read rows file: {args.rows!r} does not exist")
         db = args.db or os.path.splitext(args.rows)[0] + ".db"
-        lines = _read_rows_file(args.rows)
+        skipped = []
+        rows = parse_out_lines(
+            _read_rows_file(args.rows), on_skip=lambda *skip: skipped.append(skip)
+        )
         with ResultStore(db) as store:
-            report = store.import_lines(lines)
+            report = store.import_rows(rows)
         print(
             f"imported {args.rows} into {db}: {report['stored']} stored, "
             f"{report['duplicate']} duplicate, {report['marker']} "
             f"timed-out marker(s), {report['superseded']} superseded, "
-            f"{report['skipped']} skipped"
+            f"{len(skipped)} skipped"
         )
         return 0
     with ResultStore(args.db, read_only=True) as store:
@@ -1196,15 +1199,14 @@ def build_parser() -> argparse.ArgumentParser:
     q = db_sub.add_parser(
         "export",
         help="export a results database back to a JSONL rows file "
-             "(lossless inverse of import; the file is "
-             "resume-loader-compatible, so export -> import merges "
-             "stores)",
+             "(lossless inverse of import: a run or db import reads the "
+             "file back, so export -> import merges stores)",
     )
     q.add_argument("db", help="database path")
     q.add_argument(
         "--out", default=None,
-        help="JSONL output path (default: the database with a "
-             ".jsonl suffix)",
+        help="JSONL output path (default: X.jsonl for a run's store "
+             "X.jsonl.db, otherwise the database with a .jsonl suffix)",
     )
     q.set_defaults(func=_cmd_db)
     q = db_sub.add_parser("stats", help="row counts of a results database")

@@ -38,10 +38,11 @@ Five layers, each usable on its own:
 - **Results store** (:mod:`~repro.experiments.store`): the same rows in
   SQLite (WAL) instead of JSONL — resume keys unique-indexed, timed-out
   markers superseded transactionally, queries indexed by (scenario,
-  params). ``sweep``/``campaign --out results.db`` write to it through
-  the :class:`StoreRowWriter` adapter, ``python -m repro db import``
-  converts existing JSONL files, and ``python -m repro serve``
-  (:mod:`repro.serve`) answers precision queries from it.
+  params). Every ``sweep``/``campaign --out`` appends its rows to a
+  store (:meth:`ResultStore.append_row`) and renders a JSONL ``--out``
+  from it; :func:`parse_out_lines` is the one JSONL row parser (``python
+  -m repro db import`` converts existing files with it); and ``python -m
+  repro serve`` (:mod:`repro.serve`) answers precision queries from it.
 
 Quick taste::
 
@@ -120,16 +121,13 @@ from repro.experiments.store import (
     StoreRowWriter,
     is_store_path,
     params_blob,
+    parse_out_lines,
     timing_record,
 )
 from repro.experiments.sweep import (
-    RowWriter,
     canonical_params,
-    classify_row_line,
     coerce_param,
     expand_grid,
-    fsync_directory,
-    load_completed_keys,
     resume_key,
     row_resume_key,
 )
@@ -155,7 +153,6 @@ __all__ = [
     "PointScheduler",
     "PointState",
     "RelativePrecisionPolicy",
-    "RowWriter",
     "WilsonWidthPolicy",
     "WorkerPool",
     "as_policy",
@@ -195,13 +192,11 @@ __all__ = [
     "ResultStore",
     "StoreRowWriter",
     "canonical_params",
-    "classify_row_line",
     "coerce_param",
     "expand_grid",
-    "fsync_directory",
     "is_store_path",
-    "load_completed_keys",
     "params_blob",
+    "parse_out_lines",
     "resume_key",
     "row_resume_key",
     "sweep_scenario",

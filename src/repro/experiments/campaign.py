@@ -171,8 +171,8 @@ def row_retry_identity(row: Mapping[str, Any]) -> str:
     marker or completed), raising the same way :func:`row_resume_key`
     does on rows whose identity fields are missing or broken."""
     # Subscript access first: foreign shapes (lists, strings) raise the
-    # TypeError/KeyError the tolerant loaders already catch, before any
-    # .get could raise something they don't.
+    # TypeError/KeyError the row parser already catches, before any
+    # .get could raise something it doesn't.
     return retry_identity(
         row["scenario"],
         row["params"],

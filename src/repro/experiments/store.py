@@ -10,11 +10,11 @@ contract the JSONL files established:
 
 - **The resume key is the schema's spine.** Each completed row is
   stored under the exact :func:`~repro.experiments.sweep.resume_key`
-  string the JSONL loaders compute, unique-indexed — so
-  :meth:`ResultStore.completed_keys` of an imported file is *identical*
-  to :func:`~repro.experiments.sweep.load_completed_keys` of the same
-  file, and a campaign resuming against a ``.db`` target skips exactly
-  the points it would have skipped against the JSONL original.
+  string :func:`parse_out_lines` computes for its line, unique-indexed
+  — so :meth:`ResultStore.completed_keys` of an imported file is
+  *identical* to the keys of its parsed rows, and a campaign resuming
+  against a ``.db`` target skips exactly the points it would have
+  skipped against the JSONL original.
 - **Timed-out markers keep their non-identity.** Rows with
   ``"timed_out": true`` have no resume key (column NULL — SQLite's
   UNIQUE index admits any number of NULLs), so they can never satisfy a
@@ -34,14 +34,15 @@ contract the JSONL files established:
   the same ``--out`` schedules and sizes chunks from what this machine
   measured. Timing never reaches the ``row`` column.
 - **Durable and concurrent.** WAL journal mode plus ``synchronous=FULL``
-  gives the same survive-kill-9 guarantee as :class:`RowWriter`'s
-  per-append fsync, and lets one writer (a campaign streaming into the
-  store) coexist with any number of readers (the estimate service in
-  :mod:`repro.serve`) without either blocking the other.
+  makes every committed row survive a kill or a power loss, and lets
+  one writer (a campaign streaming into the store) coexist with any
+  number of readers (the estimate service in :mod:`repro.serve`)
+  without either blocking the other.
 
-:class:`StoreRowWriter` adapts the store to the :class:`RowWriter`
-interface (``append``/``write_lines``/``close``/context manager); it is
-the one row sink of every ``sweep``/``campaign --out``.
+Rows enter through :meth:`ResultStore.append_row` (one row dict) or
+:meth:`ResultStore.import_rows` (the rows :func:`parse_out_lines` read
+from a JSONL file, in one transaction), and reach a JSONL file only
+through :meth:`ResultStore.render_jsonl`.
 """
 
 import json
@@ -57,6 +58,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -66,13 +68,7 @@ from repro.experiments.campaign import retry_identity, row_retry_identity
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.runner import cost_key
 from repro.experiments.scenario import get_scenario
-from repro.experiments.sweep import (
-    RowWriter,
-    canonical_params,
-    classify_row_line,
-    fsync_directory,
-    row_resume_key,
-)
+from repro.experiments.sweep import canonical_params, row_resume_key
 from repro.util.errors import ConfigurationError
 
 #: File extensions routed to the SQLite backend by ``--out``/``--db``.
@@ -116,6 +112,27 @@ def is_store_path(path: Optional[str]) -> bool:
     return bool(path) and path.lower().endswith(STORE_SUFFIXES)
 
 
+def fsync_directory(path: str) -> None:
+    """Best-effort fsync of a directory, pinning entries it names.
+
+    A file's own fsync makes its *contents* durable; the entry that
+    makes it reachable lives in the directory, which has its own dirty
+    state. Creations and renames therefore need the parent flushed too.
+    Failures are swallowed: platforms that refuse ``open``/``fsync`` on
+    directories lose the hardening, not the run.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
 def timing_record(result) -> Optional[Tuple[str, int, float, Optional[int]]]:
     """The ``(key, trials, elapsed, cost)`` timing record of one
     finished result, or ``None`` when it carries no usable cost signal
@@ -147,6 +164,17 @@ def params_blob(params: Mapping[str, Any]) -> str:
     same numeric-aliasing rule resume keys follow.
     """
     return json.dumps(canonical_params(params), sort_keys=True)
+
+
+class PreparedRow(NamedTuple):
+    """One row ready for the ``results`` table (see :func:`_prepare`)."""
+
+    #: Resume key; ``None`` for a timed-out marker.
+    key: Optional[str]
+    #: :func:`~repro.experiments.campaign.retry_identity` of the point.
+    retry: str
+    #: Column values in ``_COLUMNS`` order.
+    values: tuple
 
 
 class ResultStore:
@@ -198,16 +226,14 @@ class ResultStore:
             cursor.execute("PRAGMA busy_timeout = 5000")
             if not read_only:
                 # WAL: readers never block the writer and vice versa.
-                # synchronous=FULL: a committed row survives power loss
-                # — the same promise RowWriter's per-append fsync makes.
+                # synchronous=FULL: a committed row survives power loss.
                 cursor.execute("PRAGMA journal_mode = WAL")
                 cursor.execute("PRAGMA synchronous = FULL")
                 cursor.executescript(_SCHEMA)
                 self._conn.commit()
                 if created:
-                    # Same discipline as RowWriter: a freshly created
-                    # database is only durable once its directory entry
-                    # is.
+                    # A freshly created database is only durable once
+                    # its directory entry is.
                     fsync_directory(os.path.dirname(os.path.abspath(path)))
             cursor.close()
         except sqlite3.Error as exc:
@@ -241,9 +267,10 @@ class ResultStore:
             completed row; the marker is dropped — the retry it
             announces already happened.
 
-        Malformed rows raise the same exceptions the tolerant line
-        loaders catch (:class:`~repro.util.errors.ConfigurationError`,
-        ``KeyError``, ``TypeError``).
+        Malformed rows raise the exceptions :func:`parse_out_lines`
+        turns into ``"not-a-row"`` skips
+        (:class:`~repro.util.errors.ConfigurationError`, ``LookupError``,
+        ``TypeError``).
         """
         self._writable()
         prepared = _prepare(row)
@@ -253,11 +280,11 @@ class ResultStore:
             self.observer(outcome)
         return outcome
 
-    def _insert_locked(self, cursor, prepared: tuple) -> str:
+    def _insert_locked(self, cursor, prepared: PreparedRow) -> str:
         """Apply one row prepared by :func:`_prepare` inside the
         caller's transaction; returns its :meth:`append_row` outcome."""
-        timed_out, retry, values = prepared
-        if timed_out:
+        key, retry, values = prepared
+        if key is None:
             cursor.execute(
                 "SELECT 1 FROM results WHERE retry_key = ? "
                 "AND timed_out = 0 LIMIT 1",
@@ -278,55 +305,23 @@ class ResultStore:
         cursor.execute(_INSERT_OR_IGNORE, values)
         return "stored" if cursor.rowcount else "duplicate"
 
-    def import_lines(
-        self,
-        lines: Iterable[str],
-        on_skip: Optional[Callable[[int, str, str], None]] = None,
-    ) -> Dict[str, int]:
-        """Lossless JSONL import: every line of a ``--out`` file.
+    def import_rows(self, rows: Iterable[PreparedRow]) -> Dict[str, int]:
+        """Store the rows :func:`parse_out_lines` read from a JSONL file.
 
-        Reuses :func:`~repro.experiments.sweep.classify_row_line`'s
-        tolerance — torn trailing writes and foreign content are
-        *skipped* (reported to ``on_skip`` with reason ``"malformed"``,
-        exactly as :func:`load_completed_keys` would), completed rows
-        are stored under their resume keys, and timed-out markers are
-        imported as markers (so a resume against the database retries
-        exactly what a resume against the file would). Returns a count
-        per :meth:`append_row` outcome plus ``"skipped"``.
+        Completed rows are stored under their resume keys and timed-out
+        markers as markers, so a resume against the database retries
+        exactly what a resume against the file would. Returns a count
+        per :meth:`append_row` outcome.
 
         The whole import is one transaction (one fsync, however many
-        lines): a write error leaves none of its rows behind, and the
+        rows): a write error leaves none of its rows behind, and the
         :attr:`observer` hears each outcome only after the commit.
         """
         self._writable()
-        report = {
-            "stored": 0,
-            "duplicate": 0,
-            "marker": 0,
-            "superseded": 0,
-            "skipped": 0,
-        }
-        prepared = []
-        for number, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
-            row, _key, reason = classify_row_line(line)
-            if reason != "malformed":
-                try:
-                    prepared.append(_prepare(row))
-                    continue
-                except (ConfigurationError, KeyError, TypeError):
-                    # A marker whose identity fields are themselves
-                    # damaged (e.g. a torn budget object): nothing to
-                    # index it by.
-                    pass
-            report["skipped"] += 1
-            if on_skip is not None:
-                on_skip(number, line, "malformed")
         with self._lock, self._conn:
             cursor = self._conn.cursor()
-            outcomes = [self._insert_locked(cursor, entry) for entry in prepared]
+            outcomes = [self._insert_locked(cursor, row) for row in rows]
+        report = dict.fromkeys(("stored", "duplicate", "marker", "superseded"), 0)
         for outcome in outcomes:
             report[outcome] += 1
             if self.observer is not None:
@@ -350,9 +345,8 @@ class ResultStore:
     # -- reads ---------------------------------------------------------
 
     def completed_keys(self) -> Set[str]:
-        """Resume keys of every completed row — the store's answer to
-        :func:`~repro.experiments.sweep.load_completed_keys`. Markers
-        (NULL keys) are excluded, so their points re-run, as always."""
+        """Resume keys of every completed row. Markers (NULL keys) are
+        excluded, so their points re-run, as always."""
         return {
             key
             for (key,) in self._query(
@@ -383,15 +377,14 @@ class ResultStore:
     def export_lines(self) -> Iterator[str]:
         """Every stored row back as JSONL lines, in insertion order.
 
-        The exact inverse of :meth:`import_lines`: the ``row`` column is
-        the lossless JSON blob of what arrived, so the exported file is
-        resume-loader-compatible — completed rows keep their resume
-        keys, timed-out markers keep their ``"timed_out": true`` shape
-        (so :func:`~repro.experiments.sweep.load_completed_keys` skips
-        them and a resume retries their points, exactly as against the
-        original ``--out`` file). ``export → import`` into a fresh
-        store reproduces the key set, which is what makes
-        store-to-store merges a pipe.
+        The exact inverse of :meth:`import_rows`: the ``row`` column is
+        the lossless JSON blob of what arrived, so the exported file
+        parses back (:func:`parse_out_lines`) to the same rows —
+        completed rows keep their resume keys, timed-out markers keep
+        their ``"timed_out": true`` shape (so a resume retries their
+        points, exactly as against the original ``--out`` file).
+        ``export → import`` into a fresh store reproduces the key set,
+        which is what makes store-to-store merges a pipe.
         """
         for (blob,) in self._query("SELECT row FROM results ORDER BY id"):
             yield blob
@@ -400,19 +393,22 @@ class ResultStore:
         """Atomically rewrite ``path`` as this store's JSONL rendering.
 
         The one renderer behind every JSONL ``--out`` and ``db export``.
-        :meth:`export_lines` is read in full first, then written through
-        :class:`~repro.experiments.sweep.RowWriter` to ``path + ".render"``,
-        which ``os.replace`` swaps over ``path`` once it is complete and
-        synced; the directory fsync makes the rename itself durable. An
-        unreadable store or a failed write therefore never truncates
-        ``path``: the previous file survives until a whole rendering
-        replaces it. Returns the number of lines rendered.
+        :meth:`export_lines` is read in full first, then written to
+        ``path + ".render"``, flushed and fsynced, and ``os.replace``
+        swaps it over ``path``; the directory fsync makes the rename
+        itself durable. An unreadable store or a failed write therefore
+        never truncates ``path``: the previous file survives until a
+        whole rendering replaces it. Returns the number of lines
+        rendered.
         """
         lines = [line + "\n" for line in self.export_lines()]
         staged = f"{path}.render"
         try:
-            with RowWriter(staged) as writer:
-                writer.write_lines(lines)
+            # repro-lint: allow[R301] render_jsonl IS the JSONL row sink: a whole rendering from the store, fsynced, then renamed over path
+            with open(staged, "w") as file:
+                file.writelines(lines)
+                file.flush()
+                os.fsync(file.fileno())
             os.replace(staged, path)
         except BaseException:
             if os.path.exists(staged):
@@ -498,10 +494,10 @@ class ResultStore:
         self.close()
 
 
-def _prepare(row: Mapping[str, Any]) -> tuple:
-    """``(timed_out, retry identity, column values)`` of one row — all
-    of :meth:`ResultStore.append_row`'s parsing, done before the lock.
-    Raises on damaged rows like the tolerant line loaders do."""
+def _prepare(row: Mapping[str, Any]) -> PreparedRow:
+    """All of :meth:`ResultStore.append_row`'s parsing, done before the
+    lock. Raises ``ConfigurationError``, ``LookupError`` or
+    ``TypeError`` on damaged rows."""
     timed_out = bool(row.get("timed_out")) if isinstance(row, Mapping) else False
     if timed_out:
         key = None
@@ -529,7 +525,43 @@ def _prepare(row: Mapping[str, Any]) -> tuple:
         time.time(),
         json.dumps(row, sort_keys=True),
     )
-    return timed_out, retry, values
+    return PreparedRow(key, retry, values)
+
+
+def parse_out_lines(
+    lines: Iterable[str],
+    on_skip: Optional[Callable[[int, str, str], None]] = None,
+) -> List[PreparedRow]:
+    """The rows of a JSONL ``--out`` file, each line parsed exactly once.
+
+    Blank lines are ignored. Every other line costs one ``json.loads``
+    and becomes a :class:`PreparedRow` — a completed row under its
+    resume key, or a timed-out marker (``key`` ``None``) — or a skip
+    reported to ``on_skip(number, line, reason)`` with the 1-based line
+    number and the stripped line. ``reason`` is ``"not-json"`` for a
+    line that does not parse (the torn tail of a killed run) and
+    ``"not-a-row"`` for JSON without a usable row identity (foreign
+    content, missing fields, a broken budget object). A skipped line
+    can only make its point re-run, never count as done.
+    """
+    rows = []
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError:
+            reason = "not-json"
+        else:
+            try:
+                rows.append(_prepare(row))
+                continue
+            except (ConfigurationError, LookupError, TypeError):
+                reason = "not-a-row"
+        if on_skip is not None:
+            on_skip(number, line, reason)
+    return rows
 
 
 _COLUMNS = (
@@ -545,37 +577,22 @@ _INSERT_OR_IGNORE = (
 
 
 class StoreRowWriter:
-    """:class:`~repro.experiments.sweep.RowWriter`-compatible adapter.
+    """Appends JSON row lines to a :class:`ResultStore`.
 
-    Every ``sweep``/``campaign --out`` hands its row lines to this: each
-    line is parsed back into its row and stored through
-    :meth:`ResultStore.append_row`, so marker supersession and duplicate
-    suppression happen at write time. Appends are transactionally
-    durable (WAL + ``synchronous=FULL``), so the database *is* the
-    checkpoint at every instant; a JSONL ``--out`` is rendered from it.
+    Kept only for the benchmark harness (``perfbench/campaigns.py``),
+    which appends ``json.dumps`` row lines; everything else hands row
+    dicts to :meth:`ResultStore.append_row`. The next benchmark change
+    (ROADMAP item 6) switches perfbench to ``append_row`` and deletes
+    this class.
     """
 
-    def __init__(self, path: str, store: Optional[ResultStore] = None):
+    def __init__(self, path: str, store: ResultStore):
         self.path = path
-        self._store = store if store is not None else ResultStore(path)
+        self._store = store
 
     def append(self, line: str) -> None:
-        """Store one row line (the JSON text a JSONL writer would
-        append)."""
+        """Store one JSON row line."""
         self._store.append_row(json.loads(line))
-
-    def write_lines(self, lines: Iterable[str]) -> None:
-        """Bulk path: store every non-blank line."""
-        for line in lines:
-            line = line.strip()
-            if line:
-                self.append(line)
 
     def close(self) -> None:
         self._store.close()
-
-    def __enter__(self) -> "StoreRowWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -48,7 +48,7 @@ CATALOG: Dict[str, str] = {
     "R104": "iteration over a set feeding an order-sensitive construct",
     "R201": "guarded attribute accessed outside its declared lock",
     "R202": "malformed _GUARDED_BY declaration",
-    "R301": "row-shaped write (json.dump / open-for-write) bypassing RowWriter",
+    "R301": "row-shaped write (json.dump / open-for-write) bypassing the results store",
     "R302": "run_trial/run_batch implementation ignores its seed argument",
 }
 

@@ -1,11 +1,12 @@
-"""R3 — row integrity: rows reach disk through RowWriter, seeded.
+"""R3 — row integrity: rows reach disk through the results store, seeded.
 
 R301  flags the two ways a row can bypass the blessed sinks
-      (``RowWriter``'s fsync'd atomic appends, ``StoreRowWriter``'s
-      resume-key-unique SQLite transactions): a direct ``json.dump``
-      call, and ``open(path, mode)`` with a writable (or non-constant)
-      mode. The one legitimate ``open``-for-write in the tree is
-      RowWriter's own file handle — pragma'd, with the reason.
+      (``ResultStore.append_row``'s resume-key-unique SQLite
+      transactions, ``ResultStore.render_jsonl``'s fsynced atomic
+      renderings): a direct ``json.dump`` call, and ``open(path, mode)``
+      with a writable (or non-constant) mode. The one legitimate
+      ``open``-for-write in the tree is render_jsonl's staged file —
+      pragma'd, with the reason.
 
 R302  flags ``run_trial``/``run_batch`` implementations that accept
       their seed-carrying argument and never reference it. A trial
@@ -48,9 +49,9 @@ def check_row_integrity(ctx: ModuleContext) -> Iterator[Finding]:
         if tuple(parts[-2:]) == ("json", "dump"):
             yield Finding(
                 "R301", ctx.path, node.lineno, node.col_offset,
-                "json.dump() writes rows without RowWriter/StoreRowWriter "
-                "(no fsync'd atomic append, no resume key); route output "
-                "through a row writer",
+                "json.dump() writes rows without ResultStore.append_row/"
+                "render_jsonl (no fsync'd atomic write, no resume key); "
+                "route output through the results store",
             )
         elif parts == ("open",):
             mode = node.args[1] if len(node.args) >= 2 else None
@@ -67,8 +68,8 @@ def check_row_integrity(ctx: ModuleContext) -> Iterator[Finding]:
                 continue
             yield Finding(
                 "R301", ctx.path, node.lineno, node.col_offset,
-                "open() with a write mode bypasses RowWriter/"
-                "StoreRowWriter; rows written this way survive neither "
+                "open() with a write mode bypasses ResultStore.append_row/"
+                "render_jsonl; rows written this way survive neither "
                 "crashes nor resume",
             )
         elif parts[-1] == "ScenarioSpec":

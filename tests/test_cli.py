@@ -9,7 +9,7 @@ import sqlite3
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import ResultStore, load_completed_keys
+from repro.experiments import ResultStore, parse_out_lines
 
 
 class TestParser:
@@ -464,7 +464,9 @@ class TestOutStore:
         lines = out_file.read_text().splitlines()
         assert lines == [other[0], rows[0], rows[1], rows[2]]
         with ResultStore(str(tmp_path / "rows.jsonl.db"), read_only=True) as store:
-            assert store.completed_keys() == load_completed_keys(lines)
+            assert store.completed_keys() == {
+                row.key for row in parse_out_lines(lines) if row.key is not None
+            }
             assert store.pending_retries() == set()
 
     @pytest.mark.parametrize("where", ["middle", "last"])

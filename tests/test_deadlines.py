@@ -31,10 +31,9 @@ from repro.experiments import (
     CampaignPoint,
     PointScheduler,
     ResultStore,
-    RowWriter,
     ScenarioSpec,
     WorkerPool,
-    load_completed_keys,
+    parse_out_lines,
     register_scenario,
     row_resume_key,
     run_campaign,
@@ -48,6 +47,11 @@ from repro.util.errors import ConfigurationError
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SLEEPY = "test/sleepy"
+
+
+def completed_keys(lines):
+    """Resume keys of the completed rows among ``--out`` lines."""
+    return {row.key for row in parse_out_lines(lines) if row.key is not None}
 
 
 def _stored_rows(path) -> int:
@@ -141,7 +145,7 @@ class TestPointTimeout:
                 points, workers=workers, chunk_size=1, point_timeout=0.05
             )
         ]
-        completed = load_completed_keys(
+        completed = completed_keys(
             json.dumps(row, sort_keys=True) for row in rows
         )
         retried = [
@@ -291,7 +295,7 @@ class TestGlobalDeadline:
         capsys.readouterr()
         lines = out.read_text().splitlines()
         assert lines[0] == precious
-        assert len(load_completed_keys(lines)) == 3
+        assert len(completed_keys(lines)) == 3
 
     def test_cli_deadline_exit_code_and_resume(self, sleepy_scenario, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -316,14 +320,14 @@ class TestGlobalDeadline:
         ]
         with ResultStore(str(tmp_path / "rows.jsonl.db"), read_only=True) as store:
             assert out.read_text().splitlines() == list(store.export_lines())
-        completed = load_completed_keys(out.read_text().splitlines())
+        completed = completed_keys(out.read_text().splitlines())
         assert len(completed) < 4
         # ...and an unguarded --resume finishes exactly the remainder.
         assert main(["campaign", str(manifest), "--out", str(out),
                      "--resume"]) == 0
         err = capsys.readouterr().err
         assert f"{4 - len(completed)} timed out" not in err  # all completed now
-        final = load_completed_keys(out.read_text().splitlines())
+        final = completed_keys(out.read_text().splitlines())
         assert len(final) == 4
 
 
@@ -337,15 +341,18 @@ class TestTimedOutRowContract:
             row_resume_key(dict(row, timed_out=True))
 
     def test_loader_skips_timed_out_rows_and_reports_them(self):
+        """A timed-out marker parses as a row without a resume key: it
+        completes nothing (its point re-runs) but is still imported, as
+        a marker."""
         good = run_scenario("sync/broadcast", trials=3, params={"n": 4}).to_row()
         timed = dict(good, trials=1, timed_out=True)
         skips = []
-        keys = load_completed_keys(
+        rows = parse_out_lines(
             [json.dumps(r, sort_keys=True) for r in (timed, good)],
             on_skip=lambda number, line, reason: skips.append((number, reason)),
         )
-        assert keys == {row_resume_key(good)}
-        assert skips == [(1, "timed-out")]
+        assert [row.key for row in rows] == [None, row_resume_key(good)]
+        assert skips == []
 
 
 class TestTornTrailingLines:
@@ -359,12 +366,12 @@ class TestTornTrailingLines:
         whole = json.dumps(rows[0], sort_keys=True)
         torn = json.dumps(rows[1], sort_keys=True)[:25]  # kill mid-append
         skips = []
-        keys = load_completed_keys(
+        parsed = parse_out_lines(
             [whole, torn, "   ", ""],
             on_skip=lambda number, line, reason: skips.append((number, reason)),
         )
-        assert keys == {row_resume_key(rows[0])}
-        assert skips == [(2, "malformed")]  # blanks skip silently
+        assert [row.key for row in parsed] == [row_resume_key(rows[0])]
+        assert skips == [(2, "not-json")]  # blanks skip silently
 
     def test_cli_resume_warns_about_torn_line_and_reruns_the_point(
         self, tmp_path, capsys
@@ -398,45 +405,6 @@ class TestTornTrailingLines:
         # set is whole again.
         assert original[2][:19] not in resumed
         assert sorted(resumed) == sorted(original)
-
-
-class TestRowWriter:
-    def test_append_and_bulk_write_round_trip(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        with RowWriter(str(path)) as writer:
-            writer.write_lines(["a\n", "b\n"])
-            writer.append("c")
-        assert path.read_text() == "a\nb\nc\n"
-        with RowWriter(str(path), append=True) as writer:
-            writer.append("d")
-        assert path.read_text() == "a\nb\nc\nd\n"
-
-    def test_directory_fsynced_exactly_when_file_is_created(
-        self, tmp_path, monkeypatch
-    ):
-        """Creating the store file adds a directory entry; that entry
-        must be fsynced or a crash can orphan every row fsynced into the
-        file. Reopening an existing file adds no entry — no dir fsync."""
-        import repro.experiments.sweep as sweep_mod
-
-        synced = []
-        monkeypatch.setattr(
-            sweep_mod, "fsync_directory", lambda p: synced.append(p)
-        )
-        fresh = tmp_path / "fresh.jsonl"
-        with RowWriter(str(fresh)):
-            pass
-        assert synced == [str(tmp_path)]
-
-        synced.clear()
-        with RowWriter(str(fresh), append=True):
-            pass
-        assert synced == []
-
-        appended = tmp_path / "appended.jsonl"
-        with RowWriter(str(appended), append=True):
-            pass
-        assert synced == [str(tmp_path)]
 
 
 class TestCostModel:
@@ -775,7 +743,7 @@ class TestCliPointTimeoutResume:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert sum(bool(r.get("timed_out")) for r in rows) == 0
         assert len(rows) == 3
-        completed = load_completed_keys(out.read_text().splitlines())
+        completed = completed_keys(out.read_text().splitlines())
         assert len(completed) == 3
 
     def test_marker_superseded_by_a_completed_row_is_dropped(
@@ -915,7 +883,7 @@ class TestWorkerTeardown:
                 proc.wait()
         # The interrupt checkpointed finished rows into --out itself.
         assert out.exists()
-        completed = load_completed_keys(out.read_text().splitlines())
+        completed = completed_keys(out.read_text().splitlines())
         assert 1 <= len(completed) < 5
         # And a --resume run executes only the remainder.
         result = subprocess.run(
@@ -926,4 +894,4 @@ class TestWorkerTeardown:
         )
         assert result.returncode == 0
         assert f"ran {5 - len(completed)} of 5 points" in result.stderr
-        assert len(load_completed_keys(out.read_text().splitlines())) == 5
+        assert len(completed_keys(out.read_text().splitlines())) == 5

@@ -31,7 +31,7 @@ EXPECTED = json.loads((FIXTURES / "expected.json").read_text())
 ALLOW_SITES = [
     ("src/repro/experiments/store.py", "R101"),
     ("src/repro/util/rng.py", "R102"),
-    ("src/repro/experiments/sweep.py", "R301"),
+    ("src/repro/experiments/store.py", "R301"),
     ("src/repro/fullinfo/scenarios.py", "R302"),
     ("src/repro/trees/scenarios.py", "R302"),
 ]

@@ -1,14 +1,15 @@
 """The SQLite results store: the resume contract as a database.
 
-The store's one promise is *equivalence with the JSONL loaders* —
+The store's one promise is *equivalence with the JSONL file* —
 importing an ``--out`` file and asking the database "what's done?" must
-give byte-for-byte the key set ``load_completed_keys`` computes from
-the file, with the same tolerance for torn lines, foreign content, and
-timed-out markers. On top of that: lossless round-trips, duplicate
+give byte-for-byte the resume keys ``parse_out_lines`` computes for the
+file's rows, with the same tolerance for torn lines, foreign content,
+and timed-out markers. On top of that: lossless round-trips, duplicate
 suppression on the unique resume-key index, the transactional marker
-lifecycle, canonical-params lookups, read-only refusal, the
-``StoreRowWriter`` adapter, concurrent writer/reader WAL behaviour, and
-the ``db import``/``db stats``/``campaign --out results.db`` CLI paths.
+lifecycle, canonical-params lookups, read-only refusal, the atomic
+JSONL rendering, the ``StoreRowWriter`` adapter, concurrent
+writer/reader WAL behaviour, and the ``db import``/``db export``/``db
+stats``/``campaign --out results.db`` CLI paths.
 """
 
 import json
@@ -24,13 +25,19 @@ from repro.experiments import (
     ResultStore,
     StoreRowWriter,
     is_store_path,
-    load_completed_keys,
+    parse_out_lines,
     resume_key,
     retry_identity,
     row_resume_key,
     run_scenario,
 )
+from repro.experiments import store as store_mod
 from repro.util.errors import ConfigurationError
+
+
+def completed_keys(lines):
+    """Resume keys of the completed rows among ``--out`` lines."""
+    return {row.key for row in parse_out_lines(lines) if row.key is not None}
 
 
 def synthetic_row(i, timed_out=False, successes=1):
@@ -63,9 +70,7 @@ class TestIsStorePath:
 
 
 class TestImportEquivalence:
-    def test_imported_key_set_is_identical_to_load_completed_keys(
-        self, tmp_path
-    ):
+    def test_imported_key_set_is_identical_to_the_parsed_keys(self, tmp_path):
         """The acceptance criterion: JSONL -> SQLite import -> resume
         lookup returns the identical key set, torn/foreign/timed-out
         lines and all."""
@@ -85,15 +90,14 @@ class TestImportEquivalence:
             "{\"foreign\": true}",
             json.dumps(rows[2], sort_keys=True)[:23],  # torn tail
         ]
-        file_keys = load_completed_keys(lines)
+        file_keys = completed_keys(lines)
         skips = []
+        rows = parse_out_lines(
+            lines,
+            on_skip=lambda number, _l, reason: skips.append((number, reason)),
+        )
         with ResultStore(str(tmp_path / "r.db")) as store:
-            report = store.import_lines(
-                lines,
-                on_skip=lambda number, _l, reason: skips.append(
-                    (number, reason)
-                ),
-            )
+            report = store.import_rows(rows)
             assert store.completed_keys() == file_keys
             assert store.pending_retries() == {
                 retry_identity(
@@ -103,9 +107,28 @@ class TestImportEquivalence:
             }
         assert report == {
             "stored": 2, "duplicate": 0, "marker": 1, "superseded": 0,
-            "skipped": 2,
         }
-        assert skips == [(5, "malformed"), (6, "malformed")]
+        assert skips == [(5, "not-a-row"), (6, "not-json")]
+
+    def test_newline_terminated_and_blank_lines_import(self, tmp_path):
+        """Lines as read from a file keep their newlines, and blank
+        lines skip silently: every row still lands in the store."""
+        path = str(tmp_path / "r.db")
+        lines = [
+            json.dumps(synthetic_row(i), sort_keys=True) for i in range(3)
+        ]
+        skips = []
+        rows = parse_out_lines(
+            [lines[0] + "\n", "   ", lines[1], lines[2] + "\n"],
+            on_skip=lambda *skip: skips.append(skip),
+        )
+        with ResultStore(path) as store:
+            store.import_rows(rows)
+        with ResultStore(path, read_only=True) as store:
+            assert store.completed_keys() == {
+                row_resume_key(synthetic_row(i)) for i in range(3)
+            }
+        assert skips == []
 
     def test_round_trip_is_lossless(self, tmp_path):
         row = run_scenario(
@@ -131,15 +154,15 @@ class TestImportEquivalence:
         timed = dict(rows[0], trials=1, timed_out=True, base_seed=99)
         lines = [json.dumps(r, sort_keys=True) for r in rows + [timed]]
         with ResultStore(str(tmp_path / "a.db")) as store:
-            store.import_lines(lines)
+            store.import_rows(parse_out_lines(lines))
             exported = list(store.export_lines())
             file_keys = store.completed_keys()
             retries = store.pending_retries()
-        # The exported file is what load_completed_keys expects: the
-        # marker's line is skipped, completed rows keep their keys.
-        assert load_completed_keys(exported) == file_keys
+        # The exported file parses back to the same rows: the marker
+        # completes nothing, completed rows keep their keys.
+        assert completed_keys(exported) == file_keys
         with ResultStore(str(tmp_path / "b.db")) as merged:
-            report = merged.import_lines(exported)
+            report = merged.import_rows(parse_out_lines(exported))
             assert report["stored"] == 2 and report["marker"] == 1
             assert merged.completed_keys() == file_keys
             assert merged.pending_retries() == retries
@@ -307,6 +330,56 @@ class TestRenderJsonl:
         assert path.read_text() == "previous\n"
         assert not (tmp_path / "rows.jsonl.render").exists()
 
+    def test_append_and_render_round_trip(self, tmp_path):
+        """Each rendering is the whole store, one newline-terminated
+        line per row in insertion order; a row appended after a
+        rendering is in the next one."""
+        path = tmp_path / "rows.jsonl"
+        with ResultStore(str(tmp_path / "r.db")) as store:
+            for i in range(2):
+                store.append_row(synthetic_row(i))
+            assert store.render_jsonl(str(path)) == 2
+            first = path.read_text()
+            assert first == "".join(
+                json.dumps(synthetic_row(i), sort_keys=True) + "\n"
+                for i in range(2)
+            )
+            store.append_row(synthetic_row(2))
+            assert store.render_jsonl(str(path)) == 3
+        assert path.read_text() == (
+            first + json.dumps(synthetic_row(2), sort_keys=True) + "\n"
+        )
+
+    def test_directory_fsynced_exactly_when_an_entry_changes(
+        self, tmp_path, monkeypatch
+    ):
+        """Creating the store file adds a directory entry, and a
+        rendering's rename replaces one; each must be fsynced or a
+        crash can orphan the rows behind it. Reopening an existing store
+        changes no entry — no directory fsync."""
+        events = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            events.append(("replace", dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(
+            store_mod, "fsync_directory", lambda p: events.append(("sync", p))
+        )
+        monkeypatch.setattr(os, "replace", replace)
+        db = str(tmp_path / "r.db")
+        with ResultStore(db) as store:
+            store.append_row(synthetic_row(1))
+        assert events == [("sync", str(tmp_path))]
+
+        events.clear()
+        path = str(tmp_path / "rows.jsonl")
+        with ResultStore(db) as store:
+            assert events == []
+            store.render_jsonl(path)
+        assert events == [("replace", path), ("sync", str(tmp_path))]
+
 
 class TestStoreRowWriter:
     def test_adapter_speaks_the_rowwriter_interface(self, tmp_path):
@@ -314,10 +387,11 @@ class TestStoreRowWriter:
         lines = [
             json.dumps(synthetic_row(i), sort_keys=True) for i in range(3)
         ]
-        with StoreRowWriter(path) as writer:
-            assert writer.path == path
-            writer.write_lines([lines[0] + "\n", "   ", lines[1]])
-            writer.append(lines[2])
+        writer = StoreRowWriter(path, store=ResultStore(path))
+        assert writer.path == path
+        for line in lines:
+            writer.append(line)
+        writer.close()
         with ResultStore(path, read_only=True) as store:
             assert store.completed_keys() == {
                 row_resume_key(synthetic_row(i)) for i in range(3)
@@ -388,6 +462,22 @@ class TestCli:
         assert "4 completed row(s)" in out
         assert "1 timed-out marker(s)" in out
 
+    def test_db_export_of_a_run_store_rewrites_its_rendering(
+        self, tmp_path, capsys
+    ):
+        """The documented recovery after a kill: ``db export
+        rows.jsonl.db`` re-renders ``rows.jsonl`` itself."""
+        out = tmp_path / "rows.jsonl"
+        assert main(["sweep", "--scenario", "sync/broadcast", "--trials", "2",
+                     "--param", "n=4,5", "--out", str(out)]) == 0
+        rendered = out.read_text()
+        out.write_text(rendered.splitlines()[0] + "\n")  # lagging rendering
+        capsys.readouterr()
+        assert main(["db", "export", str(tmp_path / "rows.jsonl.db")]) == 0
+        assert f"to {out}: 2 line(s)" in capsys.readouterr().out
+        assert out.read_text() == rendered
+        assert not (tmp_path / "rows.jsonl.jsonl").exists()
+
     def test_db_import_missing_file_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["db", "import", str(tmp_path / "absent.jsonl")])
@@ -419,7 +509,7 @@ class TestCli:
         out = tmp_path / "rows.jsonl"
         assert main(["campaign", str(manifest), "--out", str(out)]) == 0
         capsys.readouterr()
-        jsonl_keys = load_completed_keys(out.read_text().splitlines())
+        jsonl_keys = completed_keys(out.read_text().splitlines())
         with ResultStore(str(db), read_only=True) as store:
             assert store.completed_keys() == jsonl_keys
             for key in jsonl_keys:
@@ -463,7 +553,7 @@ class TestCli:
 
 
 class TestImportTransaction:
-    """``import_lines`` commits once per import, not once per row."""
+    """``import_rows`` commits once per import, not once per row."""
 
     def test_a_failed_insert_leaves_no_row_of_the_import(self, tmp_path):
         path = str(tmp_path / "r.db")
@@ -485,7 +575,7 @@ class TestImportTransaction:
         with ResultStore(path) as store:
             store.observer = seen.append
             with pytest.raises(sqlite3.Error, match="injected fault"):
-                store.import_lines(lines)
+                store.import_rows(parse_out_lines(lines))
             assert store.stats()["completed"] == 1  # only the earlier row
             assert seen == []  # nothing was reported for a rolled-back import
 
@@ -499,16 +589,18 @@ class TestImportTransaction:
             "not json {",
         ]
         seen = []
+        skips = []
+        rows = parse_out_lines(lines, on_skip=lambda *skip: skips.append(skip))
         with ResultStore(str(tmp_path / "r.db")) as store:
             store.observer = seen.append
-            report = store.import_lines(lines)
+            report = store.import_rows(rows)
             assert store.stats() == {
                 "completed": 2, "timed_out": 0, "scenarios": 1,
             }
         assert report == {
             "stored": 2, "duplicate": 1, "marker": 1, "superseded": 1,
-            "skipped": 1,
         }
+        assert len(skips) == 1
         assert seen == ["stored", "duplicate", "marker", "superseded", "stored"]
 
 

@@ -1,22 +1,30 @@
 """Property tests for grid expansion and the sweep resume machinery."""
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
 from repro.experiments import (
     WilsonWidthPolicy,
     canonical_params,
-    classify_row_line,
     expand_grid,
-    load_completed_keys,
+    parse_out_lines,
     resume_key,
     row_resume_key,
+    row_retry_identity,
     run_scenario,
     sweep_scenario,
 )
 from repro.util.errors import ConfigurationError
+
+
+def completed_keys(lines):
+    """Resume keys of the completed rows among ``--out`` lines."""
+    return {row.key for row in parse_out_lines(lines) if row.key is not None}
+
 
 # Hypothesis building blocks: JSON-ish scalar values and identifier keys.
 scalars = st.one_of(
@@ -269,7 +277,6 @@ class TestBudgetPolicyKeyProperties:
         the same eager ConfigurationError as every other malformed
         budget, so resume loaders skip such rows instead of crashing."""
         from repro.experiments import BudgetPolicy
-        from repro.experiments.sweep import load_completed_keys
 
         for bad in (["wilson-width"], {"name": "x"}, 7, None):
             with pytest.raises(ConfigurationError):
@@ -281,7 +288,7 @@ class TestBudgetPolicyKeyProperties:
             "budget": {"policy": ["wilson-width"], "ci_width": 0.1,
                        "min_trials": 2, "max_trials": 4},
         })
-        assert load_completed_keys([corrupt_row]) == set()
+        assert completed_keys([corrupt_row]) == set()
 
 
 class TestNumericAliasing:
@@ -346,7 +353,10 @@ class TestNumericAliasing:
 
 
 class TestClassifyRowLine:
-    """The single-parse classifier behind every tolerant line loader."""
+    """How :func:`parse_out_lines` classifies each ``--out`` line: a
+    completed row under its resume key, a timed-out marker (key
+    ``None``), or a skip whose reason tells text that is not JSON from
+    JSON that is not a row."""
 
     def _good_row(self):
         return run_scenario(
@@ -357,61 +367,72 @@ class TestClassifyRowLine:
         good = self._good_row()
         timed = dict(good, timed_out=True)
         cases = [
-            (json.dumps(good, sort_keys=True), None),
-            (json.dumps(timed, sort_keys=True), "timed-out"),
-            ("not json {", "malformed"),
-            (json.dumps({"unrelated": 1}), "malformed"),
-            ("[1, 2, 3]", "malformed"),
+            (json.dumps(good, sort_keys=True), None, row_resume_key(good)),
+            (json.dumps(timed, sort_keys=True), None, None),
+            ("not json {", "not-json", None),
+            (json.dumps({"unrelated": 1}), "not-a-row", None),
+            ("[1, 2, 3]", "not-a-row", None),
             # Parsed fine, but identity fields are broken: that is
-            # damage, not a deadline — it must label "malformed" even
+            # damage, not a deadline — it must label "not-a-row" even
             # though row_resume_key raised after a successful parse.
-            (json.dumps(dict(good, budget=[1])), "malformed"),
+            (json.dumps(dict(good, budget=[1])), "not-a-row", None),
             (json.dumps({k: v for k, v in good.items() if k != "trials"}),
-             "malformed"),
+             "not-a-row", None),
+            # A params list indexes out of range inside canonical_params.
+            (json.dumps(dict(good, params=[3])), "not-a-row", None),
         ]
-        for line, expected in cases:
-            row, key, reason = classify_row_line(line)
-            assert reason == expected, line
+        for line, expected, key in cases:
+            skips = []
+            rows = parse_out_lines(
+                [line], on_skip=lambda _number, _line, reason: skips.append(reason)
+            )
             if expected is None:
-                assert key == row_resume_key(good)
-                assert row == good
+                assert skips == [], line
+                (row,) = rows
+                assert row.key == key
+                assert json.loads(row.values[-1]) == json.loads(line)
+                assert row.retry == row_retry_identity(json.loads(line))
             else:
-                assert key is None
+                assert skips == [expected], line
+                assert rows == []
 
     def test_timed_out_false_with_corrupt_budget_is_malformed(self):
-        """Only a *truthy* timed_out earns the timed-out label; a row
-        that merely failed identity reconstruction is damage."""
+        """Only a *truthy* timed_out makes a keyless marker; a row that
+        merely failed identity reconstruction is damage."""
         good = self._good_row()
         row = dict(
             good,
             timed_out=False,
             budget={"ci_width": 5, "min_trials": 1, "max_trials": 2},
         )
-        assert classify_row_line(json.dumps(row))[2] == "malformed"
+        skips = []
+        assert parse_out_lines(
+            [json.dumps(row)], on_skip=lambda *skip: skips.append(skip[2])
+        ) == []
+        assert skips == ["not-a-row"]
 
-    def test_on_skip_reasons_flow_through_load_completed_keys(self):
+    def test_on_skip_reasons_flow_through_parse_out_lines(self):
         good = self._good_row()
         timed = dict(good, timed_out=True)
         lines = [
             json.dumps(good, sort_keys=True),
             "torn {",
             json.dumps(timed, sort_keys=True),
+            json.dumps({"unrelated": 1}),
         ]
         observed = []
-        keys = load_completed_keys(
+        rows = parse_out_lines(
             lines, on_skip=lambda number, _line, reason: observed.append(
                 (number, reason)
             )
         )
-        assert keys == {row_resume_key(good)}
-        assert observed == [(2, "malformed"), (3, "timed-out")]
+        assert [row.key for row in rows] == [row_resume_key(good), None]
+        assert observed == [(2, "not-json"), (4, "not-a-row")]
 
     def test_each_line_is_parsed_exactly_once(self):
         """The old skip path re-ran json.loads on the very line that
-        just failed; the classifier must not."""
+        just failed; the parser must not."""
         from unittest import mock
-
-        import repro.experiments.sweep as sweep_mod
 
         good = self._good_row()
         lines = [
@@ -421,14 +442,35 @@ class TestClassifyRowLine:
             json.dumps(dict(good, budget=[1])),
         ]
         real = json.loads
-        with mock.patch.object(
-            sweep_mod.json, "loads", side_effect=real
-        ) as spy:
-            load_completed_keys(lines, on_skip=lambda *args: None)
+        with mock.patch.object(json, "loads", side_effect=real) as spy:
+            parse_out_lines(lines, on_skip=lambda *args: None)
         assert spy.call_count == len(lines)
+
+    def test_sweep_resume_parses_each_out_line_once(self, tmp_path, capsys):
+        """A resume over a JSONL-era ``--out`` (no store beside it) that
+        runs nothing parses each non-blank line once, for the check, the
+        completed keys and the import together."""
+        from unittest import mock
+
+        out = tmp_path / "rows.jsonl"
+        argv = ["sweep", "--scenario", "sync/broadcast", "--trials", "2",
+                "--param", "n=4,5,6", "--out", str(out)]
+        assert main(argv) == 0
+        os.remove(tmp_path / "rows.jsonl.db")
+        lines = out.read_text().splitlines()
+        out.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        capsys.readouterr()
+        real = json.loads
+        with mock.patch.object(json, "loads", side_effect=real) as spy:
+            assert main(argv + ["--resume"]) == 0
+        assert "ran 0 of 3 grid points" in capsys.readouterr().err
+        assert spy.call_count == len(lines) == 3
 
 
 class TestLoadCompletedKeys:
+    """Which ``--out`` lines count as completed points: only rows that
+    :func:`parse_out_lines` gives a resume key."""
+
     def test_ignores_foreign_and_malformed_lines(self):
         row = run_scenario("honest/basic-lead", trials=2, params={"n": 6}).to_row()
         lines = [
@@ -438,11 +480,11 @@ class TestLoadCompletedKeys:
             json.dumps(row, sort_keys=True),
             "[1, 2, 3]",
         ]
-        keys = load_completed_keys(lines)
+        keys = completed_keys(lines)
         assert keys == {row_resume_key(row)}
 
     def test_empty_input_completes_nothing(self):
-        assert load_completed_keys([]) == set()
+        assert completed_keys([]) == set()
 
     def test_malformed_budget_fields_are_ignored_not_fatal(self):
         """A corrupt 'budget' object in a previous --out file must cause
@@ -450,7 +492,7 @@ class TestLoadCompletedKeys:
         good = run_scenario("honest/basic-lead", trials=2, params={"n": 6}).to_row()
         corrupt = dict(good, budget={"ci_width": 5, "min_trials": 1, "max_trials": 2})
         foreign = dict(good, budget=[1, 2, 3])
-        keys = load_completed_keys(
+        keys = completed_keys(
             [json.dumps(r, sort_keys=True) for r in (corrupt, foreign, good)]
         )
         assert keys == {row_resume_key(good)}
