@@ -8,8 +8,8 @@ processors cannot tell the difference and all validations pass.
 
 from typing import Any, Dict, Hashable
 
-from repro.protocols.basic_lead import BasicLeadStrategy
-from repro.protocols.outcome import id_to_residue, residue_to_id
+from repro.protocols.basic_lead import basic_lead_protocol
+from repro.protocols.outcome import id_to_residue
 from repro.sim.strategy import Context, Strategy
 from repro.sim.topology import Topology
 from repro.util.errors import ConfigurationError
@@ -60,8 +60,6 @@ def basic_cheat_protocol(
         raise ConfigurationError(f"cheater {cheater} not on the ring")
     if not 1 <= target <= n:
         raise ConfigurationError(f"target {target} out of range 1..{n}")
-    protocol: Dict[Hashable, Strategy] = {
-        pid: BasicLeadStrategy(n) for pid in topology.nodes if pid != cheater
-    }
+    protocol = basic_lead_protocol(topology)
     protocol[cheater] = BasicLeadCheaterStrategy(n, target)
     return protocol

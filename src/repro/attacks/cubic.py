@@ -21,7 +21,7 @@ Per-adversary schedule (paper pseudo-code, Appendix C):
 from typing import Any, Dict, Hashable, List
 
 from repro.attacks.placement import RingPlacement
-from repro.protocols.alead_uni import ALeadNormalStrategy, ALeadOriginStrategy
+from repro.protocols.alead_uni import alead_uni_protocol
 from repro.protocols.outcome import id_to_residue
 from repro.sim.strategy import Context, Strategy
 from repro.sim.topology import Topology
@@ -84,12 +84,7 @@ def cubic_attack_protocol(
     (Lemma 4.4) relies on.
     """
     n = len(topology)
-    if placement.n != n:
-        raise ConfigurationError("placement ring size mismatch")
-    if not 1 <= target <= n:
-        raise ConfigurationError(f"target {target} out of range 1..{n}")
-    if not placement.origin_honest:
-        raise ConfigurationError("attack requires the origin to be honest")
+    placement.check_attack(n, target)
     distances = placement.distances()
     k = placement.k
     if distances[-1] > k - 1:
@@ -99,15 +94,7 @@ def cubic_attack_protocol(
             raise ConfigurationError(
                 f"cubic attack needs l_i <= l_(i+1) + k - 1, violated at i={i}"
             )
-    protocol: Dict[Hashable, Strategy] = {}
-    coalition = set(placement.positions)
-    for pid in topology.nodes:
-        if pid in coalition:
-            continue
-        if pid == 1:
-            protocol[pid] = ALeadOriginStrategy(n)
-        else:
-            protocol[pid] = ALeadNormalStrategy(n)
-    for i, pid in enumerate(placement.positions):
-        protocol[pid] = CubicAdversary(n, k, distances[i], target)
+    protocol = alead_uni_protocol(topology)
+    for pid, l in zip(placement.positions, distances):
+        protocol[pid] = CubicAdversary(n, k, l, target)
     return protocol

@@ -18,7 +18,7 @@ Preconditions checked: origin honest, every ``l_j`` in ``[1, k-1]``.
 from typing import Any, Dict, Hashable, List
 
 from repro.attacks.placement import RingPlacement
-from repro.protocols.alead_uni import ALeadNormalStrategy, ALeadOriginStrategy
+from repro.protocols.alead_uni import alead_uni_protocol
 from repro.protocols.outcome import id_to_residue
 from repro.sim.strategy import Context, Strategy
 from repro.sim.topology import Topology
@@ -88,10 +88,9 @@ def equal_spacing_attack_protocol(
     that merely *fail the attack* rather than crash it (see
     :func:`equal_spacing_attack_protocol_unchecked`).
     """
-    _check_basics(topology, placement, target)
-    distances = placement.distances()
+    placement.check_attack(len(topology), target)
     k = placement.k
-    bad = [l for l in distances if not 1 <= l <= k - 1]
+    bad = [l for l in placement.distances() if not 1 <= l <= k - 1]
     if bad:
         raise ConfigurationError(
             f"Lemma 4.1 needs 1 <= l_j <= k-1 for all segments, got {bad}"
@@ -110,37 +109,15 @@ def equal_spacing_attack_protocol_unchecked(
     make ``k - l_j - 1`` negative; the adversary then simply sends the
     replay without padding, sending fewer than ``n`` messages.
     """
-    _check_basics(topology, placement, target)
+    placement.check_attack(len(topology), target)
     return _build(topology, placement, target)
-
-
-def _check_basics(
-    topology: Topology, placement: RingPlacement, target: int
-) -> None:
-    n = len(topology)
-    if placement.n != n:
-        raise ConfigurationError("placement ring size mismatch")
-    if not 1 <= target <= n:
-        raise ConfigurationError(f"target {target} out of range 1..{n}")
-    if not placement.origin_honest:
-        raise ConfigurationError("attack requires the origin to be honest")
 
 
 def _build(
     topology: Topology, placement: RingPlacement, target: int
 ) -> Dict[Hashable, Strategy]:
     n = len(topology)
-    k = placement.k
-    distances = placement.distances()
-    protocol: Dict[Hashable, Strategy] = {}
-    coalition = set(placement.positions)
-    for pid in topology.nodes:
-        if pid in coalition:
-            continue
-        if pid == 1:
-            protocol[pid] = ALeadOriginStrategy(n)
-        else:
-            protocol[pid] = ALeadNormalStrategy(n)
-    for j, pid in enumerate(placement.positions):
-        protocol[pid] = RushingAdversary(n, k, distances[j], target)
+    protocol = alead_uni_protocol(topology)
+    for pid, l in zip(placement.positions, placement.distances()):
+        protocol[pid] = RushingAdversary(n, placement.k, l, target)
     return protocol

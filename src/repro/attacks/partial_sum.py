@@ -34,8 +34,7 @@ from repro.protocols.phase_async import (
     DATA,
     VALIDATION,
     PhaseAsyncParams,
-    PhaseNormalStrategy,
-    PhaseOriginStrategy,
+    phase_async_protocol,
 )
 from repro.sim.strategy import Context, Strategy
 from repro.sim.topology import Topology
@@ -199,15 +198,7 @@ def partial_sum_attack_protocol(
         )
     placement = RingPlacement.from_distances(n, [seg] * k)
     positions = list(placement.positions)
-    protocol: Dict[Hashable, Strategy] = {}
-    coalition = set(positions)
-    for pid in topology.nodes:
-        if pid in coalition:
-            continue
-        if pid == 1:
-            protocol[pid] = PhaseOriginStrategy(pid, params)
-        else:
-            protocol[pid] = PhaseNormalStrategy(pid, params)
+    protocol = phase_async_protocol(topology, params)
     for i, pid in enumerate(positions, start=1):
         protocol[pid] = PartialSumAdversary(params, i, positions, target)
     return protocol

@@ -35,8 +35,7 @@ from repro.protocols.phase_async import (
     DATA,
     VALIDATION,
     PhaseAsyncParams,
-    PhaseNormalStrategy,
-    PhaseOriginStrategy,
+    phase_async_protocol,
 )
 from repro.sim.strategy import Context, Strategy
 from repro.sim.topology import Topology
@@ -184,17 +183,7 @@ def phase_rushing_attack_protocol(
             f"attack needs ell >= k so f's validation inputs are known "
             f"before commitment (ell={params.ell}, k={k})"
         )
-    protocol: Dict[Hashable, Strategy] = {}
-    coalition = set(placement.positions)
-    for pid in topology.nodes:
-        if pid in coalition:
-            continue
-        if pid == 1:
-            protocol[pid] = PhaseOriginStrategy(pid, params)
-        else:
-            protocol[pid] = PhaseNormalStrategy(pid, params)
-    for j, pid in enumerate(placement.positions):
-        protocol[pid] = PhaseRushingAdversary(
-            params, pid, distances[j], k, target
-        )
+    protocol = phase_async_protocol(topology, params)
+    for pid, l in zip(placement.positions, distances):
+        protocol[pid] = PhaseRushingAdversary(params, pid, l, k, target)
     return protocol

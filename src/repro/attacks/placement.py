@@ -80,6 +80,18 @@ class RingPlacement:
         """True if processor 1 (the origin) is outside the coalition."""
         return 1 not in set(self.positions)
 
+    def check_attack(self, n: int, target: int) -> None:
+        """Refuse to launch an A-LEADuni attack on a ring of ``n`` at
+        ``target`` unless the placement fits the ring, the target is a
+        processor id and the origin stays honest (every attack proof's
+        assumption)."""
+        if self.n != n:
+            raise ConfigurationError("placement ring size mismatch")
+        if not 1 <= target <= n:
+            raise ConfigurationError(f"target {target} out of range 1..{n}")
+        if not self.origin_honest:
+            raise ConfigurationError("attack requires the origin to be honest")
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

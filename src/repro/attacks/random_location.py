@@ -22,7 +22,7 @@ import math
 from typing import Any, Dict, Hashable, List, Optional
 
 from repro.attacks.placement import RingPlacement
-from repro.protocols.alead_uni import ALeadNormalStrategy, ALeadOriginStrategy
+from repro.protocols.alead_uni import alead_uni_protocol
 from repro.protocols.outcome import id_to_residue
 from repro.sim.strategy import Context, Strategy
 from repro.sim.topology import Topology
@@ -104,19 +104,8 @@ def random_location_attack_protocol(
     matter of probability, which is exactly what the experiment measures.
     """
     n = len(topology)
-    if placement.n != n:
-        raise ConfigurationError("placement ring size mismatch")
-    if not 1 <= target <= n:
-        raise ConfigurationError(f"target {target} out of range 1..{n}")
-    if not placement.origin_honest:
-        raise ConfigurationError("attack requires the origin to be honest")
-    coalition = set(placement.positions)
-    protocol: Dict[Hashable, Strategy] = {}
-    for pid in topology.nodes:
-        if pid in coalition:
-            protocol[pid] = RandomLocationAdversary(n, target, window)
-        elif pid == 1:
-            protocol[pid] = ALeadOriginStrategy(n)
-        else:
-            protocol[pid] = ALeadNormalStrategy(n)
+    placement.check_attack(n, target)
+    protocol = alead_uni_protocol(topology)
+    for pid in placement.positions:
+        protocol[pid] = RandomLocationAdversary(n, target, window)
     return protocol

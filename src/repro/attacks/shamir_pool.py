@@ -19,6 +19,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 from repro.protocols.async_complete import (
     SHARE,
     AsyncCompleteLeadStrategy,
+    async_complete_protocol,
     default_threshold,
 )
 from repro.protocols.outcome import id_to_residue
@@ -174,12 +175,8 @@ def shamir_pooling_attack_protocol(
         raise ConfigurationError("coalition ids out of range")
     if not 1 <= target <= n:
         raise ConfigurationError(f"target {target} out of range 1..{n}")
+    protocol = async_complete_protocol(topology, threshold)
     scheme = ShamirScheme(n, threshold, modulus=n)
-    protocol: Dict[Hashable, Strategy] = {}
-    coalition_set = set(coalition)
-    for pid in topology.nodes:
-        if pid in coalition_set:
-            protocol[pid] = PoolingAdversary(pid, n, scheme, coalition, target)
-        else:
-            protocol[pid] = AsyncCompleteLeadStrategy(pid, n, scheme)
+    for pid in coalition:
+        protocol[pid] = PoolingAdversary(pid, n, scheme, coalition, target)
     return protocol

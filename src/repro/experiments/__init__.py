@@ -72,8 +72,6 @@ from repro.experiments.campaign import (
     PointState,
     expand_manifest,
     load_manifest,
-    retry_identity,
-    row_retry_identity,
     run_campaign,
     schedule_names,
     scheduled_cost,
@@ -129,7 +127,9 @@ from repro.experiments.sweep import (
     coerce_param,
     expand_grid,
     resume_key,
+    retry_identity,
     row_resume_key,
+    row_retry_identity,
 )
 
 # Importing the catalog registers the builtin scenarios as a side effect;

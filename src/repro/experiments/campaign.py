@@ -147,41 +147,6 @@ class CampaignPoint:
         )
 
 
-def retry_identity(
-    scenario: str,
-    params: Params,
-    base_seed: int,
-    max_steps: Optional[int],
-    budget: Any,
-) -> str:
-    """What identifies a timed-out row with the point that retries it.
-
-    The canonical :func:`~repro.experiments.sweep.resume_key` with
-    ``trials=None`` — the full resume identity *minus* trials (a
-    timed-out row's trial count is a scheduling artifact, which is
-    exactly why it has no real resume key). Delegating keeps marker
-    matching in lockstep with whatever the identity rules are; the
-    SQLite store's marker supersession keys off this one function.
-    """
-    return resume_key(scenario, params, None, base_seed, max_steps, budget)
-
-
-def row_retry_identity(row: Mapping[str, Any]) -> str:
-    """:func:`retry_identity` of a previously written row (timed-out
-    marker or completed), raising the same way :func:`row_resume_key`
-    does on rows whose identity fields are missing or broken."""
-    # Subscript access first: foreign shapes (lists, strings) raise the
-    # TypeError/KeyError the row parser already catches, before any
-    # .get could raise something it doesn't.
-    return retry_identity(
-        row["scenario"],
-        row["params"],
-        row["base_seed"],
-        row.get("max_steps"),
-        row.get("budget"),
-    )
-
-
 def load_manifest(source: Union[str, Mapping, Sequence]) -> List[CampaignPoint]:
     """Load and expand a campaign manifest into concrete points.
 
@@ -919,7 +884,7 @@ def _dispatcher(
 
     Without a parallel pool the head of the queue runs inline, one
     chunk at a time. A parallel pool trickles chunks into
-    :meth:`WorkerPool.submit` at most a window at a time and takes
+    :meth:`WorkerPool.submit` at most two per worker at a time and takes
     results off its callback thread; the surplus stays in the driver's
     queue, where an abandoned point's chunks can still be dropped. A
     worker's exception surfaces as a :class:`ConfigurationError` naming
@@ -928,12 +893,9 @@ def _dispatcher(
     if pool is None or not pool.parallel:
         return lambda: _campaign_chunk(driver.queue.popleft())
     results: "queue.Queue" = queue.Queue()
-    # In-flight cap: the pool's oversubscription window when workers
-    # exceed cores; otherwise 2x the worker count, so every worker has a
-    # spare chunk queued and never waits a master round-trip.
-    window = pool.dispatch_window
-    if window >= pool.workers:
-        window = 2 * pool.workers
+    # In-flight cap: 2x the worker count, so every worker has a spare
+    # chunk queued and never waits a master round-trip.
+    window = 2 * pool.workers
     inflight = 0
 
     def step() -> Tuple[int, Any]:

@@ -84,6 +84,9 @@ DEFAULT_LEASE_TRIALS = 1024
 #: Seconds before an unreported lease is presumed lost with its node.
 DEFAULT_LEASE_TTL = 30.0
 
+#: Points the coordinator's driver keeps in flight at once.
+MAX_ACTIVE_POINTS = 4
+
 #: A node is reported healthy while its last lease call is within this
 #: many TTLs — one in-flight lease plus scheduling slack.
 _HEALTH_TTLS = 3.0
@@ -148,13 +151,11 @@ class CampaignCoordinator:
         schedule: ScheduleRef = None,
         lease_trials: int = DEFAULT_LEASE_TRIALS,
         lease_ttl: float = DEFAULT_LEASE_TTL,
-        max_active: int = 4,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.lease_trials = _checked_int(lease_trials, "lease_trials", 1)
         check_seconds("lease_ttl", lease_ttl)
         self.lease_ttl = float(lease_ttl)
-        self.max_active = _checked_int(max_active, "max_active", 1)
         # The same resolution as run_campaign — a precondition of
         # byte-identical rows.
         specs, todo = pending_points(points, completed, schedule)
@@ -163,7 +164,7 @@ class CampaignCoordinator:
 
         self._lock = threading.Lock()
         # Its queue holds the leasable (point_id, start, end) ranges.
-        self._driver = PointDriver(todo, specs, self._cut_locked, self.max_active)
+        self._driver = PointDriver(todo, specs, self._cut_locked, MAX_ACTIVE_POINTS)
         self._ranges: Dict[Tuple[int, int, int], str] = {}
         self._leases: Dict[str, dict] = {}
         self._nodes: Dict[str, _Node] = {}

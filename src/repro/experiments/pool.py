@@ -22,6 +22,10 @@ Two dispatch surfaces:
   processes, no pickling), which is also the only mode that supports
   payloads built from unpicklable closures.
 
+Neither surface throttles below the process count: ``--workers auto``
+never sizes a pool beyond the machine's cores, so a pool that does
+oversubscribe was asked to by an explicit count.
+
 Worker processes import :mod:`repro.experiments` once at start-up (so
 builtin scenarios resolve by name) and then ``gc.freeze()`` the imported
 world: the catalog and module objects live for the worker's whole life,
@@ -34,7 +38,6 @@ import multiprocessing
 import os
 import threading
 import weakref
-from collections import deque
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Union
 
 from repro.util.errors import ConfigurationError
@@ -85,11 +88,6 @@ def _init_worker() -> None:
 def _terminate(pool: "multiprocessing.pool.Pool") -> None:
     """GC-time backstop for a pool the owner forgot to close."""
     pool.terminate()
-
-
-#: Iterator-exhaustion sentinel for the windowed refill loop — a unique
-#: object so ``None`` stays a legal payload value.
-_NO_MORE_PAYLOADS = object()
 
 
 class WorkerPool:
@@ -250,29 +248,15 @@ class WorkerPool:
 
     # -- dispatch ------------------------------------------------------
 
-    @property
-    def dispatch_window(self) -> int:
-        """Max chunks kept in flight at once: ``min(workers, cpus)``.
-
-        A pool sized beyond the machine's cores (``workers=4`` on a
-        1-core box) gains nothing from having every worker runnable at
-        once — CPU-bound chunks just time-slice against each other and
-        pay cache/TLB churn (~2% on the E1 loop). Capping in-flight
-        chunks at the core count pipelines the surplus workers instead
-        of oversubscribing them; on machines with ``cpus >= workers``
-        the window equals the pool size and dispatch is unthrottled.
-        """
-        return max(1, min(self.workers, os.cpu_count() or self.workers))
-
     def imap_unordered(
         self, fn: Callable[[Any], Any], payloads: Iterable[Any]
     ) -> Iterator[Any]:
         """Apply ``fn`` to every payload, yielding results as they land.
 
         In-process (lazy, ordered) when ``workers == 1``; otherwise the
-        shared pool, throttled to :attr:`dispatch_window` in-flight
-        chunks. Callers must treat arrival order as arbitrary either
-        way.
+        shared pool, whose own task queue caps concurrency at the
+        process count. Callers must treat arrival order as arbitrary
+        either way.
         """
         if not self.parallel:
             for payload in payloads:
@@ -287,44 +271,14 @@ class WorkerPool:
             return
         pool = self._ensure_pool()
         payloads = list(payloads)
-        window = self.dispatch_window
-        if window >= self.workers or window >= len(payloads):
-            # Not oversubscribed (or nothing to throttle): the pool's own
-            # task queue already caps concurrency at the process count,
-            # and pre-loading it lets finished workers grab the next
-            # chunk with no master round-trip.
-            self._count(dispatched=len(payloads))
-            try:
-                for result in pool.imap_unordered(fn, payloads):
-                    self._count(completed=1)
-                    yield result
-            except BaseException:
-                self._count(failed=1)
-                raise
-            return
-        # Bounded-window dispatch for oversubscribed pools (more workers
-        # than cores): at most ``window`` chunks are enqueued at a time,
-        # so at most that many workers are ever runnable together. The
-        # oldest-first wait is fine — chunks are deliberately homogeneous.
-        pending: "deque" = deque()
-        queued = iter(payloads)
-        for payload in queued:
-            pending.append(pool.apply_async(fn, (payload,)))
-            self._count(dispatched=1)
-            if len(pending) >= window:
-                break
-        while pending:
-            try:
-                result = pending.popleft().get()
-            except BaseException:
-                self._count(failed=1)
-                raise
-            self._count(completed=1)
-            nxt = next(queued, _NO_MORE_PAYLOADS)
-            if nxt is not _NO_MORE_PAYLOADS:
-                pending.append(pool.apply_async(fn, (nxt,)))
-                self._count(dispatched=1)
-            yield result
+        self._count(dispatched=len(payloads))
+        try:
+            for result in pool.imap_unordered(fn, payloads):
+                self._count(completed=1)
+                yield result
+        except BaseException:
+            self._count(failed=1)
+            raise
 
     def submit(
         self,

@@ -19,7 +19,7 @@ contract the JSONL files established:
   ``"timed_out": true`` have no resume key (column NULL — SQLite's
   UNIQUE index admits any number of NULLs), so they can never satisfy a
   resume lookup; they are stored under their
-  :func:`~repro.experiments.campaign.retry_identity` instead, and the
+  :func:`~repro.experiments.sweep.retry_identity` instead, and the
   marker lifecycle is two indexed statements: a fresh completed row
   deletes its stale markers, and a marker arriving after its point
   already completed is dropped as superseded. A marker whose retry
@@ -64,11 +64,15 @@ from typing import (
     Tuple,
 )
 
-from repro.experiments.campaign import retry_identity, row_retry_identity
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.runner import cost_key
 from repro.experiments.scenario import get_scenario
-from repro.experiments.sweep import canonical_params, row_resume_key
+from repro.experiments.sweep import (
+    canonical_params,
+    retry_identity,
+    row_resume_key,
+    row_retry_identity,
+)
 from repro.util.errors import ConfigurationError
 
 #: File extensions routed to the SQLite backend by ``--out``/``--db``.
@@ -171,7 +175,7 @@ class PreparedRow(NamedTuple):
 
     #: Resume key; ``None`` for a timed-out marker.
     key: Optional[str]
-    #: :func:`~repro.experiments.campaign.retry_identity` of the point.
+    #: :func:`~repro.experiments.sweep.retry_identity` of the point.
     retry: str
     #: Column values in ``_COLUMNS`` order.
     values: tuple

@@ -19,7 +19,8 @@ no budget field at all. So fixed rows, adaptive rows, and adaptive rows
 under *different* policies can never satisfy each other's resume
 lookups, and pre-budget output files keep resuming byte-for-byte (the
 original ``wilson-width`` policy writes the pre-registry key format
-unchanged).
+unchanged). A timed-out row has no resume key; :func:`retry_identity`
+(the key without trials) pairs it with the point that retries it.
 """
 
 import itertools
@@ -185,4 +186,39 @@ def row_resume_key(row: Mapping[str, Any]) -> str:
         row["base_seed"],
         row["max_steps"] if "max_steps" in row else None,
         budget,
+    )
+
+
+def retry_identity(
+    scenario: str,
+    params: Mapping[str, Any],
+    base_seed: int,
+    max_steps: Optional[int],
+    budget: BudgetRef,
+) -> str:
+    """What identifies a timed-out row with the point that retries it.
+
+    The canonical :func:`resume_key` with ``trials=None`` — the full
+    resume identity *minus* trials (a timed-out row's trial count is a
+    scheduling artifact, which is exactly why it has no real resume
+    key). Delegating keeps marker matching in lockstep with whatever the
+    identity rules are; the SQLite store's marker supersession keys off
+    this one function.
+    """
+    return resume_key(scenario, params, None, base_seed, max_steps, budget)
+
+
+def row_retry_identity(row: Mapping[str, Any]) -> str:
+    """:func:`retry_identity` of a previously written row (timed-out
+    marker or completed), raising the same way :func:`row_resume_key`
+    does on rows whose identity fields are missing or broken."""
+    # Subscript access first: foreign shapes (lists, strings) raise the
+    # TypeError/KeyError the row parser already catches, before any
+    # .get could raise something it doesn't.
+    return retry_identity(
+        row["scenario"],
+        row["params"],
+        row["base_seed"],
+        row.get("max_steps"),
+        row.get("budget"),
     )

@@ -104,13 +104,6 @@ class PhaseAsyncParams:
         return self.n - self.ell
 
 
-def _require(tag_ok: bool, ctx: Context, reason: str) -> bool:
-    """Abort via ``ctx`` unless ``tag_ok``; returns whether to continue."""
-    if not tag_ok:
-        ctx.abort(reason)
-    return tag_ok
-
-
 class _PhaseBase(Strategy):
     """State shared by origin and normal PhaseAsyncLead processors."""
 

@@ -14,7 +14,7 @@ from typing import Any, Dict, Hashable, List, Tuple
 from repro.protocols.outcome import id_to_residue
 from repro.sim.topology import Topology
 from repro.sync.engine import SyncContext, SyncStrategy
-from repro.sync.protocols import SyncBroadcastLeadStrategy
+from repro.sync.protocols import sync_broadcast_protocol
 from repro.util.errors import ConfigurationError
 from repro.util.modmath import canonical_mod
 
@@ -68,10 +68,6 @@ def sync_rushing_attempt_protocol(
     n = len(topology)
     if cheater not in set(topology.nodes):
         raise ConfigurationError(f"cheater {cheater} not in the network")
-    protocol: Dict[Hashable, SyncStrategy] = {
-        pid: SyncBroadcastLeadStrategy(pid, n)
-        for pid in topology.nodes
-        if pid != cheater
-    }
+    protocol = sync_broadcast_protocol(topology)
     protocol[cheater] = SyncLastRoundCheater(cheater, n, target)
     return protocol

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
 
 from repro.attacks.placement import RingPlacement
-from repro.protocols.alead_uni import ALeadNormalStrategy, ALeadOriginStrategy
+from repro.protocols.alead_uni import alead_uni_protocol
 from repro.sim.execution import FAIL
 from repro.sim.strategy import Context, Strategy
 from repro.sim.topology import Topology
@@ -103,14 +103,7 @@ def random_deviation_protocol(
     n = len(topology)
     if len(behaviors) != placement.k:
         raise ConfigurationError("one behaviour per coalition member required")
-    protocol: Dict[Hashable, Strategy] = {}
-    coalition = set(placement.positions)
-    for pid in topology.nodes:
-        if pid in coalition:
-            continue
-        protocol[pid] = (
-            ALeadOriginStrategy(n) if pid == 1 else ALeadNormalStrategy(n)
-        )
+    protocol = alead_uni_protocol(topology)
     for behavior, pid in zip(behaviors, placement.positions):
         protocol[pid] = RandomDeviationStrategy(n, behavior)
     return protocol

@@ -6,13 +6,11 @@ An undirected graph ``G`` is a *k-simulated tree* when there is a tree
 Equivalently: a partition of ``G`` into connected parts of size ≤ k whose
 quotient graph is a tree.
 
-Graphs here are plain undirected edge sets over hashable nodes; helpers
-accept :class:`~repro.sim.topology.Topology` too (direction erased).
+Graphs here are plain undirected edge sets over hashable nodes.
 """
 
 from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
-from repro.sim.topology import Topology
 from repro.util.errors import ConfigurationError
 
 Edge = Tuple[Hashable, Hashable]
@@ -28,13 +26,6 @@ def _normalize(nodes: Iterable[Hashable], edges: Iterable[Edge]):
         if u != v:
             edge_set.add(frozenset((u, v)))
     return node_list, edge_set
-
-
-def undirected_view(topology: Topology):
-    """Node list + undirected edge set of a :class:`Topology`."""
-    return _normalize(
-        topology.nodes, [(u, v) for u, v in topology.edges]
-    )
 
 
 def _adjacency(nodes, edge_set) -> Dict[Hashable, List[Hashable]]:

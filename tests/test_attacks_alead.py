@@ -251,3 +251,43 @@ class TestRandomLocationAttack:
 
     def test_recommended_probability_monotone(self):
         assert recommended_probability(10_000) < recommended_probability(100)
+
+
+A_LEAD_ATTACKS = [
+    equal_spacing_attack_protocol,
+    equal_spacing_attack_protocol_unchecked,
+    cubic_attack_protocol,
+    random_location_attack_protocol,
+]
+
+
+@pytest.mark.parametrize("build", A_LEAD_ATTACKS, ids=lambda b: b.__name__)
+class TestPlacementRefusals:
+    """Every A-LEADuni attack refuses a misfit placement or target with
+    :meth:`RingPlacement.check_attack`'s exact messages."""
+
+    N = 16
+
+    def refusal(self, build, placement, target):
+        with pytest.raises(ConfigurationError) as info:
+            build(unidirectional_ring(self.N), placement, target)
+        return str(info.value)
+
+    def test_ring_size_mismatch(self, build):
+        placement = RingPlacement.equal_spacing(self.N + 4, 4)
+        assert self.refusal(build, placement, 1) == (
+            "placement ring size mismatch"
+        )
+
+    @pytest.mark.parametrize("target", [0, N + 1])
+    def test_target_out_of_range(self, build, target):
+        placement = RingPlacement.equal_spacing(self.N, 4)
+        assert self.refusal(build, placement, target) == (
+            f"target {target} out of range 1..{self.N}"
+        )
+
+    def test_adversarial_origin(self, build):
+        placement = RingPlacement(self.N, (1, 5, 9, 13))
+        assert self.refusal(build, placement, 1) == (
+            "attack requires the origin to be honest"
+        )

@@ -77,15 +77,9 @@ class TestWorkerPool:
         with pytest.raises(ConfigurationError):
             list(pool.imap_unordered(str, [(1,)]))
 
-    def test_dispatch_window_is_bounded_by_pool_size(self):
-        assert 1 <= WorkerPool(4).dispatch_window <= 4
-        assert WorkerPool(1).dispatch_window == 1
-
     def test_none_payloads_survive_windowed_dispatch(self):
         """None is a legal payload value, not an end-of-queue marker —
-        every payload must come back exactly once (the window path is
-        exercised whenever the machine has fewer cores than workers;
-        the pre-loaded path trivially holds)."""
+        every payload must come back exactly once."""
         with WorkerPool(2) as pool:
             results = list(pool.imap_unordered(str, [1, None, 2, None, 3, 4]))
         assert sorted(results) == ["1", "2", "3", "4", "None", "None"]
