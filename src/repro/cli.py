@@ -30,7 +30,6 @@ from repro.experiments import (
     AdaptiveChunker,
     CampaignDeadline,
     FailRateTargetPolicy,
-    PointScheduler,
     RelativePrecisionPolicy,
     ResultStore,
     WilsonWidthPolicy,
@@ -46,11 +45,10 @@ from repro.experiments import (
     run_campaign,
     run_scenario,
     scenario_names,
-    schedule_names,
     sweep_scenario,
 )
 from repro.experiments.campaign import check_seconds
-from repro.experiments.runner import _execute_trial
+from repro.experiments.runner import _execute_trial, cost_key
 from repro.trees import impossibility_certificate
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngRegistry
@@ -345,7 +343,7 @@ def _emit_rows(results, args, rows, what: str) -> _EmitOutcome:
 
     Completed results also record their wall-clock in the store's
     timings (:meth:`ResultStore.record_timing`), which later runs read
-    back for ``--schedule longest-first`` and adaptive chunk sizing.
+    back for adaptive chunk sizing and ``--dry-run`` estimates.
     """
     store = None
     if args.out:
@@ -475,35 +473,37 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _campaign_dry_run(args, points, scheduler, completed) -> int:
+def _campaign_dry_run(args, points, model, completed) -> int:
     """``campaign --dry-run``: the plan, not the trials.
 
-    One stdout line per point in *admission* order — status
+    One stdout line per point in manifest (admission) order — status
     (``done`` = its resume key already has a row in ``--out``,
-    ``pending`` = it would run), scheduled cost, estimated seconds when
-    the store's cost model can price the point, and the point's full
-    identity — then a stderr summary matching the real run's footer,
-    with an estimated total and ideal makespan when costs are observed.
+    ``pending`` = it would run), the point's full identity, and its
+    estimated seconds when the store's cost ``model`` has seen the path
+    it runs on (an adaptive point is priced at its ``max_trials``) —
+    then a stderr summary matching the real run's footer, with an
+    estimated total and ideal makespan when costs are observed.
     Nothing is executed, and no store is created, imported into or
     written.
     """
     done = 0
     pending_seconds = total_seconds = 0.0
     estimates = 0
-    for point, cost in scheduler.plan(points):
+    for point in points:
         status = "done" if point.key() in completed else "pending"
         done += status == "done"
         if point.budget is None:
-            budget = f"trials={point.trials}"
+            trials = point.trials
+            budget = f"trials={trials}"
         else:
-            budget = (
-                f"budget={point.budget.policy}"
-                f"[max_trials={point.budget.max_trials}]"
-            )
+            trials = point.budget.max_trials
+            budget = f"budget={point.budget.policy}[max_trials={trials}]"
         params = json.dumps(
             {k: point.params[k] for k in sorted(point.params)}, sort_keys=True
         )
-        seconds = scheduler.estimate_seconds(point, cost_units=cost)
+        seconds = model.estimate_seconds(
+            cost_key(get_scenario(point.scenario), point.max_steps), trials
+        )
         est = ""
         if seconds is not None:
             estimates += 1
@@ -512,8 +512,8 @@ def _campaign_dry_run(args, points, scheduler, completed) -> int:
                 pending_seconds += seconds
             est = f" est={seconds:.2f}s"
         print(
-            f"{status:<8} cost={cost:<10} "
-            f"{point.scenario} {params} {budget} seed={point.base_seed}{est}"
+            f"{status:<8} {point.scenario} {params} {budget} "
+            f"seed={point.base_seed}{est}"
         )
     # 'done' statuses describe what --resume would skip; without it the
     # real run recomputes everything, so say so instead of printing a
@@ -524,8 +524,7 @@ def _campaign_dry_run(args, points, scheduler, completed) -> int:
         else ""
     )
     print(
-        f"  [campaign dry run: {len(points)} points, "
-        f"schedule={scheduler.name}; {done} already in "
+        f"  [campaign dry run: {len(points)} points; {done} already in "
         f"{args.out or '<no --out>'}{hint}, {len(points) - done} to run]",
         file=sys.stderr,
     )
@@ -588,12 +587,9 @@ def _campaign_metrics(pool, cost_model, total_points):
 
 
 def _cmd_campaign(args) -> int:
-    # Validation order mirrors blame order: the schedule name first
-    # (listing the known schedulers — argparse choices already catch the
-    # CLI spelling, this guards programmatic calls too), then manifest
-    # expansion — unknown scenarios/tags/grid keys/budgets all fail
-    # before any trial runs and before a previous --out file is touched.
-    scheduler = PointScheduler(args.schedule)
+    # Manifest expansion first: unknown scenarios/tags/grid keys/budgets
+    # all fail before any trial runs and before a previous --out file is
+    # touched.
     points = load_manifest(args.manifest)
     for flag, value in (
         ("--point-timeout", args.point_timeout),
@@ -608,28 +604,25 @@ def _cmd_campaign(args) -> int:
         # point is pending, never a crash.
         if args.resume and not args.out:
             raise SystemExit("--resume requires --out (the file to resume into)")
-        completed = set()
+        completed, model = set(), AdaptiveChunker()
         if args.out:
-            completed, scheduler.cost_model = _read_out_store(args, strict=False)
+            completed, model = _read_out_store(args, strict=False)
             if not is_store_path(args.out):
                 completed |= _completed(
                     parse_out_lines(_read_rows_file(args.out, strict=False))
                 )
-        return _campaign_dry_run(args, points, scheduler, completed)
+        return _campaign_dry_run(args, points, model, completed)
     rows, completed, model = _load_resume_state(args)
-    # One model feeds both consumers: longest-first ordering, and the
-    # adaptive chunker's starting per-trial costs.
-    scheduler.cost_model = model
     if args.coordinate:
         if args.metrics_port is not None:
             raise SystemExit(
                 "--metrics-port is redundant with --coordinate: the "
                 "coordinator already serves /metrics on --listen"
             )
-        outcome = _coordinate_campaign(args, points, scheduler, completed, rows)
+        outcome = _coordinate_campaign(args, points, completed, rows)
         where = " across worker nodes"
     else:
-        outcome = _local_campaign(args, points, scheduler, completed, rows)
+        outcome = _local_campaign(args, points, model, completed, rows)
         where = ""
     # Count skips from the completed set, not len(points) - ran: under a
     # deadline, points that never started are pending, not "already in".
@@ -658,29 +651,27 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _local_campaign(args, points, scheduler, completed, rows) -> _EmitOutcome:
+def _local_campaign(args, points, model, completed, rows) -> _EmitOutcome:
     """The local arm of ``campaign``: run every point on this host's
-    worker pool. The CLI owns the pool (``run_campaign`` never closes an
-    injected one), so ``--metrics-port`` can scrape its live chunk
-    counters while trials run."""
+    worker pool, its chunks sized from the replayed cost ``model``. The
+    CLI owns the pool (``run_campaign`` never closes an injected one), so
+    ``--metrics-port`` can scrape its live chunk counters while trials
+    run."""
     with WorkerPool(resolve_workers(args.workers)) as pool:
         results = run_campaign(
             points,
             pool=pool,
             completed=completed,
-            schedule=scheduler,
             point_timeout=args.point_timeout,
             max_wall_clock=args.max_wall_clock,
             chunk_size=args.chunk_size,
-            chunker=None if args.chunk_size is not None else scheduler.cost_model,
+            chunker=None if args.chunk_size is not None else model,
         )
         if args.metrics_port is None:
             return _emit_rows(results, args, rows, "campaign")
         from repro.httpd import serve_metrics
 
-        registry, observe = _campaign_metrics(
-            pool, scheduler.cost_model, len(points)
-        )
+        registry, observe = _campaign_metrics(pool, model, len(points))
         try:
             server, thread = serve_metrics(registry, port=args.metrics_port)
         except OSError as exc:
@@ -712,7 +703,7 @@ def _parse_listen(text: str):
         raise SystemExit(f"bad port in {text!r}") from None
 
 
-def _coordinate_campaign(args, points, scheduler, completed, rows) -> _EmitOutcome:
+def _coordinate_campaign(args, points, completed, rows) -> _EmitOutcome:
     """The ``--coordinate`` arm of ``campaign``: serve leases to runner
     nodes instead of running trials locally, writing the identical row
     stream to the identical ``--out`` targets."""
@@ -744,7 +735,6 @@ def _coordinate_campaign(args, points, scheduler, completed, rows) -> _EmitOutco
         coordinator = CampaignCoordinator(
             points,
             completed=completed,
-            schedule=scheduler,
             lease_trials=(
                 args.lease_trials
                 if args.lease_trials is not None
@@ -1090,15 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file of (scenario|tag, grid, trials, base_seed) entries",
     )
     p.add_argument(
-        "--schedule",
-        default="manifest-order",
-        choices=schedule_names(),
-        help="admission order of the expanded points (longest-first "
-             "shaves stragglers on wide grids, using observed per-trial "
-             "seconds from the --out store when available; "
-             "rows are identical either way)",
-    )
-    p.add_argument(
         "--point-timeout", type=float, default=None, metavar="SECONDS",
         help="abandon any grid point that exceeds this wall-clock budget "
              "(at its next chunk boundary): it is recorded as a "
@@ -1114,9 +1095,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dry-run",
         action="store_true",
-        help="print the expanded point list with scheduled costs, "
-             "observed-cost estimates, and resume status instead of "
-             "running anything",
+        help="print the expanded point list in manifest order with "
+             "resume status and observed-cost estimates from the --out "
+             "store instead of running anything",
     )
     p.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",

@@ -31,10 +31,9 @@ Five layers, each usable on its own:
 - **Campaigns** (:mod:`~repro.experiments.campaign`): a JSON manifest of
   ``(scenario | tag, grid, trials, base_seed)`` entries run against one
   resume store with grid-level parallelism — chunks from many grid
-  points interleave in the shared pool, admitted in the order a
-  :class:`PointScheduler` dictates (``longest-first`` shaves stragglers;
-  the row set is schedule-invariant); surfaced as ``python -m repro
-  campaign`` with ``--schedule`` and a ``--dry-run`` plan listing.
+  points interleave in the shared pool, admitted in manifest order;
+  surfaced as ``python -m repro campaign`` with a ``--dry-run`` plan
+  listing.
 - **Results store** (:mod:`~repro.experiments.store`): the same rows in
   SQLite (WAL) instead of JSONL — resume keys unique-indexed, timed-out
   markers superseded transactionally, queries indexed by (scenario,
@@ -68,13 +67,10 @@ from repro.experiments.budget import (
 from repro.experiments.campaign import (
     CampaignDeadline,
     CampaignPoint,
-    PointScheduler,
     PointState,
     expand_manifest,
     load_manifest,
     run_campaign,
-    schedule_names,
-    scheduled_cost,
     run_scenario,
     slice_ranges,
     sweep_scenario,
@@ -150,7 +146,6 @@ __all__ = [
     "TARGET_CHUNK_SECONDS",
     "FailRateTargetPolicy",
     "OutcomeRateTargetPolicy",
-    "PointScheduler",
     "PointState",
     "RelativePrecisionPolicy",
     "WilsonWidthPolicy",
@@ -167,8 +162,6 @@ __all__ = [
     "row_retry_identity",
     "run_campaign",
     "run_node",
-    "schedule_names",
-    "scheduled_cost",
     "serve_coordinator",
     "slice_ranges",
     "timing_record",

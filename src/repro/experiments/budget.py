@@ -263,19 +263,6 @@ class BudgetPolicy:
         than guess. Concrete policies implement this."""
         raise NotImplementedError
 
-    # -- planning ------------------------------------------------------
-
-    def planning_trials(self) -> int:
-        """Trials a scheduler should budget for this policy: the ceiling.
-
-        The realized count is an *outcome* of the run, unknown at
-        planning time, so cost estimation (``longest-first`` admission,
-        ``--dry-run`` makespans, the observed cost model in
-        :class:`~repro.experiments.chunking.AdaptiveChunker`) plans for
-        the worst case. Never part of any identity — purely advisory.
-        """
-        return self.max_trials
-
 
 @register_policy
 @dataclass(frozen=True)

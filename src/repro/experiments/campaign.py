@@ -7,12 +7,10 @@ of the paper as one file — expanded into concrete
 :class:`~repro.experiments.pool.WorkerPool` with **grid-level
 parallelism**: chunks from *different* grid points interleave in the
 pool, so a wide, shallow grid (many points, few trials each) keeps every
-worker busy instead of serialising point-by-point. A
-:class:`PointScheduler` decides the admission order (``manifest-order``
-default, ``longest-first`` to start expensive stragglers early); the
-row set is schedule-invariant. Exposed on the command line as ``python
--m repro campaign manifest.json --out rows.jsonl --resume --workers N
-[--schedule longest-first] [--dry-run]``.
+worker busy instead of serialising point-by-point. Points are admitted
+in manifest order. Exposed on the command line as ``python -m repro
+campaign manifest.json --out rows.jsonl --resume --workers N
+[--dry-run]``.
 
 Manifest format (top-level defaults overlaid by per-entry values; a bare
 JSON list is accepted as ``entries`` with no defaults)::
@@ -58,14 +56,6 @@ Unattended robustness (the overnight contract):
   :class:`CampaignDeadline` — by then every finished row has been
   yielded, so the caller's stream is a complete checkpoint (the CLI
   finalises ``--out`` and exits with a distinct code).
-- **Observed-cost scheduling**: the
-  :class:`~repro.experiments.chunking.AdaptiveChunker` cost model (EWMA
-  per-trial seconds per scenario, replayed from the timings previous
-  runs left in the ``--out`` store) feeds ``longest-first`` real
-  seconds instead of the
-  ``trials × outcome-size`` proxy, falling back to the proxy for
-  scenarios it has never seen. Scheduling stays pure admission metadata:
-  rows and resume keys are identical whatever the cost source.
 """
 
 import json
@@ -281,174 +271,6 @@ def _expand_entry(
 
 
 # ----------------------------------------------------------------------
-# Point scheduling
-# ----------------------------------------------------------------------
-
-
-def scheduled_cost(point: CampaignPoint, spec: Optional[ScenarioSpec] = None) -> int:
-    """Rough units of work one campaign point is expected to cost.
-
-    ``trials × outcome-space size`` — the trial count is the dominant
-    axis and the scenario's outcome-space size (usually the network size
-    ``n``) is the cheap, always-available proxy for per-trial work.
-    Adaptive points are costed at their budget's
-    :meth:`~repro.experiments.budget.BudgetPolicy.planning_trials`: the
-    scheduler plans for the worst case, since the realized count is only
-    known after the point runs. The estimate feeds the ``longest-first``
-    strategy and the ``--dry-run`` listing; it never affects rows.
-    """
-    if spec is None:
-        spec = get_scenario(point.scenario)
-    return _planning_trials(point) * max(spec.size(point.params), 1)
-
-
-def _planning_trials(point: CampaignPoint) -> int:
-    """Trials to budget for when planning ``point`` (realized count for
-    fixed points, the policy ceiling for adaptive ones)."""
-    if point.budget is not None:
-        return point.budget.planning_trials()
-    return point.trials or 0
-
-
-#: An admission plan: (point, scheduled cost) pairs in admission order.
-CostedPoints = List[Tuple[CampaignPoint, int]]
-
-
-#: Registered scheduling-strategy names.
-_SCHEDULES = ("manifest-order", "longest-first")
-
-
-def schedule_names() -> List[str]:
-    """Sorted names of the registered scheduling strategies."""
-    return sorted(_SCHEDULES)
-
-
-class PointScheduler:
-    """Decides the order campaign points are admitted to the pool.
-
-    Two strategies:
-
-    - ``manifest-order`` (default): points run in manifest order — the
-      byte-compatible behaviour every earlier campaign had.
-    - ``longest-first``: points are admitted by descending cost, so the
-      expensive stragglers start while the pool still has company and
-      the tail of the campaign is made of short points — the classic
-      LPT heuristic for shaving makespan on wide grids. Cost is the
-      ``cost_model``'s (an
-      :class:`~repro.experiments.chunking.AdaptiveChunker`'s) estimated
-      *seconds* when it has observations
-      (real measured time, the quantity LPT actually wants), and the
-      :func:`scheduled_cost` proxy otherwise.
-
-    Scheduling is pure admission metadata: the same rows with the same
-    resume keys are emitted under every strategy (each point's trials
-    depend only on its own ``(base_seed, index)`` derivation), so
-    ``--schedule`` — and the cost model behind it — can change between
-    a run and its ``--resume`` without invalidating anything. Only
-    completion order — and wall-clock on multicore hosts — changes.
-    """
-
-    def __init__(
-        self,
-        name: str = "manifest-order",
-        cost_model: Optional[AdaptiveChunker] = None,
-    ):
-        if name not in _SCHEDULES:
-            raise ConfigurationError(
-                f"unknown schedule {name!r}; "
-                f"known: {', '.join(schedule_names())}"
-            )
-        self.name = name
-        self.cost_model = cost_model
-
-    def estimate_seconds(
-        self, point: CampaignPoint, cost_units: int
-    ) -> Optional[float]:
-        """The cost model's seconds estimate for ``point``, whose
-        :func:`scheduled_cost` is ``cost_units`` (None without an
-        observed model) — what ``--dry-run`` prints per line. The point
-        is priced on the path a campaign runs it on (its kernel, unless
-        its ``max_steps`` sends it to the scalar loop)."""
-        if self.cost_model is None:
-            return None
-        return self.cost_model.estimate_seconds(
-            cost_key(get_scenario(point.scenario), point.max_steps),
-            _planning_trials(point),
-            cost_units,
-        )
-
-    def plan(self, points: Sequence[CampaignPoint]) -> CostedPoints:
-        """Admission-ordered ``(point, scheduled cost)`` pairs.
-
-        Costs are computed once per point (specs resolved once per
-        scenario) and carried through the ordering — the ``--dry-run``
-        listing reads them straight off the plan instead of re-deriving
-        them per line. The recorded cost is always the proxy; when an
-        observed cost model drives ``longest-first``, the *ordering*
-        uses its seconds estimates while the pairs keep the proxy
-        (stable units for consumers and tests).
-        """
-        specs: Dict[str, ScenarioSpec] = {}
-        costed = []
-        for point in points:
-            spec = specs.get(point.scenario)
-            if spec is None:
-                spec = specs[point.scenario] = get_scenario(point.scenario)
-            costed.append((point, scheduled_cost(point, spec)))
-        if self.name == "manifest-order":
-            return costed
-        ranks = self._seconds_ranks(costed)
-        if ranks is None:
-            ranks = [float(cost) for _, cost in costed]
-        # Stable sort on descending cost: equal-cost points keep manifest
-        # order, so the schedule is a pure function of (points, model).
-        return [
-            pair
-            for _, (_, pair) in sorted(
-                zip(ranks, enumerate(costed)),
-                key=lambda entry: (-entry[0], entry[1][0]),
-            )
-        ]
-
-    def _seconds_ranks(self, costed: CostedPoints) -> Optional[List[float]]:
-        """Per-point seconds estimates, or ``None`` unless the model can
-        price *every* point — a model that has per-trial observations
-        but no per-unit calibration (e.g. observations from chunk folds
-        alone, which carry no cost units) cannot rank unseen scenarios in seconds, and mixing
-        seconds with proxy units in one sort would be meaningless, so
-        the whole plan falls back to the proxy scale together."""
-        if self.cost_model is None or not self.cost_model.observed:
-            return None
-        ranks = []
-        for point, cost in costed:
-            seconds = self.estimate_seconds(point, cost)
-            if seconds is None:
-                return None
-            ranks.append(seconds)
-        return ranks
-
-    def order(self, points: Sequence[CampaignPoint]) -> List[CampaignPoint]:
-        """The admission order of ``points`` under this strategy."""
-        if self.name == "manifest-order":
-            # Admission order needs no costs here — don't pay a topology
-            # build per point for the default schedule.
-            return list(points)
-        return [point for point, _ in self.plan(points)]
-
-
-#: A schedule argument as APIs accept it: a scheduler, a strategy name,
-#: or ``None`` for the default (manifest order).
-ScheduleRef = Union[str, PointScheduler, None]
-
-
-def as_scheduler(schedule: ScheduleRef) -> PointScheduler:
-    """Normalise a schedule argument to a :class:`PointScheduler`."""
-    if isinstance(schedule, PointScheduler):
-        return schedule
-    return PointScheduler(schedule if schedule is not None else "manifest-order")
-
-
-# ----------------------------------------------------------------------
 # The orchestrator
 # ----------------------------------------------------------------------
 
@@ -467,10 +289,9 @@ def check_seconds(name: str, value: Any) -> None:
 def pending_points(
     points: Sequence[CampaignPoint],
     completed: Optional[Collection[str]],
-    schedule: ScheduleRef,
 ) -> Tuple[Dict[str, ScenarioSpec], List[CampaignPoint]]:
-    """Resolve ``points`` eagerly, drop the ``completed`` resume keys,
-    and order the rest by ``schedule``; returns ``(specs, todo)``.
+    """Resolve ``points`` eagerly and drop the ``completed`` resume
+    keys, keeping manifest order; returns ``(specs, todo)``.
 
     Eager resolution means a stale manifest or an unknown parameter
     fails before work starts, hand-built points with partial params run
@@ -489,10 +310,7 @@ def pending_points(
             point = replace(point, params=resolved)
         normalized.append(point)
     done = frozenset(completed) if completed else frozenset()
-    todo = as_scheduler(schedule).order(
-        [p for p in normalized if p.key() not in done]
-    )
-    return specs, todo
+    return specs, [p for p in normalized if p.key() not in done]
 
 
 class CampaignDeadline(Exception):
@@ -882,16 +700,22 @@ def _dispatcher(
     """The local backend's dispatch step: run queued chunks and return
     the next ``(point_id, chunk fold)`` to arrive.
 
-    Without a parallel pool the head of the queue runs inline, one
-    chunk at a time. A parallel pool trickles chunks into
+    Without a pool the head of the queue runs inline, one chunk at a
+    time; a serial pool runs it the same way through
+    :meth:`WorkerPool.imap_unordered`, so its chunk counters (and
+    ``/metrics``) see every chunk. A parallel pool trickles chunks into
     :meth:`WorkerPool.submit` at most two per worker at a time and takes
     results off its callback thread; the surplus stays in the driver's
     queue, where an abandoned point's chunks can still be dropped. A
     worker's exception surfaces as a :class:`ConfigurationError` naming
     the point, chained from the original.
     """
-    if pool is None or not pool.parallel:
+    if pool is None:
         return lambda: _campaign_chunk(driver.queue.popleft())
+    if not pool.parallel:
+        return lambda: next(
+            pool.imap_unordered(_campaign_chunk, (driver.queue.popleft(),))
+        )
     results: "queue.Queue" = queue.Queue()
     # In-flight cap: 2x the worker count, so every worker has a spare
     # chunk queued and never waits a master round-trip.
@@ -951,7 +775,6 @@ def run_campaign(
     pool: Optional[WorkerPool] = None,
     completed: Optional[Collection[str]] = None,
     chunk_size: Optional[int] = None,
-    schedule: ScheduleRef = None,
     point_timeout: Optional[float] = None,
     max_wall_clock: Optional[float] = None,
     chunker: Optional[AdaptiveChunker] = None,
@@ -959,14 +782,12 @@ def run_campaign(
     """Run campaign points against one shared pool, yielding results.
 
     Points whose resume key is in ``completed`` are skipped; the
-    remainder are admitted in the order ``schedule`` dictates (a
-    :class:`PointScheduler`, a strategy name, or ``None`` for manifest
-    order). With a parallel pool, chunks from up to ``2 × workers``
-    points are interleaved so shallow grids keep the workers saturated;
-    results then arrive in *completion* order. Serial pools
-    (``workers == 1``) run one point at a time, in admission order. The
-    emitted row *set* is identical whatever the schedule and worker
-    count — only ordering differs.
+    remainder are admitted in manifest order. With a parallel pool,
+    chunks from up to ``2 × workers`` points are interleaved so shallow
+    grids keep the workers saturated; results then arrive in
+    *completion* order. Serial pools (``workers == 1``) run one point at
+    a time, in manifest order. The emitted row *set* is identical
+    whatever the worker count — only ordering differs.
 
     ``point_timeout`` (seconds) bounds each point: an exceeded point is
     abandoned cooperatively at its next chunk boundary and yielded as a
@@ -1004,7 +825,7 @@ def run_campaign(
     check_chunk_size(chunk_size)
     if chunker is None and chunk_size is None:
         chunker = AdaptiveChunker()
-    specs, todo = pending_points(points, completed, schedule)
+    specs, todo = pending_points(points, completed)
 
     def _run() -> Iterator[ExperimentResult]:
         with (
@@ -1017,9 +838,7 @@ def run_campaign(
                 # Enough active points that the payload queue never drains
                 # while points with tiny budgets finish; serial pools run
                 # one, so rows keep admission order.
-                max_active=(
-                    max(2 * active_pool.workers, 4) if active_pool.parallel else 1
-                ),
+                max_active=2 * active_pool.workers if active_pool.parallel else 1,
                 chunker=chunker if chunk_size is None else None,
                 point_timeout=point_timeout,
                 wall_deadline=(

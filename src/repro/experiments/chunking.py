@@ -15,13 +15,13 @@ heuristic was always approximating: **wall-seconds per chunk**. It is
 the one cost model of the system — an EWMA of per-trial seconds per
 cost key (a scenario's kernel path and its scalar loop are separate
 keys, see :func:`~repro.experiments.runner.cost_key`), which the
-``longest-first`` campaign scheduler ranks points by, the coordinator
-keeps per node, and the ``--out`` store persists (its ``timings``
-table seeds it across runs, and every folded chunk sharpens it
-in-run). Chunks are sized toward
-:data:`TARGET_CHUNK_SECONDS`, floored at :data:`MIN_CHUNK_SECONDS` so
-cheap scenarios are never shredded for load balance, and capped at an
-even split across the workers so expensive ones still parallelise.
+coordinator keeps per node, ``campaign --dry-run`` prices points by,
+and the ``--out`` store persists (its ``timings`` table seeds it
+across runs, and every folded chunk sharpens it in-run). Chunks are
+sized toward :data:`TARGET_CHUNK_SECONDS`, floored at
+:data:`MIN_CHUNK_SECONDS` so cheap scenarios are never shredded for load
+balance, and capped at an even split across the workers so expensive
+ones still parallelise.
 Keys the model has never seen fall back to the caller's cold rule
 (returning ``None`` here; :func:`~repro.experiments.runner.chunk_payloads`
 splits a kernel range at most once per worker, in chunks of at most
@@ -35,8 +35,7 @@ affects results**. Trial ``i``'s seed is a pure function of
 rows are byte-identical however the index range is sliced — the
 1-vs-4-worker determinism and golden-row suites pin it. Chunk sizing
 may therefore depend on wall-clock measurements without ever
-threatening reproducibility: it is scheduling metadata, exactly like
-the admission order the same model feeds.
+threatening reproducibility: it is scheduling metadata.
 """
 
 import math
@@ -82,23 +81,14 @@ def _positive(value: Any) -> bool:
 class AdaptiveChunker:
     """Observed per-trial seconds, and the chunk sizes they imply.
 
-    Two estimation tiers, so every campaign point stays comparable on
-    one scale (:meth:`estimate_seconds`):
-
-    - a scenario the model has **seen** is estimated at
-      ``planned trials × EWMA per-trial seconds``;
-    - an **unseen** scenario falls back to its proxy cost units times a
-      global seconds-per-unit EWMA, calibrated from observations that
-      carried their cost units (the store's timing records do);
-    - an **empty** model estimates nothing — callers keep the raw proxy
-      ordering, byte-compatible with cost-model-free campaigns.
+    :meth:`estimate_seconds` prices a key the model has seen at
+    ``planned trials × EWMA per-trial seconds``, and an unseen key not
+    at all.
 
     Thread-safe: the estimate service observes folds from many request
-    threads against one chunker, and the CLI hands the same instance to
-    the ``longest-first`` scheduler and to the campaign. The model is a
-    pure fold over observation order, so the same stored timings yield
-    the same admission order at any worker count. Estimates are
-    scheduling metadata only; rows and resume keys never see them.
+    threads against one chunker. The model is a pure fold over
+    observation order. Estimates are scheduling metadata only; rows and
+    resume keys never see them.
 
     Every method's ``scenario`` argument is a cost key: the scenario
     name, or its scalar-path key when a kernel-capable scenario runs the
@@ -113,18 +103,11 @@ class AdaptiveChunker:
     #: EWMA state is read by every dispatching thread and written by
     #: observe() — PR 9 fixed exactly this class of unlocked-read bug by
     #: hand.
-    _GUARDED_BY = {"_per_trial": "_lock", "_per_unit": "_lock"}
+    _GUARDED_BY = {"_per_trial": "_lock"}
 
     def __init__(self):
         self._per_trial: Dict[str, float] = {}
-        self._per_unit: Optional[float] = None
         self._lock = threading.Lock()
-
-    @property
-    def observed(self) -> bool:
-        """Whether the model has absorbed at least one observation."""
-        with self._lock:
-            return bool(self._per_trial) or self._per_unit is not None
 
     def per_trial_seconds(self, scenario: str) -> Optional[float]:
         """The scenario's EWMA per-trial seconds (None when unseen)."""
@@ -137,11 +120,8 @@ class AdaptiveChunker:
         with self._lock:
             return sorted(self._per_trial)
 
-    def observe(
-        self, scenario: Any, trials: Any, elapsed: Any, cost_units: Any = None
-    ) -> bool:
-        """Fold one measured ``(trials, elapsed)`` into the model, and
-        ``elapsed / cost_units`` into the per-unit tier when given.
+    def observe(self, scenario: Any, trials: Any, elapsed: Any) -> bool:
+        """Fold one measured ``(trials, elapsed)`` into the model.
 
         Returns whether the observation was accepted. Foreign or
         non-positive values are *rejected*, not raised — stored timings
@@ -155,34 +135,18 @@ class AdaptiveChunker:
         if not _positive(elapsed):
             return False
         per = elapsed / trials
-        unit = elapsed / cost_units if _positive(cost_units) else None
         with self._lock:
             prev = self._per_trial.get(scenario)
             self._per_trial[scenario] = (
                 per if prev is None else ALPHA * per + (1 - ALPHA) * prev
             )
-            if unit is not None:
-                self._per_unit = (
-                    unit
-                    if self._per_unit is None
-                    else ALPHA * unit + (1 - ALPHA) * self._per_unit
-                )
         return True
 
-    def estimate_seconds(
-        self, scenario: str, planned_trials: int, cost_units: Optional[int]
-    ) -> Optional[float]:
+    def estimate_seconds(self, scenario: str, planned_trials: int) -> Optional[float]:
         """Estimated wall-clock seconds for ``planned_trials`` trials of
-        ``scenario`` whose proxy cost is ``cost_units`` (None when the
-        model can price neither tier)."""
-        with self._lock:
-            per = self._per_trial.get(scenario)
-            unit = self._per_unit
-        if per is not None:
-            return planned_trials * per
-        if unit is not None and cost_units is not None:
-            return cost_units * unit
-        return None
+        ``scenario`` (None when the model has not seen it)."""
+        per = self.per_trial_seconds(scenario)
+        return None if per is None else planned_trials * per
 
     def chunk_size(self, scenario: str, count: int, workers: int = 1) -> Optional[int]:
         """Trials per chunk for ``count`` trials of ``scenario``, or

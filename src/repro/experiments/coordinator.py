@@ -65,7 +65,6 @@ from repro.experiments.campaign import (
     CampaignPoint,
     PointDriver,
     PointState,
-    ScheduleRef,
     check_seconds,
     pending_points,
     slice_ranges,
@@ -148,7 +147,6 @@ class CampaignCoordinator:
         self,
         points: List[CampaignPoint],
         completed: Optional[Any] = None,
-        schedule: ScheduleRef = None,
         lease_trials: int = DEFAULT_LEASE_TRIALS,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         metrics: Optional[MetricsRegistry] = None,
@@ -158,7 +156,7 @@ class CampaignCoordinator:
         self.lease_ttl = float(lease_ttl)
         # The same resolution as run_campaign — a precondition of
         # byte-identical rows.
-        specs, todo = pending_points(points, completed, schedule)
+        specs, todo = pending_points(points, completed)
         self.total_points = len(points)
         self.skipped_points = len(points) - len(todo)
 

@@ -31,8 +31,8 @@ contract the JSONL files established:
   each finished point also records its wall-clock in a ``timings``
   table (:meth:`ResultStore.record_timing`), and
   :meth:`ResultStore.load_chunker` replays it, so a later run against
-  the same ``--out`` schedules and sizes chunks from what this machine
-  measured. Timing never reaches the ``row`` column.
+  the same ``--out`` sizes chunks (and ``--dry-run`` prices points) from
+  what this machine measured. Timing never reaches the ``row`` column.
 - **Durable and concurrent.** WAL journal mode plus ``synchronous=FULL``
   makes every committed row survive a kill or a power loss, and lets
   one writer (a campaign streaming into the store) coexist with any
@@ -104,8 +104,7 @@ CREATE TABLE IF NOT EXISTS timings (
     id       INTEGER PRIMARY KEY,
     scenario TEXT,
     trials   INTEGER,
-    elapsed  REAL,
-    cost     INTEGER
+    elapsed  REAL
 );
 """
 
@@ -137,27 +136,23 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def timing_record(result) -> Optional[Tuple[str, int, float, Optional[int]]]:
-    """The ``(key, trials, elapsed, cost)`` timing record of one
-    finished result, or ``None`` when it carries no usable cost signal
-    (timed-out or empty results: their elapsed is an artifact of the
-    guard, and feeding it to the EWMA would teach the scheduler that
-    pathological points are cheap). ``key`` is the cost-model key of the
-    path the campaign ran the result on
+def timing_record(result) -> Optional[Tuple[str, int, float]]:
+    """The ``(key, trials, elapsed)`` timing record of one finished
+    result, or ``None`` when it carries no usable cost signal (timed-out
+    or empty results: their elapsed is an artifact of the guard, and
+    feeding it to the EWMA would teach the cost model that pathological
+    points are cheap). ``key`` is the cost-model key of the path the
+    campaign ran the result on
     (:func:`~repro.experiments.runner.cost_key`; the ``timings`` table
-    keeps it in its ``scenario`` column), and ``cost`` is the result's
-    proxy units. An unregistered scenario is keyed by its name, with no
-    cost."""
+    keeps it in its ``scenario`` column). An unregistered scenario is
+    keyed by its name."""
     if result.timed_out or not result.trials or result.elapsed <= 0:
         return None
     try:
-        spec = get_scenario(result.scenario)
+        key = cost_key(get_scenario(result.scenario), result.max_steps)
     except ConfigurationError:
-        key, cost = result.scenario, None  # ad-hoc scenario: per-trial tier only
-    else:
-        key = cost_key(spec, result.max_steps)
-        cost = result.trials * max(spec.size(result.params), 1)
-    return (key, result.trials, result.elapsed, cost)
+        key = result.scenario  # ad-hoc scenario
+    return (key, result.trials, result.elapsed)
 
 
 def params_blob(params: Mapping[str, Any]) -> str:
@@ -341,8 +336,8 @@ class ResultStore:
         self._writable()
         with self._lock, self._conn:
             self._conn.execute(
-                "INSERT INTO timings (scenario, trials, elapsed, cost) "
-                "VALUES (?, ?, ?, ?)",
+                "INSERT INTO timings (scenario, trials, elapsed) "
+                "VALUES (?, ?, ?)",
                 record,
             )
 
@@ -429,14 +424,15 @@ class ResultStore:
         cost an observation each, never the campaign — the model simply
         knows less. A store created before the ``timings`` table and
         opened read-only (no DDL runs then) has no timings: an empty
-        model.
+        model. Older stores whose ``timings`` table also has a ``cost``
+        column replay the same three columns (and new records leave
+        ``cost`` NULL).
         """
         chunker = AdaptiveChunker()
         with self._lock:
             try:
                 records = self._conn.execute(
-                    "SELECT scenario, trials, elapsed, cost FROM timings "
-                    "ORDER BY id"
+                    "SELECT scenario, trials, elapsed FROM timings ORDER BY id"
                 ).fetchall()
             except sqlite3.OperationalError:
                 records = []

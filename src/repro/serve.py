@@ -117,6 +117,9 @@ class EstimateService:
         self.max_trials = max_trials
         self.base_seed = base_seed
         self.z = z
+        # Bounds no cold query could run under (a zero trial bound, a bad
+        # z) are the operator's error: refuse them here, not per request.
+        self._policy(1.0)
         self._pool: Optional[WorkerPool] = None
         self._pool_lock = threading.Lock()
         # Per-point compute locks: key -> [lock, waiter refcount]. The

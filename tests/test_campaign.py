@@ -11,8 +11,8 @@ from repro.cli import main
 from repro.experiments import (
     BudgetPolicy,
     CampaignPoint,
-    PointScheduler,
     WilsonWidthPolicy,
+    WorkerPool,
     expand_manifest,
     known_tags,
     load_manifest,
@@ -20,7 +20,6 @@ from repro.experiments import (
     run_campaign,
     run_scenario,
     scenario_names,
-    scheduled_cost,
 )
 from repro.util.errors import ConfigurationError
 
@@ -231,6 +230,61 @@ class TestRunCampaign:
             with pytest.raises(ConfigurationError):
                 list(run_campaign([bad], workers=workers))
 
+    def test_worker_counts_emit_identical_row_sets_on_smoke_manifest(self):
+        """Serial and interleaved runs of the smoke manifest emit
+        byte-identical sorted rows."""
+        points = load_manifest(SMOKE_MANIFEST)
+        reference = _rows(run_campaign(points, workers=1))
+        assert _rows(run_campaign(points, workers=2)) == reference
+
+    def test_worker_counts_emit_identical_row_sets_on_random_manifests(self):
+        """Property-style: over seeded-random manifests, every worker
+        count emits the same row set."""
+        import random
+
+        rng = random.Random(0xC0FFEE)
+        cheap = [
+            ("sync/broadcast", {"n": [3, 4]}),
+            ("sync/ring", {"n": [3, 4]}),
+            ("attack/basic-cheat", {"n": [8, 12], "target": [2, 3]}),
+            ("fullinfo/baton", {"n": [8, 10], "k": [2]}),
+        ]
+        for _ in range(4):
+            entries = []
+            for _ in range(rng.randint(1, 3)):
+                scenario, full_grid = rng.choice(cheap)
+                grid = {
+                    key: rng.sample(values, rng.randint(1, len(values)))
+                    for key, values in full_grid.items()
+                    if rng.random() < 0.8
+                }
+                entry = {"scenario": scenario, "grid": grid}
+                if rng.random() < 0.25:
+                    entry["budget"] = {
+                        "ci_width": 0.5,
+                        "min_trials": rng.randint(1, 3),
+                        "max_trials": 8,
+                    }
+                else:
+                    entry["trials"] = rng.randint(1, 4)
+                if rng.random() < 0.5:
+                    entry["base_seed"] = rng.randint(0, 3)
+                entries.append(entry)
+            points = expand_manifest(entries)
+            reference = _rows(run_campaign(points, workers=1))
+            rows = _rows(run_campaign(points, workers=2))
+            assert rows == reference, entries
+
+    def test_serial_pool_counts_every_chunk(self):
+        """A serial pool's chunks run through it, so its counters (and
+        the ``/metrics`` chunk gauge read from them) see every one."""
+        with WorkerPool(1) as pool:
+            results = list(run_campaign(self.GRID, pool=pool))
+            counters = pool.counters()
+        dispatches = sum(result.dispatches for result in results)
+        assert dispatches > 0
+        assert counters["dispatched"] == counters["completed"] == dispatches
+
 
 class TestCampaignCli:
     def _write_manifest(self, tmp_path, trials=4):
@@ -334,6 +388,13 @@ class TestCampaignCli:
         with pytest.raises(SystemExit):
             main(["campaign", str(manifest), "--resume"])
 
+    def test_admission_order_is_not_an_option(self, tmp_path, capsys):
+        manifest = self._write_manifest(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", str(manifest), "--schedule", "longest-first"])
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "--schedule" in capsys.readouterr().err
+
 
 class TestAdaptiveSweepCli:
     ARGS = ["sweep", "--scenario", "attack/basic-cheat", "--trials", "500",
@@ -415,116 +476,6 @@ class TestUnknownTagError:
             assert tag in known_tags() and tag in message
 
 
-class TestPointScheduler:
-    def _points(self):
-        return [
-            CampaignPoint("sync/broadcast", {"n": 4}, 5, 0, None, None),
-            CampaignPoint(
-                "attack/basic-cheat",
-                {"n": 16, "cheater": 2, "target": 2},
-                50, 0, None, None,
-            ),
-            CampaignPoint("sync/broadcast", {"n": 8}, 5, 0, None, None),
-            CampaignPoint(
-                "fuzz/random-deviation", {"n": 16, "k": 2}, None, 0, None,
-                WilsonWidthPolicy(ci_width=0.3, min_trials=8, max_trials=4000),
-            ),
-            CampaignPoint("sync/broadcast", {"n": 4}, 0, 0, None, None),
-        ]
-
-    def test_manifest_order_is_the_identity(self):
-        points = self._points()
-        assert PointScheduler("manifest-order").order(points) == points
-
-    def test_longest_first_is_a_deterministic_cost_sort(self):
-        points = self._points()
-        ordered = PointScheduler("longest-first").order(points)
-        assert ordered == PointScheduler("longest-first").order(points)
-        assert sorted(map(id, ordered)) == sorted(map(id, points))  # permutation
-        costs = [scheduled_cost(p) for p in ordered]
-        assert costs == sorted(costs, reverse=True)
-        # Adaptive points are costed at their ceiling: the fuzz point's
-        # 4000-trial budget outranks the 50-trial fixed point.
-        assert ordered[0].scenario == "fuzz/random-deviation"
-        # Zero-trial points cost nothing and sink to the tail.
-        assert ordered[-1].trials == 0
-
-    def test_equal_cost_points_keep_manifest_order(self):
-        a = CampaignPoint("sync/broadcast", {"n": 4}, 10, 0, None, None)
-        b = CampaignPoint("sync/broadcast", {"n": 4}, 10, 1, None, None)
-        assert PointScheduler("longest-first").order([a, b]) == [a, b]
-        assert PointScheduler("longest-first").order([b, a]) == [b, a]
-
-    def test_unknown_schedule_rejected_with_known_names(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            PointScheduler("shortest-first")
-        message = str(excinfo.value)
-        assert "manifest-order" in message and "longest-first" in message
-
-    def test_schedules_emit_identical_row_sets_on_the_smoke_manifest(self):
-        """The acceptance contract: longest-first produces byte-identical
-        sorted rows to manifest-order, serial and parallel."""
-        points = load_manifest(SMOKE_MANIFEST)
-        reference = _rows(run_campaign(points, workers=1))
-        for workers in (1, 2):
-            assert _rows(
-                run_campaign(points, workers=workers, schedule="longest-first")
-            ) == reference
-
-    def test_schedules_emit_identical_row_sets_on_random_manifests(self):
-        """Property-style: over seeded-random manifests, every schedule
-        emits the same row set at every worker count."""
-        import random
-
-        rng = random.Random(0xC0FFEE)
-        cheap = [
-            ("sync/broadcast", {"n": [3, 4]}),
-            ("sync/ring", {"n": [3, 4]}),
-            ("attack/basic-cheat", {"n": [8, 12], "target": [2, 3]}),
-            ("fullinfo/baton", {"n": [8, 10], "k": [2]}),
-        ]
-        for _ in range(4):
-            entries = []
-            for _ in range(rng.randint(1, 3)):
-                scenario, full_grid = rng.choice(cheap)
-                grid = {
-                    key: rng.sample(values, rng.randint(1, len(values)))
-                    for key, values in full_grid.items()
-                    if rng.random() < 0.8
-                }
-                entry = {"scenario": scenario, "grid": grid}
-                if rng.random() < 0.25:
-                    entry["budget"] = {
-                        "ci_width": 0.5,
-                        "min_trials": rng.randint(1, 3),
-                        "max_trials": 8,
-                    }
-                else:
-                    entry["trials"] = rng.randint(1, 4)
-                if rng.random() < 0.5:
-                    entry["base_seed"] = rng.randint(0, 3)
-                entries.append(entry)
-            points = expand_manifest(entries)
-            reference = _rows(run_campaign(points, workers=1))
-            for schedule in ("manifest-order", "longest-first"):
-                for workers in (1, 2):
-                    rows = _rows(
-                        run_campaign(points, workers=workers, schedule=schedule)
-                    )
-                    assert rows == reference, (schedule, workers, entries)
-
-    def test_resume_keys_survive_a_schedule_change(self):
-        """--schedule can change between a run and its --resume: the keys
-        are schedule-independent, so everything already done stays done."""
-        points = self._points()[:3]
-        done = {p.key() for p in points}
-        remaining = list(
-            run_campaign(points, workers=1, completed=done,
-                         schedule="longest-first")
-        )
-        assert remaining == []
-
-
 class TestCampaignDryRun:
     def _manifest(self, tmp_path):
         manifest = tmp_path / "m.json"
@@ -549,7 +500,8 @@ class TestCampaignDryRun:
         lines = out.splitlines()
         assert len(lines) == 3
         assert all(line.startswith("pending") for line in lines)
-        assert all("cost=" in line for line in lines)
+        # No store, so no observed cost: no est= column, and no proxy.
+        assert not any("est=" in line or "cost=" in line for line in lines)
         assert "trials=3" in lines[0]
         assert "budget=wilson-width[max_trials=16]" in lines[2]
         assert "3 points" in err and "3 to run" in err
@@ -576,17 +528,19 @@ class TestCampaignDryRun:
         _, err = capsys.readouterr()
         assert "add --resume" not in err
 
-    def test_dry_run_respects_the_schedule(self, tmp_path, capsys):
+    def test_dry_run_lists_points_in_manifest_order(self, tmp_path, capsys):
         manifest = self._manifest(tmp_path)
-        assert main(["campaign", str(manifest), "--dry-run",
-                     "--schedule", "longest-first"]) == 0
+        assert main(["campaign", str(manifest), "--dry-run"]) == 0
         out, err = capsys.readouterr()
-        costs = [
-            int(line.split("cost=")[1].split()[0])
-            for line in out.splitlines()
-        ]
-        assert costs == sorted(costs, reverse=True)
-        assert "schedule=longest-first" in err
+        listed = [line.split(None, 1)[1] for line in out.splitlines()]
+        points = load_manifest(str(manifest))
+        assert len(listed) == len(points)
+        for line, point in zip(listed, points):
+            params = json.dumps(point.params, sort_keys=True)
+            assert line.startswith(f"{point.scenario} {params} ")
+        # The adaptive point is the costliest yet still listed last.
+        assert listed[-1].startswith("sync/broadcast")
+        assert "schedule=" not in err
 
     def test_dry_run_runs_nothing_and_never_touches_out(
         self, tmp_path, capsys

@@ -21,6 +21,7 @@ Two layers, pinned separately:
   scenario's kernel and scalar loop never share one cost estimate.
 """
 
+import argparse
 import json
 import random
 import threading
@@ -32,7 +33,6 @@ from repro.experiments import (
     TARGET_CHUNK_SECONDS,
     AdaptiveChunker,
     CampaignPoint,
-    PointScheduler,
     WilsonWidthPolicy,
     WorkerPool,
     as_policy,
@@ -101,8 +101,8 @@ class TestAdaptiveChunkerSizing:
         assert chunker.chunk_size("any", 100, workers=1) is None
 
     def test_shared_cost_model_is_shared(self, tmp_path, monkeypatch):
-        # The CLI replays one model from the --out store and hands the
-        # same instance to the longest-first scheduler and the campaign.
+        # The CLI replays one model from the --out store and hands that
+        # instance to the campaign as its chunker.
         from repro import cli
 
         manifest = tmp_path / "m.json"
@@ -110,8 +110,7 @@ class TestAdaptiveChunkerSizing:
             "trials": 4,
             "entries": [{"scenario": BATCHED, "grid": {"n": [8, 12]}}],
         }))
-        argv = ["campaign", str(manifest), "--out", str(tmp_path / "rows.db"),
-                "--schedule", "longest-first"]
+        argv = ["campaign", str(manifest), "--out", str(tmp_path / "rows.db")]
         assert cli.main(argv) == 0  # records the timings
         seen = {}
         real_run_campaign = cli.run_campaign
@@ -122,9 +121,7 @@ class TestAdaptiveChunkerSizing:
 
         monkeypatch.setattr(cli, "run_campaign", spy)
         assert cli.main(argv) == 0
-        chunker = seen["chunker"]
-        assert seen["schedule"].cost_model is chunker
-        assert chunker.per_trial_seconds(BATCHED) is not None
+        assert seen["chunker"].per_trial_seconds(BATCHED) is not None
 
 
 class TestCalibrationProbe:
@@ -469,7 +466,7 @@ class TestKernelAndScalarCostsAreSeparate:
             1, int(TARGET_CHUNK_SECONDS / per_trial)
         )
 
-    def test_every_cost_site_keys_by_path(self):
+    def test_every_cost_site_keys_by_path(self, capsys):
         spec = get_scenario(BATCHED)
         params = spec.resolve_params({"n": 8})
         scalar_key = cost_key(spec, max_steps=10**6)
@@ -481,14 +478,19 @@ class TestKernelAndScalarCostsAreSeparate:
         assert timing_record(result)[0] == scalar_key
         result = run_scenario(BATCHED, trials=4, params=params, keep_outcomes=False)
         assert timing_record(result)[0] == BATCHED
-        # The longest-first scheduler's estimate.
+        # The campaign dry run's estimate: only the max_steps point runs
+        # on the scalar path the model has seen.
+        from repro.cli import _campaign_dry_run
+
         model = AdaptiveChunker()
         model.observe(scalar_key, 10, 1.0)
-        scheduler = PointScheduler("longest-first", cost_model=model)
         budgeted = CampaignPoint(BATCHED, params, 10, 0, 10**6, None)
         default = CampaignPoint(BATCHED, params, 10, 0, None, None)
-        assert scheduler.estimate_seconds(budgeted, 1) == pytest.approx(1.0)
-        assert scheduler.estimate_seconds(default, 1) is None
+        args = argparse.Namespace(resume=False, out=None, workers=1)
+        _campaign_dry_run(args, [budgeted, default], model, set())
+        priced, unpriced = capsys.readouterr().out.splitlines()
+        assert priced.endswith(" est=1.00s")
+        assert "est=" not in unpriced
         # A node's lease fold.
         chunker = AdaptiveChunker()
         lease = {

@@ -1,4 +1,4 @@
-"""Campaign robustness: deadlines, observed-cost scheduling, crash-safe
+"""Campaign robustness: deadlines, the observed cost model, crash-safe
 resume. The unattended-overnight contract, end to end:
 
 - a pathological grid point is abandoned under ``--point-timeout`` while
@@ -8,8 +8,8 @@ resume. The unattended-overnight contract, end to end:
 - timed-out rows, torn trailing lines, and blank lines can only cause a
   re-run, never a skip or a crash;
 - the observed cost model (``AdaptiveChunker``, replayed from the
-  ``--out`` store's timings) feeds ``longest-first`` observed per-trial
-  seconds deterministically at any worker count;
+  ``--out`` store's timings) prices ``--dry-run`` points in observed
+  per-trial seconds and survives damaged timing records;
 - ``KeyboardInterrupt`` tears worker processes down and leaves a
   resumable ``--out`` file (exercised with a real subprocess kill).
 """
@@ -29,7 +29,6 @@ from repro.experiments import (
     AdaptiveChunker,
     CampaignDeadline,
     CampaignPoint,
-    PointScheduler,
     ResultStore,
     ScenarioSpec,
     WorkerPool,
@@ -38,7 +37,6 @@ from repro.experiments import (
     row_resume_key,
     run_campaign,
     run_scenario,
-    scheduled_cost,
     timing_record,
     unregister_scenario,
 )
@@ -89,10 +87,6 @@ def sleepy_scenario():
 
 def _point(scenario, params, trials, base_seed=0):
     return CampaignPoint(scenario, params, trials, base_seed, None, None)
-
-
-def _row_set(results):
-    return sorted(json.dumps(r.to_row(), sort_keys=True) for r in results)
 
 
 class TestPointTimeout:
@@ -410,7 +404,7 @@ class TestTornTrailingLines:
 class TestCostModel:
     def test_ewma_per_trial_seconds(self):
         model = AdaptiveChunker()
-        assert not model.observed
+        assert model.scenarios() == []
         assert model.observe("a", 100, 1.0)  # 10ms/trial
         assert model.per_trial_seconds("a") == pytest.approx(0.01)
         assert model.observe("a", 100, 3.0)  # 30ms/trial -> EWMA 20ms
@@ -430,152 +424,89 @@ class TestCostModel:
             ("a", 10, float("inf")),
         ):
             assert not model.observe(*bad)
-        assert not model.observed
-        # Non-finite cost_units must not poison the per-unit tier either.
-        assert model.observe("a", 10, 1.0, cost_units=float("nan"))
-        assert model.per_trial_seconds("a") == pytest.approx(0.1)
-        assert model.estimate_seconds(
-            "sync/broadcast", 10, 40
-        ) is None  # no per-unit calibration was absorbed
+        assert model.scenarios() == []
 
-    def test_estimation_tiers(self, sleepy_scenario):
-        seen = _point(SLEEPY, {"n": 4, "delay": 0.005}, 100)
-        unseen = _point("sync/broadcast", {"n": 4}, 100)
+    def test_per_trial_estimate(self):
         model = AdaptiveChunker()
-        scheduler = PointScheduler("longest-first", cost_model=model)
-
-        def estimate(point):
-            return scheduler.estimate_seconds(point, scheduled_cost(point))
-
-        assert estimate(seen) is None  # empty model
-        model.observe(SLEEPY, 50, 1.0, cost_units=200)  # 20ms/trial, 5ms/unit
-        assert estimate(seen) == pytest.approx(100 * 0.02)
-        # Unseen scenario: proxy units x calibrated seconds-per-unit.
-        units = scheduled_cost(unseen)
-        assert estimate(unseen) == pytest.approx(units * 0.005)
+        assert model.estimate_seconds("a", 100) is None  # empty model
+        model.observe("a", 50, 1.0)  # 20ms/trial
+        assert model.estimate_seconds("a", 100) == pytest.approx(100 * 0.02)
+        # A key the model has not seen is not priced from any other.
+        assert model.estimate_seconds("b", 100) is None
 
     def test_timing_record_shape_and_exclusions(self):
         result = run_scenario("sync/broadcast", trials=5, params={"n": 4})
-        scenario, trials, elapsed, cost = timing_record(result)
+        scenario, trials, elapsed = timing_record(result)
         assert scenario == "sync/broadcast"
         assert trials == 5
         assert elapsed > 0
-        assert cost == 5 * 4
         result.timed_out = True
         assert timing_record(result) is None  # guard artifacts never teach
 
     def test_store_replay_skips_damaged_records(self, tmp_path):
         path = str(tmp_path / "rows.db")
         with ResultStore(path) as store:
-            assert not store.load_chunker().observed  # no timings yet
+            assert store.load_chunker().scenarios() == []  # no timings yet
         with sqlite3.connect(path) as conn:
             conn.executemany(
-                "INSERT INTO timings (scenario, trials, elapsed, cost) "
-                "VALUES (?, ?, ?, ?)",
+                "INSERT INTO timings (scenario, trials, elapsed) VALUES (?, ?, ?)",
                 [
-                    ("a", 10, 0.5, 40),
-                    ("a", 10, float("nan"), 40),  # stored as NULL
-                    ("a", 10, float("inf"), 40),
-                    ("a", 10, float("-inf"), 40),
-                    ("a", 10, 0.0, 40),
-                    ("a", 10, -1.0, 40),
-                    ("a", 0, 1.0, 40),
-                    ("a", "ten", 1.0, 40),
-                    ("a", 10, "slow", 40),
-                    (None, 10, 1.0, 40),
-                    (b"a", 10, 1.0, 40),
-                    ("a", 10, 1.0, float("inf")),  # cost alone is damaged
+                    ("a", 10, 0.5),
+                    ("a", 10, float("nan")),  # stored as NULL
+                    ("a", 10, float("inf")),
+                    ("a", 10, float("-inf")),
+                    ("a", 10, 0.0),
+                    ("a", 10, -1.0),
+                    ("a", 0, 1.0),
+                    ("a", "ten", 1.0),
+                    ("a", 10, "slow"),
+                    (None, 10, 1.0),
+                    (b"a", 10, 1.0),
+                    ("a", 10, 1.0),
                 ],
             )
         conn.close()
         with ResultStore(path, read_only=True) as store:
             model = store.load_chunker()
-        # Only the first record and the last one's (trials, elapsed)
-        # fold in: EWMA of 50 ms and 100 ms per trial.
+        # Only the first and the last record fold in: EWMA of 50 ms and
+        # 100 ms per trial.
         assert model.per_trial_seconds("a") == pytest.approx(0.075)
         assert model.scenarios() == ["a"]
-        assert model.estimate_seconds("b", 1, 100) == pytest.approx(
-            100 * 0.5 / 40
-        )
 
-
-class TestObservedCostScheduling:
-    def _points(self):
-        # Proxy cost says broadcast (5 trials x n=16) < cheat (50 x 8)...
-        return [
-            _point("sync/broadcast", {"n": 16}, 5),
-            _point("attack/basic-cheat", {"n": 8, "cheater": 2, "target": 2}, 50),
-        ]
-
-    def _observed_model(self):
-        # ...but observation says a broadcast trial is 1000x slower.
-        model = AdaptiveChunker()
-        model.observe("sync/broadcast", 10, 10.0, cost_units=160)
-        model.observe("attack/basic-cheat", 1000, 1.0, cost_units=8000)
-        return model
-
-    def test_observed_costs_override_the_proxy_ranking(self):
-        points = self._points()
-        proxy = PointScheduler("longest-first").order(points)
-        assert [p.scenario for p in proxy] == [
-            "attack/basic-cheat", "sync/broadcast"
-        ]
-        observed = PointScheduler(
-            "longest-first", cost_model=self._observed_model()
-        ).order(points)
-        assert [p.scenario for p in observed] == [
-            "sync/broadcast", "attack/basic-cheat"
-        ]
-
-    def test_plan_is_deterministic_and_worker_invariant(self):
-        points = self._points()
-        scheduler = lambda: PointScheduler(  # noqa: E731
-            "longest-first", cost_model=self._observed_model()
-        )
-        assert scheduler().order(points) == scheduler().order(points)
-        reference = _row_set(run_campaign(points, workers=1))
-        for workers in (1, 4):
-            rows = _row_set(
-                run_campaign(points, workers=workers, schedule=scheduler())
+    def test_store_with_a_cost_column_replays_and_records(self, tmp_path):
+        """Stores written before the cost column was dropped keep a
+        four-column ``timings`` table: they replay and record as usual."""
+        path = str(tmp_path / "rows.db")
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "CREATE TABLE timings (id INTEGER PRIMARY KEY, scenario TEXT, "
+                "trials INTEGER, elapsed REAL, cost INTEGER)"
             )
-            assert rows == reference
-
-    def test_manifest_order_ignores_the_model(self):
-        points = self._points()
-        scheduler = PointScheduler(
-            "manifest-order", cost_model=self._observed_model()
-        )
-        assert scheduler.order(points) == points
-
-    def test_partially_calibrated_model_falls_back_to_proxy_for_all(self):
-        """A model with per-trial observations but no per-unit
-        calibration (observations without cost units) cannot price unseen
-        scenarios in seconds — the plan must fall back to the proxy for
-        every point instead of crashing or mixing scales."""
-        points = self._points()
-        model = AdaptiveChunker()
-        model.observe("sync/broadcast", 10, 10.0)  # no cost_units
-        assert model.observed
-        scheduler = PointScheduler("longest-first", cost_model=model)
-        # unseen, no per-unit
-        assert scheduler.estimate_seconds(points[1], 400) is None
-        ordered = scheduler.order(points)
-        assert ordered == PointScheduler("longest-first").order(points)
-
-    def test_unknown_schedule_lists_known_names_even_with_a_model(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            PointScheduler("fastest-first", cost_model=AdaptiveChunker())
-        message = str(excinfo.value)
-        assert "manifest-order" in message and "longest-first" in message
+            conn.execute(
+                "INSERT INTO timings (scenario, trials, elapsed, cost) "
+                "VALUES ('sync/broadcast', 10, 0.5, 40)"
+            )
+        conn.close()
+        with ResultStore(path) as store:
+            assert store.load_chunker().per_trial_seconds(
+                "sync/broadcast"
+            ) == pytest.approx(0.05)
+            store.record_timing(
+                run_scenario("sync/broadcast", trials=5, params={"n": 4})
+            )
+            assert len(store.load_chunker().scenarios()) == 1
+        records = _stored_timings(path)
+        assert len(records) == 2
+        assert records[1][0] == "sync/broadcast" and records[1][1] == 5
 
 
 def _stored_timings(path):
-    """Every ``(scenario, trials, elapsed, cost)`` timing record in a
-    results store, in insertion order."""
+    """Every ``(scenario, trials, elapsed)`` timing record in a results
+    store, in insertion order."""
     conn = sqlite3.connect(str(path))
     try:
         return conn.execute(
-            "SELECT scenario, trials, elapsed, cost FROM timings ORDER BY id"
+            "SELECT scenario, trials, elapsed FROM timings ORDER BY id"
         ).fetchall()
     finally:
         conn.close()
@@ -606,7 +537,7 @@ class TestCliTimingSidecarAndDryRun:
         assert {scenario for scenario, *_ in records} == {
             "attack/basic-cheat", "sync/broadcast"
         }
-        assert all(elapsed > 0 and cost > 0 for _, _, elapsed, cost in records)
+        assert all(trials > 0 and elapsed > 0 for _, trials, elapsed in records)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "m.json", "rows.jsonl", "rows.jsonl.db"
         ]
@@ -619,7 +550,7 @@ class TestCliTimingSidecarAndDryRun:
         assert main(["campaign", str(manifest), "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["campaign", str(manifest), "--dry-run",
-                     "--out", str(out), "--schedule", "longest-first"]) == 0
+                     "--out", str(out)]) == 0
         plan, err = capsys.readouterr()
         assert all("est=" in line for line in plan.splitlines())
         assert "observed-cost estimate" in err and "makespan" in err
@@ -642,7 +573,7 @@ class TestCliTimingSidecarAndDryRun:
             conn.close()
         capsys.readouterr()
         assert main(["campaign", str(manifest), "--dry-run",
-                     "--out", str(out), "--schedule", "longest-first"]) == 0
+                     "--out", str(out)]) == 0
         plan, err = capsys.readouterr()
         assert [line.split()[0] for line in plan.splitlines()] == ["done"] * 3
         assert "est=" not in plan
@@ -694,7 +625,7 @@ class TestCliTimingSidecarAndDryRun:
 
     def test_sweep_records_timings_in_the_store(self, tmp_path, capsys):
         # Sweeps feed the same cost model campaigns do: the stored
-        # timings seed longest-first scheduling and adaptive chunk
+        # timings seed --dry-run estimates and adaptive chunk
         # sizing for every later run against the same --out.
         out = tmp_path / "rows.jsonl"
         assert main(["sweep", "--scenario", "sync/broadcast", "--trials", "3",

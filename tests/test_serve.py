@@ -143,6 +143,14 @@ class TestEstimateService:
             with pytest.raises(ConfigurationError):
                 service.estimate("no/such-scenario", {}, WIDE)
 
+    @pytest.mark.parametrize("bound", ["min_trials", "max_trials"])
+    def test_impossible_trial_bounds_refused_at_start_up(self, tmp_path, bound):
+        # No cold query could run under a zero bound: that is the
+        # operator's error, not a 400 blamed on every client.
+        with ResultStore(str(tmp_path / "r.db")) as store:
+            with pytest.raises(ConfigurationError, match="min_trials"):
+                EstimateService(store, **{bound: 0})
+
 
 class TestConcurrentCompute:
     def test_distinct_cold_points_compute_concurrently(
