@@ -695,23 +695,20 @@ class _ChunkCutter:
 
 
 def _dispatcher(
-    driver: PointDriver, pool: Optional[WorkerPool]
+    driver: PointDriver, pool: WorkerPool
 ) -> Callable[[], Tuple[int, Any]]:
     """The local backend's dispatch step: run queued chunks and return
     the next ``(point_id, chunk fold)`` to arrive.
 
-    Without a pool the head of the queue runs inline, one chunk at a
-    time; a serial pool runs it the same way through
-    :meth:`WorkerPool.imap_unordered`, so its chunk counters (and
-    ``/metrics``) see every chunk. A parallel pool trickles chunks into
+    A serial pool runs the head of the queue in-process, one chunk at a
+    time, through :meth:`WorkerPool.imap_unordered`, so its chunk
+    counters (and ``/metrics``) see every chunk. A parallel pool trickles chunks into
     :meth:`WorkerPool.submit` at most two per worker at a time and takes
     results off its callback thread; the surplus stays in the driver's
     queue, where an abandoned point's chunks can still be dropped. A
     worker's exception surfaces as a :class:`ConfigurationError` naming
     the point, chained from the original.
     """
-    if pool is None:
-        return lambda: _campaign_chunk(driver.queue.popleft())
     if not pool.parallel:
         return lambda: next(
             pool.imap_unordered(_campaign_chunk, (driver.queue.popleft(),))
@@ -747,14 +744,14 @@ def _dispatcher(
 
 def _drive(
     driver: PointDriver,
-    pool: Optional[WorkerPool],
+    pool: WorkerPool,
     chunker: Optional[AdaptiveChunker],
 ) -> Iterator[ExperimentResult]:
     """The one local point loop: admit, dispatch a chunk, feed its
     measured cost to ``chunker``, and fold it back into the driver —
     yielding each point's result as it finishes. :func:`run_campaign`
-    and :func:`run_scenario` both run it; ``pool`` is ``None`` (or
-    serial) for in-process dispatch."""
+    and :func:`run_scenario` both run it; a serial ``pool`` dispatches
+    in-process."""
     dispatch = _dispatcher(driver, pool)
     yield from driver.admit()
     while driver.active:

@@ -184,8 +184,8 @@ def run_inline(
     max_steps=None,
 ):
     """One experiment cut for ``workers`` workers but run in-process:
-    ``run_scenario``'s one-point driver, dispatched inline, so the
-    ``workers``-worker chunk layout runs with no processes. Unlike
+    ``run_scenario``'s one-point driver, dispatched on a serial pool, so
+    the ``workers``-worker chunk layout runs with no processes. Unlike
     ``run_scenario``, ``chunker=None`` keeps the cold sizing rule of
     ``chunk_payloads``."""
     spec = get_scenario(scenario)
@@ -210,7 +210,7 @@ def run_inline(
         max_active=1,
         chunker=chunker if chunk_size is None else None,
     )
-    (result,) = _drive(driver, None, chunker)
+    (result,) = _drive(driver, WorkerPool(1), chunker)
     return result
 
 
