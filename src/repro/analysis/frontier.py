@@ -16,7 +16,8 @@ sizes) dispatches through **one** persistent
 :class:`~repro.experiments.pool.WorkerPool`, so worker processes spawn
 once per scan instead of once per probe. Infeasible placements surface
 as :class:`~repro.util.errors.ConfigurationError` from the scenario
-builder and simply exclude that family at that ``k``.
+builder and simply exclude that family at that ``k``; a ring size that
+cannot be built fails before the first probe.
 """
 
 import math
@@ -57,13 +58,27 @@ TARGET = 7
 
 
 def _placement_feasible(spec, params) -> bool:
-    """Whether the family has a placement at this grid point at all."""
+    """Whether the family has a placement at this grid point at all.
+
+    Only the placement builder's refusal means "no placement"; a ring
+    that cannot be built raises its own :class:`ConfigurationError`."""
+    topology = spec.build_topology(params)
     try:
-        topology = spec.build_topology(params)
         spec.build_protocol(topology, params, random.Random(0))
     except ConfigurationError:
         return False
     return True
+
+
+def _check_sizes(sizes: List[int]) -> None:
+    """Build every family's ring at every size before the first probe,
+    so an impossible size fails with the ring builder's message."""
+    from repro.experiments.scenario import get_scenario
+
+    for n in sizes:
+        for scenario in FAMILIES.values():
+            spec = get_scenario(scenario)
+            spec.build_topology(spec.resolve_params({"n": n}))
 
 
 def _bounds(n: int) -> Dict[str, float]:
@@ -93,6 +108,7 @@ def smallest_forcing_coalition(
     from repro.experiments.pool import WorkerPool
     from repro.experiments.scenario import get_scenario
 
+    _check_sizes([n])
     if k_max is None:
         k_max = math.isqrt(n) + 2
     with (nullcontext(pool) if pool is not None else WorkerPool(workers)) as pool:
@@ -121,6 +137,7 @@ def forcing_frontier(
     """
     from repro.experiments.pool import WorkerPool
 
+    _check_sizes(sizes)
     with (nullcontext(pool) if pool is not None else WorkerPool(workers)) as pool:
         return [
             smallest_forcing_coalition(n, seeds=seeds, pool=pool)

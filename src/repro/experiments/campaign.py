@@ -84,6 +84,8 @@ from repro.experiments.budget import BudgetPolicy, BudgetRef, as_policy
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool
 from repro.experiments.runner import (
+    ChunkFold,
+    ChunkPayload,
     ExperimentResult,
     ScenarioRef,
     TrialOutcome,
@@ -334,7 +336,7 @@ class CampaignDeadline(Exception):
         )
 
 
-def _campaign_chunk(tagged: Tuple[int, Any]) -> Tuple[int, Any]:
+def _campaign_chunk(tagged: Tuple[int, ChunkPayload]) -> Tuple[int, ChunkFold]:
     """Worker entry point: a point-tagged folded chunk, so results from
     interleaved grid points find their way back to the right fold."""
     point_id, payload = tagged
@@ -430,14 +432,12 @@ class PointState:
                 return (start, end)
         return None
 
-    def fold(self, chunk_fold) -> None:
-        counts, successes, steps_total, trials = chunk_fold[:4]
-        self.counts.update(counts)
-        self.successes += successes
-        self.steps_total += steps_total
-        self.ran += trials
-        if len(chunk_fold) > 5:
-            self.outcomes.extend(map(TrialOutcome, *chunk_fold[5:9]))
+    def fold(self, chunk_fold: ChunkFold) -> None:
+        self.counts.update(chunk_fold.counts)
+        self.successes += chunk_fold.successes
+        self.steps_total += chunk_fold.steps_total
+        self.ran += chunk_fold.trials
+        self.outcomes.extend(chunk_fold.kept())
 
     def converged(self) -> bool:
         """Whether the stop rule fires at the current batch boundary."""
@@ -569,7 +569,9 @@ class PointDriver:
                 finished.append(state.finalize())
         return finished
 
-    def arrive(self, point_id: int, chunk_fold, now: float) -> List[ExperimentResult]:
+    def arrive(
+        self, point_id: int, chunk_fold: ChunkFold, now: float
+    ) -> List[ExperimentResult]:
         """Fold one unit's result. Every arrival is a chunk boundary —
         the one place stop decisions and deadlines may act."""
         state = self.active[point_id]
@@ -696,7 +698,7 @@ class _ChunkCutter:
 
 def _dispatcher(
     driver: PointDriver, pool: WorkerPool
-) -> Callable[[], Tuple[int, Any]]:
+) -> Callable[[], Tuple[int, ChunkFold]]:
     """The local backend's dispatch step: run queued chunks and return
     the next ``(point_id, chunk fold)`` to arrive.
 
@@ -705,21 +707,35 @@ def _dispatcher(
     counters (and ``/metrics``) see every chunk. A parallel pool trickles chunks into
     :meth:`WorkerPool.submit` at most two per worker at a time and takes
     results off its callback thread; the surplus stays in the driver's
-    queue, where an abandoned point's chunks can still be dropped. A
-    worker's exception surfaces as a :class:`ConfigurationError` naming
-    the point, chained from the original.
+    queue, where an abandoned point's chunks can still be dropped. On
+    either pool, a chunk's exception surfaces as a
+    :class:`ConfigurationError` naming the point, chained from the
+    original; a ``KeyboardInterrupt`` is not wrapped.
     """
-    if not pool.parallel:
-        return lambda: next(
-            pool.imap_unordered(_campaign_chunk, (driver.queue.popleft(),))
+
+    def failure(point_id: int, error: BaseException) -> ConfigurationError:
+        point = driver.active[point_id].point
+        return ConfigurationError(
+            f"point {point.scenario!r} {point.params} failed: {error}"
         )
+
+    if not pool.parallel:
+
+        def serial() -> Tuple[int, ChunkFold]:
+            unit = driver.queue.popleft()
+            try:
+                return next(pool.imap_unordered(_campaign_chunk, (unit,)))
+            except Exception as exc:
+                raise failure(unit[0], exc) from exc
+
+        return serial
     results: "queue.Queue" = queue.Queue()
     # In-flight cap: 2x the worker count, so every worker has a spare
     # chunk queued and never waits a master round-trip.
     window = 2 * pool.workers
     inflight = 0
 
-    def step() -> Tuple[int, Any]:
+    def step() -> Tuple[int, ChunkFold]:
         nonlocal inflight
         while driver.queue and inflight < window:
             unit = driver.queue.popleft()
@@ -733,10 +749,7 @@ def _dispatcher(
         point_id, outcome = results.get()
         inflight -= 1
         if isinstance(outcome, BaseException):
-            point = driver.active[point_id].point
-            raise ConfigurationError(
-                f"point {point.scenario!r} {point.params} failed: {outcome}"
-            ) from outcome
+            raise failure(point_id, outcome) from outcome
         return point_id, outcome
 
     return step
@@ -760,8 +773,8 @@ def _drive(
             state = driver.active[point_id]
             chunker.observe(
                 driver.cut.cost_key(state.spec, state.point),
-                chunk_fold[3],
-                chunk_fold[4],
+                chunk_fold.trials,
+                chunk_fold.elapsed,
             )
         yield from driver.arrive(point_id, chunk_fold, time.monotonic())
 

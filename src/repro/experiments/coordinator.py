@@ -7,8 +7,7 @@ commutative counters, a grid point shards into disjoint
 ``(point, trial-range)`` *leases* for free: runner nodes
 (``python -m repro node --join H:P``) register, lease ranges, run them
 on their local :class:`~repro.experiments.pool.WorkerPool`, and report
-the folded ``(outcome_counts, successes, steps_total, trials,
-elapsed)`` back. The coordinator is the lease backend of the same
+the folded :class:`~repro.experiments.runner.ChunkFold` back. The coordinator is the lease backend of the same
 :class:`~repro.experiments.campaign.PointDriver` the single-host
 campaign runs: the driver admits points, cuts batches, and folds
 reports, and the coordinator keeps only lease slicing, the exactly-once
@@ -44,9 +43,11 @@ objects): ``POST /register {name?, workers?} -> {node, lease_trials,
 lease_ttl}``; ``POST /lease {node} -> {done, leases: [{lease, point,
 scenario, params, base_seed, max_steps, start, end}]}`` (leasing doubles
 as the heartbeat); ``POST /report {node, lease, point, start, end,
-counts, successes, steps_total, trials, elapsed} -> {status}`` with
-status ``accepted`` | ``duplicate`` | ``unknown``; ``GET /status``,
-``GET /healthz``, and ``GET /metrics`` (Prometheus text format:
+**fold} -> {status}``, where ``fold`` is ``ChunkFold.to_report()``
+(``counts``, ``successes``, ``steps_total``, ``trials``, ``elapsed``),
+parsed back by ``ChunkFold.from_report``, and status is ``accepted`` |
+``duplicate`` | ``unknown``; ``GET /status``, ``GET /healthz``, and
+``GET /metrics`` (Prometheus text format:
 trials/sec, lease queue depth, active leases, per-node EWMA per-trial
 seconds, node health, report/expiry counters). A malformed POST body
 (a bad ``Content-Length``, or a body that is not a JSON object) answers
@@ -58,7 +59,6 @@ import queue
 import sys
 import threading
 import time
-from collections import Counter
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.experiments.campaign import (
@@ -70,7 +70,7 @@ from repro.experiments.campaign import (
     slice_ranges,
 )
 from repro.experiments.chunking import AdaptiveChunker
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ChunkFold, ExperimentResult, checked_int
 from repro.httpd import JsonHTTPServer, make_json_server
 from repro.metrics import MetricsRegistry, register_run_metrics
 from repro.util.errors import ConfigurationError
@@ -89,16 +89,6 @@ MAX_ACTIVE_POINTS = 4
 #: A node is reported healthy while its last lease call is within this
 #: many TTLs — one in-flight lease plus scheduling slack.
 _HEALTH_TTLS = 3.0
-
-
-def _checked_int(value: Any, name: str, minimum: int = 0) -> int:
-    """An integer from the wire, with the bool-excluding guard every
-    numeric field in this codebase uses (``isinstance(True, int)``)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 class _Node:
@@ -151,7 +141,7 @@ class CampaignCoordinator:
         lease_ttl: float = DEFAULT_LEASE_TTL,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self.lease_trials = _checked_int(lease_trials, "lease_trials", 1)
+        self.lease_trials = checked_int(lease_trials, "lease_trials", 1)
         check_seconds("lease_ttl", lease_ttl)
         self.lease_ttl = float(lease_ttl)
         # The same resolution as run_campaign — a precondition of
@@ -258,7 +248,7 @@ class CampaignCoordinator:
         self, name: Optional[str] = None, workers: Any = 1
     ) -> Dict[str, Any]:
         """Admit a runner node; returns its id and the lease settings."""
-        workers = _checked_int(workers, "workers", 1)
+        workers = checked_int(workers, "workers", 1)
         now = time.monotonic()
         with self._lock:
             node_id = f"{name or 'node'}-{next(self._node_ids)}"
@@ -277,7 +267,7 @@ class CampaignCoordinator:
         already contains any ranges its dead peers forfeited. An empty
         grant with ``done: false`` means "poll again" (every range is
         out on lease or the active points are between batches)."""
-        max_leases = _checked_int(max_leases, "max_leases", 1)
+        max_leases = checked_int(max_leases, "max_leases", 1)
         now = time.monotonic()
         granted: List[Dict[str, Any]] = []
         with self._lock:
@@ -335,33 +325,15 @@ class CampaignCoordinator:
         :class:`ConfigurationError` (the HTTP layer answers 400)."""
         node_id = payload.get("node")
         lease_id = payload.get("lease")
-        point_id = _checked_int(payload.get("point"), "point")
-        start = _checked_int(payload.get("start"), "start")
-        end = _checked_int(payload.get("end"), "end")
-        trials = _checked_int(payload.get("trials"), "trials")
-        successes = _checked_int(payload.get("successes"), "successes")
-        steps_total = _checked_int(payload.get("steps_total"), "steps_total")
+        point_id = checked_int(payload.get("point"), "point")
+        start = checked_int(payload.get("start"), "start")
+        end = checked_int(payload.get("end"), "end")
+        fold = ChunkFold.from_report(payload)
+        trials = fold.trials
         if trials != end - start:
             raise ConfigurationError(
                 f"report covers {trials} trials but echoes the range "
                 f"[{start}, {end}) — a partial fold must not poison the row"
-            )
-        if successes > trials:
-            raise ConfigurationError(
-                f"successes ({successes}) cannot exceed trials ({trials})"
-            )
-        raw_counts = payload.get("counts")
-        if not isinstance(raw_counts, Mapping):
-            raise ConfigurationError(
-                f"counts must be an object, got {raw_counts!r}"
-            )
-        counts: Counter = Counter()
-        for outcome, count in raw_counts.items():
-            counts[str(outcome)] = _checked_int(count, f"counts[{outcome!r}]")
-        if sum(counts.values()) != trials:
-            raise ConfigurationError(
-                f"counts sum to {sum(counts.values())} but the report "
-                f"claims {trials} trials"
             )
 
         now = time.monotonic()
@@ -374,9 +346,7 @@ class CampaignCoordinator:
                     # The cost model rejects a missing, non-positive, or
                     # non-finite elapsed: one bad report costs an
                     # observation, never the node's estimate.
-                    if self._node_costs.observe(
-                        node_id, trials, payload.get("elapsed")
-                    ):
+                    if self._node_costs.observe(node_id, trials, fold.elapsed):
                         node.trials += trials
             if lease_id is not None:
                 self._leases.pop(lease_id, None)
@@ -398,11 +368,7 @@ class CampaignCoordinator:
             self._ranges[rng] = "done"
             self._count_trials(trials)
             self._reports.inc(status="accepted")
-            self._finish_locked(
-                self._driver.arrive(
-                    point_id, (counts, successes, steps_total, trials), now
-                )
-            )
+            self._finish_locked(self._driver.arrive(point_id, fold, now))
         return {"status": "accepted"}
 
     # -- consumer side -------------------------------------------------

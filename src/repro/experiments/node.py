@@ -8,11 +8,11 @@ lease is a ``(point, [start, end))`` trial range; the node builds the
 same chunk payloads the single-host runner would
 (:func:`~repro.experiments.runner.chunk_payloads` over its local
 :class:`~repro.experiments.pool.WorkerPool`), folds the chunk results
-into commutative counters, and reports ``(counts, successes,
-steps_total, trials, elapsed)``. Outcome keys cross the wire as
-``str(outcome)`` — exactly the stringification
-:meth:`ExperimentResult.to_row` applies — so the coordinator's fold
-and the rows it emits are byte-identical to a single-host run.
+into one :class:`~repro.experiments.runner.ChunkFold`, and reports its
+``to_report()`` plus the lease echo. Outcome keys cross the wire as
+``str(outcome)`` — the stringification :meth:`ExperimentResult.to_row`
+applies — so the coordinator's fold and the rows it emits are
+byte-identical to a single-host run.
 
 The node holds one persistent HTTP/1.1 connection to the coordinator
 for all its requests, so a lease costs no TCP set-up.
@@ -30,14 +30,18 @@ import json
 import socket
 import sys
 import time
-from collections import Counter
 from typing import Any, Dict, Mapping, Optional
 from urllib.parse import urlsplit
 
 from repro.experiments.campaign import CampaignPoint, PointState
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool
-from repro.experiments.runner import _run_chunk_folded, chunk_payloads, cost_key
+from repro.experiments.runner import (
+    ChunkFold,
+    _run_chunk_folded,
+    chunk_payloads,
+    cost_key,
+)
 from repro.experiments.scenario import get_scenario
 from repro.util.errors import ConfigurationError
 
@@ -150,23 +154,16 @@ def lease_fold(
     )
     for fold in pool.imap_unordered(_run_chunk_folded, payloads):
         state.fold(fold)
-        if chunker is not None and len(fold) > 4:
-            chunker.observe(key, fold[3], fold[4])
-    # str(outcome): the same stringification to_row applies, so the
-    # coordinator's JSON-keyed fold matches a local fold.
-    counts: Counter = Counter()
-    for outcome, count in state.counts.items():
-        counts[str(outcome)] += count
+        if chunker is not None:
+            chunker.observe(key, fold.trials, fold.elapsed)
+    wall = round(time.perf_counter() - state.started, 6)
+    fold = ChunkFold(state.counts, state.successes, state.steps_total, state.ran, wall)
     return {
         "lease": lease.get("lease"),
         "point": lease["point"],
         "start": start,
         "end": end,
-        "counts": dict(counts),
-        "successes": state.successes,
-        "steps_total": state.steps_total,
-        "trials": state.ran,
-        "elapsed": round(time.perf_counter() - state.started, 6),
+        **fold.to_report(),
     }
 
 

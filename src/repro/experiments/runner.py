@@ -19,15 +19,18 @@ shares; the loop that drives an experiment is
   Monte-Carlo estimation reads only outcomes, so the executor skips all
   event-object allocation.
 - **Constant-size work orders.** :func:`chunk_payloads` cuts a trial
-  range into chunks whose indices are themselves a ``range``, so a work
-  order pickles to the same few dozen bytes at any size.
-- **Folded aggregates.** Every worker chunk comes back as an
-  outcome-count dict plus success/step counters — counter addition is
-  commutative, so the fold order never shows in the result and IPC
-  volume stops scaling with the trial count. When the caller asks for
-  per-trial outcomes (``keep_outcomes=True``), the chunk runs the
-  scalar loop and appends the trials as columns to the same fold, so
-  one worker entry point (:func:`_run_chunk_folded`) serves both.
+  range into :class:`ChunkPayload` work orders whose ``indices`` are
+  themselves a ``range``, so a work order pickles to the same hundred
+  or so bytes at any size.
+- **Folded aggregates.** Every worker chunk comes back as a
+  :class:`ChunkFold`: an outcome-count dict plus success/step counters.
+  Counter addition is commutative, so the fold order never shows in the
+  result and IPC volume stops scaling with the trial count. When the
+  caller asks for per-trial outcomes (``keep_outcomes=True``), the chunk
+  runs the scalar loop and fills the same fold's trial columns, so one
+  worker entry point (:func:`_run_chunk_folded`) serves both. A node
+  reports a lease's fold to the coordinator through the one codec,
+  :meth:`ChunkFold.to_report` and :meth:`ChunkFold.from_report`.
 """
 
 import collections.abc
@@ -40,6 +43,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -226,27 +230,121 @@ def run_traced_trial(
     )
 
 
-#: One chunk's work order, shipped to a worker: ``(scenario, params,
-#: base_seed, indices, keep_outcomes, max_steps, use_batch)``.
-#: ``scenario`` is a builtin name (resolved from the worker's own
-#: catalog) or a full spec by value. ``indices`` is the chunk's trial
-#: ``range``: it pickles in a few dozen bytes however many trials it
-#: spans, so a work order costs the same to cut, ship and unpack at
-#: ten trials or a million. ``keep_outcomes`` asks for the chunk's
-#: trials back as columns; ``use_batch`` opts the chunk in or out of a
-#: scenario's vectorized kernel.
-ChunkPayload = Tuple[ScenarioRef, Params, int, range, bool, Optional[int], bool]
+class ChunkPayload(NamedTuple):
+    """One chunk's work order, shipped to a worker.
 
-#: A worker-side folded chunk: (outcome -> count, successes, steps total,
-#: trial count, worker-measured elapsed seconds). Plain tuples pickle
-#: small and fold commutatively. The ``elapsed`` element is scheduling
-#: metadata — the cost-adaptive chunker's in-run feedback signal — and
-#: never reaches a row: the first four elements alone decide results.
-#: A ``keep_outcomes`` chunk appends four columns after it — the
-#: payload's ``indices`` range, then ``outcomes``, ``steps`` and
-#: ``successes`` tuples, one entry per trial — which pickle in a
-#: fraction of the bytes per-trial objects would.
-ChunkFold = Tuple[Any, ...]
+    ``scenario`` is a builtin name (resolved from the worker's own
+    catalog) or a full spec by value. ``indices`` is the chunk's trial
+    ``range``: it pickles in a few dozen bytes however many trials it
+    spans, so a work order costs the same to cut, ship and unpack at
+    ten trials or a million. ``keep_outcomes`` asks for the chunk's
+    trials back as columns; ``use_batch`` opts the chunk in or out of a
+    scenario's vectorized kernel.
+    """
+
+    scenario: ScenarioRef
+    params: Params
+    base_seed: int
+    indices: range
+    keep_outcomes: bool
+    max_steps: Optional[int]
+    use_batch: bool
+
+
+class ChunkFold(NamedTuple):
+    """A folded chunk: what a worker sends back, and what a node reports.
+
+    ``counts`` (outcome -> count), ``successes``, ``steps_total`` and
+    ``trials`` fold commutatively and alone decide results. ``elapsed``
+    is the chunk's measured wall seconds: scheduling metadata that feeds
+    the cost models and never reaches a row. It is carried unvalidated,
+    so a report's missing or non-finite value arrives as is and the
+    cost model drops it. A ``keep_outcomes`` chunk also fills the four
+    trial columns, one entry per trial: the payload's ``indices`` range,
+    then ``outcomes``, ``trial_steps`` and ``trial_successes`` tuples,
+    which pickle in a fraction of the bytes per-trial objects would.
+    """
+
+    counts: Dict[Any, int]
+    successes: int
+    steps_total: int
+    trials: int
+    elapsed: Any
+    indices: Optional[range] = None
+    outcomes: Optional[Tuple[Any, ...]] = None
+    trial_steps: Optional[Tuple[int, ...]] = None
+    trial_successes: Optional[Tuple[bool, ...]] = None
+
+    def kept(self) -> Iterator[TrialOutcome]:
+        """The chunk's trials, from its columns (none unless the chunk
+        ran with ``keep_outcomes``)."""
+        if self.indices is None:
+            return iter(())
+        return map(
+            TrialOutcome,
+            self.indices,
+            self.outcomes,
+            self.trial_steps,
+            self.trial_successes,
+        )
+
+    def to_report(self) -> Dict[str, Any]:
+        """The fold's fields of a node's ``/report`` body.
+
+        Outcome keys become ``str(outcome)``: the stringification
+        :meth:`ExperimentResult.to_row` applies, so the coordinator's
+        JSON-keyed fold matches a local one."""
+        counts: Dict[str, int] = {}
+        for outcome, count in self.counts.items():
+            key = str(outcome)
+            counts[key] = counts.get(key, 0) + count
+        return {
+            "counts": counts,
+            "successes": self.successes,
+            "steps_total": self.steps_total,
+            "trials": self.trials,
+            "elapsed": self.elapsed,
+        }
+
+    @classmethod
+    def from_report(cls, payload: Mapping[str, Any]) -> "ChunkFold":
+        """Parse and check the fold of a ``/report`` body.
+
+        Raises :class:`ConfigurationError` on a count that is not a
+        non-negative integer, ``successes`` above ``trials``, or counts
+        that do not sum to ``trials``. ``elapsed`` is taken as is."""
+        trials = checked_int(payload.get("trials"), "trials")
+        successes = checked_int(payload.get("successes"), "successes")
+        steps_total = checked_int(payload.get("steps_total"), "steps_total")
+        if successes > trials:
+            raise ConfigurationError(
+                f"successes ({successes}) cannot exceed trials ({trials})"
+            )
+        raw_counts = payload.get("counts")
+        if not isinstance(raw_counts, Mapping):
+            raise ConfigurationError(
+                f"counts must be an object, got {raw_counts!r}"
+            )
+        counts = {
+            str(outcome): checked_int(count, f"counts[{outcome!r}]")
+            for outcome, count in raw_counts.items()
+        }
+        if sum(counts.values()) != trials:
+            raise ConfigurationError(
+                f"counts sum to {sum(counts.values())} but the report "
+                f"claims {trials} trials"
+            )
+        return cls(counts, successes, steps_total, trials, payload.get("elapsed"))
+
+
+def checked_int(value: Any, name: str, minimum: int = 0) -> int:
+    """An integer from the wire, with the bool-excluding guard every
+    numeric field in this codebase uses (``isinstance(True, int)``)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _resolve_chunk_spec(scenario: ScenarioRef) -> ScenarioSpec:
@@ -347,8 +445,9 @@ def _fold_batch(
     The kernel histograms final (post-``map_outcome``) outcomes, so the
     success counter is recovered here by scoring each distinct outcome
     once — the scenario's own ``success`` predicate stays the single
-    definition of success on both paths. ``None`` (kernel declined, or
-    trial-count mismatch) sends the chunk to the scalar loop.
+    definition of success on both paths. Returns ``(counts, successes,
+    steps_total, trials)``; ``None`` (kernel declined, or trial-count
+    mismatch) sends the chunk to the scalar loop.
     """
     result = spec.run_batch(trial_seeds(base_seed, indices), params)
     if result is None:
@@ -377,7 +476,8 @@ def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
     :func:`_kernel_applies`), the fold is computed by the kernel instead
     of the per-trial loop — same counts bit for bit, fraction of the
     interpreter time. A ``keep_outcomes`` chunk runs the scalar loop and
-    appends its trials as columns (see :data:`ChunkFold`).
+    fills the fold's trial columns (see :class:`ChunkFold`). A plain
+    7-tuple in :class:`ChunkPayload` order is accepted too.
     """
     scenario, params, base_seed, indices, keep_outcomes, max_steps, use_batch = payload
     spec = _resolve_chunk_spec(scenario)
@@ -385,7 +485,7 @@ def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
     if _kernel_applies(spec, use_batch, keep_outcomes, max_steps):
         batched = _fold_batch(spec, params, base_seed, indices)
         if batched is not None:
-            return batched + (time.perf_counter() - started,)
+            return ChunkFold(*batched, time.perf_counter() - started)
     counts: Dict[Any, int] = {}
     successes = 0
     steps_total = 0
@@ -397,14 +497,15 @@ def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
         steps_total += trial.steps
         if keep_outcomes:
             kept.append(trial)
-    fold = (counts, successes, steps_total, len(indices), time.perf_counter() - started)
+    elapsed = time.perf_counter() - started
+    fold = ChunkFold(counts, successes, steps_total, len(indices), elapsed)
     if not keep_outcomes:
         return fold
-    return fold + (
-        indices,
-        tuple(trial.outcome for trial in kept),
-        tuple(trial.steps for trial in kept),
-        tuple(trial.success for trial in kept),
+    return fold._replace(
+        indices=indices,
+        outcomes=tuple(trial.outcome for trial in kept),
+        trial_steps=tuple(trial.steps for trial in kept),
+        trial_successes=tuple(trial.success for trial in kept),
     )
 
 
@@ -492,7 +593,7 @@ def chunk_payloads(
         size = max(1, size)
     ship = spec.name if _is_builtin(spec) else spec
     return [
-        (
+        ChunkPayload(
             ship,
             params,
             base_seed,

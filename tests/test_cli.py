@@ -141,7 +141,12 @@ class TestUsageErrors:
             ("attack --name basic-cheat --n 8 --target 99",
              "target 99 out of range 1..8"),
             ("bias --protocol alead-uni --n 0 --trials 5",
+             "point 'honest/alead-uni' {'n': 0} failed: "
              "ring needs at least 2 processors, got 0"),
+            ("frontier --sizes 1",
+             "ring needs at least 2 processors, got 1"),
+            ("frontier --sizes -4",
+             "ring needs at least 2 processors, got -4"),
         ],
     )
     def test_one_line_exit_without_traceback(self, argv, message, capsys):

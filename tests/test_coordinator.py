@@ -267,6 +267,39 @@ class TestLeaseLifecycle:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"counts": [4]}, r"counts must be an object, got \[4\]"),
+            ({"counts": {"lo": -1, "hi": 5}}, r"counts\['lo'\] must be >= 0"),
+            ({"counts": {"hi": 3}}, "counts sum to 3 but the report claims 4"),
+            ({"successes": 5}, r"successes \(5\) cannot exceed trials \(4\)"),
+        ],
+        ids=["counts-not-object", "negative-count", "counts-miss-trials",
+             "successes-over-trials"],
+    )
+    def test_report_rejects_a_malformed_fold(self, fault, message):
+        points = expand_manifest(
+            {
+                "trials": 4,
+                "base_seed": 0,
+                "entries": [
+                    {"scenario": "attack/basic-cheat",
+                     "grid": {"n": 16, "target": 5}},
+                ],
+            }
+        )
+        coordinator = CampaignCoordinator(points, lease_trials=4)
+        node = coordinator.register()["node"]
+        (lease,) = coordinator.lease(node)["leases"]
+        with WorkerPool(1) as pool:
+            report = dict(lease_fold(lease, pool), node=node)
+        with pytest.raises(ConfigurationError, match=message):
+            coordinator.report(dict(report, **fault))
+        # The rejected report folded nothing: the range still takes
+        # its one good report.
+        assert coordinator.report(report)["status"] == "accepted"
+
 
 class TestHTTP:
     @pytest.fixture()

@@ -21,6 +21,7 @@ from repro.experiments import (
 )
 from repro.experiments.campaign import PointDriver
 from repro.experiments.pool import MAX_AUTO_WORKERS
+from repro.experiments.runner import ChunkFold
 from repro.util.errors import ConfigurationError
 
 
@@ -483,7 +484,10 @@ class TestKeptOutcomes:
         assert parallel.outcomes == serial.outcomes
         assert parallel.to_row() == serial.to_row()
 
-    def test_parallel_worker_failure_names_the_point(self):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
+    def test_worker_failure_names_the_point(self, workers):
+        # Serial and parallel pools share one error path: a chunk's
+        # exception names its point and chains from the original.
         spec = ScenarioSpec(
             name="test/explodes-in-worker",
             description="a trial that always raises",
@@ -491,7 +495,7 @@ class TestKeptOutcomes:
         )
         register_scenario(spec)
         try:
-            with WorkerPool(2) as pool:
+            with WorkerPool(workers) as pool:
                 with pytest.raises(ConfigurationError) as info:
                     run_scenario(spec, trials=4, pool=pool)
         finally:
@@ -618,7 +622,7 @@ class TestPointDriver:
     @staticmethod
     def _arrive(driver, now):
         point_id, _ = driver.queue.popleft()
-        return driver.arrive(point_id, ({1: 1}, 1, 0, 1), now)
+        return driver.arrive(point_id, ChunkFold({1: 1}, 1, 0, 1, 0.0), now)
 
     def test_clock_arms_at_first_result_not_admission(self):
         driver = self._driver([5], point_timeout=10.0)

@@ -1,14 +1,19 @@
 """Work orders: a chunk ships its trials as a ``range``, not a tuple.
 
-A :data:`~repro.experiments.runner.ChunkPayload` crosses the pool pipe
-once per chunk, so its size must not grow with the chunk's trial count:
+A :class:`~repro.experiments.runner.ChunkPayload` crosses the pool pipe
+once per chunk, and a :class:`~repro.experiments.runner.ChunkFold`
+comes back, so neither may grow with the chunk's trial count:
 
-- cutting a million-trial point gives payloads whose index element is a
-  ``range`` and which pickle to a few dozen bytes each;
+- cutting a million-trial point gives payloads whose ``indices`` are a
+  ``range``, and each payload and each chunk's fold pickles under
+  256 bytes;
 - a range payload folds exactly as the same indices as a tuple do, on
-  every kernel and on the scalar loop, and a ``keep_outcomes`` fold
-  hands the range back as its index column, which
-  :class:`~repro.experiments.campaign.PointState` still sorts by;
+  every kernel and on the scalar loop, and the fold survives the
+  node-to-coordinator report codec (``to_report``/``from_report``) with
+  only its outcome keys stringified;
+- a ``keep_outcomes`` fold hands the range back as its ``indices``
+  column, which :class:`~repro.experiments.campaign.PointState` still
+  sorts by;
 - no kernel loads numpy, so a worker's footprint is the stdlib's.
 """
 
@@ -22,7 +27,12 @@ import pytest
 import repro
 from repro.experiments import CampaignPoint, all_scenarios, get_scenario
 from repro.experiments.campaign import PointState
-from repro.experiments.runner import _run_chunk_folded, chunk_payloads, run_one_trial
+from repro.experiments.runner import (
+    ChunkFold,
+    _run_chunk_folded,
+    chunk_payloads,
+    run_one_trial,
+)
 
 #: Smaller points for kernels whose scalar loop is slow at the defaults.
 SMALL_PARAMS = {
@@ -54,6 +64,11 @@ def test_million_trial_point_ships_two_small_ranges():
     for payload in payloads:
         assert type(payload[3]) is range
         assert len(pickle.dumps(payload)) < 256
+        # The fold coming back is as small: IPC volume does not scale
+        # with the trial count in either direction.
+        fold = _run_chunk_folded(payload)
+        assert fold.trials == 500_000
+        assert len(pickle.dumps(fold)) < 256
 
 
 @pytest.mark.parametrize("name", FOLD_NAMES)
@@ -65,6 +80,11 @@ def test_range_payload_folds_like_the_tuple(name):
         # Element 4 is the chunk's wall time, never part of a result.
         assert fold[:4] == _run_chunk_folded(as_tuple(payload))[:4]
         assert fold[3] == len(payload[3])
+        # The report codec: only outcome keys change, to str(outcome).
+        stringified = {str(outcome): n for outcome, n in fold.counts.items()}
+        assert ChunkFold.from_report(fold.to_report()) == fold._replace(
+            counts=stringified
+        )
 
 
 @pytest.mark.parametrize("name", ["cointoss/biased-coin", "honest/basic-lead"])
