@@ -7,22 +7,19 @@ ring size, for the smallest coalition at which any implemented attack
 family forces the outcome — the empirical frontier an experimenter can
 track against the conjecture as better attacks are added.
 
-Each ``(family, k)`` probe is one
-:func:`~repro.experiments.campaign.run_scenario` call on the registered
-``frontier/*`` scenarios (:mod:`repro.analysis.scenarios`), so the scan
-inherits deterministic trial seeding and optional multiprocessing
-fan-out — every probe of a scan (all families, all ``k``, all ring
-sizes) dispatches through **one** persistent
-:class:`~repro.experiments.pool.WorkerPool`, so worker processes spawn
-once per scan instead of once per probe. Infeasible placements surface
-as :class:`~repro.util.errors.ConfigurationError` from the scenario
-builder and simply exclude that family at that ``k``; a ring size that
-cannot be built fails before the first probe.
+The scan runs no trials. A family forces at ``(n, k)`` exactly when its
+registered attack builder accepts ``(n, k, TARGET)``: the builders check
+each proof's placement preconditions (Thm 4.3's staircase, Lemma 4.1's
+``l_j ≤ k-1``), and every placement they accept elects the target on
+every seed. That acceptance is the certificate
+:func:`~repro.experiments.ring_kernels.run_forcing_batch` folds into
+``{target: trials}``, pinned against the executor by the batch-kernel
+tests. A builder's :class:`~repro.util.errors.ConfigurationError` means
+"no placement here" and excludes that family at that ``k``.
 """
 
 import math
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -47,38 +44,14 @@ class FrontierPoint:
 
 
 #: Attack families the search sweeps (scan preference order) — each a
-#: registered scenario taking explicit ``n``/``k``/``target`` parameters.
+#: registered ring attack taking explicit ``n``/``k``/``target`` parameters.
 FAMILIES: Dict[str, str] = {
-    "cubic": "frontier/cubic",
-    "rushing": "frontier/rushing",
+    "cubic": "attack/cubic",
+    "rushing": "attack/equal-spacing",
 }
 
 #: The id every frontier probe tries to force (arbitrary, fixed).
 TARGET = 7
-
-
-def _placement_feasible(spec, params) -> bool:
-    """Whether the family has a placement at this grid point at all.
-
-    Only the placement builder's refusal means "no placement"; a ring
-    that cannot be built raises its own :class:`ConfigurationError`."""
-    topology = spec.build_topology(params)
-    try:
-        spec.build_protocol(topology, params, random.Random(0))
-    except ConfigurationError:
-        return False
-    return True
-
-
-def _check_sizes(sizes: List[int]) -> None:
-    """Build every family's ring at every size before the first probe,
-    so an impossible size fails with the ring builder's message."""
-    from repro.experiments.scenario import get_scenario
-
-    for n in sizes:
-        for scenario in FAMILIES.values():
-            spec = get_scenario(scenario)
-            spec.build_topology(spec.resolve_params({"n": n}))
 
 
 def _bounds(n: int) -> Dict[str, float]:
@@ -90,56 +63,31 @@ def _bounds(n: int) -> Dict[str, float]:
 
 
 def smallest_forcing_coalition(
-    n: int,
-    seeds: int = 2,
-    k_max: Optional[int] = None,
-    workers: int = 1,
-    pool=None,
+    n: int, k_max: Optional[int] = None
 ) -> FrontierPoint:
-    """Scan k upward until some family forces the target on all seeds.
+    """Scan k upward until some family's builder accepts ``(n, k)``.
 
-    ``seeds`` is the trial count per probe (one experiment of ``seeds``
-    trials); a family forces at ``k`` when every trial ends on the
-    target. All probes of the scan share one worker pool — ``pool``
-    (caller-owned, e.g. one pool for a whole frontier table), or a
-    ``WorkerPool(workers)`` the scan opens once and closes at the end.
+    Every family runs on the unidirectional ring, so the ring is built
+    once; a size the ring builder refuses raises its message.
     """
-    from repro.experiments.campaign import run_scenario
-    from repro.experiments.pool import WorkerPool
-    from repro.experiments.scenario import get_scenario
+    from repro.experiments import get_scenario
+    from repro.experiments.scenario import ring_topology
 
-    _check_sizes([n])
+    ring = ring_topology({"n": n})
     if k_max is None:
         k_max = math.isqrt(n) + 2
-    with (nullcontext(pool) if pool is not None else WorkerPool(workers)) as pool:
-        for k in range(2, k_max + 1):
-            for family, scenario in FAMILIES.items():
-                spec = get_scenario(scenario)
-                params = spec.resolve_params({"n": n, "k": k, "target": TARGET})
-                if not _placement_feasible(spec, params):
-                    continue
-                result = run_scenario(
-                    spec, seeds, params=params, keep_outcomes=False, pool=pool
-                )
-                if result.trials and result.success_rate == 1.0:
-                    return FrontierPoint(
-                        n=n, k_min=k, family=family, **_bounds(n)
-                    )
+    specs = {family: get_scenario(name) for family, name in FAMILIES.items()}
+    for k in range(2, k_max + 1):
+        for family, spec in specs.items():
+            params = spec.resolve_params({"n": n, "k": k, "target": TARGET})
+            try:
+                spec.build_protocol(ring, params, random.Random(0))
+            except ConfigurationError:
+                continue
+            return FrontierPoint(n=n, k_min=k, family=family, **_bounds(n))
     return FrontierPoint(n=n, k_min=k_max + 1, family="none", **_bounds(n))
 
 
-def forcing_frontier(
-    sizes: List[int], seeds: int = 2, workers: int = 1, pool=None
-) -> List[FrontierPoint]:
-    """The frontier table across ring sizes (the Conjecture 4.7 series).
-
-    One shared worker pool serves every probe of every ring size.
-    """
-    from repro.experiments.pool import WorkerPool
-
-    _check_sizes(sizes)
-    with (nullcontext(pool) if pool is not None else WorkerPool(workers)) as pool:
-        return [
-            smallest_forcing_coalition(n, seeds=seeds, pool=pool)
-            for n in sizes
-        ]
+def forcing_frontier(sizes: List[int]) -> List[FrontierPoint]:
+    """The frontier table across ring sizes (the Conjecture 4.7 series)."""
+    return [smallest_forcing_coalition(n) for n in sizes]

@@ -1,18 +1,13 @@
-"""Scenario specs behind the analysis tooling (frontier + Figure 1).
-
-The frontier scenarios expose the two attack families
-:func:`repro.analysis.frontier.smallest_forcing_coalition` scans, with
-``k`` as an explicit parameter and *unchecked* builders where the search
-needs to probe below the proven feasibility threshold. Infeasible
-``(n, k)`` combinations raise
-:class:`~repro.util.errors.ConfigurationError` from the builder — the
-frontier search treats that as "this family has no placement here" and
-moves on.
+"""Scenario specs behind the analysis tooling (Figure 1).
 
 ``placement/random-segments`` turns the Figure-1c measurement into a
 Monte-Carlo scenario: each trial draws an i.i.d. placement from the
 trial's private stream and reports the longest honest segment; success
 means the maximum stayed under the Theorem C.1 logarithmic envelope.
+
+The Conjecture 4.7 frontier scan (:mod:`repro.analysis.frontier`) needs
+no scenario of its own: it asks the registered ``attack/cubic`` and
+``attack/equal-spacing`` builders whether they accept a coalition size.
 
 Registered here (imported for effect by
 :mod:`repro.experiments.catalog`).
@@ -22,34 +17,16 @@ import math
 import random
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.attacks.cubic import cubic_attack_protocol
-from repro.attacks.equal_spacing import (
-    equal_spacing_attack_protocol_unchecked,
-)
 from repro.attacks.placement import RingPlacement
 from repro.attacks.random_location import recommended_probability
 from repro.analysis.segments import segment_statistics
 from repro.experiments.scenario import (
     Params,
     ScenarioSpec,
-    forced_target,
     no_valid_ids,
     register_scenario,
-    ring_topology,
 )
 from repro.util.rng import derive_seed
-
-
-def _frontier_cubic(topo, params, rng):
-    placement = RingPlacement.cubic(len(topo), params["k"])
-    return cubic_attack_protocol(topo, placement, params["target"])
-
-
-def _frontier_rushing(topo, params, rng):
-    placement = RingPlacement.equal_spacing(len(topo), params["k"])
-    return equal_spacing_attack_protocol_unchecked(
-        topo, placement, params["target"]
-    )
 
 
 def segment_probability(params: Params) -> float:
@@ -117,30 +94,6 @@ def run_random_segments_batch(
         counts[longest] = counts.get(longest, 0) + 1
     return counts, 0
 
-
-register_scenario(
-    ScenarioSpec(
-        name="frontier/cubic",
-        description="cubic staircase at explicit k (frontier scan family)",
-        build_topology=ring_topology,
-        build_protocol=_frontier_cubic,
-        defaults={"n": 34, "k": 4, "target": 7},
-        success=forced_target,
-        tags=("frontier", "attack"),
-    )
-)
-
-register_scenario(
-    ScenarioSpec(
-        name="frontier/rushing",
-        description="equal spacing at explicit k, unchecked (frontier scan)",
-        build_topology=ring_topology,
-        build_protocol=_frontier_rushing,
-        defaults={"n": 36, "k": 6, "target": 7},
-        success=forced_target,
-        tags=("frontier", "attack"),
-    )
-)
 
 register_scenario(
     ScenarioSpec(

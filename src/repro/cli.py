@@ -900,12 +900,11 @@ def _cmd_certificate(args) -> int:
 def _cmd_frontier(args) -> int:
     from repro.analysis.frontier import forcing_frontier
 
-    for point in forcing_frontier(
-        args.sizes, seeds=1, workers=resolve_workers(args.workers)
-    ):
+    for point in forcing_frontier(args.sizes):
         print(
             f"n={point.n:<5} smallest forcing k={point.k_min:<3} "
-            f"({point.family}); proven gap "
+            f"({point.family}), "
+            f"k/n^(1/3)={point.k_min / point.conjecture:.2f}; proven gap "
             f"[n^(1/4)={point.lower_bound:.1f}, "
             f"2n^(1/3)={point.upper_bound:.1f}], "
             f"conjecture n^(1/3)={point.conjecture:.1f}"
@@ -1249,7 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "frontier",
-        parents=[workers],
         help="Conjecture 4.7: smallest forcing coalition per ring size",
     )
     p.add_argument("--sizes", type=int, nargs="+", default=[64, 144, 256])

@@ -10,7 +10,7 @@ Five layers, each usable on its own:
   attack from the paper at import time.
 - **Worker pool** (:mod:`~repro.experiments.pool`): a persistent,
   context-managed :class:`WorkerPool` shared by consecutive experiments
-  — grid points, frontier probes, fuzz campaigns — so worker processes
+  — grid points, fuzz campaigns — so worker processes
   spawn once, not once per experiment; ``resolve_workers("auto")``
   derives a clamped count from the machine.
 - **Trials** (:mod:`~repro.experiments.runner`): trial ``i`` always

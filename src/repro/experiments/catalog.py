@@ -4,8 +4,8 @@ Importing this module (which :mod:`repro.experiments` does eagerly)
 registers one scenario per honest ring protocol and one per adversarial
 deviation, under the ``honest/<protocol>`` / ``attack/<name>``
 convention, then pulls in the subsystem catalogs (``sync/``, ``tree/``,
-``cointoss/``, ``fullinfo/``, ``blocks/``, ``fuzz/``, ``frontier/``,
-``placement/`` — each a ``scenarios`` module inside its own package) so
+``cointoss/``, ``fullinfo/``, ``blocks/``, ``fuzz/``, ``placement/``
+— each a ``scenarios`` module inside its own package) so
 ``scenario_names()`` enumerates the whole paper. All builder functions
 are module-level so the specs resolve identically in any process that
 imports the package — the contract parallel runs rely on: a worker
@@ -126,7 +126,7 @@ def _attack_basic_cheat(topo, params, rng):
 
 def _attack_equal_spacing(topo, params, rng):
     n = len(topo)
-    k = params["k"] if params["k"] else math.isqrt(n)
+    k = params["k"] if params["k"] is not None else math.isqrt(n)
     placement = RingPlacement.equal_spacing(n, k)
     return equal_spacing_attack_protocol(topo, placement, params["target"])
 
@@ -155,26 +155,30 @@ def _attack_random_location(
 
 def _attack_cubic(topo, params, rng):
     n = len(topo)
-    k = params["k"] if params["k"] else max(3, round(2 * n ** (1 / 3)))
+    k = (
+        params["k"]
+        if params["k"] is not None
+        else max(3, round(2 * n ** (1 / 3)))
+    )
     placement = RingPlacement.cubic(n, k)
     return cubic_attack_protocol(topo, placement, params["target"])
 
 
 def _attack_partial_sum(topo, params, rng):
     return partial_sum_attack_protocol(
-        topo, params["k"] if params["k"] else 4, params["target"]
+        topo, params["k"] if params["k"] is not None else 4, params["target"]
     )
 
 
 def _attack_phase_rushing(topo, params, rng):
     n = len(topo)
-    k = params["k"] if params["k"] else math.isqrt(n) + 3
+    k = params["k"] if params["k"] is not None else math.isqrt(n) + 3
     return phase_rushing_attack_protocol(topo, k, params["target"])
 
 
 def _attack_shamir_pool(topo, params, rng):
     n = len(topo)
-    k = params["k"] if params["k"] else default_threshold(n)
+    k = params["k"] if params["k"] is not None else default_threshold(n)
     coalition = list(range(2, 2 + k))
     return shamir_pooling_attack_protocol(topo, coalition, params["target"])
 
@@ -298,7 +302,7 @@ _register_builtins()
 # extending the registry beyond the ring protocols/attacks to the whole
 # paper — the lockstep sync engine, the tree games, the coin-toss
 # reductions, the full-information comparators, the building-block
-# applications, the fuzzer, and the frontier scan families. Imported
+# applications, the fuzzer, and the Figure 1 placements. Imported
 # here (not from the subsystems' own __init__) so registration happens
 # exactly once, in every process that can run experiments.
 import repro.analysis.scenarios  # noqa: E402,F401  (import for effect)

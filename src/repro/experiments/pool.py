@@ -1,12 +1,12 @@
 """A persistent worker pool shared across experiments.
 
 A pool per experiment would make a sweep of thirty shallow grid points
-pay thirty pool spawns, and the frontier/fuzz inner loops one per
+pay thirty pool spawns, and the fuzz inner loop one per
 probe. :class:`WorkerPool` is created once — by the caller, or by a
 ``with WorkerPool(...)`` around one campaign or one
 :func:`~repro.experiments.campaign.run_scenario` call — and reused for
 every experiment dispatched through it, so consecutive grid points,
-frontier probes, and campaign entries share one set of warm worker
+fuzz probes, and campaign entries share one set of warm worker
 processes.
 
 Two dispatch surfaces:

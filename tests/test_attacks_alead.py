@@ -129,18 +129,47 @@ class TestEqualSpacingAttack:
                 assert got == first_sent
 
     def test_below_threshold_fails(self):
-        """With segments longer than k-1 the attack cannot finish."""
-        n, k = 36, 3  # segments of length 11 > 2
-        topo = unidirectional_ring(n)
-        pl = RingPlacement.equal_spacing(n, k)
-        with pytest.raises(ConfigurationError):
-            equal_spacing_attack_protocol(topo, pl, 1)
-        res = run_protocol(
-            topo,
-            equal_spacing_attack_protocol_unchecked(topo, pl, 1),
-            seed=0,
-        )
-        assert res.outcome == FAIL
+        """With a segment longer than k-1 the attack cannot finish.
+
+        Every ``(n, k)`` up to n = 36 where the checked builder refuses
+        (Lemma 4.1 needs ``l_j <= k-1``) but the placement itself is
+        valid: the unchecked run ends ``FAIL`` on both seeds. This is the
+        refusal the frontier scan reads as "rushing does not force".
+        The one exception is n=5, k=2 (segments 2 and 1): seed 1
+        happens to elect the target anyway, so that case asserts only
+        that the two seeds do not both elect it.
+        """
+        cases = 0
+        for n in range(2, 37):
+            topo = unidirectional_ring(n)
+            target = (n + 1) // 2
+            for k in range(1, n // 2 + 1):
+                pl = RingPlacement.equal_spacing(n, k)
+                try:
+                    pl.check_attack(n, target)
+                except ConfigurationError:
+                    continue  # an adversarial origin: no attack at all
+                try:
+                    equal_spacing_attack_protocol(topo, pl, target)
+                    continue  # at or above the threshold
+                except ConfigurationError:
+                    pass
+                cases += 1
+                outcomes = [
+                    run_protocol(
+                        topo,
+                        equal_spacing_attack_protocol_unchecked(
+                            topo, pl, target
+                        ),
+                        seed=seed,
+                    ).outcome
+                    for seed in (0, 1)
+                ]
+                if (n, k) == (5, 2):
+                    assert outcomes != [target, target]
+                else:
+                    assert outcomes == [FAIL, FAIL], (n, k, outcomes)
+        assert cases == 125
 
     def test_rejects_adversarial_origin(self):
         topo = unidirectional_ring(16)
@@ -160,6 +189,28 @@ class TestCubicAttack:
                 topo, cubic_attack_protocol(topo, pl, target), seed=target
             )
             assert res.outcome == target, res.fail_reason
+
+    def test_controls_outcome_on_grid(self):
+        """Every ``(n, k)`` up to n = 36 where the Thm 4.3 staircase
+        constructs elects the target on every seed: constructible means
+        forced, the certificate the frontier scan reads."""
+        cases = 0
+        for n in range(2, 37):
+            topo = unidirectional_ring(n)
+            target = (n + 1) // 2
+            for k in range(2, n + 1):
+                try:
+                    pl = RingPlacement.cubic(n, k)
+                except ConfigurationError:
+                    continue
+                cases += 1
+                for seed in (0, 1):
+                    res = run_protocol(
+                        topo, cubic_attack_protocol(topo, pl, target),
+                        seed=seed,
+                    )
+                    assert res.outcome == target, (n, k, seed, res.fail_reason)
+        assert cases == 235
 
     def test_coalition_sublinear(self):
         """At the feasibility frontier k ~ (2n)^(1/3) << sqrt(n)."""

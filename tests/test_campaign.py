@@ -141,7 +141,7 @@ class TestManifestExpansion:
         prefixes = {p.scenario.split("/", 1)[0] for p in points}
         assert {
             "honest", "attack", "sync", "tree", "cointoss", "fullinfo",
-            "blocks", "fuzz", "frontier", "placement",
+            "blocks", "fuzz", "placement",
         } <= prefixes
         assert all(p.trials == 2 for p in points)
 

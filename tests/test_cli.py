@@ -85,6 +85,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "smallest forcing" in out
+        assert "k/n^(1/3)=" in out
 
     def test_fuzz(self, capsys):
         rc = main(["fuzz", "--n", "12", "--k", "2", "--samples", "10"])
@@ -140,6 +141,11 @@ class TestUsageErrors:
              "exposed (n=10, k=50)"),
             ("attack --name basic-cheat --n 8 --target 99",
              "target 99 out of range 1..8"),
+            # An explicit k=0 reaches the builder, not the default k.
+            ("attack --name cubic --n 111 --k 0 --target 3",
+             "cubic attack needs k >= 2"),
+            ("attack --name rushing --n 64 --k 0 --target 1",
+             "k=0 out of range for n=64"),
             ("bias --protocol alead-uni --n 0 --trials 5",
              "point 'honest/alead-uni' {'n': 0} failed: "
              "ring needs at least 2 processors, got 0"),

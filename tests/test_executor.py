@@ -434,14 +434,6 @@ class TestEventStreamGolden:
             "32a9313d10608416f309bf5a047b16a3e571f16eba83afa402d10748c2a7747b",
         ("cointoss/fle-coin", 1):
             "e8c9c3ee0f459b53c49ff1d30c80742e0bfa2dfa219bb8a36037bd35c53eede1",
-        ("frontier/cubic", 0):
-            "e7f409037e4e3ab89bb461545bed95a404a4e764535113b786d90ffa6bfcb03d",
-        ("frontier/cubic", 1):
-            "7de2fe97e527b9ffc539bb7f830ebbceb104ee22cb3ec5da0c39c098f7030a5c",
-        ("frontier/rushing", 0):
-            "09e08d44c5301eeb14110c2fd349ac0a7808e01ea36318d63b6f6f605ddf00a4",
-        ("frontier/rushing", 1):
-            "9b48245196fb48c8d62f77a320d59f8fc4f859c5253fffc54c824514e029967a",
         ("fuzz/random-deviation", 0):
             "6eef051ed0daf890e55a1cfcc6822d2566c104f44746a49196010d8646dcc66b",
         ("fuzz/random-deviation", 1):

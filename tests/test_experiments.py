@@ -59,8 +59,6 @@ BUILTIN_SCENARIOS = {
     "blocks/fair-consensus",
     "blocks/fair-renaming",
     "fuzz/random-deviation",
-    "frontier/cubic",
-    "frontier/rushing",
     "placement/random-segments",
 }
 
@@ -74,7 +72,7 @@ class TestRegistry:
         prefixes = {name.split("/", 1)[0] for name in scenario_names()}
         assert {
             "honest", "attack", "sync", "tree", "cointoss", "fullinfo",
-            "blocks", "fuzz", "frontier", "placement",
+            "blocks", "fuzz", "placement",
         } <= prefixes
 
     def test_tags_partition_protocols_and_attacks(self):

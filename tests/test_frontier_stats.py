@@ -18,25 +18,31 @@ from repro.analysis.stats import (
 
 class TestFrontier:
     def test_frontier_inside_gap(self):
-        point = smallest_forcing_coalition(64, seeds=1)
+        point = smallest_forcing_coalition(64)
         assert point.family in ("cubic", "rushing")
         assert point.within_gap
 
     def test_frontier_series(self):
-        points = forcing_frontier([64, 144], seeds=1)
-        assert [p.n for p in points] == [64, 144]
+        """The table is the smallest k whose cubic staircase covers the
+        ring, k + (k-1)k(k+1)/2 >= n, about (2n)^(1/3)."""
+        sizes = [64, 144, 256, 512, 1024, 2048]
+        points = forcing_frontier(sizes)
+        assert [p.n for p in points] == sizes
+        assert [p.k_min for p in points] == [5, 7, 8, 11, 13, 16]
+        assert {p.family for p in points} == {"cubic"}
         for p in points:
             assert p.within_gap
             assert p.lower_bound < p.conjecture < p.upper_bound
+        assert smallest_forcing_coalition(65536).k_min == 51
 
     def test_frontier_monotone_ish(self):
         """Larger rings need (weakly) larger forcing coalitions."""
-        small = smallest_forcing_coalition(36, seeds=1)
-        large = smallest_forcing_coalition(256, seeds=1)
+        small = smallest_forcing_coalition(36)
+        large = smallest_forcing_coalition(256)
         assert large.k_min >= small.k_min
 
     def test_unreachable_frontier_reported(self):
-        point = smallest_forcing_coalition(36, seeds=1, k_max=2)
+        point = smallest_forcing_coalition(36, k_max=2)
         assert point.family == "none"
         assert point.k_min == 3
 

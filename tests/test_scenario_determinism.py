@@ -5,7 +5,7 @@ a pure function of ``(scenario, params, trials, base_seed)`` — the
 worker count, chunking, and process boundaries must never show. PR 1
 asserted this for one ring scenario; with the registry now spanning
 every subsystem (sync engine, tree games, coin-toss reductions,
-full-information games, building blocks, fuzzer, frontier families),
+full-information games, building blocks, fuzzer, placements),
 this suite holds *every* registered name to the contract.
 
 A spec that closes over process-local state — a module-level
