@@ -8,7 +8,8 @@ negligible ε. We probe the defensive side empirically:
 2. honest-uniformity is untouched by *passive* adversaries (coalitions
    that follow the protocol), establishing the ε≈0 baseline the theorem
    protects;
-3. the crossover: the smallest forcing coalition observed per n sits
+3. the crossover: the smallest coalition a registered attack certifies
+   forcing for (``analysis.frontier.smallest_forcing_coalition``) sits
    between n^(1/4) and 2·n^(1/3), exactly the paper's open gap
    (Conjecture 4.7).
 """
@@ -17,42 +18,10 @@ import math
 
 from repro import FAIL, run_protocol, unidirectional_ring
 from repro.analysis.distribution import chi_square_uniformity
-from repro.attacks import (
-    RingPlacement,
-    cubic_attack_protocol,
-    equal_spacing_attack_protocol_unchecked,
-)
+from repro.analysis.frontier import smallest_forcing_coalition
+from repro.attacks import RingPlacement, equal_spacing_attack_protocol_unchecked
 from repro.experiments import run_scenario
 from repro.util.errors import ConfigurationError
-
-
-def smallest_forcing_k(n: int) -> int:
-    """Smallest k at which any implemented attack forces the outcome."""
-    ring = unidirectional_ring(n)
-    for k in range(2, math.isqrt(n) + 2):
-        for builder in (_try_cubic, _try_rushing):
-            proto = builder(ring, n, k)
-            if proto is None:
-                continue
-            res = run_protocol(ring, proto, seed=k)
-            if res.outcome == 7:
-                return k
-    return math.isqrt(n) + 2
-
-
-def _try_cubic(ring, n, k):
-    try:
-        return cubic_attack_protocol(ring, RingPlacement.cubic(n, k), 7)
-    except ConfigurationError:
-        return None
-
-
-def _try_rushing(ring, n, k):
-    try:
-        pl = RingPlacement.equal_spacing(n, k)
-        return equal_spacing_attack_protocol_unchecked(ring, pl, 7)
-    except ConfigurationError:
-        return None
 
 
 def test_e6_resilience_below_threshold(benchmark, experiment_report):
@@ -83,7 +52,7 @@ def test_e6_resilience_below_threshold(benchmark, experiment_report):
 
     rows = []
     for n in (64, 144, 256):
-        k_min = smallest_forcing_k(n)
+        k_min = smallest_forcing_coalition(n).k_min
         lo, hi = n ** 0.25, 2 * n ** (1 / 3)
         rows.append(
             f"n={n:<4} smallest forcing k={k_min:<3} "
@@ -106,4 +75,4 @@ def test_e6_resilience_below_threshold(benchmark, experiment_report):
         [f"n=16 trials=320 chi2 p={chi_square_uniformity(dist):.3f}"],
     )
 
-    benchmark(lambda: smallest_forcing_k(64))
+    benchmark(lambda: smallest_forcing_coalition(64))

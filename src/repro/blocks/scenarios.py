@@ -27,7 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.blocks.consensus import fair_consensus_protocol
 from repro.blocks.renaming import fair_renaming_protocol, my_name
-from repro.experiments.ring_kernels import alead_leader
+from repro.experiments.ring_kernels import alead_leader, fold_leaders
 from repro.experiments.scenario import (
     Params,
     ScenarioSpec,
@@ -75,12 +75,7 @@ def run_fair_consensus_batch(
     n = params["n"]
     if n < 2:
         return None  # degenerate ring: let the scalar path report it
-    stream = random.Random(0)
-    counts: Dict[object, int] = {}
-    for seed in seeds:
-        leader = alead_leader(seed, n, stream)
-        counts[leader] = counts.get(leader, 0) + 1
-    return counts, n * n * len(seeds)
+    return fold_leaders(seeds, n, n * n)
 
 
 def run_fair_renaming_batch(

@@ -37,7 +37,7 @@ from repro.experiments.scenario import Params, ProtocolFactory, ring_topology
 from repro.protocols.outcome import residue_to_id
 from repro.sim.execution import run_protocol
 from repro.util.errors import ConfigurationError
-from repro.util.rng import RngRegistry, derive_seed, derive_seeds
+from repro.util.rng import RngRegistry, derive_seed, derive_seeds, reseed
 
 #: What a kernel returns: ``(outcome -> count, steps total)``, or None.
 Fold = Optional[Tuple[Dict[object, int], int]]
@@ -55,16 +55,26 @@ def _secret_draws(
     the first ``randrange(n)`` of its ``proc:<pid>`` stream.
 
     ``stream`` is re-seeded once per processor instead of building a
-    ``random.Random`` each time; the draws are the same. The n
-    ``proc:<pid>`` seeds come from one primed hasher
-    (:func:`~repro.util.rng.derive_seeds`). Seeding the Mersenne Twister
-    is most of the cost, and it is the floor: a numpy ``RandomState``
-    re-seed costs more than twice ``random.Random.seed``.
+    ``random.Random`` each time, through the C call
+    :data:`~repro.util.rng.reseed` that ``random.Random.seed`` ends in
+    for an int seed (nothing here reads ``gauss_next``). The draw is
+    ``randrange(n)``'s own ``getrandbits(n.bit_length())`` rejection
+    loop, inlined, so the stream yields the same words in the same
+    order. The n ``proc:<pid>`` seeds come from one primed hasher
+    (:func:`~repro.util.rng.derive_seeds`). A processor costs about
+    7 µs, nearly all of it the C seeding of the Mersenne Twister, and
+    that is the floor: a numpy ``RandomState`` re-seed costs more than
+    twice as much.
     """
+    getrandbits = stream.getrandbits
+    bits = n.bit_length()
     draws = []
     for proc_seed in derive_seeds(seed, "proc:", pids):
-        stream.seed(proc_seed)
-        draws.append(stream.randrange(n))
+        reseed(stream, proc_seed)
+        secret = getrandbits(bits)
+        while secret >= n:
+            secret = getrandbits(bits)
+        draws.append(secret)
     return draws
 
 
@@ -74,17 +84,25 @@ def alead_leader(seed: int, n: int, stream: random.Random) -> int:
     return residue_to_id(sum(_secret_draws(seed, range(1, n + 1), n, stream)) % n, n)
 
 
-def run_alead_uni_batch(seeds: Sequence[int], params: Params) -> Fold:
-    """Fold a chunk of ``honest/alead-uni`` trials in closed form."""
-    n = params["n"]
-    if not _is_int(n) or n < 2:
-        return None  # let the scalar path report the bad ring
+def fold_leaders(seeds: Sequence[int], n: int, steps_per_trial: int) -> Fold:
+    """Fold a chunk of elections that each elect :func:`alead_leader`:
+    every processor ``pid`` draws its secret as the first
+    ``randrange(n)`` of its ``proc:<pid>`` stream and all elect
+    ``residue_to_id(sum mod n)``, in ``steps_per_trial`` steps."""
     stream = random.Random(0)
     counts: Dict[object, int] = {}
     for seed in seeds:
         leader = alead_leader(seed, n, stream)
         counts[leader] = counts.get(leader, 0) + 1
-    return counts, n * n * len(seeds)
+    return counts, steps_per_trial * len(seeds)
+
+
+def run_alead_uni_batch(seeds: Sequence[int], params: Params) -> Fold:
+    """Fold a chunk of ``honest/alead-uni`` trials in closed form."""
+    n = params["n"]
+    if not _is_int(n) or n < 2:
+        return None  # let the scalar path report the bad ring
+    return fold_leaders(seeds, n, n * n)
 
 
 def run_forcing_batch(

@@ -199,9 +199,16 @@ class Executor:
 
         for time, pid in enumerate(nodes, 1):
             ctx = contexts[pid]
+            strategy = protocol[pid]
+            if getattr(strategy, "_woken", False):
+                raise ConfigurationError(
+                    f"the strategy of processor {pid!r} already ran in an "
+                    "execution; build a fresh protocol for each run"
+                )
+            strategy._woken = True
             if recording:
                 trace.append(WakeupEvent(time, pid))
-            protocol[pid].on_wakeup(ctx)
+            strategy.on_wakeup(ctx)
             if recording:
                 self._record(time, pid, ctx, sent)
             for to, value in ctx.sends:

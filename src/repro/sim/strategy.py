@@ -110,13 +110,15 @@ class Strategy(ABC):
     """Behaviour of one processor. Instances must not be shared.
 
     A strategy instance holds the processor's local state between
-    callbacks, so each processor in a protocol needs its own instance.
-    (The empty ``__slots__`` here lets hot subclasses declare their own
-    and become ``__dict__``-free; subclasses that don't bother keep a
-    ``__dict__`` as usual.)
+    callbacks, so each processor in a protocol needs its own instance,
+    and an instance runs in one execution only: the executor sets the
+    ``_woken`` slot when it wakes the processor and refuses an instance
+    that already has it. (The one slot here lets hot subclasses declare
+    their own and become ``__dict__``-free; subclasses that don't bother
+    keep a ``__dict__`` as usual.)
     """
 
-    __slots__ = ()
+    __slots__ = ("_woken",)
 
     @abstractmethod
     def on_wakeup(self, ctx: Context) -> None:

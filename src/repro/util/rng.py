@@ -10,7 +10,15 @@ random string.
 
 import hashlib
 import random
+from _random import Random as _CRandom
 from typing import Dict, Iterable, Iterator, Optional
+
+#: ``reseed(stream, seed)`` re-seeds a ``random.Random`` from an int
+#: exactly as ``stream.seed(seed)`` does: ``random.Random.seed`` checks
+#: the seed's type, makes this C call and resets ``gauss_next``. Kernels
+#: that re-seed one private stream per trial or per processor, and never
+#: draw ``gauss``, call it directly to skip the Python layer.
+reseed = _CRandom.seed
 
 
 def derive_seed(base_seed: int, label: str) -> int:

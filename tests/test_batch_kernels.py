@@ -53,6 +53,8 @@ EXPECTED_BATCH_NAMES = [
     "fullinfo/sequential-coin",
     "honest/alead-uni",
     "placement/random-segments",
+    "sync/broadcast",
+    "sync/ring",
 ]
 
 
@@ -134,6 +136,8 @@ PARAM_SAMPLERS = {
         "n": rng.randrange(2, 257),
         "p": round(rng.uniform(0.01, 0.99), 3),
     },
+    "sync/broadcast": lambda rng: {"n": rng.randrange(2, 13)},
+    "sync/ring": lambda rng: {"n": rng.randrange(2, 13)},
 }
 
 
@@ -275,17 +279,30 @@ def test_declined_points_defer_to_scalar_validation():
         ("attack/basic-cheat", {"n": 8, "cheater": 9}),  # cheater off the ring
         ("attack/random-location", {"n": 16, "p": 0.9, "target": 17}),
         ("attack/random-location", {"n": 16, "p": 0.9, "window": 0}),
+        ("sync/broadcast", {"n": 1}),  # no complete graph on one node
+        ("sync/ring", {"n": 1}),
     ],
 )
 def test_ring_kernels_decline_what_the_builder_rejects(scenario, params):
     """The forcing kernels run the scenario's own builder once per chunk
-    and decline when it raises; random-location declines parameters its
-    builder would reject. Either way the scalar error surfaces unchanged."""
+    and decline when it raises; random-location and the sync kernels
+    decline parameters their builders would reject. Either way the
+    scalar error surfaces unchanged."""
     spec = get_scenario(scenario)
     assert spec.run_batch([1, 2, 3], spec.resolve_params(params)) is None
     for use_batch in (True, False):
         with pytest.raises(ConfigurationError):
             _run(scenario, 8, 3, params, use_batch=use_batch)
+
+
+def test_sync_ring_kernel_declines_past_the_round_budget():
+    """A synchronous ring of ``n`` needs ``n + 1`` rounds; past the
+    default budget of 1000 the scalar trial FAILs, so the kernel folds
+    n = 999 and declines n = 1000."""
+    spec = get_scenario("sync/ring")
+    counts, steps = spec.run_batch([1], {"n": 999})
+    assert sum(counts.values()) == 1 and steps == 1000
+    assert spec.run_batch([1], {"n": 1000}) is None
 
 
 def test_kernel_decline_is_per_spec_not_per_runner():

@@ -47,7 +47,7 @@ from repro.experiments.runner import chunk_payloads, cost_key
 BATCHED = "cointoss/biased-coin"  # vectorized run_batch kernel
 EXECUTOR = "attack/basic-cheat"  # per-trial executor simulation
 MIXED_RATE = "fullinfo/baton"  # batched, p far from 0 and 1
-SCALAR_ONLY = "sync/broadcast"  # no run_batch kernel at all
+SCALAR_ONLY = "sync/last-round-cheat"  # no run_batch kernel at all
 
 
 def seeded(per_trial_seconds: float, scenario: str = "any") -> AdaptiveChunker:

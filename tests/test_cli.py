@@ -5,6 +5,7 @@ import multiprocessing
 import re
 import socket
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -566,3 +567,10 @@ class TestScenariosCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("| Scenario |")
         assert any(line.startswith("| `sync/ring` |") for line in out)
+        # README's registered-scenarios table is this output, verbatim.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = readme.splitlines()
+        start = lines.index(out[0])
+        table = lines[start : start + len(out) + 1]
+        assert table[:-1] == out
+        assert not table[-1].startswith("|"), "README table has extra rows"

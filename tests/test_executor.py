@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.attacks import RingPlacement, cubic_attack_protocol
 from repro.sim.events import ReceiveEvent
 from repro.sim.execution import ABORT, FAIL, Executor, run_protocol
 from repro.sim.scheduler import (
@@ -204,6 +205,16 @@ class TestConfiguration:
         shared = SilentStrategy()
         with pytest.raises(ConfigurationError):
             Executor(topo, {1: shared, 2: shared})
+
+    def test_strategy_vector_that_already_ran_rejected(self):
+        """A strategy keeps its state after a run, so a vector run a
+        second time (here for another seed) must be refused up front
+        instead of ending FAIL by non-termination."""
+        ring = unidirectional_ring(4)
+        protocol = cubic_attack_protocol(ring, RingPlacement.cubic(4, 2), 1)
+        assert run_protocol(ring, protocol, seed=1).outcome == 1
+        with pytest.raises(ConfigurationError, match="processor 1 already ran"):
+            run_protocol(ring, protocol, seed=2)
 
     def test_seed_and_rng_mutually_exclusive(self):
         topo = two_ring()

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.experiments.runner import trial_registry, trial_seeds
 from repro.util.errors import ConfigurationError, ProtocolViolation, ReproError
 from repro.util.modmath import canonical_mod, mod_sub, mod_sum
-from repro.util.rng import RngRegistry, derive_seed, derive_seeds
+from repro.util.rng import RngRegistry, derive_seed, derive_seeds, reseed
 
 
 class TestModMath:
@@ -137,6 +137,44 @@ class TestDeriveSeeds:
     def test_trial_seeds_index_out_of_range(self):
         with pytest.raises(IndexError):
             trial_seeds(1, [3, 4])[2]
+
+
+def _rejection_draw(getrandbits, m: int) -> int:
+    """The draw the stream-exact kernels inline for ``randrange(m)``."""
+    bits = m.bit_length()
+    r = getrandbits(bits)
+    while r >= m:
+        r = getrandbits(bits)
+    return r
+
+
+class TestCPythonDrawAssumption:
+    """The kernels in ``ring_kernels`` and ``fullinfo.scenarios`` rest on
+    two CPython details; a CPython that changes either fails here rather
+    than in the golden rows."""
+
+    BOUNDS = sorted(
+        set(range(1, 1101))
+        | {2**j + d for j in range(21) for d in (-1, 0, 1) if 2**j + d >= 1}
+    )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_randrange_is_the_getrandbits_rejection_loop(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for m in self.BOUNDS:
+            assert _rejection_draw(ours.getrandbits, m) == theirs.randrange(m), m
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("value", [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+    def test_c_reseed_is_stream_seed(self, value):
+        ours, theirs = random.Random(99), random.Random(99)
+        ours.random(), theirs.random()
+        reseed(ours, value)
+        theirs.seed(value)
+        assert ours.getstate()[1] == theirs.getstate()[1]
+        assert [ours.getrandbits(32) for _ in range(700)] == [
+            theirs.getrandbits(32) for _ in range(700)
+        ]
 
 
 class TestErrors:
