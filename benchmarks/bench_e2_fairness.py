@@ -7,11 +7,8 @@ uniformity, and benchmark one honest execution of each protocol.
 
 import pytest
 
-from repro import run_protocol, unidirectional_ring
-from repro.analysis.distribution import (
-    chi_square_uniformity,
-    estimate_distribution,
-)
+from repro import run_protocol, run_scenario, unidirectional_ring
+from repro.analysis.distribution import chi_square_uniformity
 from repro.protocols import (
     alead_uni_protocol,
     basic_lead_protocol,
@@ -30,9 +27,11 @@ def test_e2_uniform_election(name, benchmark, experiment_report):
     maker = PROTOCOLS[name]
     rows = []
     for n in (4, 8, 16):
-        ring = unidirectional_ring(n)
         trials = 600 if n <= 8 else 320
-        dist = estimate_distribution(ring, maker, trials=trials, base_seed=7)
+        dist = run_scenario(
+            f"honest/{name}", trials, base_seed=7, params={"n": n},
+            keep_outcomes=False,
+        ).distribution
         p = chi_square_uniformity(dist)
         rows.append(
             f"n={n:<3} trials={trials:<4} fails={dist.fail_count} "

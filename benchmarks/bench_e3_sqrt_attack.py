@@ -9,8 +9,7 @@ the attack collapsing once k drops below the segment-length requirement.
 
 import math
 
-from repro import FAIL, run_protocol, unidirectional_ring
-from repro.analysis.bias import attack_success_rate
+from repro import FAIL, run_protocol, run_scenario, unidirectional_ring
 from repro.attacks import (
     RingPlacement,
     equal_spacing_attack_protocol,
@@ -22,15 +21,11 @@ def test_e3_sqrt_coalition_controls(benchmark, experiment_report):
     rows = []
     for n in (16, 36, 64, 144, 256):
         k = math.isqrt(n)
-        ring = unidirectional_ring(n)
         pl = RingPlacement.equal_spacing(n, k)
-        rate = attack_success_rate(
-            ring,
-            lambda topo, w: equal_spacing_attack_protocol(topo, pl, w),
-            target=n // 2,
-            trials=6,
-            base_seed=n,
-        )
+        rate = run_scenario(
+            "attack/equal-spacing", 6, base_seed=n,
+            params={"n": n, "k": k, "target": n // 2}, keep_outcomes=False,
+        ).success_rate
         rows.append(
             f"n={n:<4} k=sqrt(n)={k:<3} segments max={max(pl.distances())} "
             f"forcing rate={rate:.2f}"

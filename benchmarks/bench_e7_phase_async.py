@@ -15,11 +15,8 @@ We measure both sides:
 
 import math
 
-from repro import FAIL, run_protocol, unidirectional_ring
-from repro.analysis.distribution import (
-    chi_square_uniformity,
-    estimate_distribution,
-)
+from repro import FAIL, run_protocol, run_scenario, unidirectional_ring
+from repro.analysis.distribution import chi_square_uniformity
 from repro.attacks import (
     partial_sum_attack_protocol,
     phase_rushing_attack_protocol,
@@ -86,10 +83,10 @@ def test_e7_threshold_below(benchmark, experiment_report):
     )
 
     # Honest uniformity baseline.
-    ring = unidirectional_ring(8)
-    dist = estimate_distribution(
-        ring, phase_async_protocol, trials=400, base_seed=3
-    )
+    dist = run_scenario(
+        "honest/phase-async", 400, base_seed=3, params={"n": 8},
+        keep_outcomes=False,
+    ).distribution
     assert dist.fail_count == 0
     p = chi_square_uniformity(dist)
     assert p > 1e-4

@@ -8,8 +8,7 @@ sizes and targets; the identical deviation must fail against the
 random-function output (that contrast is E7c).
 """
 
-from repro import run_protocol, unidirectional_ring
-from repro.analysis.bias import attack_success_rate
+from repro import run_protocol, run_scenario, unidirectional_ring
 from repro.attacks import partial_sum_attack_protocol
 
 
@@ -17,14 +16,10 @@ def test_e8_sum_phase_broken_by_4(benchmark, experiment_report):
     rows = []
     for L in (4, 8, 16, 24):
         n = 4 * L + 4
-        ring = unidirectional_ring(n)
-        rate = attack_success_rate(
-            ring,
-            lambda topo, w: partial_sum_attack_protocol(topo, 4, w),
-            target=n // 3,
-            trials=6,
-            base_seed=L,
-        )
+        rate = run_scenario(
+            "attack/partial-sum", 6, base_seed=L,
+            params={"n": n, "k": 4, "target": n // 3}, keep_outcomes=False,
+        ).success_rate
         rows.append(f"n={n:<4} (L={L:<3}) k=4 forcing rate={rate:.2f}")
         assert rate == 1.0
     experiment_report("E8 partial-sum attack on sum-phase variant (E.4)", rows)

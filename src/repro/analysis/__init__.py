@@ -1,11 +1,12 @@
 """Measurement toolkit: outcome distributions, bias, synchronization.
 
-These are the instruments behind every experiment in EXPERIMENTS.md:
+These are the instruments behind the experiments in ``benchmarks/``:
 
-- :mod:`repro.analysis.distribution` — Monte-Carlo outcome histograms,
-  chi-square uniformity tests, fail rates;
+- :mod:`repro.analysis.distribution` — outcome histograms (what every
+  :func:`repro.experiments.run_scenario` estimate folds into), chi-square
+  uniformity tests, fail rates;
 - :mod:`repro.analysis.bias` — the paper's ε (``max_j Pr[outcome=j] - 1/n``)
-  and attack success probability estimation;
+  read off a histogram;
 - :mod:`repro.analysis.sync` — ``Sent_i^t`` synchronization-gap series
   (Section 5's ``m``-synchronization measure);
 - :mod:`repro.analysis.segments` — honest-segment geometry statistics
@@ -14,14 +15,9 @@ These are the instruments behind every experiment in EXPERIMENTS.md:
 
 from repro.analysis.distribution import (
     OutcomeDistribution,
-    estimate_distribution,
     chi_square_uniformity,
 )
-from repro.analysis.bias import (
-    BiasReport,
-    empirical_bias,
-    attack_success_rate,
-)
+from repro.analysis.bias import BiasReport
 from repro.analysis.sync import sync_gap_for, honest_sync_profile, max_send_lead
 from repro.analysis.segments import segment_statistics, SegmentStats
 from repro.analysis.lemma33 import Lemma33Verdict, lemma33_verdict, honest_secret
@@ -40,11 +36,8 @@ from repro.analysis.render import render_sync_timeline, trace_to_dicts
 
 __all__ = [
     "OutcomeDistribution",
-    "estimate_distribution",
     "chi_square_uniformity",
     "BiasReport",
-    "empirical_bias",
-    "attack_success_rate",
     "sync_gap_for",
     "honest_sync_profile",
     "max_send_lead",

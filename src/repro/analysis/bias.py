@@ -2,24 +2,17 @@
 
 The paper's central quantity is the ε of ``ε-k-unbiased``:
 ``ε = max_j Pr[outcome = j] - 1/n`` under the best adversarial deviation
-(Definition after 2.3). These helpers estimate both sides empirically:
-
-- :func:`empirical_bias` — given a (possibly adversarial) protocol
-  factory, how far above ``1/n`` the most likely valid outcome sits;
-- :func:`attack_success_rate` — for attacks that target a specific ``w``,
-  the fraction of runs with ``outcome == w`` (the paper's attacks achieve
-  rate 1, i.e. ε = 1 - 1/n).
+(Definition after 2.3). :class:`BiasReport` reads it off an
+:class:`~repro.analysis.distribution.OutcomeDistribution`, e.g. the
+``distribution`` of ``run_scenario("honest/alead-uni", ...)``. An
+attack's forcing rate, ``Pr[outcome = target]``, is the
+``success_rate`` of its registered ``attack/<name>`` scenario (the
+paper's attacks achieve rate 1, i.e. ε = 1 - 1/n).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional
 
-from repro.analysis.distribution import (
-    OutcomeDistribution,
-    ProtocolFactory,
-    estimate_distribution,
-)
-from repro.sim.topology import Topology
+from repro.analysis.distribution import OutcomeDistribution
 
 
 @dataclass(frozen=True)
@@ -36,66 +29,9 @@ class BiasReport:
         """``max_j Pr[outcome=j] - 1/n`` (clamped at 0 from below)."""
         return max(0.0, self.max_probability - 1.0 / self.n)
 
-
-def empirical_bias(
-    topology: Topology,
-    factory: ProtocolFactory,
-    trials: int,
-    base_seed: int = 0,
-    distribution: Optional[OutcomeDistribution] = None,
-    workers: int = 1,
-) -> BiasReport:
-    """Estimate the bias ε of ``factory`` over ``trials`` executions.
-
-    Estimation runs through the :mod:`repro.experiments` runner;
-    ``workers > 1`` fans trials out over processes without changing the
-    result (see :func:`estimate_distribution` for the picklability
-    caveat).
-    """
-    dist = (
-        distribution
-        if distribution is not None
-        else estimate_distribution(
-            topology, factory, trials, base_seed, workers=workers
+    @classmethod
+    def from_distribution(cls, dist: OutcomeDistribution) -> "BiasReport":
+        """The bias of the runs ``dist`` histograms."""
+        return cls(
+            dist.n, dist.trials, dist.max_probability(), dist.fail_rate
         )
-    )
-    return BiasReport(
-        n=len(topology),
-        trials=dist.trials,
-        max_probability=dist.max_probability(),
-        fail_rate=dist.fail_rate,
-    )
-
-
-class _TargetFactory:
-    """Picklable adapter binding a target id into an attack factory."""
-
-    def __init__(
-        self,
-        factory_for_target: Callable[[Topology, int], Dict[Hashable, object]],
-        target: int,
-    ):
-        self.factory_for_target = factory_for_target
-        self.target = target
-
-    def __call__(self, topology: Topology) -> Dict[Hashable, object]:
-        return self.factory_for_target(topology, self.target)
-
-
-def attack_success_rate(
-    topology: Topology,
-    factory_for_target: Callable[[Topology, int], Dict[Hashable, object]],
-    target: int,
-    trials: int,
-    base_seed: int = 0,
-    workers: int = 1,
-) -> float:
-    """Fraction of runs in which the attack forces ``outcome == target``."""
-    dist = estimate_distribution(
-        topology,
-        _TargetFactory(factory_for_target, target),
-        trials,
-        base_seed,
-        workers=workers,
-    )
-    return dist.probability(target)

@@ -1,27 +1,20 @@
-"""Monte-Carlo estimation of outcome distributions.
+"""Outcome distributions of repeated executions.
 
 An FLE protocol must elect every id with probability exactly ``1/n``
-(Section 2). These helpers run a protocol factory many times with
-independent seeds, histogram the outcomes, and test uniformity with a
-chi-square statistic (scipy when available, plain implementation
-otherwise, so the core library stays dependency-free).
-
-Estimation delegates to the :mod:`repro.experiments` runner: trials run
-with trace recording off and can fan out over worker processes, while
-the per-trial seed derivation is unchanged from the original serial
-loop — so historical results are preserved exactly.
+(Section 2). :class:`OutcomeDistribution` is the histogram every
+Monte-Carlo estimate folds into (the ``distribution`` of
+:func:`repro.experiments.run_scenario`'s result), and
+:func:`chi_square_uniformity` tests it for uniformity (scipy when
+available, a plain implementation otherwise, so the core library stays
+dependency-free).
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional
+from typing import Dict
 
 from repro.sim.execution import FAIL
-from repro.sim.topology import Topology
-
-#: A protocol factory: builds a fresh strategy vector per execution.
-ProtocolFactory = Callable[[Topology], Dict[Hashable, object]]
 
 
 @dataclass
@@ -58,67 +51,6 @@ class OutcomeDistribution:
     def valid_counts(self) -> Dict[int, int]:
         """Counts restricted to valid ids ``1..n`` (zeros included)."""
         return {j: self.counts.get(j, 0) for j in range(1, self.n + 1)}
-
-
-class _FixedTopology:
-    """Picklable topology factory closing over one prebuilt topology."""
-
-    def __init__(self, topology: Topology):
-        self.topology = topology
-
-    def __call__(self, params) -> Topology:
-        return self.topology
-
-
-class _FactoryProtocol:
-    """Picklable adapter from the legacy one-argument protocol factory."""
-
-    def __init__(self, factory: ProtocolFactory):
-        self.factory = factory
-
-    def __call__(self, topology, params, rng):
-        return self.factory(topology)
-
-
-def estimate_distribution(
-    topology: Topology,
-    factory: ProtocolFactory,
-    trials: int,
-    base_seed: int = 0,
-    workers: int = 1,
-    max_steps: Optional[int] = None,
-    pool=None,
-) -> OutcomeDistribution:
-    """Run ``factory`` ``trials`` times with derived seeds and histogram.
-
-    Trial ``t`` runs from the registry seed derived from
-    ``(base_seed, t)`` — the same derivation at any ``workers`` count, so
-    the histogram is reproducible however the work is distributed.
-    ``workers > 1`` requires ``topology`` and ``factory`` to be picklable
-    (module-level factories such as ``alead_uni_protocol`` are; ad-hoc
-    lambdas should stay at ``workers=1``). Only the histogram is wanted
-    here, so chunks fold inside the workers and IPC carries counters,
-    not per-trial outcomes; a shared ``pool`` amortises worker spawn
-    across repeated estimates.
-    """
-    from repro.experiments.campaign import run_scenario
-    from repro.experiments.scenario import ScenarioSpec
-
-    spec = ScenarioSpec(
-        name="adhoc/estimate-distribution",
-        description="legacy protocol-factory distribution estimate",
-        build_topology=_FixedTopology(topology),
-        build_protocol=_FactoryProtocol(factory),
-    )
-    return run_scenario(
-        spec,
-        trials,
-        base_seed,
-        workers=workers,
-        keep_outcomes=False,
-        pool=pool,
-        max_steps=max_steps,
-    ).distribution
 
 
 def chi_square_uniformity(dist: OutcomeDistribution) -> float:

@@ -23,8 +23,8 @@ class SegmentStats:
     max_length: int
     min_length: int
     exposed_adversaries: int
-    rushing_feasible: bool  # Lemma 4.1 precondition: max l_j <= k-1
-    cubic_feasible: bool  # Thm 4.3 staircase constraints
+    rushing_feasible: bool  # Lemma 4.1: RingPlacement.rushing_violations()
+    cubic_feasible: bool  # Thm 4.3: RingPlacement.staircase_violation()
 
     @property
     def mean_length(self) -> float:
@@ -35,17 +35,13 @@ class SegmentStats:
 def segment_statistics(placement: RingPlacement) -> SegmentStats:
     """Compute the Figure-1 quantities for ``placement``."""
     lengths: List[int] = placement.distances()
-    k = placement.k
-    cubic_ok = lengths[-1] <= k - 1 and all(
-        lengths[i] <= lengths[i + 1] + (k - 1) for i in range(k - 1)
-    )
     return SegmentStats(
         n=placement.n,
-        k=k,
+        k=placement.k,
         lengths=tuple(lengths),
         max_length=max(lengths),
         min_length=min(lengths),
         exposed_adversaries=sum(1 for l in lengths if l >= 1),
-        rushing_feasible=max(lengths) <= k - 1 and min(lengths) >= 1,
-        cubic_feasible=cubic_ok,
+        rushing_feasible=not placement.rushing_violations(),
+        cubic_feasible=placement.staircase_violation() is None,
     )

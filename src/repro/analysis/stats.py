@@ -1,9 +1,10 @@
 """Statistical helpers for experiment reporting.
 
 Success probabilities in the experiments are Monte-Carlo estimates; these
-helpers attach Wilson confidence intervals so EXPERIMENTS.md rows can be
-read with error bars, and provide the two-proportion comparison used when
-claiming one configuration beats another.
+helpers attach Wilson confidence intervals so the rows the experiments in
+``benchmarks/`` print can be read with error bars, and provide the
+two-proportion comparison used when claiming one configuration beats
+another.
 """
 
 import math

@@ -87,13 +87,13 @@ def cubic_attack_protocol(
     placement.check_attack(n, target)
     distances = placement.distances()
     k = placement.k
-    if distances[-1] > k - 1:
+    bad = placement.staircase_violation()
+    if bad == k - 1:
         raise ConfigurationError(f"cubic attack needs l_k <= k-1, got {distances[-1]}")
-    for i in range(k - 1):
-        if distances[i] > distances[i + 1] + (k - 1):
-            raise ConfigurationError(
-                f"cubic attack needs l_i <= l_(i+1) + k - 1, violated at i={i}"
-            )
+    if bad is not None:
+        raise ConfigurationError(
+            f"cubic attack needs l_i <= l_(i+1) + k - 1, violated at i={bad}"
+        )
     protocol = alead_uni_protocol(topology)
     for pid, l in zip(placement.positions, distances):
         protocol[pid] = CubicAdversary(n, k, l, target)

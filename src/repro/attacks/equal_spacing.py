@@ -89,8 +89,7 @@ def equal_spacing_attack_protocol(
     :func:`equal_spacing_attack_protocol_unchecked`).
     """
     placement.check_attack(len(topology), target)
-    k = placement.k
-    bad = [l for l in placement.distances() if not 1 <= l <= k - 1]
+    bad = placement.rushing_violations()
     if bad:
         raise ConfigurationError(
             f"Lemma 4.1 needs 1 <= l_j <= k-1 for all segments, got {bad}"

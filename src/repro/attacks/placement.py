@@ -80,6 +80,27 @@ class RingPlacement:
         """True if processor 1 (the origin) is outside the coalition."""
         return 1 not in set(self.positions)
 
+    def rushing_violations(self) -> List[int]:
+        """Segment lengths outside Lemma 4.1's ``1 ≤ l_j ≤ k-1``, in ring
+        order; empty iff the rushing attack's precondition holds."""
+        k = self.k
+        return [l for l in self.distances() if not 1 <= l <= k - 1]
+
+    def staircase_violation(self) -> Optional[int]:
+        """Where Theorem 4.3's staircase breaks, ``None`` if it holds.
+
+        ``k-1`` (the last segment) when ``l_k > k-1``; otherwise the
+        first ``i`` with ``l_i > l_{i+1} + k-1`` (0-based).
+        """
+        lengths = self.distances()
+        k = len(lengths)
+        if lengths[-1] > k - 1:
+            return k - 1
+        for i in range(k - 1):
+            if lengths[i] > lengths[i + 1] + (k - 1):
+                return i
+        return None
+
     def check_attack(self, n: int, target: int) -> None:
         """Refuse to launch an A-LEADuni attack on a ring of ``n`` at
         ``target`` unless the placement fits the ring, the target is a
@@ -175,19 +196,20 @@ class RingPlacement:
             )
         for i in range(leftover):
             distances[capped[i]] += 1
-        if distances[-1] > k - 1:
+        if min(distances) < 1:
+            raise ConfigurationError("cubic placement produced empty segment")
+        placement = cls.from_distances(n, distances)
+        bad = placement.staircase_violation()
+        if bad == k - 1:
             raise ConfigurationError(
                 f"cubic placement infeasible: l_k={distances[-1]} > k-1"
             )
-        if min(distances) < 1:
-            raise ConfigurationError("cubic placement produced empty segment")
-        for i in range(k - 1):
-            if distances[i] > distances[i + 1] + (k - 1):
-                raise ConfigurationError(
-                    "internal: cubic distance profile violates the "
-                    "l_i <= l_{i+1} + k - 1 constraint"
-                )
-        return cls.from_distances(n, distances)
+        if bad is not None:
+            raise ConfigurationError(
+                "internal: cubic distance profile violates the "
+                "l_i <= l_{i+1} + k - 1 constraint"
+            )
+        return placement
 
     @classmethod
     def random_locations(

@@ -121,9 +121,7 @@ def _cmd_bias(args) -> int:
         keep_outcomes=False,
         max_steps=args.max_steps,
     ).distribution
-    report = BiasReport(
-        dist.n, dist.trials, dist.max_probability(), dist.fail_rate
-    )
+    report = BiasReport.from_distribution(dist)
     print(f"protocol : {args.protocol} (n={args.n}, {args.trials} trials)")
     print(f"fail rate: {report.fail_rate:.4f}")
     print(f"max Pr   : {report.max_probability:.4f} (1/n = {1/args.n:.4f})")

@@ -92,6 +92,7 @@ from repro.experiments.runner import (
     _run_chunk_folded,
     check_chunk_size,
     check_trials,
+    checked_int,
     chunk_payloads,
     cost_key,
 )
@@ -355,14 +356,7 @@ def slice_ranges(
     slices land on nodes — slicing is pure scheduling metadata, exactly
     like chunk sizing.
     """
-    if isinstance(lease_trials, bool) or not isinstance(lease_trials, int):
-        raise ConfigurationError(
-            f"lease_trials must be an integer, got {lease_trials!r}"
-        )
-    if lease_trials < 1:
-        raise ConfigurationError(
-            f"lease_trials must be >= 1, got {lease_trials}"
-        )
+    checked_int(lease_trials, "lease_trials", 1)
     return [
         (s, min(s + lease_trials, end)) for s in range(start, end, lease_trials)
     ]

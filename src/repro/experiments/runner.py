@@ -12,9 +12,7 @@ shares; the loop that drives an experiment is
   ``(base_seed, i)``. How trials are sliced into worker chunks, and how
   many workers there are, cannot change any trial's randomness; the same
   ``(scenario, params, trials, base_seed)`` produces the same outcomes
-  in-process, on one worker, or on sixteen. (This derivation is exactly
-  the one :func:`repro.analysis.distribution.estimate_distribution` has
-  always used, so historical results are preserved bit-for-bit.)
+  in-process, on one worker, or on sixteen.
 - **Lean hot path.** Trials run with the executor's trace off:
   Monte-Carlo estimation reads only outcomes, so the executor skips all
   event-object allocation.

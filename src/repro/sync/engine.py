@@ -15,44 +15,25 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.sim.execution import ABORT, FAIL
+from repro.sim.strategy import Context
 from repro.sim.topology import Topology
-from repro.util.errors import ConfigurationError, ProtocolViolation
+from repro.util.errors import ConfigurationError
 from repro.util.rng import RngRegistry
 
 
-class SyncContext:
-    """Per-round action collector for one processor."""
+class SyncContext(Context):
+    """The simulator's per-callback :class:`Context`, one per round.
 
-    def __init__(self, pid: Hashable, out_neighbors: List[Hashable], n: int, rng):
-        self.pid = pid
-        self.out_neighbors = out_neighbors
-        self.n = n
-        self.rng = rng
-        self.sends: List[Tuple[Hashable, Any]] = []
-        self.terminated = False
-        self.output: Any = None
+    Sends, termination and abort keep the asynchronous model's checks;
+    the lockstep model only adds :meth:`broadcast`.
+    """
 
-    def send(self, to: Hashable, value: Any) -> None:
-        """Queue ``value`` for delivery to ``to`` at the next round."""
-        if self.terminated:
-            raise ProtocolViolation(f"{self.pid} sent after terminating")
-        if to not in self.out_neighbors:
-            raise ProtocolViolation(f"{self.pid} -> {to} is not a link")
-        self.sends.append((to, value))
+    __slots__ = ()
 
     def broadcast(self, value: Any) -> None:
         """Send ``value`` to every out-neighbour."""
         for to in self.out_neighbors:
             self.send(to, value)
-
-    def terminate(self, output: Any) -> None:
-        if self.terminated:
-            raise ProtocolViolation(f"{self.pid} terminated twice")
-        self.terminated = True
-        self.output = output
-
-    def abort(self, reason: str = "") -> None:
-        self.terminate(ABORT)
 
 
 class SyncStrategy(ABC):

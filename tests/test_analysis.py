@@ -2,23 +2,25 @@
 
 import pytest
 
-from repro.analysis.bias import BiasReport, attack_success_rate, empirical_bias
+from repro.analysis.bias import BiasReport
 from repro.analysis.distribution import (
     OutcomeDistribution,
     chi_square_uniformity,
-    estimate_distribution,
 )
 from repro.analysis.sync import honest_sync_profile, sync_gap_for
-from repro.attacks.basic_cheat import basic_cheat_protocol
+from repro.experiments import run_scenario
 from repro.protocols.alead_uni import alead_uni_protocol
 from repro.sim.execution import FAIL, run_protocol
 from repro.sim.topology import unidirectional_ring
 
 
+def _estimate(scenario, trials, **params):
+    return run_scenario(scenario, trials, params=params, keep_outcomes=False)
+
+
 class TestDistribution:
     def test_histogram_counts(self):
-        topo = unidirectional_ring(4)
-        dist = estimate_distribution(topo, alead_uni_protocol, trials=50)
+        dist = _estimate("honest/alead-uni", 50, n=4).distribution
         assert dist.trials == 50
         assert sum(dist.counts.values()) == 50
         assert dist.fail_count == 0
@@ -62,28 +64,24 @@ class TestDistribution:
 
 class TestBias:
     def test_honest_bias_near_zero(self):
-        topo = unidirectional_ring(4)
-        report = empirical_bias(topo, alead_uni_protocol, trials=200)
+        report = BiasReport.from_distribution(
+            _estimate("honest/alead-uni", 200, n=4).distribution
+        )
         assert report.fail_rate == 0.0
         assert report.epsilon < 0.15  # sampling noise at 200 trials
 
     def test_attack_bias_near_one(self):
-        topo = unidirectional_ring(6)
-        report = empirical_bias(
-            topo, lambda t: basic_cheat_protocol(t, 2, 3), trials=40
+        report = BiasReport.from_distribution(
+            _estimate(
+                "attack/basic-cheat", 40, n=6, cheater=2, target=3
+            ).distribution
         )
         assert report.max_probability == 1.0
         assert report.epsilon == pytest.approx(1 - 1 / 6)
 
-    def test_attack_success_rate(self):
-        topo = unidirectional_ring(6)
-        rate = attack_success_rate(
-            topo,
-            lambda t, w: basic_cheat_protocol(t, 2, w),
-            target=5,
-            trials=20,
-        )
-        assert rate == 1.0
+    def test_attack_forcing_rate(self):
+        result = _estimate("attack/basic-cheat", 20, n=6, cheater=2, target=5)
+        assert result.success_rate == 1.0
 
     def test_report_epsilon_clamped(self):
         report = BiasReport(n=10, trials=5, max_probability=0.05, fail_rate=0)

@@ -342,3 +342,71 @@ class TestPlacementRefusals:
         assert self.refusal(build, placement, 1) == (
             "attack requires the origin to be honest"
         )
+
+
+def _accepts(build, topo, placement, target):
+    """The builder's verdict on ``placement``: ``None`` if it builds,
+    else its refusal message."""
+    try:
+        build(topo, placement, target)
+        return None
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+class TestPlacementPredicates:
+    """``segment_statistics`` and the checked builders read one rule.
+
+    Seeded distance vectors over every ring size up to n = 36 (the range
+    the grid tests above walk): Lemma 4.1's ``1 <= l_j <= k-1`` decides
+    ``rushing_feasible`` and the equal-spacing builder alike, and Theorem
+    4.3's staircase decides ``cubic_feasible`` and the cubic builder
+    alike. Each refusal keeps its message, checked against the rule
+    written out here independently.
+    """
+
+    def test_feasibility_iff_builder_accepts(self):
+        from repro.analysis.segments import segment_statistics
+
+        rng = random.Random(4)
+        seen = {"rushing": set(), "cubic": set()}
+        for n in range(2, 37):
+            topo = unidirectional_ring(n)
+            target = (n + 1) // 2
+            for _ in range(12):
+                k = rng.randint(1, n - 1)
+                # n - k honest processors cut at random into k segments;
+                # the last (wrap) segment holds the origin, so it is
+                # never empty.
+                cuts = sorted(rng.randint(0, n - k - 1) for _ in range(k - 1))
+                d = [b - a for a, b in zip([0] + cuts, cuts + [n - k])]
+                pl = RingPlacement.from_distances(n, d)
+                stats = segment_statistics(pl)
+
+                bad = [l for l in d if not 1 <= l <= k - 1]
+                refusal = _accepts(
+                    equal_spacing_attack_protocol, topo, pl, target
+                )
+                assert stats.rushing_feasible == (refusal is None) == (not bad)
+                if bad:
+                    assert refusal == (
+                        f"Lemma 4.1 needs 1 <= l_j <= k-1 for all segments, "
+                        f"got {bad}"
+                    )
+                seen["rushing"].add(stats.rushing_feasible)
+
+                steps = [
+                    i for i in range(k - 1) if d[i] > d[i + 1] + (k - 1)
+                ]
+                refusal = _accepts(cubic_attack_protocol, topo, pl, target)
+                ok = d[-1] <= k - 1 and not steps
+                assert stats.cubic_feasible == (refusal is None) == ok
+                if d[-1] > k - 1:
+                    assert refusal == f"cubic attack needs l_k <= k-1, got {d[-1]}"
+                elif steps:
+                    assert refusal == (
+                        "cubic attack needs l_i <= l_(i+1) + k - 1, "
+                        f"violated at i={steps[0]}"
+                    )
+                seen["cubic"].add(stats.cubic_feasible)
+        assert seen == {"rushing": {True, False}, "cubic": {True, False}}

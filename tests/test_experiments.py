@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis.distribution import estimate_distribution
 from repro.experiments import (
     ScenarioSpec,
     expand_grid,
@@ -192,15 +191,6 @@ class TestRunnerDeterminism:
             assert result.trials == 6 and result.fail_rate == 0.0
         finally:
             unregister_scenario("test/custom-parallel")
-
-    def test_estimate_distribution_unchanged_and_worker_invariant(self):
-        ring = unidirectional_ring(6)
-        serial = estimate_distribution(ring, alead_uni_protocol, 30, base_seed=2)
-        parallel = estimate_distribution(
-            ring, alead_uni_protocol, 30, base_seed=2, workers=2
-        )
-        assert serial.counts == parallel.counts
-        assert serial.trials == parallel.trials == 30
 
 
 class TestRngStreamIndependence:

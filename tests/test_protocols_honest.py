@@ -8,10 +8,8 @@ with a unanimous valid output, and outcomes are uniform over repeated runs
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.distribution import (
-    chi_square_uniformity,
-    estimate_distribution,
-)
+from repro.analysis.distribution import chi_square_uniformity
+from repro.experiments import run_scenario
 from repro.protocols.alead_uni import alead_uni_protocol
 from repro.protocols.basic_lead import basic_lead_protocol
 from repro.protocols.phase_async import (
@@ -25,6 +23,12 @@ PROTOCOLS = {
     "basic": basic_lead_protocol,
     "alead": alead_uni_protocol,
     "phase": phase_async_protocol,
+}
+#: The registered scenario running each protocol honestly.
+SCENARIOS = {
+    "basic": "honest/basic-lead",
+    "alead": "honest/alead-uni",
+    "phase": "honest/phase-async",
 }
 
 
@@ -65,11 +69,10 @@ def test_message_counts(name):
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_uniformity(name):
     """Outcome distribution is indistinguishable from uniform."""
-    n = 8
-    topo = unidirectional_ring(n)
-    dist = estimate_distribution(
-        topo, PROTOCOLS[name], trials=400, base_seed=42
-    )
+    dist = run_scenario(
+        SCENARIOS[name], 400, base_seed=42, params={"n": 8},
+        keep_outcomes=False,
+    ).distribution
     assert dist.fail_count == 0
     p = chi_square_uniformity(dist)
     assert p > 1e-4, f"uniformity rejected: p={p}, counts={dist.valid_counts()}"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.distribution import chi_square_uniformity
 from repro.sim.execution import FAIL
+from repro.sim.strategy import Context
 from repro.sim.topology import complete_graph, unidirectional_ring
 from repro.sync import (
     SyncContext,
@@ -66,6 +67,32 @@ class TestSyncEngine:
         g = complete_graph(2)
         with pytest.raises(ProtocolViolation):
             run_sync_protocol(g, {1: Bad(), 2: _Silent()})
+
+    @pytest.mark.parametrize(
+        "act",
+        [
+            lambda ctx: ctx.broadcast("x"),
+            lambda ctx: ctx.terminate(1),
+            lambda ctx: ctx.abort("late"),
+        ],
+        ids=["send", "terminate", "abort"],
+    )
+    def test_act_after_terminating_raises(self, act):
+        class Bad(SyncStrategy):
+            def on_round(self, ctx, round_number, inbox):
+                ctx.terminate(1)
+                act(ctx)
+
+        g = complete_graph(2)
+        with pytest.raises(ProtocolViolation):
+            run_sync_protocol(g, {1: Bad(), 2: _Const(1)})
+
+    def test_context_is_the_simulator_context(self):
+        ctx = SyncContext(1, [2], 2, None)
+        assert isinstance(ctx, Context)
+        assert not hasattr(ctx, "__dict__")
+        ctx.broadcast("x")
+        assert ctx.sends == [(2, "x")]
 
     def test_missing_strategy_rejected(self):
         g = complete_graph(2)
