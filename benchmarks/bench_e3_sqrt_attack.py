@@ -25,6 +25,7 @@ def test_e3_sqrt_coalition_controls(benchmark, experiment_report):
         rate = run_scenario(
             "attack/equal-spacing", 6, base_seed=n,
             params={"n": n, "k": k, "target": n // 2}, keep_outcomes=False,
+            use_batch=False,
         ).success_rate
         rows.append(
             f"n={n:<4} k=sqrt(n)={k:<3} segments max={max(pl.distances())} "

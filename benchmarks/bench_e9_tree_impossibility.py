@@ -156,12 +156,11 @@ def test_e9_tree_collapse_lemma_f3(benchmark, experiment_report):
     extract the dictator — the coalition Corollary F.4 promises. Runs as
     a chain-length sweep of the ``tree/xor-chain`` scenario (the spec
     collapses, classifies, and replays both witnesses per trial)."""
-    from repro.experiments import sweep_scenario
+    from repro.experiments import expand_manifest, run_campaign
 
     rows = []
-    for result in sweep_scenario(
-        "tree/xor-chain", trials=1, grid={"chain": [2, 3, 4]}
-    ):
+    entry = {"scenario": "tree/xor-chain", "trials": 1, "grid": {"chain": [2, 3, 4]}}
+    for result in run_campaign(expand_manifest([entry])):
         chain = result.params["chain"]
         # The component (containing the last XOR folder) dictates.
         assert result.success_rate == 1.0

@@ -10,15 +10,18 @@ series is one registry sweep.
 
 import pytest
 
-from repro.experiments import sweep_scenario
+from repro.experiments import expand_manifest, run_campaign
 
 
 @pytest.mark.smoke
 def test_f2_four_simulated_tree(benchmark, experiment_report):
     rows = []
-    for result in sweep_scenario(
-        "tree/clique-caterpillar", trials=1, grid={"blocks": [2, 3, 5, 8]}
-    ):
+    entry = {
+        "scenario": "tree/clique-caterpillar",
+        "trials": 1,
+        "grid": {"blocks": [2, 3, 5, 8]},
+    }
+    for result in run_campaign(expand_manifest([entry])):
         blocks = result.params["blocks"]
         assert result.success_rate == 1.0  # witness verified (no FAIL)
         (generic_k,) = result.distribution.counts  # trials=1: one outcome

@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark/experiment harness.
 
-Every bench file reproduces one row of DESIGN.md's experiment index. The
-pattern: a pytest-benchmark measurement of the representative workload,
+Every bench file reproduces one paper claim (E1–F2, A1–A6; the
+`benchmarks/` row of the README's repository layout). The pattern: a
+pytest-benchmark measurement of the representative workload,
 plus printed series mirroring the quantity the paper's theorem states
 (success probabilities, bias, thresholds). Shape assertions are included
 so `pytest benchmarks/ --benchmark-only` doubles as a regression gate on

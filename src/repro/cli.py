@@ -29,14 +29,11 @@ from repro.analysis.distribution import chi_square_uniformity
 from repro.experiments import (
     AdaptiveChunker,
     CampaignDeadline,
-    FailRateTargetPolicy,
-    RelativePrecisionPolicy,
     ResultStore,
-    WilsonWidthPolicy,
     WorkerPool,
     all_scenarios,
     coerce_param,
-    expand_grid,
+    expand_manifest,
     get_scenario,
     is_store_path,
     load_manifest,
@@ -45,8 +42,8 @@ from repro.experiments import (
     run_campaign,
     run_scenario,
     scenario_names,
-    sweep_scenario,
 )
+from repro.experiments.budget import DEFAULT_MAX_TRIALS, DEFAULT_MIN_TRIALS
 from repro.experiments.campaign import check_seconds
 from repro.experiments.runner import _execute_trial, cost_key
 from repro.trees import impossibility_certificate
@@ -65,9 +62,6 @@ ATTACK_SCENARIOS = {
     "shamir-pool": "attack/shamir-pool",
 }
 
-
-#: Implicit adaptive-budget floor when --min-trials is not given.
-DEFAULT_MIN_TRIALS = 32
 
 #: Exit code when `campaign --max-wall-clock` expires: the run is neither
 #: a success (work remains) nor a failure (finished rows were
@@ -392,7 +386,7 @@ def _emit_rows(results, args, rows, what: str) -> _EmitOutcome:
 
 
 def _budget_from_args(args):
-    """The adaptive-budget flags -> a registered budget policy.
+    """The adaptive-budget flags -> a manifest budget mapping (or None).
 
     Exactly one stop criterion may be given: ``--ci-width W``
     (wilson-width), ``--rel-precision R`` (relative-precision), or
@@ -400,14 +394,15 @@ def _budget_from_args(args):
     defaults to ``--trials``: the adaptive budget is early stopping of
     the fixed budget you would otherwise burn, with ``--min-trials`` as
     the floor before the stop rule may fire. Only the *implicit* floor
-    (32) is capped at the ceiling; an explicit ``--min-trials`` above
-    ``--max-trials`` is rejected by the policy itself, exactly as the
-    same budget object would be in a manifest.
+    (:data:`~repro.experiments.budget.DEFAULT_MIN_TRIALS`) is capped at
+    the ceiling; an explicit ``--min-trials`` above ``--max-trials`` is
+    rejected by the policy itself, since the mapping is parsed exactly
+    as the same budget object in a manifest is.
     """
     criteria = [
-        ("--ci-width", args.ci_width, WilsonWidthPolicy, "ci_width"),
-        ("--rel-precision", args.rel_precision, RelativePrecisionPolicy, "rel_precision"),
-        ("--fail-rate-target", args.fail_rate_target, FailRateTargetPolicy, "target"),
+        ("--ci-width", args.ci_width, "wilson-width", "ci_width"),
+        ("--rel-precision", args.rel_precision, "relative-precision", "rel_precision"),
+        ("--fail-rate-target", args.fail_rate_target, "fail-rate-target", "target"),
     ]
     given = [entry for entry in criteria if entry[1] is not None]
     if len(given) > 1:
@@ -423,15 +418,18 @@ def _budget_from_args(args):
                     "(--ci-width / --rel-precision / --fail-rate-target)"
                 )
         return None
-    flag, value, policy_class, field = given[0]
+    flag, value, policy, field = given[0]
     max_trials = args.max_trials if args.max_trials is not None else args.trials
     if args.min_trials is None:
         min_trials = min(DEFAULT_MIN_TRIALS, max_trials)
     else:
         min_trials = args.min_trials
-    return policy_class(
-        **{field: value, "min_trials": min_trials, "max_trials": max_trials}
-    )
+    return {
+        "policy": policy,
+        field: value,
+        "min_trials": min_trials,
+        "max_trials": max_trials,
+    }
 
 
 def _cmd_sweep(args) -> int:
@@ -444,28 +442,33 @@ def _cmd_sweep(args) -> int:
     if args.trials < 0:
         raise SystemExit(f"--trials must be >= 0, got {args.trials}")
     budget = _budget_from_args(args)
-    grid = _parse_grid(args.param)
+    entry = {
+        "scenario": args.scenario,
+        "grid": _parse_grid(args.param),
+        "base_seed": args.seed,
+        "max_steps": args.max_steps,
+    }
+    if budget is None:
+        entry["trials"] = args.trials
+    else:
+        entry["budget"] = budget
+    # The one-entry manifest validates the scenario, the budget and the
+    # whole grid eagerly — a typo'd re-run fails here, before a store is
+    # created.
+    points = expand_manifest([entry])
     rows, completed, model = _load_resume_state(args)
-    # sweep_scenario validates the scenario and the whole grid eagerly —
-    # a typo'd re-run fails here, before a store is created.
-    total_points = len(expand_grid(grid))
-    results = sweep_scenario(
-        args.scenario,
-        trials=None if budget else args.trials,
-        grid=grid,
-        base_seed=args.seed,
+    results = run_campaign(
+        points,
         workers=resolve_workers(args.workers),
-        max_steps=args.max_steps,
         completed=completed,
-        budget=budget,
         chunk_size=args.chunk_size,
         chunker=None if args.chunk_size is not None else model,
     )
     ran = _emit_rows(results, args, rows, "sweep").ran
     if args.resume:
         print(
-            f"  [resume: ran {ran} of {total_points} grid points; "
-            f"{total_points - ran} already in {args.out}]",
+            f"  [resume: ran {ran} of {len(points)} grid points; "
+            f"{len(points) - ran} already in {args.out}]",
             file=sys.stderr,
         )
     return 0
@@ -1210,12 +1213,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--min-trials", type=int, default=DEFAULT_MIN_TRIALS,
-        help="adaptive floor for cold-miss points "
-             f"(default {DEFAULT_MIN_TRIALS})",
+        help="adaptive floor for cold-miss points (default %(default)s)",
     )
     p.add_argument(
-        "--max-trials", type=int, default=100_000,
-        help="adaptive ceiling for cold-miss points (default 100000)",
+        "--max-trials", type=int, default=DEFAULT_MAX_TRIALS,
+        help="adaptive ceiling for cold-miss points (default %(default)s)",
     )
     p.add_argument(
         "--seed", type=int, default=0,

@@ -73,7 +73,6 @@ from repro.experiments.campaign import (
     run_campaign,
     run_scenario,
     slice_ranges,
-    sweep_scenario,
 )
 from repro.experiments.chunking import (
     CALIBRATION_TRIALS,
@@ -192,5 +191,4 @@ __all__ = [
     "parse_out_lines",
     "resume_key",
     "row_resume_key",
-    "sweep_scenario",
 ]

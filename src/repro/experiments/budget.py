@@ -72,6 +72,11 @@ _POLICIES: Dict[str, Type["BudgetPolicy"]] = {}
 #: rows keep parsing (and keying) unchanged.
 DEFAULT_POLICY = "wilson-width"
 
+#: Adaptive bounds when none are given: the floor before a stop rule may
+#: fire, and the ceiling that always terminates a point.
+DEFAULT_MIN_TRIALS = 32
+DEFAULT_MAX_TRIALS = 100_000
+
 
 def precision_satisfied(
     successes: int, trials: int, ci_width: float, z: float = 1.96

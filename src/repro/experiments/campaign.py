@@ -90,7 +90,6 @@ from repro.experiments.runner import (
     ScenarioRef,
     TrialOutcome,
     _run_chunk_folded,
-    check_chunk_size,
     check_trials,
     checked_int,
     chunk_payloads,
@@ -103,7 +102,7 @@ from repro.experiments.scenario import (
     known_tags,
     scenario_names,
 )
-from repro.experiments.sweep import Grid, expand_grid, resume_key
+from repro.experiments.sweep import expand_grid, resume_key
 from repro.util.errors import ConfigurationError
 
 #: Keys a manifest entry may carry.
@@ -756,9 +755,8 @@ def _drive(
 ) -> Iterator[ExperimentResult]:
     """The one local point loop: admit, dispatch a chunk, feed its
     measured cost to ``chunker``, and fold it back into the driver —
-    yielding each point's result as it finishes. :func:`run_campaign`
-    and :func:`run_scenario` both run it; a serial ``pool`` dispatches
-    in-process."""
+    yielding each point's result as it finishes. :func:`_launch` runs
+    it; a serial ``pool`` dispatches in-process."""
     dispatch = _dispatcher(driver, pool)
     yield from driver.admit()
     while driver.active:
@@ -771,6 +769,52 @@ def _drive(
                 chunk_fold.elapsed,
             )
         yield from driver.arrive(point_id, chunk_fold, time.monotonic())
+
+
+def _launch(
+    todo: Sequence[CampaignPoint],
+    specs: Mapping[str, ScenarioSpec],
+    workers: WorkerCount,
+    pool: Optional[WorkerPool],
+    chunk_size: Optional[int],
+    chunker: Optional[AdaptiveChunker],
+    point_timeout: Optional[float] = None,
+    max_wall_clock: Optional[float] = None,
+    use_batch: bool = True,
+    keep_outcomes: bool = False,
+) -> Iterator[ExperimentResult]:
+    """The one local launch behind :func:`run_campaign` and
+    :func:`run_scenario`: a pool (``pool``, left open, or a
+    ``WorkerPool(workers)`` this generator owns), a default
+    :class:`AdaptiveChunker` unless ``chunk_size`` pins the size, and
+    one :class:`PointDriver` run through :func:`_drive`."""
+    if chunker is None and chunk_size is None:
+        chunker = AdaptiveChunker()
+    with (
+        nullcontext(pool) if pool is not None else WorkerPool(workers)
+    ) as active_pool:
+        driver = PointDriver(
+            todo,
+            specs,
+            _ChunkCutter(
+                active_pool.workers, chunk_size, chunker, use_batch, keep_outcomes
+            ),
+            # Enough active points that the payload queue never drains
+            # while points with tiny budgets finish; serial pools run
+            # one, so rows keep admission order. A lone point is
+            # admitted the same way at any worker count.
+            max_active=2 * active_pool.workers if active_pool.parallel else 1,
+            chunker=chunker if chunk_size is None else None,
+            point_timeout=point_timeout,
+            wall_deadline=(
+                time.monotonic() + max_wall_clock
+                if max_wall_clock is not None
+                else None
+            ),
+        )
+        yield from _drive(driver, active_pool, chunker)
+        if driver.deadline_hit():
+            raise CampaignDeadline(pending=driver.pending)
 
 
 def run_campaign(
@@ -826,79 +870,11 @@ def run_campaign(
         check_seconds("point_timeout", point_timeout)
     if max_wall_clock is not None:
         check_seconds("max_wall_clock", max_wall_clock)
-    check_chunk_size(chunk_size)
-    if chunker is None and chunk_size is None:
-        chunker = AdaptiveChunker()
+    if chunk_size is not None:
+        checked_int(chunk_size, "chunk_size", 1)
     specs, todo = pending_points(points, completed)
-
-    def _run() -> Iterator[ExperimentResult]:
-        with (
-            nullcontext(pool) if pool is not None else WorkerPool(workers)
-        ) as active_pool:
-            driver = PointDriver(
-                todo,
-                specs,
-                _ChunkCutter(active_pool.workers, chunk_size, chunker),
-                # Enough active points that the payload queue never drains
-                # while points with tiny budgets finish; serial pools run
-                # one, so rows keep admission order.
-                max_active=2 * active_pool.workers if active_pool.parallel else 1,
-                chunker=chunker if chunk_size is None else None,
-                point_timeout=point_timeout,
-                wall_deadline=(
-                    time.monotonic() + max_wall_clock
-                    if max_wall_clock is not None
-                    else None
-                ),
-            )
-            yield from _drive(driver, active_pool, chunker)
-            if driver.deadline_hit():
-                raise CampaignDeadline(pending=driver.pending)
-
-    return _run()
-
-
-def sweep_scenario(
-    scenario: str,
-    trials: Optional[int] = None,
-    grid: Optional[Grid] = None,
-    base_seed: int = 0,
-    workers: WorkerCount = 1,
-    max_steps: Optional[int] = None,
-    completed: Optional[Collection[str]] = None,
-    budget: BudgetRef = None,
-    chunk_size: Optional[int] = None,
-    chunker: Optional[AdaptiveChunker] = None,
-) -> Iterator[ExperimentResult]:
-    """Run ``scenario`` at every grid point — a one-entry campaign.
-
-    The scenario, the whole grid, and the trials/budget choice are
-    validated *eagerly*: an unknown scenario, a grid key the scenario
-    does not declare (the error lists the known parameters), or a
-    missing or negative trial count raises
-    :class:`~repro.util.errors.ConfigurationError` from this call
-    itself, so a typo'd overnight grid dies before any trial runs.
-
-    Everything else is :func:`run_campaign`'s: points whose
-    :func:`~repro.experiments.sweep.resume_key` is in ``completed`` are
-    skipped, every point shares one worker pool and one cost-adaptive
-    chunker, and rows come in grid order on one worker and in
-    completion order on more. ``budget`` switches every point from the
-    fixed ``trials`` count to an adaptive stop (see
-    :class:`~repro.experiments.budget.BudgetPolicy`).
-    """
-    spec = get_scenario(scenario)
-    policy = check_trials(trials, budget)
-    points = [
-        CampaignPoint(spec.name, params, trials, base_seed, max_steps, policy)
-        for params in expand_grid(grid)
-    ]
-    return run_campaign(
-        points,
-        workers=workers,
-        completed=completed,
-        chunk_size=chunk_size,
-        chunker=chunker,
+    return _launch(
+        todo, specs, workers, pool, chunk_size, chunker, point_timeout, max_wall_clock
     )
 
 
@@ -924,7 +900,7 @@ def run_scenario(
     ``trials`` (fixed count) and ``budget`` (adaptive stop, see
     :class:`~repro.experiments.budget.BudgetPolicy`) must be given.
 
-    The point runs through :func:`run_campaign`'s loop on ``pool`` (the
+    The point runs through :func:`run_campaign`'s launch on ``pool`` (the
     caller's, left open, whose size wins over ``workers``) or on a
     ``WorkerPool(workers)`` that lives for this call only; one worker
     runs in-process, which is the only mode for ad-hoc specs built from
@@ -941,28 +917,20 @@ def run_scenario(
     ``chunker`` shares a seeded one); a ``chunk_size`` pins it. The row
     is identical whatever the pool, chunking or keep_outcomes.
     """
-    check_chunk_size(chunk_size)
-    if chunker is None and chunk_size is None:
-        chunker = AdaptiveChunker()
+    if chunk_size is not None:
+        checked_int(chunk_size, "chunk_size", 1)
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     resolved = spec.resolve_params(params)
     policy = check_trials(trials, budget)
     point = CampaignPoint(spec.name, resolved, trials, base_seed, max_steps, policy)
-    with (
-        nullcontext(pool) if pool is not None else WorkerPool(workers)
-    ) as active_pool:
-        driver = PointDriver(
-            [point],
-            {spec.name: spec},
-            _ChunkCutter(
-                active_pool.workers,
-                chunk_size,
-                chunker,
-                use_batch=use_batch,
-                keep_outcomes=keep_outcomes,
-            ),
-            max_active=1,
-            chunker=chunker if chunk_size is None else None,
-        )
-        (result,) = _drive(driver, active_pool, chunker)
+    (result,) = _launch(
+        [point],
+        {spec.name: spec},
+        workers,
+        pool,
+        chunk_size,
+        chunker,
+        use_batch=use_batch,
+        keep_outcomes=keep_outcomes,
+    )
     return result

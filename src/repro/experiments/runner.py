@@ -507,16 +507,6 @@ def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
     )
 
 
-def check_chunk_size(chunk_size: Optional[int]) -> None:
-    """Reject a pinned chunk size that is not a positive integer."""
-    if chunk_size is not None and (
-        isinstance(chunk_size, bool)
-        or not isinstance(chunk_size, int)
-        or chunk_size < 1
-    ):
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size!r}")
-
-
 def check_trials(trials: Optional[int], budget: BudgetRef) -> Optional[BudgetPolicy]:
     """Require exactly one of a fixed ``trials`` count and an adaptive
     ``budget``; returns the budget as a policy (or None).

@@ -1,9 +1,10 @@
 """Resume identity: grid expansion, parameter canonicalisation, keys.
 
 A sweep is the cartesian product of per-parameter value lists
-(:func:`expand_grid`), run as a one-entry campaign by
-:func:`~repro.experiments.campaign.sweep_scenario`. Every grid point
-has a canonical *resume key* — a pure function of ``(scenario,
+(:func:`expand_grid`), run as a one-entry campaign:
+``run_campaign(expand_manifest([{"scenario": name, "grid": grid,
+"trials": trials}]))`` (see :mod:`~repro.experiments.campaign`). Every
+grid point has a canonical *resume key* — a pure function of ``(scenario,
 resolved params, trials, base_seed, max_steps, budget)`` — and a run
 skips points whose key is in its ``completed`` set, which the CLI reads
 from the ``--out`` results store

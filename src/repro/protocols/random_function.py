@@ -4,7 +4,7 @@ Theorem 6.1 is proved *with high probability over a uniformly random*
 ``f : [n]^n × [m]^(n-l) → [n]``. A literal random function is an
 exponentially large table, so we instantiate ``f`` as a keyed BLAKE2b hash
 of the canonically-serialized input tuple, reduced modulo ``n`` — the
-standard random-oracle instantiation. Documented substitution (DESIGN.md §4):
+standard random-oracle instantiation. Documented substitution:
 
 - everything in the paper interacts with ``f`` only by evaluating it and by
   its lack of exploitable algebraic structure; a keyed cryptographic hash

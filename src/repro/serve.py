@@ -48,7 +48,12 @@ from typing import Any, Dict, Mapping, Optional
 from urllib.parse import parse_qsl
 
 from repro.analysis.stats import wilson_interval
-from repro.experiments.budget import WilsonWidthPolicy, precision_satisfied
+from repro.experiments.budget import (
+    DEFAULT_MAX_TRIALS,
+    DEFAULT_MIN_TRIALS,
+    WilsonWidthPolicy,
+    precision_satisfied,
+)
 from repro.experiments.campaign import CampaignPoint, run_campaign
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import WorkerPool
@@ -58,11 +63,6 @@ from repro.experiments.sweep import coerce_param
 from repro.httpd import JsonHTTPServer, RouteError, make_json_server
 from repro.metrics import MetricsRegistry, register_run_metrics
 from repro.util.errors import ConfigurationError
-
-#: Default adaptive bounds for cold queries (overridable per service).
-DEFAULT_MIN_TRIALS = 32
-DEFAULT_MAX_TRIALS = 100_000
-
 
 class ComputeRefused(RouteError):
     """A cold query hit a read-only service: nothing stored satisfies

@@ -14,8 +14,10 @@ from repro.sim.execution import FAIL, run_protocol
 from repro.sim.topology import unidirectional_ring
 
 
-def _estimate(scenario, trials, **params):
-    return run_scenario(scenario, trials, params=params, keep_outcomes=False)
+def _estimate(scenario, trials, use_batch=True, **params):
+    return run_scenario(
+        scenario, trials, params=params, keep_outcomes=False, use_batch=use_batch
+    )
 
 
 class TestDistribution:
@@ -73,14 +75,16 @@ class TestBias:
     def test_attack_bias_near_one(self):
         report = BiasReport.from_distribution(
             _estimate(
-                "attack/basic-cheat", 40, n=6, cheater=2, target=3
+                "attack/basic-cheat", 40, use_batch=False, n=6, cheater=2, target=3
             ).distribution
         )
         assert report.max_probability == 1.0
         assert report.epsilon == pytest.approx(1 - 1 / 6)
 
     def test_attack_forcing_rate(self):
-        result = _estimate("attack/basic-cheat", 20, n=6, cheater=2, target=5)
+        result = _estimate(
+            "attack/basic-cheat", 20, use_batch=False, n=6, cheater=2, target=5
+        )
         assert result.success_rate == 1.0
 
     def test_report_epsilon_clamped(self):

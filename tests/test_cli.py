@@ -302,6 +302,45 @@ class TestSweep:
             assert rows[0]["trials"] == 3
 
 
+def _bounded(policy, **criterion):
+    """The manifest budget that `--min-trials 8 --trials 20` plus one
+    stop-criterion flag mean."""
+    return {"budget": dict(criterion, policy=policy, min_trials=8, max_trials=20)}
+
+
+class TestSweepIsOneEntryCampaign:
+    """`sweep` and `campaign` on the matching one-entry manifest write
+    byte-identical --out renderings; each budget flag set becomes the
+    manifest's `budget` object."""
+
+    SWEEP = ["sweep", "--scenario", "attack/basic-cheat",
+             "--param", "n=8,12", "--param", "target=2", "--seed", "3"]
+    ENTRY = {"scenario": "attack/basic-cheat",
+             "grid": {"n": [8, 12], "target": [2]}, "base_seed": 3}
+    BOUNDS = ["--min-trials", "8", "--trials", "20"]
+
+    @pytest.mark.parametrize("flags, setting", [
+        (["--trials", "6"], {"trials": 6}),
+        (["--ci-width", "0.3", *BOUNDS], _bounded("wilson-width", ci_width=0.3)),
+        (["--rel-precision", "0.2", *BOUNDS],
+         _bounded("relative-precision", rel_precision=0.2)),
+        (["--fail-rate-target", "0.5", *BOUNDS],
+         _bounded("fail-rate-target", target=0.5)),
+    ])
+    def test_sweep_writes_the_campaign_rendering(
+        self, tmp_path, capsys, flags, setting
+    ):
+        swept = tmp_path / "sweep.jsonl"
+        assert main(self.SWEEP + flags + ["--out", str(swept)]) == 0
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([dict(self.ENTRY, **setting)]))
+        campaigned = tmp_path / "campaign.jsonl"
+        assert main(["campaign", str(manifest), "--out", str(campaigned)]) == 0
+        capsys.readouterr()
+        assert len(swept.read_text().splitlines()) == 2
+        assert swept.read_bytes() == campaigned.read_bytes()
+
+
 class TestSweepResume:
     def _sweep(self, out_file, params, resume=False):
         argv = ["sweep", "--scenario", "attack/basic-cheat", "--trials", "4",

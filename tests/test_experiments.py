@@ -7,12 +7,13 @@ import pytest
 from repro.experiments import (
     ScenarioSpec,
     expand_grid,
+    expand_manifest,
     get_scenario,
     register_scenario,
+    run_campaign,
     run_one_trial,
     run_scenario,
     scenario_names,
-    sweep_scenario,
     trial_registry,
     unregister_scenario,
 )
@@ -22,6 +23,12 @@ from repro.sim.topology import unidirectional_ring
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngRegistry
 from test_chunking import run_inline
+
+
+def sweep(scenario, trials):
+    """A sweep: ``run_campaign`` on a one-entry manifest."""
+    return run_campaign(expand_manifest([{"scenario": scenario, "trials": trials}]))
+
 
 def _build_ring6(params):
     return unidirectional_ring(6)
@@ -304,7 +311,7 @@ class TestRunnerResults:
             run_scenario("honest/alead-uni", trials=-1)
 
     @pytest.mark.parametrize("trials", [2.5, True, "4"])
-    @pytest.mark.parametrize("entry", [run_scenario, sweep_scenario])
+    @pytest.mark.parametrize("entry", [run_scenario, sweep])
     def test_non_integer_trials_rejected(self, entry, trials):
         # True would run one trial under a resume key that says "true",
         # which its own row never matches; the others used to escape as
@@ -327,16 +334,17 @@ class TestSweep:
         assert expand_grid({}) == [{}]
 
     def test_sweep_rows_worker_invariant(self):
+        entry = {
+            "scenario": "attack/basic-cheat",
+            "trials": 8,
+            "grid": {"n": [8, 12], "target": [2]},
+            "base_seed": 1,
+        }
+
         def rows(workers):
             return [
                 r.to_row()
-                for r in sweep_scenario(
-                    "attack/basic-cheat",
-                    trials=8,
-                    grid={"n": [8, 12], "target": [2]},
-                    base_seed=1,
-                    workers=workers,
-                )
+                for r in run_campaign(expand_manifest([entry]), workers=workers)
             ]
 
         def text(row):
@@ -351,4 +359,4 @@ class TestSweep:
 
     def test_sweep_unknown_scenario_raises(self):
         with pytest.raises(ConfigurationError):
-            list(sweep_scenario("no/such", trials=1))
+            list(sweep("no/such", 1))

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.experiments import scenario_names, sweep_scenario
+from repro.experiments import expand_manifest, run_campaign, scenario_names
 
 
 @pytest.mark.smoke
@@ -18,7 +18,9 @@ from repro.experiments import scenario_names, sweep_scenario
 def test_two_trial_sweep_runs_for_every_scenario(name):
     rows = [
         result.to_row()
-        for result in sweep_scenario(name, trials=2, base_seed=0)
+        for result in run_campaign(
+            expand_manifest([{"scenario": name, "trials": 2, "base_seed": 0}])
+        )
     ]
     assert len(rows) == 1
     row = rows[0]

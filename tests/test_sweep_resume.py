@@ -11,14 +11,20 @@ from repro.experiments import (
     WilsonWidthPolicy,
     canonical_params,
     expand_grid,
+    expand_manifest,
     parse_out_lines,
     resume_key,
     row_resume_key,
     row_retry_identity,
+    run_campaign,
     run_scenario,
-    sweep_scenario,
 )
 from repro.util.errors import ConfigurationError
+
+
+def sweep(completed=None, **entry):
+    """A sweep: ``run_campaign`` on the one-entry manifest ``entry``."""
+    return run_campaign(expand_manifest([entry]), completed=completed)
 
 
 def completed_keys(lines):
@@ -503,8 +509,8 @@ class TestSweepScenarioValidation:
         """The error must fire at call time (before any trial runs) and
         name the scenario's real parameters."""
         with pytest.raises(ConfigurationError) as excinfo:
-            sweep_scenario(
-                "attack/cubic", trials=2, grid={"coalition_size": [4, 5]}
+            sweep(
+                scenario="attack/cubic", trials=2, grid={"coalition_size": [4, 5]}
             )
         message = str(excinfo.value)
         assert "coalition_size" in message
@@ -512,22 +518,22 @@ class TestSweepScenarioValidation:
 
     def test_unknown_scenario_raises_eagerly(self):
         with pytest.raises(ConfigurationError):
-            sweep_scenario("no/such", trials=1)
+            sweep(scenario="no/such", trials=1)
 
     @pytest.mark.parametrize("trials", [None, -1])
     def test_missing_or_negative_trials_raise_eagerly(self, trials):
         """No trials and no budget, or a negative count, fails at call
         time — not on the first next()."""
         with pytest.raises(ConfigurationError):
-            sweep_scenario("attack/basic-cheat", trials=trials, grid={"n": [8]})
+            sweep(scenario="attack/basic-cheat", trials=trials, grid={"n": [8]})
 
 
 class TestSweepResume:
     def _rows(self, grid, completed=None):
         return [
             r.to_row()
-            for r in sweep_scenario(
-                "attack/basic-cheat",
+            for r in sweep(
+                scenario="attack/basic-cheat",
                 trials=4,
                 grid=grid,
                 base_seed=2,
@@ -559,8 +565,8 @@ class TestSweepResume:
         resume (its rows are all-FAIL artifacts of the budget)."""
         truncated = [
             r.to_row()
-            for r in sweep_scenario(
-                "attack/basic-cheat",
+            for r in sweep(
+                scenario="attack/basic-cheat",
                 trials=4,
                 grid={"n": [8]},
                 base_seed=2,
@@ -578,8 +584,8 @@ class TestSweepResume:
         done = {row_resume_key(r) for r in full}
         other_seed = [
             r.to_row()
-            for r in sweep_scenario(
-                "attack/basic-cheat",
+            for r in sweep(
+                scenario="attack/basic-cheat",
                 trials=4,
                 grid={"n": [8]},
                 base_seed=3,
