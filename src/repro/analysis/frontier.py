@@ -7,22 +7,26 @@ ring size, for the smallest coalition at which any implemented attack
 family forces the outcome — the empirical frontier an experimenter can
 track against the conjecture as better attacks are added.
 
-The scan runs no trials. A family forces at ``(n, k)`` exactly when its
-registered attack builder accepts ``(n, k, TARGET)``: the builders check
-each proof's placement preconditions (Thm 4.3's staircase, Lemma 4.1's
-``l_j ≤ k-1``), and every placement they accept elects the target on
+The scan runs no trials and builds no ring. A family forces at ``(n, k)``
+exactly when its :class:`~repro.attacks.placement.RingPlacement` rules
+accept the coalition: :meth:`~RingPlacement.cubic` (Thm 4.3's staircase)
+or :meth:`~RingPlacement.equal_spacing` with no
+:meth:`~RingPlacement.rushing_violations` (Lemma 4.1's ``l_j ≤ k-1``),
+then :meth:`~RingPlacement.check_attack` at the probe target. These are
+the checks the registered ``attack/cubic`` and ``attack/equal-spacing``
+builders make, and every placement they accept elects the target on
 every seed. That acceptance is the certificate
 :func:`~repro.experiments.ring_kernels.run_forcing_batch` folds into
 ``{target: trials}``, pinned against the executor by the batch-kernel
-tests. A builder's :class:`~repro.util.errors.ConfigurationError` means
+tests. A :class:`~repro.util.errors.ConfigurationError` from a rule means
 "no placement here" and excludes that family at that ``k``.
 """
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.attacks.placement import RingPlacement
 from repro.util.errors import ConfigurationError
 
 
@@ -43,14 +47,13 @@ class FrontierPoint:
         return self.lower_bound <= self.k_min <= self.upper_bound + 1
 
 
-#: Attack families the search sweeps (scan preference order) — each a
-#: registered ring attack taking explicit ``n``/``k``/``target`` parameters.
-FAMILIES: Dict[str, str] = {
-    "cubic": "attack/cubic",
-    "rushing": "attack/equal-spacing",
-}
+#: Attack families the scan tries at each ``k``, in preference order, each
+#: with the placement its registered builder (``attack/cubic``,
+#: ``attack/equal-spacing``) launches.
+FAMILIES = {"cubic": RingPlacement.cubic, "rushing": RingPlacement.equal_spacing}
 
-#: The id every frontier probe tries to force (arbitrary, fixed).
+#: The id every frontier probe tries to force (arbitrary, fixed); a ring
+#: smaller than this is probed at its last processor, ``n``.
 TARGET = 7
 
 
@@ -62,29 +65,32 @@ def _bounds(n: int) -> Dict[str, float]:
     }
 
 
-def smallest_forcing_coalition(
-    n: int, k_max: Optional[int] = None
-) -> FrontierPoint:
-    """Scan k upward until some family's builder accepts ``(n, k)``.
+def family_forces(family: str, n: int, k: int) -> bool:
+    """True when ``family``'s placement rules accept ``k`` adversaries on
+    a ring of ``n``, probed at ``min(TARGET, n)``."""
+    try:
+        placement = FAMILIES[family](n, k)
+        placement.check_attack(n, min(TARGET, n))
+    except ConfigurationError:
+        return False
+    # ``cubic`` refuses a broken staircase itself; Lemma 4.1's bound is a
+    # predicate the rushing builder checks.
+    return family == "cubic" or not placement.rushing_violations()
 
-    Every family runs on the unidirectional ring, so the ring is built
-    once; a size the ring builder refuses raises its message.
+
+def smallest_forcing_coalition(n: int) -> FrontierPoint:
+    """Scan ``k`` from 2 to ``isqrt(n) + 2`` until some family forces.
+
+    A ring of fewer than 2 processors is refused with the ring builder's
+    message.
     """
-    from repro.experiments import get_scenario
-    from repro.experiments.scenario import ring_topology
-
-    ring = ring_topology({"n": n})
-    if k_max is None:
-        k_max = math.isqrt(n) + 2
-    specs = {family: get_scenario(name) for family, name in FAMILIES.items()}
+    if n < 2:
+        raise ConfigurationError(f"ring needs at least 2 processors, got {n}")
+    k_max = math.isqrt(n) + 2
     for k in range(2, k_max + 1):
-        for family, spec in specs.items():
-            params = spec.resolve_params({"n": n, "k": k, "target": TARGET})
-            try:
-                spec.build_protocol(ring, params, random.Random(0))
-            except ConfigurationError:
-                continue
-            return FrontierPoint(n=n, k_min=k, family=family, **_bounds(n))
+        for family in FAMILIES:
+            if family_forces(family, n, k):
+                return FrontierPoint(n=n, k_min=k, family=family, **_bounds(n))
     return FrontierPoint(n=n, k_min=k_max + 1, family="none", **_bounds(n))
 
 

@@ -6,8 +6,9 @@ trial's private stream and reports the longest honest segment; success
 means the maximum stayed under the Theorem C.1 logarithmic envelope.
 
 The Conjecture 4.7 frontier scan (:mod:`repro.analysis.frontier`) needs
-no scenario of its own: it asks the registered ``attack/cubic`` and
-``attack/equal-spacing`` builders whether they accept a coalition size.
+no scenario of its own: it asks the :class:`RingPlacement` rules the
+registered ``attack/cubic`` and ``attack/equal-spacing`` builders check
+whether they accept a coalition size.
 
 Registered here (imported for effect by
 :mod:`repro.experiments.catalog`).

@@ -183,10 +183,16 @@ class RingPlacement:
                 f"k={k} too small for n={n}: max coverage "
                 f"{sum(ideal) + k} < n (need roughly k >= 2*n^(1/3))"
             )
-        # Largest threshold t with sum(min(ideal_i, t)) <= budget.
-        t = budget // k  # lower bound; grow until it no longer fits
-        while t < ideal[0] and sum(min(x, t + 1) for x in ideal) <= budget:
-            t += 1
+        # Largest threshold t with sum(min(ideal_i, t)) <= budget, by
+        # bisection (the sum is monotone in t): budget // k always fits,
+        # and t never needs to exceed ideal[0], the largest entry.
+        t, hi = budget // k, ideal[0]
+        while t < hi:
+            mid = (t + hi + 1) // 2
+            if sum(min(x, mid) for x in ideal) <= budget:
+                t = mid
+            else:
+                hi = mid - 1
         distances = [min(x, t) for x in ideal]
         leftover = budget - sum(distances)
         capped = [i for i, x in enumerate(ideal) if x > t]

@@ -1,10 +1,14 @@
 """Tests for the frontier search (Conjecture 4.7) and statistics helpers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.frontier import (
+    TARGET,
     FrontierPoint,
+    family_forces,
     forcing_frontier,
     smallest_forcing_coalition,
 )
@@ -14,6 +18,9 @@ from repro.analysis.stats import (
     proportions_differ,
     wilson_interval,
 )
+from repro.experiments import get_scenario, run_scenario
+from repro.experiments.scenario import ring_topology
+from repro.util.errors import ConfigurationError
 
 
 class TestFrontier:
@@ -34,6 +41,9 @@ class TestFrontier:
             assert p.within_gap
             assert p.lower_bound < p.conjecture < p.upper_bound
         assert smallest_forcing_coalition(65536).k_min == 51
+        for n, k in ((2**20, 128), (2**24, 323)):
+            point = smallest_forcing_coalition(n)
+            assert (point.k_min, point.family) == (k, "cubic")
 
     def test_frontier_monotone_ish(self):
         """Larger rings need (weakly) larger forcing coalitions."""
@@ -42,9 +52,50 @@ class TestFrontier:
         assert large.k_min >= small.k_min
 
     def test_unreachable_frontier_reported(self):
-        point = smallest_forcing_coalition(36, k_max=2)
-        assert point.family == "none"
-        assert point.k_min == 3
+        """No family places a coalition of 2 or 3 on a ring of 2 or 3: the
+        scan reports one past its last ``k``, ``isqrt(n) + 2``."""
+        for n in (2, 3):
+            point = smallest_forcing_coalition(n)
+            assert (point.k_min, point.family) == (4, "none")
+
+    def test_rings_below_target_probe_their_last_id(self):
+        """A ring smaller than ``TARGET`` is probed at ``n``; the cubic
+        coalition it reports forces ``n`` on every executor trial."""
+        for n, k in ((4, 2), (5, 2), (6, 3)):
+            point = smallest_forcing_coalition(n)
+            assert (point.k_min, point.family) == (k, "cubic")
+            result = run_scenario(
+                "attack/cubic", 20, params={"n": n, "k": k, "target": n},
+                keep_outcomes=False, use_batch=False,
+            )
+            assert result.successes.successes == 20
+
+    def test_verdict_is_the_builders(self):
+        """Every ``(family, n, k)`` with ``n <= 64``: the scan says the
+        family forces exactly when its registered builder accepts the
+        point, the acceptance ``run_forcing_batch`` folds as forced."""
+        builders = {
+            "cubic": get_scenario("attack/cubic"),
+            "rushing": get_scenario("attack/equal-spacing"),
+        }
+        verdicts = set()
+        for n in range(2, 65):
+            ring = ring_topology({"n": n})
+            for k in range(1, n + 1):
+                for family, spec in builders.items():
+                    params = spec.resolve_params(
+                        {"n": n, "k": k, "target": min(TARGET, n)}
+                    )
+                    try:
+                        spec.build_protocol(ring, params, random.Random(0))
+                        accepted = True
+                    except ConfigurationError:
+                        accepted = False
+                    assert family_forces(family, n, k) == accepted, (
+                        family, n, k,
+                    )
+                    verdicts.add((family, accepted))
+        assert len(verdicts) == 4
 
 
 class TestWilson:

@@ -1,5 +1,6 @@
 """Unit + property tests for RingPlacement geometry."""
 
+import math
 import random
 
 import pytest
@@ -112,6 +113,42 @@ class TestCubic:
     def test_rejects_k_too_small(self):
         with pytest.raises(ConfigurationError):
             RingPlacement.cubic(1000, 3)
+
+    def test_threshold_bisection_matches_linear_rule(self):
+        """The threshold bisection picks the ``t`` the original step-by-one
+        rule picked, so every cubic profile is unchanged.
+
+        Grid: every feasible ``k <= isqrt(n) + 2`` (the frontier scan's
+        range) for ``4 <= n < 700``, and at ``n`` = 2^16, 2^18, 2^20 the
+        smallest feasible ``k``, the next one, twice it and ``k = 1000``.
+        """
+
+        def linear_rule(n, k):
+            ideal = [(k + 1 - i) * (k - 1) for i in range(1, k + 1)]
+            budget = n - k
+            t = budget // k
+            while t < ideal[0] and sum(min(x, t + 1) for x in ideal) <= budget:
+                t += 1
+            distances = [min(x, t) for x in ideal]
+            capped = [i for i, x in enumerate(ideal) if x > t]
+            for i in range(budget - sum(distances)):
+                distances[capped[i]] += 1
+            return distances
+
+        grid = [
+            (n, k) for n in range(4, 700) for k in range(2, math.isqrt(n) + 3)
+        ]
+        for n, k_min in ((2**16, 51), (2**18, 81), (2**20, 128)):
+            grid += [(n, k) for k in (k_min, k_min + 1, 2 * k_min, 1000)]
+        feasible = 0
+        for n, k in grid:
+            try:
+                placement = RingPlacement.cubic(n, k)
+            except ConfigurationError:
+                continue
+            feasible += 1
+            assert placement.distances() == linear_rule(n, k), (n, k)
+        assert feasible == 7917
 
 
 class TestRandomLocations:
