@@ -40,11 +40,13 @@ class FairRenamingStrategy(KnowledgeSharingStrategy):
     def _finish(self, values: List[int], ctx: Context) -> None:
         residues = [int(v) % self.n for v in values]
         leader = residue_to_id(mod_sum(residues, self.n), self.n)
-        assignment = tuple(
-            (pos, (pos - leader) % self.n + 1)
-            for pos in range(1, self.n + 1)
-        )
-        ctx.terminate(assignment)
+        ctx.terminate(names_from_origin(leader, self.n))
+
+
+def names_from_origin(leader: int, n: int) -> Assignment:
+    """The renaming with origin ``leader``: every position's new name is
+    its ring distance from ``leader``, plus one."""
+    return tuple((pos, (pos - leader) % n + 1) for pos in range(1, n + 1))
 
 
 def my_name(assignment: Assignment, pid: int) -> int:

@@ -15,19 +15,19 @@ Registered here (imported for effect by
   outcome is processor 1's new name, uniform over ``1..n``.
 
 Both carry ``run_batch`` kernels: the knowledge-sharing block elects
-``residue_to_id(sum of the n payload residues)``, each residue being
-the first ``randrange(n)`` of that processor's ``proc:<pid>`` stream
-(drawn at wakeup), so a whole chunk folds in closed form — consensus
-decides the leader's input (= the leader's pid here) and renaming
-hands processor 1 the name ``(1 - leader) mod n + 1``.
+what an A-LEADuni run on the same registry elects, so consensus registers
+:func:`~repro.experiments.ring_kernels.run_election_batch` (the decided
+value is the leader's input, which is the leader's pid here) and
+renaming re-keys that fold through
+:func:`~repro.blocks.renaming.names_from_origin`.
 """
 
-import random
-from typing import Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import Sequence
 
 from repro.blocks.consensus import fair_consensus_protocol
-from repro.blocks.renaming import fair_renaming_protocol, my_name
-from repro.experiments.ring_kernels import alead_leader, fold_leaders
+from repro.blocks.renaming import fair_renaming_protocol, my_name, names_from_origin
+from repro.experiments.ring_kernels import Fold, ring_steps, run_election_batch
 from repro.experiments.scenario import (
     Params,
     ScenarioSpec,
@@ -57,41 +57,16 @@ def renaming_to_first_name(outcome, params: Params):
     return my_name(outcome, 1)
 
 
-# ----------------------------------------------------------------------
-# Batch kernels
-# ----------------------------------------------------------------------
-#
-# Like A-LEADuni, an honest knowledge-sharing run is n^2 deliveries
-# (every processor sends exactly n messages) and its elected position
-# depends only on the first randrange(n) of each proc:<pid> stream: it
-# is the id an A-LEADuni election on the same registry elects.
-
-
-def run_fair_consensus_batch(
-    seeds: Sequence[int], params: Params
-) -> Optional[Tuple[Dict[object, int], int]]:
-    """Fold a chunk of ``blocks/fair-consensus`` trials: the decided
-    value is the elected position's input, and inputs are the pids."""
-    n = params["n"]
-    if n < 2:
-        return None  # degenerate ring: let the scalar path report it
-    return fold_leaders(seeds, n, n * n)
-
-
-def run_fair_renaming_batch(
-    seeds: Sequence[int], params: Params
-) -> Optional[Tuple[Dict[object, int], int]]:
-    """Fold a chunk of ``blocks/fair-renaming`` trials: processor 1's
-    new name is its ring distance from the elected origin of names."""
-    n = params["n"]
-    if n < 2:
+def run_fair_renaming_batch(seeds: Sequence[int], params: Params) -> Fold:
+    """Fold a chunk of ``blocks/fair-renaming`` trials: the honest
+    election's fold, each elected origin re-keyed to its assignment."""
+    fold = run_election_batch(ring_steps, seeds, params)
+    if fold is None:
         return None
-    stream = random.Random(0)
-    counts: Dict[object, int] = {}
-    for seed in seeds:
-        name = (1 - alead_leader(seed, n, stream)) % n + 1
-        counts[name] = counts.get(name, 0) + 1
-    return counts, n * n * len(seeds)
+    leaders, steps_total = fold
+    n = params["n"]
+    names = {names_from_origin(leader, n): c for leader, c in leaders.items()}
+    return names, steps_total
 
 
 register_scenario(
@@ -100,7 +75,7 @@ register_scenario(
         description="fair consensus over pid inputs (Afek et al. block)",
         build_topology=ring_topology,
         build_protocol=_consensus_protocol,
-        run_batch=run_fair_consensus_batch,
+        run_batch=partial(run_election_batch, ring_steps),
         defaults={"n": 6},
         tags=("blocks", "honest"),
     )

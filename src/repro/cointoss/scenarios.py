@@ -17,22 +17,28 @@ Registered here (imported for effect by
 - ``cointoss/coin-fle`` — FLE over ``n = 2^r`` built from ``r``
   independent coin tosses, each one a full A-LEADuni run.
 
-All three carry ``run_batch`` kernels: an honest (or single-cheater)
-ring election's outcome is a closed form over the processors' first
-secret draws, so a whole chunk folds without ever touching the
-executor. Each kernel draws from exactly the streams the executor
-would (``proc:<pid>`` per processor) so the fold is bit-identical to
-the scalar path — see :data:`repro.experiments.scenario.BatchRunner`.
+All three carry ``run_batch`` kernels from
+:mod:`repro.experiments.ring_kernels`, folding elected ids that the
+runner maps to coins: ``fle-coin`` folds the honest election, and
+``biased-coin`` the Basic-LEAD cheat's certificate (every trial elects
+the target once the builder validates). ``coin-fle`` replays each
+round's election from its child registry.
 """
 
 import math
 import random
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.attacks.basic_cheat import basic_cheat_protocol
 from repro.cointoss.protocols import independent_coin_fle
 from repro.cointoss.reductions import coin_toss_from_leader_election
-from repro.experiments.ring_kernels import alead_leader
+from repro.experiments.ring_kernels import (
+    alead_leader,
+    ring_steps,
+    run_election_batch,
+    run_forcing_batch,
+)
 from repro.experiments.scenario import (
     Params,
     ScenarioSpec,
@@ -41,7 +47,6 @@ from repro.experiments.scenario import (
     ring_topology,
 )
 from repro.protocols.alead_uni import alead_uni_protocol
-from repro.sim.execution import FAIL
 from repro.sim.topology import unidirectional_ring
 from repro.util.rng import derive_seeds
 
@@ -58,8 +63,6 @@ def _cheating_basic_lead(topo, params, rng):
 
 def leader_to_coin(outcome, params: Params):
     """Outcome map: elected id -> coin bit (FAIL passes through)."""
-    if outcome == FAIL:
-        return FAIL
     return coin_toss_from_leader_election(outcome, params["n"])
 
 
@@ -76,54 +79,6 @@ def run_coin_fle_trial(
     topo = unidirectional_ring(n)
     outcome = independent_coin_fle(topo, alead_uni_protocol, n, registry)
     return outcome, int(math.log2(n))
-
-
-# ----------------------------------------------------------------------
-# Batch kernels
-# ----------------------------------------------------------------------
-#
-# An honest A-LEADuni election elects residue_to_id(sum of the n secret
-# residues), each secret being the *first* randrange(n) of that
-# processor's private stream proc:<pid> — so the elected leader is a
-# closed form over n stream heads and the executor's ~n^2 deliveries
-# per trial (message objects, contexts, scheduler picks) are pure
-# overhead the kernels skip. A-LEADuni's honest run always validates
-# and terminates within the default step budget in exactly n^2
-# deliveries (each of the n processors sends exactly n messages), so
-# the per-trial step count is closed-form too.
-
-
-def run_fle_coin_batch(
-    seeds: Sequence[int], params: Params
-) -> Optional[Tuple[Dict[object, int], int]]:
-    """Fold a chunk of ``cointoss/fle-coin`` trials in closed form."""
-    n = params["n"]
-    if n < 2:
-        return None  # degenerate ring: let the scalar path report it
-    stream = random.Random(0)
-    counts = {0: 0, 1: 0}
-    for seed in seeds:
-        counts[alead_leader(seed, n, stream) % 2] += 1
-    counts = {bit: c for bit, c in counts.items() if c}
-    return counts, n * n * len(seeds)
-
-
-def run_biased_coin_batch(
-    seeds: Sequence[int], params: Params
-) -> Optional[Tuple[Dict[object, int], int]]:
-    """Fold a chunk of ``cointoss/biased-coin`` trials in O(1).
-
-    Claim B.1 is deterministic: the Basic-LEAD cheater always forces
-    ``target`` whatever the honest secrets, so every trial's coin is
-    ``target % 2`` and no randomness needs replaying at all. Declines
-    out-of-range placements so the scalar path raises the builder's
-    ConfigurationError exactly as before.
-    """
-    n = params["n"]
-    cheater, target = params["cheater"], params["target"]
-    if n < 2 or cheater not in range(1, n + 1) or target not in range(1, n + 1):
-        return None
-    return {target % 2: len(seeds)}, n * n * len(seeds)
 
 
 def run_coin_fle_batch(
@@ -157,7 +112,7 @@ register_scenario(
         description="coin toss from one honest A-LEADuni election (Thm 8.1)",
         build_topology=ring_topology,
         build_protocol=_honest_alead,
-        run_batch=run_fle_coin_batch,
+        run_batch=partial(run_election_batch, ring_steps),
         map_outcome=leader_to_coin,
         outcome_size=no_valid_ids,  # outcomes are coin bits, not ids
         defaults={"n": 8},
@@ -171,7 +126,7 @@ register_scenario(
         description="biased FLE (Basic-LEAD cheat) propagates to the coin",
         build_topology=ring_topology,
         build_protocol=_cheating_basic_lead,
-        run_batch=run_biased_coin_batch,
+        run_batch=partial(run_forcing_batch, _cheating_basic_lead),
         map_outcome=leader_to_coin,
         outcome_size=no_valid_ids,  # outcomes are coin bits, not ids
         defaults={"n": 8, "cheater": 2, "target": 4},

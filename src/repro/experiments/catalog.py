@@ -32,11 +32,13 @@ attack/shamir-pool        Section 1.1 (sharp threshold)       complete
 (Run ``python -m repro scenarios`` for the full, registry-generated
 listing including the subsystem entries.)
 
-``honest/alead-uni`` and the four A-LEADuni/Basic-LEAD ring attacks
-``basic-cheat``, ``equal-spacing``, ``random-location`` and ``cubic``
-also carry exact ``run_batch`` kernels from
-:mod:`repro.experiments.ring_kernels`: honest A-LEADuni folds as a
-closed form over the processors' secret draws, the three placement-fixed
+``honest/basic-lead``, ``honest/alead-uni`` and ``honest/wakeup-alead``
+and the four A-LEADuni/Basic-LEAD ring attacks ``basic-cheat``,
+``equal-spacing``, ``random-location`` and ``cubic`` also carry exact
+``run_batch`` kernels from :mod:`repro.experiments.ring_kernels`: the
+three honest rings elect the same closed form over the processors'
+secret draws (:func:`~repro.experiments.ring_kernels.run_election_batch`,
+the wake-up composition in twice the steps), the three placement-fixed
 attacks force their target on every seed once their builder validates,
 and random-location certifies each trial's placement or replays that
 trial on the executor.
@@ -63,7 +65,8 @@ from repro.attacks import (
     shamir_pooling_attack_protocol,
 )
 from repro.experiments.ring_kernels import (
-    run_alead_uni_batch,
+    ring_steps,
+    run_election_batch,
     run_forcing_batch,
     run_random_location_batch,
 )
@@ -183,7 +186,18 @@ def _attack_shamir_pool(topo, params, rng):
     return shamir_pooling_attack_protocol(topo, coalition, params["target"])
 
 
+def _wakeup_steps(n: int) -> int:
+    """Deliveries of an honest wake-up + A-LEADuni run: ``n²`` for each
+    phase."""
+    return 2 * ring_steps(n)
+
+
 def _register_builtins() -> None:
+    kernels = {
+        "basic-lead": partial(run_election_batch, ring_steps),
+        "alead-uni": partial(run_election_batch, ring_steps),
+        "wakeup-alead": partial(run_election_batch, _wakeup_steps),
+    }
     for name, desc, builder, n in (
         ("basic-lead", "Basic-LEAD honestly on a ring", _honest_basic_lead, 16),
         ("alead-uni", "A-LEADuni honestly on a ring", _honest_alead_uni, 16),
@@ -216,7 +230,7 @@ def _register_builtins() -> None:
                     else ring_topology
                 ),
                 build_protocol=builder,
-                run_batch=run_alead_uni_batch if name == "alead-uni" else None,
+                run_batch=kernels.get(name),
                 defaults={"n": n},
                 tags=("honest",),
             )

@@ -9,27 +9,35 @@ links. The kernels below use that to fold a chunk of trials without
 building a topology per trial, a strategy vector or an
 :class:`~repro.sim.execution.Executor`:
 
-- ``honest/alead-uni`` elects ``residue_to_id(sum of the n secrets)``
-  (Lemma 3.3: honest validation always passes), each secret being the
-  first ``randrange(n)`` of that processor's ``proc:<pid>`` stream;
-- ``attack/basic-cheat`` (Claim B.1), ``attack/equal-spacing``
-  (Lemma 4.1 / Theorem 4.2) and ``attack/cubic`` (Theorem 4.3) force
-  the target for *every* secret vector once their placement validates,
-  so a chunk is ``{target: trials}`` with no randomness replayed;
+- :func:`run_election_batch` folds every scenario whose honest run
+  elects ``residue_to_id(sum of the n secrets)``, each secret being the
+  first ``randrange(n)`` of that processor's ``proc:<pid>`` stream
+  (Lemma 3.3: honest validation always passes). The catalogs register
+  it, with each scenario's own step count, for ``honest/alead-uni``,
+  ``honest/basic-lead``, ``honest/wakeup-alead``, ``cointoss/fle-coin``,
+  ``blocks/fair-consensus``, ``blocks/fair-renaming``, ``sync/broadcast``
+  and ``sync/ring``;
+- ``attack/basic-cheat`` (Claim B.1), ``cointoss/biased-coin`` (the
+  same cheat), ``attack/equal-spacing`` (Lemma 4.1 / Theorem 4.2) and
+  ``attack/cubic`` (Theorem 4.3) force the target for *every* secret
+  vector once their placement validates, so a chunk is
+  ``{target: trials}`` with no randomness replayed;
 - ``attack/random-location`` (Theorem C.1) draws each trial's placement
   and takes the closed form only where :func:`random_location_forces`
   proves the attack succeeds; every other trial runs through the
   executor inside the kernel, so the fold is exact by construction.
 
-Every honest processor and every adversary in these scenarios sends
-exactly ``n`` messages, so a run that elects costs ``n²`` deliveries.
-The kernels only run where the runner's batch contract holds (folded
-path, no trace, default step budget), and ``n²`` is far inside the
-default budget.
+Every honest processor and every adversary in the ring scenarios sends
+exactly ``n`` messages, so a run that elects costs ``n²`` deliveries
+(:func:`ring_steps`). Kernels histogram raw outcomes (elected ids); the
+runner re-keys them through the scenario's ``map_outcome``. They only
+run where the runner's batch contract holds (folded path, no trace,
+default step budget), and the ``2n²`` of the longest, the wake-up
+composition, is far inside the executor's default ``40n² + 1000``.
 """
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.attacks.placement import RingPlacement
 from repro.attacks.random_location import recommended_probability
@@ -97,12 +105,23 @@ def fold_leaders(seeds: Sequence[int], n: int, steps_per_trial: int) -> Fold:
     return counts, steps_per_trial * len(seeds)
 
 
-def run_alead_uni_batch(seeds: Sequence[int], params: Params) -> Fold:
-    """Fold a chunk of ``honest/alead-uni`` trials in closed form."""
+def ring_steps(n: int) -> int:
+    """Deliveries of an elected ring run: each of the ``n`` processors
+    sends exactly ``n`` messages."""
+    return n * n
+
+
+def run_election_batch(
+    steps: Callable[[int], int], seeds: Sequence[int], params: Params
+) -> Fold:
+    """Fold a chunk of honest elections that each elect
+    :func:`alead_leader`, in ``steps(n)`` steps a trial. The histogram
+    keys are elected ids; the runner applies the scenario's
+    ``map_outcome``."""
     n = params["n"]
     if not _is_int(n) or n < 2:
         return None  # let the scalar path report the bad ring
-    return fold_leaders(seeds, n, n * n)
+    return fold_leaders(seeds, n, steps(n))
 
 
 def run_forcing_batch(
@@ -123,7 +142,7 @@ def run_forcing_batch(
     except ConfigurationError:
         return None
     counts = {target: len(seeds)} if seeds else {}
-    return counts, n * n * len(seeds)
+    return counts, ring_steps(n) * len(seeds)
 
 
 def random_location_forces(

@@ -440,26 +440,31 @@ def _fold_batch(
 ) -> Optional[Tuple[Dict[Any, int], int, int, int]]:
     """Fold one chunk through the scenario's vectorized kernel.
 
-    The kernel histograms final (post-``map_outcome``) outcomes, so the
-    success counter is recovered here by scoring each distinct outcome
-    once — the scenario's own ``success`` predicate stays the single
-    definition of success on both paths. Returns ``(counts, successes,
-    steps_total, trials)``; ``None`` (kernel declined, or trial-count
-    mismatch) sends the chunk to the scalar loop.
+    The kernel histograms raw outcomes. This re-keys them through the
+    scenario's ``map_outcome``, as :func:`run_one_trial` maps each
+    trial, and scores each distinct outcome once with ``success``, so
+    both paths share one definition of each. Returns ``(counts,
+    successes, steps_total, trials)``; ``None`` (kernel declined) sends
+    the chunk to the scalar loop, and a trial-count mismatch raises.
     """
     result = spec.run_batch(trial_seeds(base_seed, indices), params)
     if result is None:
         return None
-    counts, steps_total = result
-    if sum(counts.values()) != len(indices):
+    raw, steps_total = result
+    if sum(raw.values()) != len(indices):
         raise ConfigurationError(
             f"scenario {spec.name!r}: run_batch returned "
-            f"{sum(counts.values())} outcomes for {len(indices)} seeds"
+            f"{sum(raw.values())} outcomes for {len(indices)} seeds"
         )
+    counts: Dict[Any, int] = {}
+    for outcome, count in raw.items():
+        if spec.map_outcome is not None:
+            outcome = spec.map_outcome(outcome, params)
+        counts[outcome] = counts.get(outcome, 0) + count
     successes = sum(
         count for outcome, count in counts.items() if spec.success(outcome, params)
     )
-    return (dict(counts), successes, steps_total, len(indices))
+    return (counts, successes, steps_total, len(indices))
 
 
 def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:

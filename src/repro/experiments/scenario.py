@@ -70,7 +70,9 @@ SuccessPredicate = Callable[[Any, Params], bool]
 TrialRunner = Callable[[Params, Any, Optional[int]], Tuple[Any, int]]
 
 #: Post-processes a trial's raw outcome before scoring/histogramming
-#: (e.g. leader id -> coin bit, renaming assignment -> one name).
+#: (e.g. leader id -> coin bit, renaming assignment -> one name). The
+#: runner applies it on both paths: to each scalar trial, and to each
+#: key of a kernel's histogram (merging keys that map alike).
 OutcomeMap = Callable[[Any, Params], Any]
 
 #: Vectorized whole-chunk trial kernel. Receives the chunk's per-trial
@@ -81,8 +83,9 @@ OutcomeMap = Callable[[Any, Params], Any]
 #: the seeds, so a closed-form kernel that reads only ``len(seeds)``
 #: hashes nothing. It also receives the resolved parameters, and
 #: returns ``(outcome_counts, steps_total)`` where ``outcome_counts``
-#: histograms the *final* outcomes (i.e. after ``map_outcome``) and
-#: ``steps_total`` sums the per-trial step counts.
+#: histograms the *raw* outcomes (before ``map_outcome``, which the
+#: runner applies to the fold) and ``steps_total`` sums the per-trial
+#: step counts.
 #: The contract is bit-exactness: the counts must equal what running
 #: ``run_one_trial`` per seed would fold to, which means deriving all
 #: randomness from the same labelled streams (``derive_seed(seed,
@@ -163,7 +166,9 @@ class ScenarioSpec:
     map_outcome:
         Optional post-map applied to each trial's raw outcome before the
         success predicate and histogram see it (e.g. leader id -> coin
-        bit). ``FAIL`` should normally be passed through unchanged.
+        bit), on the scalar and the kernel path alike: a kernel
+        histograms raw outcomes and the runner re-keys its fold.
+        ``FAIL`` should normally be passed through unchanged.
     outcome_size:
         Overrides :meth:`size` — the ``n`` of the outcome histogram's
         valid-id range ``1..n``. Set this when the (possibly mapped)

@@ -11,13 +11,15 @@ R301  flags the two ways a row can bypass the blessed sinks
 R302  flags ``run_trial``/``run_batch`` implementations that accept
       their seed-carrying argument and never reference it. A trial
       function wired into a ``ScenarioSpec`` receives ``(params,
-      registry, max_steps)`` and a batch kernel ``(seeds, params,
-      max_steps)``; ignoring ``registry``/``seeds`` means every trial
-      computes the same thing while the rows claim per-seed outcomes.
+      registry, max_steps)`` and a batch kernel ``(seeds, params)``;
+      ignoring ``registry``/``seeds`` means every trial computes the
+      same thing while the rows claim per-seed outcomes.
       Exact/deterministic evaluations (closed-form witnesses) are real
       — those carry ``allow[R302]`` pragmas stating so. Only functions
-      actually referenced by a ``ScenarioSpec(...)`` call in the same
-      module are checked, so helpers stay out of scope.
+      defined in the same module and named directly by a
+      ``ScenarioSpec(...)`` call there are checked, so helpers stay out
+      of scope, and so do kernels registered through ``partial(...)``
+      or an imported name (the shared ring kernels).
 """
 
 import ast

@@ -16,17 +16,18 @@ Registered here (imported for effect by
 - ``sync/last-round-cheat`` — the strongest rushing analogue, which the
   lockstep model *always* punishes (success = the cheater was caught).
 
-The two honest baselines carry ``run_batch`` kernels. Processor ``pid``
-runs on the trial's ``proc:<pid>`` stream, its secret is that stream's
-first ``randrange(n)``, and every honest validation passes, so all
-processors terminate with ``residue_to_id(sum mod n)``: the election
-:func:`~repro.experiments.ring_kernels.alead_leader` computes, in 3
-rounds (broadcast) or ``n + 1`` (ring).
+The two honest baselines carry
+:func:`~repro.experiments.ring_kernels.run_election_batch`. Processor
+``pid`` runs on the trial's ``proc:<pid>`` stream, its secret is that
+stream's first ``randrange(n)``, and every honest validation passes, so
+all processors terminate with A-LEADuni's leader, in 3 rounds
+(broadcast) or ``n + 1`` (ring).
 """
 
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
-from repro.experiments.ring_kernels import Fold, fold_leaders
+from repro.experiments.ring_kernels import Fold, run_election_batch
 from repro.experiments.scenario import (
     Params,
     ScenarioSpec,
@@ -86,26 +87,20 @@ def run_sync_last_round_cheat_trial(
     return result.outcome, result.rounds
 
 
-def _foldable(n) -> bool:
-    """A size the honest kernels fold; any other goes to the scalar
-    path, which raises the topology builder's error."""
-    return type(n) is int and n >= 2
+def _broadcast_rounds(n: int) -> int:
+    return 3
 
 
-def run_sync_broadcast_batch(seeds: Sequence[int], params: Params) -> Fold:
-    """Fold a chunk of ``sync/broadcast`` trials (3 rounds each)."""
-    n = params["n"]
-    if not _foldable(n):
-        return None
-    return fold_leaders(seeds, n, 3)
+def _ring_rounds(n: int) -> int:
+    return n + 1
 
 
 def run_sync_ring_batch(seeds: Sequence[int], params: Params) -> Fold:
     """Fold a chunk of ``sync/ring`` trials (``n + 1`` rounds each)."""
     n = params["n"]
-    if not _foldable(n) or n + 1 > DEFAULT_MAX_ROUNDS:
+    if type(n) is int and n + 1 > DEFAULT_MAX_ROUNDS:
         return None  # past the default round budget the scalar trial FAILs
-    return fold_leaders(seeds, n, n + 1)
+    return run_election_batch(_ring_rounds, seeds, params)
 
 
 register_scenario(
@@ -113,7 +108,7 @@ register_scenario(
         name="sync/broadcast",
         description="fully-connected synchronous baseline (3 rounds)",
         run_trial=run_sync_broadcast_trial,
-        run_batch=run_sync_broadcast_batch,
+        run_batch=partial(run_election_batch, _broadcast_rounds),
         defaults={"n": 8},
         tags=("sync", "honest"),
     )

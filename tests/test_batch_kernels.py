@@ -24,12 +24,14 @@ dropping out of batch coverage would otherwise shrink this suite to
 vacuity without a single failure.
 """
 
+import json
 import random
 from dataclasses import replace
 
 import pytest
 
 from repro.attacks import RingPlacement
+from repro.cli import main
 from repro.experiments import WorkerPool, all_scenarios, get_scenario, run_scenario
 from repro.util.errors import ConfigurationError
 
@@ -52,6 +54,8 @@ EXPECTED_BATCH_NAMES = [
     "fullinfo/baton",
     "fullinfo/sequential-coin",
     "honest/alead-uni",
+    "honest/basic-lead",
+    "honest/wakeup-alead",
     "placement/random-segments",
     "sync/broadcast",
     "sync/ring",
@@ -125,6 +129,8 @@ PARAM_SAMPLERS = {
     "attack/equal-spacing": _sample_equal_spacing,
     "attack/random-location": _sample_random_location,
     "honest/alead-uni": lambda rng: {"n": rng.randrange(2, 33)},
+    "honest/basic-lead": lambda rng: {"n": rng.randrange(2, 33)},
+    "honest/wakeup-alead": lambda rng: {"n": rng.randrange(2, 17)},
     "cointoss/fle-coin": lambda rng: {"n": rng.randrange(2, 33)},
     "cointoss/biased-coin": _sample_biased_coin,
     "cointoss/coin-fle": lambda rng: {"n": 2 ** rng.randrange(1, 6)},
@@ -338,3 +344,66 @@ def test_miscounting_kernel_is_rejected():
     lossy = replace(base, name="test/fle-coin-lossy", run_batch=lossy_kernel)
     with pytest.raises(ConfigurationError):
         _run(lossy, 16, 0, {"n": 8}, use_batch=True)
+
+
+def test_kernel_fold_is_rekeyed_through_map_outcome():
+    """A kernel histograms raw outcomes; the runner maps each key with
+    the scenario's ``map_outcome``, merging keys that map alike, before
+    it scores ``success``. Here raw outcomes 1 and 3 both map to 1."""
+    raw_folds = []
+
+    def raw_kernel(seeds, params):
+        counts = {}
+        for seed in seeds:
+            counts[seed % 3 + 1] = counts.get(seed % 3 + 1, 0) + 1
+        raw_folds.append(counts)
+        return counts, 2 * len(seeds)
+
+    def raw_trial(params, registry, max_steps):
+        return registry.seed % 3 + 1, 2
+
+    spec = replace(
+        get_scenario("honest/alead-uni"),
+        name="test/raw-kernel",
+        build_topology=None,
+        build_protocol=None,
+        run_trial=raw_trial,
+        run_batch=raw_kernel,
+        map_outcome=lambda outcome, params: 1 if outcome in (1, 3) else outcome,
+        success=lambda outcome, params: outcome == 1,
+    )
+    batch = _run(spec, 60, 0, {"n": 8}, use_batch=True)
+    scalar = _run(spec, 60, 0, {"n": 8}, use_batch=False)
+    raw = {}
+    for fold in raw_folds:
+        for outcome, count in fold.items():
+            raw[outcome] = raw.get(outcome, 0) + count
+    assert sorted(raw) == [1, 2, 3]
+    assert dict(batch.distribution.counts) == {1: raw[1] + raw[3], 2: raw[2]}
+    assert _comparable(batch) == _comparable(scalar)
+    assert batch.successes.successes == scalar.successes.successes == raw[1] + raw[3]
+
+
+def test_biased_coin_float_target_fails_on_both_paths(tmp_path, capsys):
+    """A float target is not an id: the scalar trial's coin map rejects
+    it, and the forcing kernel declines it, so both modes raise the same
+    error and ``--out`` gets no row that ``target=5`` would later alias
+    on resume."""
+    params = {"target": 5.0}
+    errors = []
+    for use_batch in (True, False):
+        with pytest.raises(ConfigurationError) as info:
+            _run("cointoss/biased-coin", 4, 0, params, use_batch=use_batch)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and "invalid FLE outcome 5.0" in errors[0]
+
+    out_file = tmp_path / "rows.jsonl"
+    argv = ["sweep", "--scenario", "cointoss/biased-coin", "--trials", "4",
+            "--out", str(out_file)]
+    with pytest.raises(SystemExit, match="invalid FLE outcome 5.0"):
+        main(argv + ["--param", "target=5.0"])
+    assert not out_file.exists() or out_file.read_text() == ""
+    assert main(argv + ["--param", "target=5", "--resume"]) == 0
+    assert "ran 1 of 1" in capsys.readouterr().err
+    (row,) = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert row["params"]["target"] == 5 and row["outcomes"] == {"1": 4}
