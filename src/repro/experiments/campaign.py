@@ -81,7 +81,7 @@ from typing import (
 from repro.analysis.distribution import OutcomeDistribution
 from repro.analysis.stats import proportion
 from repro.experiments.budget import BudgetPolicy, BudgetRef, as_policy
-from repro.experiments.chunking import AdaptiveChunker
+from repro.experiments.chunking import INLINE_CHUNK_SECONDS, AdaptiveChunker
 from repro.experiments.pool import WorkerCount, WorkerPool
 from repro.experiments.runner import (
     ChunkFold,
@@ -690,20 +690,23 @@ class _ChunkCutter:
 
 
 def _dispatcher(
-    driver: PointDriver, pool: WorkerPool
+    driver: PointDriver, pool: WorkerPool, chunker: Optional[AdaptiveChunker]
 ) -> Callable[[], Tuple[int, ChunkFold]]:
     """The local backend's dispatch step: run queued chunks and return
     the next ``(point_id, chunk fold)`` to arrive.
 
     A serial pool runs the head of the queue in-process, one chunk at a
-    time, through :meth:`WorkerPool.imap_unordered`, so its chunk
-    counters (and ``/metrics``) see every chunk. A parallel pool trickles chunks into
-    :meth:`WorkerPool.submit` at most two per worker at a time and takes
-    results off its callback thread; the surplus stays in the driver's
-    queue, where an abandoned point's chunks can still be dropped. On
-    either pool, a chunk's exception surfaces as a
-    :class:`ConfigurationError` naming the point, chained from the
-    original; a ``KeyboardInterrupt`` is not wrapped.
+    time, through :meth:`WorkerPool.run_inline`, so its chunk counters
+    (and ``/metrics``) see every chunk. A parallel pool trickles chunks
+    into :meth:`WorkerPool.submit` at most two per worker at a time and
+    takes results off its callback thread; the surplus stays in the
+    driver's queue, where an abandoned point's chunks can still be
+    dropped. A chunk that ``chunker`` already prices under
+    :data:`~repro.experiments.chunking.INLINE_CHUNK_SECONDS` skips the
+    round trip: it runs through :meth:`WorkerPool.run_inline` in this
+    thread and arrives at once. On either pool, a chunk's exception
+    surfaces as a :class:`ConfigurationError` naming the point, chained
+    from the original; a ``KeyboardInterrupt`` is not wrapped.
     """
 
     def failure(point_id: int, error: BaseException) -> ConfigurationError:
@@ -712,16 +715,26 @@ def _dispatcher(
             f"point {point.scenario!r} {point.params} failed: {error}"
         )
 
+    def run_here(unit: Tuple[int, ChunkPayload]) -> Tuple[int, ChunkFold]:
+        try:
+            return pool.run_inline(_campaign_chunk, unit)
+        except Exception as exc:
+            raise failure(unit[0], exc) from exc
+
     if not pool.parallel:
+        return lambda: run_here(driver.queue.popleft())
 
-        def serial() -> Tuple[int, ChunkFold]:
-            unit = driver.queue.popleft()
-            try:
-                return next(pool.imap_unordered(_campaign_chunk, (unit,)))
-            except Exception as exc:
-                raise failure(unit[0], exc) from exc
+    def tiny(unit: Tuple[int, ChunkPayload]) -> bool:
+        """Whether ``chunker`` prices the chunk below the inline bound
+        (never for a cost key it has not seen)."""
+        if chunker is None:
+            return False
+        state = driver.active[unit[0]]
+        seconds = chunker.estimate_seconds(
+            driver.cut.cost_key(state.spec, state.point), len(unit[1].indices)
+        )
+        return seconds is not None and seconds < INLINE_CHUNK_SECONDS
 
-        return serial
     results: "queue.Queue" = queue.Queue()
     # In-flight cap: 2x the worker count, so every worker has a spare
     # chunk queued and never waits a master round-trip.
@@ -732,6 +745,8 @@ def _dispatcher(
         nonlocal inflight
         while driver.queue and inflight < window:
             unit = driver.queue.popleft()
+            if tiny(unit):
+                return run_here(unit)
             pool.submit(
                 _campaign_chunk,
                 unit,
@@ -757,7 +772,7 @@ def _drive(
     measured cost to ``chunker``, and fold it back into the driver —
     yielding each point's result as it finishes. :func:`_launch` runs
     it; a serial ``pool`` dispatches in-process."""
-    dispatch = _dispatcher(driver, pool)
+    dispatch = _dispatcher(driver, pool, chunker)
     yield from driver.admit()
     while driver.active:
         point_id, chunk_fold = dispatch()

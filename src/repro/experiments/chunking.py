@@ -29,6 +29,14 @@ splits a kernel range at most once per worker, in chunks of at most
 worker), optionally after a bounded *calibration* chunk — see
 :meth:`AdaptiveChunker.calibration_trials`.
 
+One more rule decides where a chunk runs, not how big it is: a chunk
+whose key the model already prices, at under
+:data:`INLINE_CHUNK_SECONDS`, costs less than the pool round trip it
+would wait on, so a parallel campaign runs it in the dispatching thread
+(:meth:`~repro.experiments.pool.WorkerPool.run_inline`) instead. The
+estimate service's warm kernel misses are such chunks. A cold key is
+never inlined: its first chunk runs in a worker and measures the cost.
+
 The contract that makes all of this free to take: **chunking never
 affects results**. Trial ``i``'s seed is a pure function of
 ``(base_seed, i)`` and chunk folds are commutative counters, so the
@@ -53,6 +61,14 @@ TARGET_CHUNK_SECONDS = 0.25
 #: produce chunks cheaper than this — shipping 30 µs of kernel work to
 #: four processes is how the static heuristic lost its factor.
 MIN_CHUNK_SECONDS = 0.05
+
+#: Predicted wall-seconds below which a priced chunk runs in the
+#: dispatching thread instead of a pool worker. A ``multiprocessing``
+#: round trip of a no-op payload measured 314 µs wall and 356 µs of
+#: master CPU (2-CPU container, Python 3.11), so this is about three
+#: round trips of master CPU: work that costs less than that finishes
+#: sooner here than its dispatch would.
+INLINE_CHUNK_SECONDS = 0.001
 
 #: EWMA weight of the newest observation.
 ALPHA = 0.5

@@ -9,7 +9,7 @@ every experiment dispatched through it, so consecutive grid points,
 fuzz probes, and campaign entries share one set of warm worker
 processes.
 
-Two dispatch surfaces:
+Three dispatch surfaces:
 
 - :meth:`submit` — the point loop's async path (campaigns, single
   runs, the estimate service): enqueue one payload
@@ -21,10 +21,14 @@ Two dispatch surfaces:
   ``workers == 1`` it degenerates to a lazy in-process loop (no
   processes, no pickling), which is also the only mode that supports
   payloads built from unpicklable closures.
+- :meth:`run_inline` — one payload in the calling thread, counted like
+  a dispatched chunk: every chunk of a serial pool, and a parallel
+  pool's chunks too cheap to be worth a round trip.
 
-Neither surface throttles below the process count: ``--workers auto``
-never sizes a pool beyond the machine's cores, so a pool that does
-oversubscribe was asked to by an explicit count.
+Neither :meth:`submit` nor :meth:`imap_unordered` throttles below the
+process count: ``--workers auto`` never sizes a pool beyond the
+machine's cores, so a pool that does oversubscribe was asked to by an
+explicit count.
 
 Worker processes import :mod:`repro.experiments` once at start-up (so
 builtin scenarios resolve by name) and then ``gc.freeze()`` the imported
@@ -260,14 +264,7 @@ class WorkerPool:
         """
         if not self.parallel:
             for payload in payloads:
-                self._count(dispatched=1)
-                try:
-                    result = fn(payload)
-                except BaseException:
-                    self._count(failed=1)
-                    raise
-                self._count(completed=1)
-                yield result
+                yield self.run_inline(fn, payload)
             return
         pool = self._ensure_pool()
         payloads = list(payloads)
@@ -279,6 +276,25 @@ class WorkerPool:
         except BaseException:
             self._count(failed=1)
             raise
+
+    def run_inline(self, fn: Callable[[Any], Any], payload: Any) -> Any:
+        """Apply ``fn`` to one payload in the calling thread, counted as
+        a dispatched chunk that completed or failed.
+
+        A serial pool runs every chunk this way; a parallel pool's
+        campaign dispatcher runs a chunk this way when the cost model
+        prices it under
+        :data:`~repro.experiments.chunking.INLINE_CHUNK_SECONDS`, less
+        than the pool round trip it would otherwise wait on.
+        """
+        self._count(dispatched=1)
+        try:
+            result = fn(payload)
+        except BaseException:
+            self._count(failed=1)
+            raise
+        self._count(completed=1)
+        return result
 
     def submit(
         self,

@@ -36,12 +36,21 @@ against client disconnects: a client that gives up mid-compute (curl
 timing out during a long cold estimate), or a peer that resets the
 connection while the handler waits for its next request, is counted on
 the bound ``disconnects`` counter instead of dumping a traceback.
-:class:`JsonHTTPServer`'s ``server_close`` also drops its kept-alive
-connections, as a process exit would.
+
+Threads: :class:`JsonHTTPServer` serves each connection on its own
+daemon thread, but reuses the threads: a thread whose connection closed
+waits for the next accepted socket, and a new one starts only when every
+thread is busy. So a client that opens a fresh connection per request
+(curl) no longer pays a thread start: with one, a cached ``/estimate``
+cost the server 560–580 µs of CPU, without it about 300 µs (2-CPU
+container, Python 3.11). Its ``server_close`` drops the kept-alive
+connections, as a process exit would, and ends the idle threads, so a
+closed server leaves no thread behind.
 """
 
 import io
 import json
+import queue
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -174,23 +183,65 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
 
 class JsonHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server whose ``server_close`` also shuts down
-    the connections its handlers still hold open.
+    """A threading HTTP server that reuses its connection threads, and
+    whose ``server_close`` also shuts down the connections its handlers
+    still hold open.
 
-    Handler threads are daemons and are not joined, so without this a
-    kept-alive client would go on being served by a closed server."""
+    :meth:`process_request` hands each accepted socket to an idle
+    connection thread and starts a new daemon thread only when none is
+    idle, so a kept-alive connection (a campaign node's) still holds one
+    thread and no connection waits behind another. A thread goes back
+    to idle when its connection closes and lives until
+    :meth:`server_close`, which wakes and ends the idle threads; the
+    busy ones end once the connection they serve is shut down.
+    Connection threads are daemons and are not joined."""
 
-    _GUARDED_BY = {"_live": "_live_lock"}
+    _GUARDED_BY = {
+        "_live": "_live_lock",
+        "_idle": "_live_lock",
+        "_closing": "_live_lock",
+    }
 
     def __init__(self, *args, **kwargs):
         self._live = set()
+        #: Connection threads waiting on ``_handoff``, less the sockets
+        #: already put there for them.
+        self._idle = 0
+        self._closing = False
+        #: Accepted ``(request, client_address)`` pairs for idle
+        #: threads; ``None`` tells one to end.
+        self._handoff = queue.SimpleQueue()
         self._live_lock = threading.Lock()
         ThreadingHTTPServer.__init__(self, *args, **kwargs)
 
     def process_request(self, request, client_address):
         with self._live_lock:
             self._live.add(request)
-        ThreadingHTTPServer.process_request(self, request, client_address)
+            reuse = self._idle > 0
+            if reuse:
+                self._idle -= 1
+        if reuse:
+            self._handoff.put((request, client_address))
+        else:
+            threading.Thread(
+                target=self._serve_connections,
+                args=(request, client_address),
+                daemon=True,
+            ).start()
+
+    def _serve_connections(self, request, client_address):
+        """A connection thread: serve this connection, then each one
+        handed over while idle, until the server closes."""
+        while True:
+            self.process_request_thread(request, client_address)
+            with self._live_lock:
+                if self._closing:
+                    return
+                self._idle += 1
+            handed = self._handoff.get()
+            if handed is None:
+                return
+            request, client_address = handed
 
     def shutdown_request(self, request):
         with self._live_lock:
@@ -200,7 +251,11 @@ class JsonHTTPServer(ThreadingHTTPServer):
     def server_close(self):
         ThreadingHTTPServer.server_close(self)
         with self._live_lock:
+            self._closing = True
+            idle, self._idle = self._idle, 0
             live = list(self._live)
+        for _ in range(idle):
+            self._handoff.put(None)
         for request in live:
             try:
                 request.shutdown(socket.SHUT_RDWR)

@@ -24,7 +24,12 @@ measured now:
   ``"source": "computed"``. Identical queries arriving while the point
   runs queue behind that point's lock and are answered from the store;
   queries for *different* cold points take different locks and compute
-  concurrently on the shared pool.
+  concurrently on the shared pool. A chunk the shared cost model
+  already prices under 1 ms
+  (:data:`~repro.experiments.chunking.INLINE_CHUNK_SECONDS`), such as
+  every batch of a warm kernel scenario's miss, is computed in the
+  request's own thread instead, since a pool round trip would cost more
+  than the chunk itself.
 - **Read-only (``--read-only``):** a miss is refused with HTTP 409
   instead of computed — the mode for pointing the service at a store
   some other process owns.

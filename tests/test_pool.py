@@ -1,7 +1,10 @@
-"""Tests for the persistent worker pool, adaptive trial budgets, and
-the point driver's deadline rules."""
+"""Tests for the persistent worker pool, adaptive trial budgets, the
+point driver's deadline rules, and which chunks skip the pool."""
 
+import contextlib
+import json
 import multiprocessing
+import os
 import time
 
 import pytest
@@ -19,7 +22,9 @@ from repro.experiments import (
     run_scenario,
     unregister_scenario,
 )
+import repro.experiments.campaign as campaign_mod
 from repro.experiments.campaign import PointDriver
+from repro.experiments.chunking import INLINE_CHUNK_SECONDS, AdaptiveChunker
 from repro.experiments.pool import MAX_AUTO_WORKERS
 from repro.experiments.runner import ChunkFold
 from repro.util.errors import ConfigurationError
@@ -556,6 +561,142 @@ class TestLifetimeCounters:
             list(pool.imap_unordered(_double, [1]))
             list(pool.imap_unordered(_double, [2, 3]))
             assert pool.counters()["completed"] == 3
+
+
+_MASTER_PID = os.getpid()
+
+
+def _interrupt_trial(params, registry, max_steps):
+    # Only in the master: a worker killed by KeyboardInterrupt would
+    # never report back, so a chunk wrongly pooled fails instead.
+    if os.getpid() != _MASTER_PID:
+        raise ValueError("interrupted in a worker")
+    raise KeyboardInterrupt
+
+
+@contextlib.contextmanager
+def _registered(run_trial):
+    spec = ScenarioSpec(
+        name="test/raises-in-trial",
+        description="a trial that always raises",
+        run_trial=run_trial,
+    )
+    register_scenario(spec)
+    try:
+        yield spec
+    finally:
+        unregister_scenario(spec.name)
+
+
+class TestInlineChunks:
+    """On a parallel pool, a chunk whose cost key the chunker already
+    prices under ``INLINE_CHUNK_SECONDS`` runs in the master, counted
+    by the pool like any chunk; every other chunk is submitted."""
+
+    SCENARIO = "cointoss/biased-coin"
+    #: Four adaptive batches (32, 32, 64, 128 trials), one chunk each.
+    BUDGET = WilsonWidthPolicy(ci_width=0.02, min_trials=32, max_trials=256)
+
+    @pytest.fixture()
+    def master_chunks(self, monkeypatch):
+        """The pid of every chunk the master process runs (a worker's
+        own copy of this list is never seen here)."""
+        pids = []
+        fold = campaign_mod._run_chunk_folded
+
+        def recording(payload):
+            pids.append(os.getpid())
+            return fold(payload)
+
+        monkeypatch.setattr(campaign_mod, "_run_chunk_folded", recording)
+        return pids
+
+    @staticmethod
+    def warm(key, per_trial=1e-7):
+        chunker = AdaptiveChunker()
+        assert chunker.observe(key, 1000, 1000 * per_trial)
+        return chunker
+
+    def test_priced_tiny_chunks_run_in_the_master(self, master_chunks):
+        with WorkerPool(2) as pool:
+            inline = run_scenario(
+                self.SCENARIO, budget=self.BUDGET, pool=pool,
+                chunker=self.warm(self.SCENARIO), keep_outcomes=False,
+            )
+            counters = pool.counters()
+            assert not pool.started  # no chunk needed a worker
+        assert inline.dispatches == 4
+        assert master_chunks == [os.getpid()] * inline.dispatches
+        assert counters["dispatched"] == inline.dispatches
+        assert counters["completed"] + counters["failed"] == inline.dispatches
+        assert counters["failed"] == 0
+        del master_chunks[:]
+        with WorkerPool(2) as pool:
+            pooled = run_scenario(
+                self.SCENARIO, budget=self.BUDGET, pool=pool,
+                chunk_size=16, keep_outcomes=False,
+            )
+            assert pool.started
+            assert pool.counters()["dispatched"] == pooled.dispatches == 16
+        assert master_chunks == []
+        assert json.dumps(inline.to_row(), sort_keys=True) == json.dumps(
+            pooled.to_row(), sort_keys=True
+        )
+
+    @pytest.mark.parametrize(
+        "chunker",
+        [AdaptiveChunker, lambda: TestInlineChunks.warm("another/key")],
+        ids=["fresh", "other-key-warm"],
+    )
+    def test_unpriced_cost_key_is_submitted(self, master_chunks, chunker):
+        with WorkerPool(2) as pool:
+            # 64 cold kernel trials cut into two chunks, both submitted
+            # before either fold arrives to price the key.
+            result = run_scenario(
+                self.SCENARIO, trials=64, pool=pool, chunker=chunker(),
+                keep_outcomes=False,
+            )
+            assert pool.started
+            assert pool.counters()["dispatched"] == result.dispatches == 2
+        assert master_chunks == []
+
+    def test_priced_chunk_over_the_bound_is_submitted(self, master_chunks):
+        per_trial = 2 * INLINE_CHUNK_SECONDS
+        with WorkerPool(2) as pool:
+            run_scenario(
+                self.SCENARIO, trials=2, pool=pool, keep_outcomes=False,
+                chunker=self.warm(self.SCENARIO, per_trial),
+            )
+            assert pool.started
+        assert master_chunks == []
+
+    @staticmethod
+    def fail(spec, chunker):
+        with WorkerPool(2) as pool:
+            with pytest.raises(ConfigurationError) as info:
+                run_scenario(spec, trials=4, pool=pool, chunker=chunker)
+            return info.value, pool.counters(), pool.started
+
+    def test_inline_failure_names_the_point_like_a_pooled_one(self):
+        with _registered(_explode_trial) as spec:
+            inline, counters, started = self.fail(spec, self.warm(spec.name))
+            pooled, _, pooled_started = self.fail(spec, AdaptiveChunker())
+        assert not started and pooled_started
+        assert counters == {"dispatched": 1, "completed": 0, "failed": 1}
+        assert str(inline) == str(pooled) == (
+            "point 'test/raises-in-trial' {} failed: trial exploded"
+        )
+        assert isinstance(inline.__cause__, ValueError)
+
+    def test_inline_keyboard_interrupt_is_not_wrapped(self):
+        pool = WorkerPool(2)
+        with _registered(_interrupt_trial) as spec:
+            with pytest.raises(KeyboardInterrupt):
+                with pool:
+                    run_scenario(
+                        spec, trials=4, pool=pool, chunker=self.warm(spec.name)
+                    )
+        assert pool.counters() == {"dispatched": 1, "completed": 0, "failed": 1}
 
 
 class _SlowFirstTrial:

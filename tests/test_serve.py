@@ -16,13 +16,17 @@ The load-bearing guarantees, each pinned directly:
   deadlock it) while identical in-flight queries still coalesce to one
   compute;
 - the HTTP layer maps these to 200/400/404/409 end to end over a real
-  ephemeral-port server.
+  ephemeral-port server;
+- connection threads are reused: sequential fresh connections share
+  the idle ones, a kept-alive connection holds its own without starving
+  the rest, and a closed server leaves no thread behind.
 """
 
 import http.client
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -32,8 +36,8 @@ import pytest
 
 import repro.serve as serve_mod
 from repro.experiments import ResultStore, run_scenario
-from repro.httpd import JsonHTTPServer
-from repro.metrics import parse_text
+from repro.httpd import JsonHTTPServer, make_json_server
+from repro.metrics import MetricsRegistry, parse_text
 from repro.serve import ComputeRefused, EstimateService, make_server
 from repro.util.errors import ConfigurationError
 
@@ -526,3 +530,130 @@ class TestMetricsEndpoint:
             "repro_inflight_computes",
         ):
             assert family in families
+
+
+def _thread_name(conn):
+    conn.request("GET", "/thread")
+    response = conn.getresponse()
+    assert response.status == 200
+    return json.loads(response.read())["thread"]
+
+
+def _fresh_thread_name(port):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        return _thread_name(conn)
+    finally:
+        conn.close()
+
+
+class TestConnectionThreads:
+    """``JsonHTTPServer`` hands each accepted socket to an idle
+    connection thread and starts one only when none is idle."""
+
+    @pytest.fixture()
+    def thread_server(self):
+        before = threading.active_count()
+        server = make_json_server(
+            "127.0.0.1",
+            0,
+            {("GET", "/thread"): lambda query: {
+                "thread": threading.current_thread().name
+            }},
+            MetricsRegistry(),
+            lambda: {"ok": True},
+        )
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+
+        def stop():
+            server.shutdown()
+            server.server_close()
+            loop.join(timeout=10)
+            assert not loop.is_alive()
+
+        yield server.server_address[1], stop, before
+        if loop.is_alive():
+            stop()
+
+    def test_sequential_fresh_connections_reuse_threads(self, thread_server):
+        port, _, _ = thread_server
+        names = {_fresh_thread_name(port) for _ in range(50)}
+        # One thread when it is idle again before the next accept, two
+        # when the accept wins the race; never one per connection.
+        assert len(names) <= 2
+
+    def test_kept_alive_connection_does_not_starve_fresh_ones(
+        self, thread_server
+    ):
+        port, _, _ = thread_server
+        kept = [
+            http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+            for _ in range(2)
+        ]
+        try:
+            held = [_thread_name(kept[0])]
+            # The fresh connection's thread goes idle, and the second
+            # kept-alive connection is handed to it: both threads are
+            # now busy, so the fresh requests below need a third.
+            _fresh_thread_name(port)
+            held.append(_thread_name(kept[1]))
+            fresh = [_fresh_thread_name(port) for _ in range(10)]
+            assert len(fresh) == 10 and not set(held) & set(fresh)
+            # Each kept-alive connection is still served by its thread.
+            assert [_thread_name(conn) for conn in kept] == held
+        finally:
+            for conn in kept:
+                conn.close()
+
+    def test_concurrent_fresh_connections_are_all_answered(
+        self, thread_server
+    ):
+        """Many clients racing the idle-thread handoff on a short switch
+        interval: a lost update to the idle count would leave a socket
+        with no thread to serve it (a client times out) or start a
+        thread per connection."""
+        port, _, _ = thread_server
+        clients, requests = 8, 25
+        names, errors = [], []
+
+        def client():
+            try:
+                for _ in range(requests):
+                    names.append(_fresh_thread_name(port))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(names) == clients * requests
+        # At most one lingering and one new connection per client.
+        assert len(set(names)) <= 2 * clients
+
+    def test_closed_server_leaves_no_thread_behind(self, thread_server):
+        port, stop, before = thread_server
+        kept = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        try:
+            names = {_thread_name(kept)}
+            names.update(_fresh_thread_name(port) for _ in range(5))
+            stop()
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and (
+                threading.active_count() > before
+                or names & {t.name for t in threading.enumerate()}
+            ):
+                time.sleep(0.01)
+            assert threading.active_count() <= before
+            assert not names & {t.name for t in threading.enumerate()}
+        finally:
+            kept.close()

@@ -38,12 +38,13 @@ from repro.experiments.runner import (
 SMALL_PARAMS = {
     "attack/cubic": {"n": 34},
     "attack/random-location": {"n": 32},
+    "honest/phase-async": {"n": 8},
 }
 
 #: Every batch-capable scenario, plus one that only has the scalar loop.
 FOLD_NAMES = sorted(
     spec.name for spec in all_scenarios() if spec.run_batch is not None
-) + ["honest/basic-lead"]
+) + ["honest/phase-async"]
 
 
 def cut(name, trials, keep_outcomes=False, **kwargs):
