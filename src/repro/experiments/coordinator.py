@@ -38,20 +38,29 @@ The contracts that keep that true:
   rows. A late report from the presumed-dead node is still accepted if
   the range has not refolded yet, and harmlessly dropped if it has.
 
-Protocol (JSON over stdlib HTTP; all POST bodies/responses are
-objects): ``POST /register {name?, workers?} -> {node, lease_trials,
-lease_ttl}``; ``POST /lease {node} -> {done, leases: [{lease, point,
-scenario, params, base_seed, max_steps, start, end}]}`` (leasing doubles
-as the heartbeat); ``POST /report {node, lease, point, start, end,
-**fold} -> {status}``, where ``fold`` is ``ChunkFold.to_report()``
-(``counts``, ``successes``, ``steps_total``, ``trials``, ``elapsed``),
-parsed back by ``ChunkFold.from_report``, and status is ``accepted`` |
-``duplicate`` | ``unknown``; ``GET /status``, ``GET /healthz``, and
-``GET /metrics`` (Prometheus text format:
-trials/sec, lease queue depth, active leases, per-node EWMA per-trial
-seconds, node health, report/expiry counters). A malformed POST body
-(a bad ``Content-Length``, or a body that is not a JSON object) answers
-400, as does a request that breaks the protocol.
+Protocol (JSON over HTTP/1.1 through :mod:`repro.httpd`; all POST
+bodies/responses are objects): ``POST /register {name?, workers?} ->
+{node, lease_trials, lease_ttl}``; ``POST /lease {node, max_leases?}
+-> {done, leases: [{lease, point, scenario, params, base_seed,
+max_steps, start, end}]}`` (leasing doubles as the heartbeat); ``POST
+/report {node, lease, point, start, end, max_leases?, **fold} ->
+{status}``, where ``fold`` is ``ChunkFold.to_report()`` (``counts``,
+``successes``, ``steps_total``, ``trials``, ``elapsed``), parsed back
+by ``ChunkFold.from_report``, and status is ``accepted`` |
+``duplicate`` | ``unknown``. A report that carries ``max_leases`` is
+also the node's next lease request: after the fold, whatever its
+status, the coordinator grants through the same :meth:`lease` and
+answers ``{status, done, leases}``, so a node makes one request per
+lease (a report without ``max_leases``, from an older node, still
+answers ``{status}`` alone). A grant whose answer is lost on the way
+(the connection dropped, the node died) is no different from a lease
+the node died holding: it expires after ``lease_ttl`` and its range is
+leased again; a re-sent report folds nothing twice but still grants.
+``GET /status``, ``GET /healthz``, and ``GET /metrics`` (Prometheus
+text format: trials/sec, lease queue depth, active leases, per-node
+EWMA per-trial seconds, node health, report/expiry counters). A
+malformed POST body (a bad ``Content-Length``, or a body that is not a
+JSON object) answers 400, as does a request that breaks the protocol.
 """
 
 import itertools
@@ -322,12 +331,22 @@ class CampaignCoordinator:
         trials make the copies identical); ``unknown`` — the range does
         not belong to any in-flight point (the point finalized, or the
         echo is corrupt). Malformed payloads raise
-        :class:`ConfigurationError` (the HTTP layer answers 400)."""
+        :class:`ConfigurationError` (the HTTP layer answers 400).
+
+        A payload carrying ``max_leases`` also asks for the node's next
+        work: after the fold, whatever its status, the answer adds the
+        ``done`` and ``leases`` of ``self.lease(node, max_leases)``, so
+        a node needs no separate ``/lease`` request per range."""
         node_id = payload.get("node")
         lease_id = payload.get("lease")
         point_id = checked_int(payload.get("point"), "point")
         start = checked_int(payload.get("start"), "start")
         end = checked_int(payload.get("end"), "end")
+        max_leases = payload.get("max_leases")
+        if max_leases is not None:
+            checked_int(max_leases, "max_leases", 1)
+            if not isinstance(node_id, str) or not node_id:
+                raise ConfigurationError("missing 'node'")
         fold = ChunkFold.from_report(payload)
         trials = fold.trials
         if trials != end - start:
@@ -352,24 +371,29 @@ class CampaignCoordinator:
                 self._leases.pop(lease_id, None)
             tag = self._ranges.get(rng)
             if tag is None:
-                self._reports.inc(status="unknown")
-                return {"status": "unknown"}
-            if tag == "done":
-                self._reports.inc(status="duplicate")
-                return {"status": "duplicate"}
-            if tag == "queued":
-                # The lease expired and the range was re-queued, but the
-                # original node finished after all: accept its fold and
-                # pull the range back off the queue.
-                try:
-                    self._driver.queue.remove(rng)
-                except ValueError:
-                    pass
-            self._ranges[rng] = "done"
-            self._count_trials(trials)
-            self._reports.inc(status="accepted")
-            self._finish_locked(self._driver.arrive(point_id, fold, now))
-        return {"status": "accepted"}
+                status = "unknown"
+            elif tag == "done":
+                status = "duplicate"
+            else:
+                if tag == "queued":
+                    # The lease expired and the range was re-queued, but
+                    # the original node finished after all: accept its
+                    # fold and pull the range back off the queue.
+                    try:
+                        self._driver.queue.remove(rng)
+                    except ValueError:
+                        pass
+                self._ranges[rng] = "done"
+                self._count_trials(trials)
+                self._finish_locked(self._driver.arrive(point_id, fold, now))
+                status = "accepted"
+            self._reports.inc(status=status)
+        answer: Dict[str, Any] = {"status": status}
+        if max_leases is not None:
+            # Outside the lock: lease() takes it, and a subclass's
+            # lease() hook sees this grant like any other.
+            answer.update(self.lease(node_id, max_leases))
+        return answer
 
     # -- consumer side -------------------------------------------------
 

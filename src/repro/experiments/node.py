@@ -2,10 +2,16 @@
 
 ``python -m repro node --join HOST:PORT --workers N`` is the worker
 half of the distributed campaign (see
-:mod:`repro.experiments.coordinator`): register once, then loop
-``lease → run → report`` until the coordinator answers ``done``. Each
-lease is a ``(point, [start, end))`` trial range; the node builds the
-same chunk payloads the single-host runner would
+:mod:`repro.experiments.coordinator`): register once, lease once, then
+loop ``run → report`` until the coordinator answers ``done``. Each
+report asks for the next lease (``max_leases: 1``) and its answer
+carries it, so a lease costs one HTTP request; the node falls back to
+``POST /lease`` only after an empty answer (every range is out on
+lease, or the active points are between batches; it polls every
+``--poll`` seconds) or a failed report.
+
+Each lease is a ``(point, [start, end))`` trial range; the node builds
+the same chunk payloads the single-host runner would
 (:func:`~repro.experiments.runner.chunk_payloads` over its local
 :class:`~repro.experiments.pool.WorkerPool`), folds the chunk results
 into one :class:`~repro.experiments.runner.ChunkFold`, and reports its
@@ -21,8 +27,10 @@ Failure model: the node is disposable. A coordinator restart costs one
 reconnect; connection errors beyond that are retried with backoff up to
 ``--retries`` consecutive failures; a failed report is abandoned —
 the lease expires coordinator-side and the range is re-leased, and
-determinism guarantees the retry folds the same numbers. ``kill -9``
-needs no cleanup for the same reason.
+determinism guarantees the retry folds the same numbers. So does the
+lease a lost report answer carried: the node never saw it, and it
+expires the same way. ``kill -9`` needs no cleanup for the same
+reason.
 """
 
 import http.client
@@ -178,6 +186,10 @@ def run_node(
 ) -> int:
     """``python -m repro node``: serve leases until the campaign is done.
 
+    One ``/lease`` request starts the loop; after that each report
+    carries the next lease request, and ``/lease`` is sent again only
+    after an empty answer or a failed report.
+
     Returns 0 when the coordinator reports completion, 1 after
     ``retries`` consecutive connection failures (the coordinator is
     gone for good)."""
@@ -194,51 +206,68 @@ def run_node(
             print(f"[node] {message}", file=sys.stderr)
 
     try:
+        # Leases in hand: each report asks for the next one, so /lease
+        # is needed only to start, after an empty answer, and after a
+        # failed report.
+        leases: list = []
         while True:
+            if not leases:
+                try:
+                    if node_id is None:
+                        answer = client.post(
+                            "/register", {"name": name, "workers": pool.workers}
+                        )
+                        node_id = answer["node"]
+                        log(
+                            f"registered as {node_id} "
+                            f"(lease_trials={answer.get('lease_trials')})"
+                        )
+                    answer = client.post("/lease", {"node": node_id})
+                except OSError as exc:
+                    failures += 1
+                    if failures > retries:
+                        print(
+                            f"node: giving up after {failures} connection "
+                            f"failures: {exc}",
+                            file=sys.stderr,
+                        )
+                        return 1
+                    time.sleep(retry_delay)
+                    continue
+                failures = 0
+                if answer.get("done"):
+                    log("campaign complete")
+                    return 0
+                leases = list(answer.get("leases") or [])
+                if not leases:
+                    time.sleep(poll)
+                    continue
+            lease = leases.pop(0)
+            log(
+                f"lease {lease.get('lease')}: {lease.get('scenario')} "
+                f"[{lease.get('start')}, {lease.get('end')})"
+            )
+            report = lease_fold(lease, pool, chunker)
+            report["node"] = node_id
+            report["max_leases"] = 1
             try:
-                if node_id is None:
-                    answer = client.post(
-                        "/register", {"name": name, "workers": pool.workers}
-                    )
-                    node_id = answer["node"]
-                    log(
-                        f"registered as {node_id} "
-                        f"(lease_trials={answer.get('lease_trials')})"
-                    )
-                answer = client.post("/lease", {"node": node_id})
+                answer = client.post("/report", report)
             except OSError as exc:
-                failures += 1
-                if failures > retries:
-                    print(
-                        f"node: giving up after {failures} connection "
-                        f"failures: {exc}",
-                        file=sys.stderr,
-                    )
-                    return 1
-                time.sleep(retry_delay)
+                # The lease expires and re-leases; determinism makes
+                # the retry's fold identical, so losing this report
+                # costs wall-clock only.
+                log(f"report failed ({exc}); lease will be retried")
                 continue
             failures = 0
             if answer.get("done"):
                 log("campaign complete")
                 return 0
-            leases = answer.get("leases") or []
-            if not leases:
+            leases.extend(answer.get("leases") or [])
+            if "leases" in answer and not leases:
+                # An empty grant: poll as after an empty /lease answer.
+                # (A coordinator that predates max_leases answers
+                # {status} alone, and /lease follows at once.)
                 time.sleep(poll)
-                continue
-            for lease in leases:
-                log(
-                    f"lease {lease.get('lease')}: {lease.get('scenario')} "
-                    f"[{lease.get('start')}, {lease.get('end')})"
-                )
-                report = lease_fold(lease, pool, chunker)
-                report["node"] = node_id
-                try:
-                    client.post("/report", report)
-                except OSError as exc:
-                    # The lease expires and re-leases; determinism makes
-                    # the retry's fold identical, so losing this report
-                    # costs wall-clock only.
-                    log(f"report failed ({exc}); lease will be retried")
     finally:
         client.close()
         pool.close()

@@ -1,8 +1,8 @@
 """The estimate service: stored results first, trials only on a miss.
 
 ``python -m repro serve --db results.db`` puts a long-running HTTP
-front end (stdlib ``http.server`` — no new dependencies) over a
-:class:`~repro.experiments.store.ResultStore`, so consumers of the
+front end (:mod:`repro.httpd` on stdlib sockets — no new dependencies)
+over a :class:`~repro.experiments.store.ResultStore`, so consumers of the
 reproduction ask one question —
 
     GET /estimate?scenario=attack/basic-cheat&ci_width=0.1&n=16&target=5

@@ -8,6 +8,7 @@ Everything else (exactly-once folding, expiry, the HTTP protocol, the
 """
 
 import http.client
+import importlib
 import json
 import socket
 import threading
@@ -299,6 +300,205 @@ class TestLeaseLifecycle:
         # The rejected report folded nothing: the range still takes
         # its one good report.
         assert coordinator.report(report)["status"] == "accepted"
+
+
+ONE_POINT = {
+    "trials": 12,
+    "base_seed": 2,
+    "entries": [
+        {"scenario": "attack/basic-cheat", "grid": {"n": 16, "target": 5}},
+    ],
+}
+
+
+class FakeClock:
+    """Stands in for the ``time`` module inside ``coordinator``: its
+    ``monotonic()`` moves only when a test advances it."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+class TestReportGrants:
+    """``/report`` with ``max_leases`` carries the node's next lease,
+    so a node needs one ``/lease`` request to start and then one per
+    empty poll. No sockets and no sleeps: the coordinator's clock is a
+    :class:`FakeClock`."""
+
+    @pytest.fixture()
+    def clock(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(
+            importlib.import_module("repro.experiments.coordinator"),
+            "time",
+            clock,
+        )
+        return clock
+
+    @pytest.fixture()
+    def pool(self):
+        with WorkerPool(1) as pool:
+            yield pool
+
+    @staticmethod
+    def report_for(lease, pool, node, **extra):
+        return dict(lease_fold(lease, pool), node=node, **extra)
+
+    def test_report_grants_the_next_range_until_done(self, clock, pool):
+        points = expand_manifest(ONE_POINT)
+        coordinator = CampaignCoordinator(points, lease_trials=4)
+        node = coordinator.register(name="r")["node"]
+        (lease,) = coordinator.lease(node)["leases"]
+        starts = [lease["start"]]
+        while True:
+            answer = coordinator.report(
+                self.report_for(lease, pool, node, max_leases=1)
+            )
+            assert answer["status"] == "accepted"
+            if answer["done"]:
+                assert answer["leases"] == []
+                break
+            (lease,) = answer["leases"]
+            starts.append(lease["start"])
+        assert starts == [0, 4, 8]
+        # The done answer came through lease(), which marks the node.
+        assert coordinator.await_nodes_done(timeout=0.0)
+        rows = [json.dumps(r.to_row(), sort_keys=True) for r in coordinator.results()]
+        assert rows == single_host_rows(points)
+
+    def test_report_without_max_leases_answers_status_alone(self, clock, pool):
+        coordinator = CampaignCoordinator(
+            expand_manifest(ONE_POINT), lease_trials=4
+        )
+        node = coordinator.register(name="old")["node"]
+        (lease,) = coordinator.lease(node)["leases"]
+        assert coordinator.report(self.report_for(lease, pool, node)) == {
+            "status": "accepted"
+        }
+
+    def test_duplicate_report_still_grants(self, clock, pool):
+        """A node re-sends a report whose answer it lost; the re-send
+        folds nothing but still hands out work."""
+        coordinator = CampaignCoordinator(
+            expand_manifest(ONE_POINT), lease_trials=4
+        )
+        node = coordinator.register(name="dup")["node"]
+        (lease,) = coordinator.lease(node)["leases"]
+        report = self.report_for(lease, pool, node, max_leases=1)
+        first = coordinator.report(report)
+        again = coordinator.report(report)
+        assert (first["status"], again["status"]) == ("accepted", "duplicate")
+        assert [g["start"] for g in first["leases"] + again["leases"]] == [4, 8]
+        trials = coordinator.metrics.counter("repro_trials_total")
+        assert trials.value() == 4
+
+    def test_lost_grant_expires_and_is_leased_again(self, clock, pool):
+        coordinator = CampaignCoordinator(
+            expand_manifest(ONE_POINT), lease_trials=4, lease_ttl=30.0
+        )
+        node = coordinator.register(name="lossy")["node"]
+        (lease,) = coordinator.lease(node)["leases"]
+        (lost,) = coordinator.report(
+            self.report_for(lease, pool, node, max_leases=1)
+        )["leases"]
+        # The answer carrying ``lost`` never reached the node. Before the
+        # TTL its range stays out on lease...
+        clock.now += 29.0
+        (other,) = coordinator.lease(node)["leases"]
+        assert other["start"] != lost["start"]
+        # ...and after it, the range is granted again under a new id.
+        clock.now += 2.0
+        answer = coordinator.report(
+            self.report_for(other, pool, node, max_leases=1)
+        )
+        (again,) = answer["leases"]
+        assert (again["start"], again["end"]) == (lost["start"], lost["end"])
+        assert again["lease"] != lost["lease"]
+        expired = coordinator.metrics.counter("repro_leases_expired_total")
+        assert expired.value() == 1
+
+    def test_report_rejects_a_bad_max_leases_before_folding(self, clock, pool):
+        coordinator = CampaignCoordinator(
+            expand_manifest(ONE_POINT), lease_trials=4
+        )
+        node = coordinator.register(name="bad")["node"]
+        (lease,) = coordinator.lease(node)["leases"]
+        report = self.report_for(lease, pool, node)
+        for bad in (0, True, "1"):
+            with pytest.raises(ConfigurationError, match="max_leases"):
+                coordinator.report(dict(report, max_leases=bad))
+        with pytest.raises(ConfigurationError, match="missing 'node'"):
+            coordinator.report(dict(report, node=None, max_leases=1))
+        assert coordinator.report(report)["status"] == "accepted"
+
+
+class CountingCoordinator(CampaignCoordinator):
+    """Counts empty grants: answers with no lease and ``done: false``."""
+
+    def __init__(self, *args, **kwargs):
+        self.empty = 0
+        super().__init__(*args, **kwargs)
+
+    def lease(self, node_id, max_leases=1):
+        answer = super().lease(node_id, max_leases)
+        if not answer["leases"] and not answer["done"]:
+            self.empty += 1
+        return answer
+
+
+class TestOneRequestPerLease:
+    def test_run_node_leases_once_plus_once_per_empty_poll(self):
+        points = expand_manifest(MANIFEST)
+        coordinator = CountingCoordinator(points, lease_trials=8)
+        server = make_coordinator_server(coordinator)
+        routes = server.RequestHandlerClass.routes
+        lease_route, report_route = routes[("POST", "/lease")], routes[("POST", "/report")]
+        requests = {"/lease": 0, "/report": 0}
+
+        def counted(path, route):
+            def call(body):
+                requests[path] += 1
+                return route(body)
+
+            return call
+
+        routes[("POST", "/lease")] = counted("/lease", lease_route)
+        routes[("POST", "/report")] = counted("/report", report_route)
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        host, port = server.server_address[:2]
+        nodes, exit_codes = 2, []
+        threads = [
+            threading.Thread(
+                target=lambda: exit_codes.append(
+                    run_node(f"{host}:{port}", workers=1, poll=0.01, retries=2)
+                )
+            )
+            for _ in range(nodes)
+        ]
+        try:
+            for t in threads:
+                t.start()
+            rows = sorted(
+                json.dumps(r.to_row(), sort_keys=True)
+                for r in coordinator.results()
+            )
+            coordinator.await_nodes_done(timeout=5.0)
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            stop_server(server, loop)
+        assert rows == single_host_rows(points)
+        assert exit_codes == [0, 0]
+        assert requests["/lease"] == nodes + coordinator.empty
+        granted = coordinator.metrics.counter("repro_leases_granted_total")
+        assert requests["/report"] == granted.value()
 
 
 class TestHTTP:
