@@ -321,9 +321,6 @@ class FakeClock:
     def monotonic(self):
         return self.now
 
-    def sleep(self, seconds):
-        self.now += seconds
-
 
 class TestReportGrants:
     """``/report`` with ``max_leases`` carries the node's next lease,
